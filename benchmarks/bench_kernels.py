@@ -16,7 +16,6 @@ from distcost.signals import make_disturbance
 
 _SELECTED = {"expm": "expm_core", "jacobi": "jacobi_core", "rk4": "rk4_core",
              "propagate_gain_grid": "propagate_gain_grid",
-             "weighted_transition_sum": "weighted_transition_sum",
              "splitmix_fill": "splitmix_fill"}
 
 
@@ -70,12 +69,6 @@ def _workloads():
                       for c in range(n_cp)])
     g = rng.standard_normal(n)
     yield "gain grid 10001 nodes", "propagate_gain_grid", (E, seeds, 256, g, n_nodes), 20
-
-    Ef = _kernels.expm_core(sys_.A * delta)
-    seeds_f = np.stack([_kernels.expm_core(sys_.A * ((c + 1) * 256 * delta))
-                        for c in range(n_cp)])
-    V = rng.standard_normal((n_nodes, n))
-    yield "transition sum 10001 nodes", "weighted_transition_sum", (Ef, seeds_f, 256, V), 20
 
     yield "splitmix 1e6 draws", "splitmix_fill", (np.uint64(7), np.uint64(0), 1_000_000), 5
 

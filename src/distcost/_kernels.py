@@ -1,11 +1,12 @@
 """Hot numerical kernels with optional JIT compilation.
 
-Every kernel here is written as a plain loop-level numpy function so the
-same source runs under numba's nopython mode or as-is. When numba imports
-cleanly (and DISTCOST_DISABLE_NUMBA is unset) the public names point at
-compiled versions; otherwise they point at the raw functions. The raw
-functions stay reachable through PY_IMPLS so benchmarks/bench_kernels.py
-can time both paths against each other.
+Every kernel here except splitmix_fill is written as a plain loop-level
+numpy function so the same source runs under numba's nopython mode or
+as-is. When numba imports cleanly (and DISTCOST_DISABLE_NUMBA is unset)
+the public names point at compiled versions; otherwise they point at the
+raw functions. The raw functions stay reachable through PY_IMPLS so
+benchmarks/bench_kernels.py can time both paths against each other.
+splitmix_fill is whole-array uint64 numpy and has a single build.
 
 Kernels take C-contiguous float64 arrays and do no validation; the
 wrappers in linalg/gramian/synthesis own the error checking.
@@ -170,37 +171,15 @@ def _propagate_gain_grid(E, seeds, cp, g, n_nodes):
     return Y
 
 
-def _weighted_transition_sum(E, seeds, cp, Vn):
-    # sum_j Phi_j @ Vn[j] with Phi_j = node-j transition factor, again by
-    # backward recurrence with periodic reseeding. The caller folds the
-    # quadrature weights into Vn, so this is the whole composite rule.
-    n_nodes = Vn.shape[0]
-    n = Vn.shape[1]
-    acc = np.zeros(n)
-    Phi = np.eye(n)
-    for k_back in range(n_nodes):
-        j = n_nodes - 1 - k_back
-        if k_back > 0:
-            if cp > 0 and k_back % cp == 0:
-                Phi = seeds[k_back // cp - 1]
-            else:
-                Phi = E @ Phi
-        acc = acc + Phi @ Vn[j]
-    return acc
-
-
 def _splitmix_fill(seed, start, count):
     # counter-based splitmix64: draw i is mix(seed + (i+1)*GOLD), mapped
     # to [0, 1) through the top 53 bits. Stateless, so any subrange of a
-    # stream can be generated independently.
-    out = np.empty(count)
-    for k in range(count):
-        z = seed + np.uint64(start + k + 1) * _SM_GOLD
-        z = (z ^ (z >> _SM_S1)) * _SM_M1
-        z = (z ^ (z >> _SM_S2)) * _SM_M2
-        z = z ^ (z >> _SM_S3)
-        out[k] = np.float64(z >> _SM_S11) * _SM_INV53
-    return out
+    # stream can be generated independently; uint64 ops wrap mod 2^64.
+    z = seed + (np.arange(count, dtype=np.uint64) + np.uint64(start + 1)) * _SM_GOLD
+    z = (z ^ (z >> _SM_S1)) * _SM_M1
+    z = (z ^ (z >> _SM_S2)) * _SM_M2
+    z = z ^ (z >> _SM_S3)
+    return (z >> _SM_S11).astype(np.float64) * _SM_INV53
 
 
 def _env_flag_set(name):
@@ -223,7 +202,6 @@ PY_IMPLS = {
     "jacobi": _jacobi,
     "rk4": _rk4,
     "propagate_gain_grid": _propagate_gain_grid,
-    "weighted_transition_sum": _weighted_transition_sum,
     "splitmix_fill": _splitmix_fill,
 }
 
@@ -233,15 +211,13 @@ if USING_NUMBA:
     jacobi_core = _jit(_jacobi)
     rk4_core = _jit(_rk4)
     propagate_gain_grid = _jit(_propagate_gain_grid)
-    weighted_transition_sum = _jit(_weighted_transition_sum)
-    splitmix_fill = _jit(_splitmix_fill)
 else:
     expm_core = _expm
     jacobi_core = _jacobi
     rk4_core = _rk4
     propagate_gain_grid = _propagate_gain_grid
-    weighted_transition_sum = _weighted_transition_sum
-    splitmix_fill = _splitmix_fill
+# whole-array uint64 ops already run at native speed, so one build serves
+splitmix_fill = _splitmix_fill
 
 
 def warm_up():
@@ -266,6 +242,5 @@ def warm_up():
     seeds = np.empty((0, 2, 2))
     propagate_gain_grid(E, seeds, 256, g_ro, 5)
     propagate_gain_grid(E, seeds, 256, g_ro.copy(), 5)
-    weighted_transition_sum(E, seeds, 256, np.ones((5, 2)))
     with np.errstate(over="ignore"):
         splitmix_fill(np.uint64(0), 0, 4)

@@ -218,10 +218,10 @@ def cmd_stabilize(cfg: RunConfig) -> int:
     for i, spec in enumerate(cfg.disturbances):
         name = _run_name(spec, i)
         w = _signal_from_spec(spec, sys_, task, bundle, default_cells, cfg.seed, i)
-        u_d = disturbed_control(sys_, task, bundle, w, cfg.settings)
+        u_d = disturbed_control(sys_, task, bundle, w)
         traj = simulate_closed_loop(sys_, task, u_d, w, cfg.steps)
         _atomic_write(os.path.join(outdir, f"traj_{name}.csv"), trajectory_to_csv(traj))
-        e_d = disturbed_signal_energy(sys_, task, bundle, w, cfg.settings)
+        e_d = disturbed_signal_energy(sys_, task, bundle, w)
         runs.append({"name": name, "kind": w.kind,
                      "terminal_residual": traj.terminal_residual,
                      "energy_quadrature": traj.energy,

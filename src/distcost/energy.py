@@ -23,7 +23,6 @@ import numpy as np
 
 from .gramian import GramianBundle
 from .linalg import norm
-from .settings import DEFAULT_SETTINGS, NumericSettings
 from .signals import DisturbanceSignal
 from .synthesis import _check_bundle, disturbance_response
 from .systems import LtiSystem, StabilizationTask
@@ -63,11 +62,10 @@ def nominal_energy(sys: LtiSystem, task: StabilizationTask,
 
 
 def disturbed_signal_energy(sys: LtiSystem, task: StabilizationTask,
-                            bundle: GramianBundle, w: DisturbanceSignal,
-                            settings: NumericSettings = DEFAULT_SETTINGS) -> float:
+                            bundle: GramianBundle, w: DisturbanceSignal) -> float:
     """Energy of the stabilizing control when disturbance w is known a priori."""
     _check_bundle(sys, task, bundle)
-    R = disturbance_response(sys, w, task.t_f, settings)
+    R = disturbance_response(sys, w, task.t_f)
     h = _half_weighted(bundle, bundle.state_transition @ task.x0 + R)
     return float(np.sum(h * h))
 

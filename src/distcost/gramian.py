@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IllConditionedError, NumericalError
-from .linalg import SpectralDecomposition, expm, sym_eig
+from .linalg import SpectralDecomposition, block_expm, expm, sym_eig
 from .settings import DEFAULT_SETTINGS, NumericSettings
 from .systems import LtiSystem
 
@@ -45,15 +45,8 @@ def _check_horizon(t_f) -> float:
 
 
 def _gramian_and_transition(sys: LtiSystem, t_f: float):
-    n = sys.n
-    G = sys.B @ sys.B.T
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = sys.A
-    M[:n, n:] = G
-    M[n:, n:] = -sys.A.T
-    E = expm(M * t_f)
-    trans = np.ascontiguousarray(E[:n, :n])
-    W = E[:n, n:] @ trans.T
+    trans, E12 = block_expm(sys.A, sys.B @ sys.B.T, -sys.A.T, t_f)
+    W = E12 @ trans.T
     W = 0.5 * (W + W.T)
     return W, trans
 

@@ -17,7 +17,8 @@ from . import _kernels as _k
 from .errors import DimensionError, DomainError, NumericalError
 from .settings import DEFAULT_SETTINGS, NumericSettings
 
-__all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "expm", "sym_eig", "norm"]
+__all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "expm", "block_expm",
+           "sym_eig", "norm"]
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -75,6 +76,22 @@ def expm(M) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"expm operand must be square, got shape {A.shape}")
     return _k.expm_core(A)
+
+
+def block_expm(A, C, S, t: float):
+    """Top block row of expm([[A, C], [0, S]] * t) (Van Loan, IEEE TAC 1978).
+
+    With A n x n, C n x m and S m x m, returns the pair
+    (e^{At}, int_0^t e^{A(t - s)} C e^{Ss} ds), both from one exponential
+    of the (n + m) x (n + m) block-triangular matrix.
+    """
+    n, m = np.shape(C)
+    M = np.zeros((n + m, n + m))
+    M[:n, :n] = A
+    M[:n, n:] = C
+    M[n:, n:] = S
+    E = expm(M * t)
+    return np.ascontiguousarray(E[:n, :n]), E[:n, n:]
 
 
 def sym_eig(M, settings: NumericSettings = DEFAULT_SETTINGS) -> SpectralDecomposition:

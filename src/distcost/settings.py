@@ -3,6 +3,8 @@
 Every tolerance used by the numerical core lives here so a run can override
 them through a config file without touching call sites. All values are
 defaults tuned for small dense systems (n up to ~10) in double precision.
+Disturbance responses are closed forms (block-triangular exponentials, see
+``synthesis.disturbance_response``) and take no tolerance.
 """
 
 from __future__ import annotations
@@ -19,11 +21,6 @@ class NumericSettings:
 
     # Gramian conditioning guard: lambda_max / lambda_min above this is an error
     gramian_condition_limit: float = 1e14
-
-    # disturbance-response quadrature: halving stops when the relative change
-    # of the composite-Simpson value drops below this
-    response_rel_tol: float = 1e-9
-    response_max_doublings: int = 24
 
     # norm integral (adaptive Simpson): absolute tolerance is this times t_f
     norm_integral_tol: float = 1e-9

@@ -17,7 +17,7 @@ from .energy import (disturbed_energy_bound, disturbed_signal_energy,
                      energy_pair_for_response, nominal_energy)
 from .errors import DomainError
 from .gramian import GramianBundle, build_bundle
-from .linalg import expm
+from .linalg import block_expm
 from .metrics import metric_report
 from .settings import DEFAULT_SETTINGS, NumericSettings
 from .signals import derive_seed, make_disturbance, uniform_stream
@@ -84,10 +84,7 @@ def sample_ball(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
 def transition_integral(sys: LtiSystem, t_f: float) -> np.ndarray:
     """int_0^tf e^{As} ds through one augmented exponential."""
     n = sys.n
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = sys.A
-    M[:n, n:] = np.eye(n)
-    return np.ascontiguousarray(expm(M * t_f)[:n, n:])
+    return block_expm(sys.A, np.eye(n), np.zeros((n, n)), t_f)[1]
 
 
 def worst_constant_sign(sys: LtiSystem, task: StabilizationTask,
@@ -145,7 +142,7 @@ def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
         row = {"t_f": float(t_f)}
         for kind in classes:
             w = _class_signal(kind, sys, task, bundle, derive_seed(seed, 1, i), cells)
-            e = disturbed_signal_energy(sys, task, bundle, w, settings)
+            e = disturbed_signal_energy(sys, task, bundle, w)
             row[f"ratio_{kind}"] = float(e / bound)
         rows.append(row)
     return rows
@@ -182,7 +179,7 @@ def _sweep_point(sys: LtiSystem, bundle: GramianBundle, w_bar: float, R: float,
         w = make_disturbance("piecewise_uniform", w_bar, sys.n,
                              seed=derive_seed(seed, 4, i), cells=cells,
                              horizon=t_f)
-        resp = disturbance_response(sys, w, t_f, settings)
+        resp = disturbance_response(sys, w, t_f)
         e_plus, e_minus = energy_pair_for_response(bundle, task, resp)
         e_d = max(e_plus, e_minus)
         ratio = nominal_energy(sys, task, bundle) / e_d

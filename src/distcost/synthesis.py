@@ -7,6 +7,11 @@ and with an a-priori-known disturbance w the stabilizing analogue is
 where R(w, t_f) = int_0^tf e^{A(t_f - tau)} w(tau) dtau is the
 disturbance response. Both controls share the constant gain vector in
 brackets; evaluation only varies the transition factor in front.
+
+Every disturbance class is generated by a small linear exosystem, so
+R(w, t_f) is exact up to rounding: a block of one block-triangular
+matrix exponential (Van Loan, IEEE TAC 1978), plus for piecewise
+signals a log2(K)-pass fold over the K cells. No quadrature is involved.
 """
 
 from __future__ import annotations
@@ -17,10 +22,9 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels as _k
-from .errors import DimensionError, DomainError, NumericalError
+from .errors import DimensionError, DomainError
 from .gramian import GramianBundle
-from .linalg import expm
-from .settings import DEFAULT_SETTINGS, NumericSettings
+from .linalg import block_expm, expm
 from .signals import DisturbanceSignal
 from .systems import LtiSystem, StabilizationTask
 
@@ -123,8 +127,7 @@ def nominal_control(sys: LtiSystem, task: StabilizationTask,
 
 
 def disturbed_control(sys: LtiSystem, task: StabilizationTask,
-                      bundle: GramianBundle, w: DisturbanceSignal,
-                      settings: NumericSettings = DEFAULT_SETTINGS) -> ControlSignal:
+                      bundle: GramianBundle, w: DisturbanceSignal) -> ControlSignal:
     """Minimum-energy stabilizing control when w is known a priori.
 
     Reduces exactly to the nominal control when the response of w is
@@ -134,23 +137,27 @@ def disturbed_control(sys: LtiSystem, task: StabilizationTask,
     _check_bundle(sys, task, bundle)
     if w.dim != sys.n:
         raise DimensionError(f"disturbance dim {w.dim} does not match n = {sys.n}")
-    R = disturbance_response(sys, w, task.t_f, settings)
+    R = disturbance_response(sys, w, task.t_f)
     rhs = bundle.state_transition @ task.x0 + R
     gain = bundle.spec.apply(rhs)
     return _make_signal(sys, task.t_f, gain, "disturbed")
 
 
-def disturbance_response(sys: LtiSystem, w: DisturbanceSignal, t_f,
-                         settings: NumericSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    """R(w, t_f) = int_0^tf e^{A(tf - tau)} w(tau) dtau.
+def disturbance_response(sys: LtiSystem, w: DisturbanceSignal, t_f) -> np.ndarray:
+    """R(w, t_f) = int_0^tf e^{A(tf - tau)} w(tau) dtau, in closed form.
 
-    Composite Simpson with panels aligned to the signal's cell grid, so a
-    piecewise-constant signal is integrated against a smooth kernel on
-    every panel. The panel count per cell doubles until the result moves
-    by less than ``settings.response_rel_tol`` relative.
+    Every class is the output of a linear exosystem, so the integral is a
+    block of one block-triangular exponential (``block_expm``):
 
-    Raises DomainError if the signal is not defined on all of [0, t_f],
-    or (for piecewise signals) if t_f does not land on a cell boundary.
+    - constant w: R = J(t_f) w with J(t) = int_0^t e^{As} ds;
+    - sinusoid: the state z = (sin(omega_i t + phi_i), cos(omega_i t + phi_i))
+      obeys z' = S z, w = C z, and R = [expm([[A, C], [0, S]] t_f)]_12 z(0);
+    - piecewise, K cells of width d = t_f / K with values v_k:
+      R = sum_k e^{Ad(K-1-k)} J(d) v_k.
+
+    The result is exact up to rounding in the exponential. Raises
+    DomainError if the signal is not defined on all of [0, t_f], or (for
+    piecewise signals) if t_f does not land on a cell boundary.
     """
     t_f = float(t_f)
     if t_f <= 0.0 or not np.isfinite(t_f):
@@ -164,64 +171,47 @@ def disturbance_response(sys: LtiSystem, w: DisturbanceSignal, t_f,
     if w.kind == "zero":
         return np.zeros(sys.n)
 
-    if w.kind == "piecewise_uniform":
-        frac = t_f / w.horizon * w.cells
-        K = max(int(round(frac)), 1)
-        if abs(frac - K) > 1e-9 * max(1.0, frac):
-            raise DomainError(
-                "piecewise disturbance cells do not align with t_f; build the "
-                "signal with horizon equal to (a multiple of) the cell grid"
-            )
-        cell_vals = w.cell_values[:K]
-    else:
-        K = 1
-        cell_vals = None
-
     A = sys.A
     n = sys.n
-    prev = None
-    diff = np.inf
-    m = 2
-    for _ in range(settings.response_max_doublings + 1):
-        R = _simpson_response(A, n, w, t_f, K, m, cell_vals)
-        if prev is not None:
-            diff = float(np.sqrt(np.sum((R - prev) ** 2)))
-            scale = max(float(np.sqrt(np.sum(R * R))),
-                        float(np.sqrt(np.sum(prev * prev))))
-            if diff <= settings.response_rel_tol * scale + 1e-300:
-                return R
-        prev = R
-        m *= 2
-    raise NumericalError(
-        f"disturbance response quadrature did not settle within "
-        f"{settings.response_max_doublings} panel doublings",
-        estimate=prev,
-        error_bound=diff,
-        iterations=settings.response_max_doublings,
-    )
+    if w.kind == "sinusoid":
+        C, S, z0 = _sinusoid_exosystem(w)
+        return block_expm(A, C, S, t_f)[1] @ z0
+    I, Z = np.eye(n), np.zeros((n, n))
+    if w.kind == "constant_sign":
+        return block_expm(A, I, Z, t_f)[1] @ (w.w_bar * w.sign_vector)
+    if w.kind != "piecewise_uniform":
+        raise DomainError(f"unknown disturbance kind {w.kind!r}")
+
+    frac = t_f / w.horizon * w.cells
+    K = max(int(round(frac)), 1)
+    if abs(frac - K) > 1e-9 * max(1.0, frac):
+        raise DomainError(
+            "piecewise disturbance cells do not align with t_f; build the "
+            "signal with horizon equal to (a multiple of) the cell grid"
+        )
+    Phi, J = block_expm(A, I, Z, t_f / K)
+    # Y[j] = J v_{K-1-j} is weighted by Phi^j. Folding neighbours as
+    # Y[2i] + Phi Y[2i+1] and squaring Phi halves the sum each pass, so
+    # the powers of Phi are never formed one by one.
+    Y = w.cell_values[K - 1::-1] @ J.T
+    while Y.shape[0] > 1:
+        if Y.shape[0] % 2:
+            Y = np.vstack([Y, np.zeros(n)])
+        Y = Y[0::2] + Y[1::2] @ Phi.T
+        Phi = Phi @ Phi
+    return Y[0]
 
 
-def _simpson_response(A, n, w, t_f, K, m, cell_vals):
-    # K cells, m (even) panels per cell, shared boundary nodes; quadrature
-    # weights are folded into the node values so the kernel only has to
-    # propagate the transition factor and accumulate
-    N = K * m
-    delta = t_f / N
-    local_w = np.full(m + 1, 2.0)
-    local_w[1::2] = 4.0
-    local_w[0] = local_w[m] = 1.0
-
-    if cell_vals is not None:
-        vals = np.broadcast_to(cell_vals[:, None, :], (K, m + 1, n))
-    else:
-        taus = (np.arange(K)[:, None] * m + np.arange(m + 1)[None, :]) * delta
-        vals = w._values(taus.ravel()).reshape(K, m + 1, n)
-
-    contrib = local_w[None, :, None] * vals
-    V = np.zeros((N + 1, n))
-    idx = (np.arange(K)[:, None] * m + np.arange(m + 1)[None, :]).ravel()
-    np.add.at(V, idx, contrib.reshape(-1, n))
-
-    E, seeds, _ = _transition_chain(A, t_f, N + 1)
-    acc = _k.weighted_transition_sum(E, seeds, _CHECKPOINT, V)
-    return (delta / 3.0) * acc
+def _sinusoid_exosystem(w: DisturbanceSignal):
+    # channel i owns exosystem states (2i, 2i+1) = (sin, cos) of its phase
+    n = w.dim
+    i = np.arange(n)
+    C = np.zeros((n, 2 * n))
+    C[i, 2 * i] = w.amplitudes
+    S = np.zeros((2 * n, 2 * n))
+    S[2 * i, 2 * i + 1] = w.frequencies
+    S[2 * i + 1, 2 * i] = -w.frequencies
+    z0 = np.empty(2 * n)
+    z0[0::2] = np.sin(w.phases)
+    z0[1::2] = np.cos(w.phases)
+    return C, S, z0

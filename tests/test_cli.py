@@ -176,3 +176,14 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"settings": {"no_such_tol": 1.0}}))
         rc, _ = run(tmp_path, "energy", "--config", str(cfg))
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key,value", [("response_rel_tol", 1e-9),
+                                           ("response_max_doublings", 24)])
+    def test_removed_response_settings_are_config(self, tmp_path, key, value):
+        # responses are closed forms now; the old quadrature knobs must
+        # fail loudly instead of being silently ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"settings": {key: value}}))
+        rc, out = run(tmp_path, "stabilize", "--steps", "500", "--config", str(cfg))
+        assert rc == EXIT_CONFIG
+        assert not out.exists() or not os.listdir(out)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distcost.errors import DimensionError, DomainError
 from distcost.gramian import build_bundle
@@ -120,12 +122,38 @@ class TestDisturbanceResponse:
         ("constant_sign", {"sign_vector": [1, 1, -1]}),
         ("sinusoid", {}),
         ("piecewise_uniform", {"seed": 4, "cells": 25, "horizon": 2.0}),
+        ("constant_sign", {"sign_vector": [1, 1, -1], "t_f": 5.0}),
+        ("sinusoid", {"t_f": 5.0}),
+        ("piecewise_uniform", {"seed": 4, "cells": 1, "horizon": 5.0, "t_f": 5.0}),
+        ("piecewise_uniform", {"seed": 4, "cells": 1000, "horizon": 5.0, "t_f": 5.0}),
     ])
     def test_matches_dense_oracle(self, jet, kind, kwargs):
+        kwargs = dict(kwargs)
+        t_f = kwargs.pop("t_f", 2.0)
         w = make_disturbance(kind, 1.0, jet.n, **kwargs)
-        got = disturbance_response(jet, w, 2.0)
-        ref = dense_response(jet, w, 2.0)
+        got = disturbance_response(jet, w, t_f)
+        ref = dense_response(jet, w, t_f)
         assert np.max(np.abs(got - ref)) < 1e-7 * max(1.0, np.max(np.abs(ref)))
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.floats(0.05, 1.0),
+           st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle_random_systems(self, n, p, t_f, cells, seed):
+        # A is scaled to spectral radius ~1 and t_f <= 1, so the 2049-node
+        # Simpson oracle stays far inside the 1e-7 tolerance even for the
+        # 35 rad/s default sinusoid channel
+        rng = np.random.default_rng(seed)
+        sys = LtiSystem(rng.standard_normal((n, n)) / np.sqrt(n),
+                        rng.standard_normal((n, min(p, n))), name="random")
+        signs = rng.choice([-1.0, 1.0], n)
+        for w in (make_disturbance("constant_sign", 1.0, n, sign_vector=signs),
+                  make_disturbance("sinusoid", 1.0, n,
+                                   phases=rng.uniform(0.0, 2 * np.pi, n)),
+                  make_disturbance("piecewise_uniform", 1.0, n, seed=seed,
+                                   cells=cells, horizon=t_f)):
+            got = disturbance_response(sys, w, t_f)
+            ref = dense_response(sys, w, t_f, nodes=2049)
+            assert np.max(np.abs(got - ref)) < 1e-7 * max(1.0, np.max(np.abs(ref))), w.kind
 
     def test_zero_shortcut(self, jet):
         w = make_disturbance("zero", 1.0, jet.n)
