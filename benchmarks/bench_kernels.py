@@ -11,11 +11,9 @@ import numpy as np
 
 from distcost import _kernels
 from distcost.models import admire
-from distcost.signals import make_disturbance
 
 
-_SELECTED = {"expm": "expm_core", "jacobi": "jacobi_core", "rk4": "rk4_core",
-             "propagate_gain_grid": "propagate_gain_grid",
+_SELECTED = {"expm": "expm_core", "jacobi": "jacobi_core",
              "splitmix_fill": "splitmix_fill"}
 
 
@@ -49,26 +47,6 @@ def _workloads():
     S = rng.standard_normal((12, 12))
     S = 0.5 * (S + S.T)
     yield "jacobi 12x12", "jacobi", (S, 1e-12, 100), 100
-
-    steps = 5000
-    h = 5.0 / steps
-    w = make_disturbance("sinusoid", 1.0, n)
-    taus = np.linspace(0.0, 5.0, 2 * steps + 1)
-    W_half = w._values(taus)
-    w_st = np.stack([W_half[0:-1:2], W_half[1::2], W_half[2::2]], axis=1)
-    u_st = np.zeros((steps, 3, sys_.p))
-    x0 = np.array([5.0, -1.0, 3.0])
-    yield "rk4 5000 steps", "rk4", (sys_.A, sys_.B, x0, h, u_st, w_st), 20
-
-    n_nodes = 2 * steps + 1
-    delta = 5.0 / (n_nodes - 1)
-    At = np.ascontiguousarray(-sys_.A.T)
-    E = _kernels.expm_core(At * delta)
-    n_cp = (n_nodes - 1) // 256
-    seeds = np.stack([_kernels.expm_core(At * ((c + 1) * 256 * delta))
-                      for c in range(n_cp)])
-    g = rng.standard_normal(n)
-    yield "gain grid 10001 nodes", "propagate_gain_grid", (E, seeds, 256, g, n_nodes), 20
 
     yield "splitmix 1e6 draws", "splitmix_fill", (np.uint64(7), np.uint64(0), 1_000_000), 5
 

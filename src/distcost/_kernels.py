@@ -1,12 +1,13 @@
 """Hot numerical kernels with optional JIT compilation.
 
-Every kernel here except splitmix_fill is written as a plain loop-level
-numpy function so the same source runs under numba's nopython mode or
-as-is. When numba imports cleanly (and DISTCOST_DISABLE_NUMBA is unset)
-the public names point at compiled versions; otherwise they point at the
-raw functions. The raw functions stay reachable through PY_IMPLS so
-benchmarks/bench_kernels.py can time both paths against each other.
-splitmix_fill is whole-array uint64 numpy and has a single build.
+expm_core and jacobi_core are written as plain loop-level numpy functions
+so the same source runs under numba's nopython mode or as-is. When numba
+imports cleanly (and DISTCOST_DISABLE_NUMBA is unset) those names point
+at compiled versions; otherwise they point at the raw functions. The raw
+functions stay reachable through PY_IMPLS so benchmarks/bench_kernels.py
+can time both paths against each other. splitmix_fill is whole-array
+uint64 numpy and has a single build. RK4 and the control half-grid need
+no kernel: they are batched numpy in simulate.py and synthesis.py.
 
 Kernels take C-contiguous float64 arrays and do no validation; the
 wrappers in linalg/gramian/synthesis own the error checking.
@@ -134,43 +135,6 @@ def _jacobi(S, off_tol, max_sweeps):
     return diag, V, off, sweeps, thresh
 
 
-def _rk4(A, B, x0, h, u_stages, w_stages):
-    # classical RK4 for xdot = A x + B u(t) + w(t) on a uniform grid.
-    # u_stages/w_stages hold the (left, mid, right) stage inputs per step,
-    # so discontinuous signals keep their own-cell value at step endpoints.
-    steps = u_stages.shape[0]
-    n = A.shape[0]
-    X = np.empty((steps + 1, n))
-    X[0] = x0
-    x = x0.copy()
-    for k in range(steps):
-        k1 = A @ x + B @ u_stages[k, 0] + w_stages[k, 0]
-        k2 = A @ (x + 0.5 * h * k1) + B @ u_stages[k, 1] + w_stages[k, 1]
-        k3 = A @ (x + 0.5 * h * k2) + B @ u_stages[k, 1] + w_stages[k, 1]
-        k4 = A @ (x + h * k3) + B @ u_stages[k, 2] + w_stages[k, 2]
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        X[k + 1] = x
-    return X
-
-
-def _propagate_gain_grid(E, seeds, cp, g, n_nodes):
-    # Y[j] = Phi_j @ g with Phi_j the node-j transition factor, built by
-    # backward recurrence Y[j] = E @ Y[j+1] from Y[last] = g. Every cp
-    # nodes the recurrence is reseeded from a fresh matrix in seeds so
-    # rounding drift stays bounded; seeds[c] corresponds to a backward
-    # offset of (c+1)*cp nodes.
-    n = g.shape[0]
-    Y = np.empty((n_nodes, n))
-    Y[n_nodes - 1] = g
-    for k_back in range(1, n_nodes):
-        j = n_nodes - 1 - k_back
-        if cp > 0 and k_back % cp == 0:
-            Y[j] = seeds[k_back // cp - 1] @ g
-        else:
-            Y[j] = E @ Y[j + 1]
-    return Y
-
-
 def _splitmix_fill(seed, start, count):
     # counter-based splitmix64: draw i is mix(seed + (i+1)*GOLD), mapped
     # to [0, 1) through the top 53 bits. Stateless, so any subrange of a
@@ -200,8 +164,6 @@ if not NUMBA_DISABLED_BY_ENV:
 PY_IMPLS = {
     "expm": _expm,
     "jacobi": _jacobi,
-    "rk4": _rk4,
-    "propagate_gain_grid": _propagate_gain_grid,
     "splitmix_fill": _splitmix_fill,
 }
 
@@ -209,38 +171,17 @@ if USING_NUMBA:
     _jit = _njit(cache=True, nogil=True)
     expm_core = _jit(_expm)
     jacobi_core = _jit(_jacobi)
-    rk4_core = _jit(_rk4)
-    propagate_gain_grid = _jit(_propagate_gain_grid)
 else:
     expm_core = _expm
     jacobi_core = _jacobi
-    rk4_core = _rk4
-    propagate_gain_grid = _propagate_gain_grid
 # whole-array uint64 ops already run at native speed, so one build serves
 splitmix_fill = _splitmix_fill
 
 
 def warm_up():
-    """Run every kernel once per production signature so the disk cache
-    covers both the writable and the read-only array specializations."""
-    M = np.array([[0.0, 1.0], [-1.0, -0.5]])
-    expm_core(M)
+    """Run every kernel once so the jit builds are compiled (or loaded
+    from the disk cache) before anything is timed."""
+    expm_core(np.array([[0.0, 1.0], [-1.0, -0.5]]))
     jacobi_core(np.array([[2.0, 1.0], [1.0, 2.0]]), 1e-12, 100)
-
-    A_ro = M.copy()
-    B_ro = np.array([[1.0], [0.0]])
-    x0_ro = np.array([1.0, 0.0])
-    g_ro = np.array([1.0, 2.0])
-    for arr in (A_ro, B_ro, x0_ro, g_ro):
-        arr.setflags(write=False)
-    u_st = np.zeros((2, 3, 1))
-    w_st = np.zeros((2, 3, 2))
-    rk4_core(A_ro, B_ro, x0_ro, 0.5, u_st, w_st)
-    rk4_core(M, B_ro.copy(), x0_ro.copy(), 0.5, u_st, w_st)
-
-    E = expm_core(M * 0.25)
-    seeds = np.empty((0, 2, 2))
-    propagate_gain_grid(E, seeds, 256, g_ro, 5)
-    propagate_gain_grid(E, seeds, 256, g_ro.copy(), 5)
     with np.errstate(over="ignore"):
         splitmix_fill(np.uint64(0), 0, 4)

@@ -18,7 +18,7 @@ from .errors import DimensionError, DomainError, NumericalError
 from .settings import DEFAULT_SETTINGS, NumericSettings
 
 __all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "expm", "block_expm",
-           "sym_eig", "norm"]
+           "shifted_powers", "sym_eig", "norm"]
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -92,6 +92,25 @@ def block_expm(A, C, S, t: float):
     M[n:, n:] = S
     E = expm(M * t)
     return np.ascontiguousarray(E[:n, :n]), E[:n, n:]
+
+
+def shifted_powers(D: np.ndarray, count: int) -> np.ndarray:
+    """Stack of (I + D)^j - I for j = 0, ..., count-1, shape (count, n, n).
+
+    For a near-identity propagator I + D, forming I + D in floating point
+    would round away the low bits of the small D, and that same error
+    would then be repeated at every power; carrying the powers minus the
+    identity keeps them. Built by doubling,
+    (I + D_a)(I + D_b) - I = D_a + D_b + D_a D_b, so it takes log2(count)
+    batched products instead of count - 1 single ones.
+    """
+    P = np.zeros((1,) + D.shape)
+    Dk = D
+    while True:
+        P = np.concatenate([P, P + Dk + P @ Dk])
+        if P.shape[0] >= count:
+            return P[:count]
+        Dk = 2.0 * Dk + Dk @ Dk
 
 
 def sym_eig(M, settings: NumericSettings = DEFAULT_SETTINGS) -> SpectralDecomposition:

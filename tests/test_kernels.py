@@ -124,45 +124,3 @@ class TestSplitmix:
             u = _kernels.splitmix_fill(np.uint64(3), np.uint64(0), 10000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
         assert 0.45 < np.mean(u) < 0.55
-
-
-class TestRk4:
-    def test_py_and_selected_agree_bitwise(self):
-        n, p, steps = 3, 2, 50
-        A = _random_matrix(n)
-        B = rng.standard_normal((n, p))
-        x0 = rng.standard_normal(n)
-        u_st = rng.standard_normal((steps, 3, p))
-        w_st = rng.standard_normal((steps, 3, n))
-        a = _kernels.rk4_core(A, B, x0, 0.01, u_st, w_st)
-        b = _kernels.PY_IMPLS["rk4"](A, B, x0, 0.01, u_st, w_st)
-        assert np.array_equal(a, b)
-
-
-class TestCompositeKernels:
-    def _chain(self, A, total, n_nodes, cp=256):
-        delta = total / (n_nodes - 1)
-        E = _kernels.expm_core(A * delta)
-        n_cp = (n_nodes - 1) // cp
-        seeds = np.stack([_kernels.expm_core(A * ((c + 1) * cp * delta))
-                          for c in range(n_cp)]) if n_cp else np.empty((0, *A.shape))
-        return E, seeds, delta
-
-    def test_gain_grid_matches_direct_exponentials(self):
-        A = np.array([[0.0, 1.0], [-2.0, -0.3]])
-        n_nodes = 601
-        total = 3.0
-        E, seeds, delta = self._chain(A, total, n_nodes)
-        g = np.array([0.7, -1.1])
-        Y = _kernels.propagate_gain_grid(E, seeds, 256, g, n_nodes)
-        for j in [0, 1, 255, 256, 257, 600]:
-            ref = scipy.linalg.expm(A * (total - j * delta)) @ g
-            assert np.max(np.abs(Y[j] - ref)) < 1e-12
-
-    def test_py_and_selected_agree_bitwise(self):
-        A = np.array([[0.0, 1.0], [-2.0, -0.3]])
-        E, seeds, delta = self._chain(A, 2.0, 513)
-        g = np.array([1.0, 2.0])
-        a = _kernels.propagate_gain_grid(E, seeds, 256, g, 513)
-        b = _kernels.PY_IMPLS["propagate_gain_grid"](E, seeds, 256, g, 513)
-        assert np.array_equal(a, b)

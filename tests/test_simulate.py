@@ -2,13 +2,44 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distcost.errors import DomainError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
-from distcost.simulate import simulate_closed_loop, trajectory_to_csv
+from distcost.simulate import (Trajectory, _rk4, simulate_closed_loop,
+                               trajectory_to_csv)
 from distcost.synthesis import disturbed_control, nominal_control
 from distcost.systems import LtiSystem, StabilizationTask
+
+
+def rk4_reference(A, B, x0, h, U_half, w_stages):
+    """Textbook RK4, stage by stage, one step at a time."""
+    x = np.array(x0, dtype=float)
+    X = [x]
+    for k in range(w_stages.shape[0]):
+        u_l, u_m, u_r = U_half[2 * k], U_half[2 * k + 1], U_half[2 * k + 2]
+        k1 = A @ x + B @ u_l + w_stages[k, 0]
+        k2 = A @ (x + 0.5 * h * k1) + B @ u_m + w_stages[k, 1]
+        k3 = A @ (x + 0.5 * h * k2) + B @ u_m + w_stages[k, 1]
+        k4 = A @ (x + h * k3) + B @ u_r + w_stages[k, 2]
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        X.append(x)
+    return np.array(X)
+
+
+def csv_reference(traj):
+    """The per-value formatter trajectory_to_csv must match byte for byte."""
+    n, p = traj.states.shape[1], traj.controls.shape[1]
+    header = ["t", *(f"x{i + 1}" for i in range(n)),
+              *(f"u{i + 1}" for i in range(p)), "xnorm", "energy"]
+    lines = [",".join(header)]
+    for j in range(traj.times.shape[0]):
+        row = [traj.times[j], *traj.states[j], *traj.controls[j],
+               traj.state_norms[j], traj.control_energy_running[j]]
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +69,26 @@ class TestClosedForm:
         for idx in (0, 100, 400):
             ref = scipy.linalg.expm(A * traj.times[idx]) @ task.x0
             assert np.max(np.abs(traj.states[idx] - ref)) < 1e-10
+
+
+class TestAffineRk4:
+    # steps cover a perfect square (100), a remainder in the last block
+    # (101, 1000) and a count just past a block boundary (257)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.sampled_from([100, 101, 257, 1000]),
+           st.floats(0.1, 5.0), st.integers(0, 2**32 - 1))
+    def test_matches_stage_by_stage_reference(self, n, p, steps, t_f, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        B = rng.standard_normal((n, p))
+        x0 = rng.standard_normal(n)
+        U_half = rng.standard_normal((2 * steps + 1, p))
+        w_stages = rng.standard_normal((steps, 3, n))
+        h = t_f / steps
+        got = _rk4(A, B, x0, h, U_half, w_stages)
+        ref = rk4_reference(A, B, x0, h, U_half, w_stages)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestConvergenceOrder:
@@ -115,3 +166,20 @@ class TestCsv:
         assert u1 == traj.controls[j, 0]
         assert xnorm == traj.state_norms[j]
         assert energy == traj.control_energy_running[j]
+
+    def test_byte_identical_to_per_value_formatter(self):
+        # signed zero, the smallest subnormal, the switch points of repr
+        # between positional and exponent notation, and negatives
+        special = np.array([-0.0, 5e-324, 1e-5, 1e16, -2.5, -1e-300, 0.1, 1e-4,
+                            9999999999999998.0, -1.7976931348623157e308, 1 / 3])
+        m = special.size
+        rolled = [np.roll(special, k) for k in range(5)]
+        traj = Trajectory(times=special.copy(),
+                          states=np.column_stack(rolled[:3]),
+                          controls=np.column_stack(rolled[3:]),
+                          state_norms=-special,
+                          control_energy_running=special[::-1].copy())
+        text = trajectory_to_csv(traj)
+        assert text == csv_reference(traj)
+        assert len(text.splitlines()) == m + 1
+        assert "-0.0" in text and "5e-324" in text and "1e-05" in text and "1e+16" in text

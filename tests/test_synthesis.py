@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from distcost.errors import DimensionError, DomainError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
-from distcost.synthesis import (disturbance_response, disturbed_control,
-                                nominal_control)
+from distcost.synthesis import (ControlSignal, disturbance_response,
+                                disturbed_control, nominal_control)
 from distcost.systems import LtiSystem, StabilizationTask
 
 
@@ -86,6 +86,27 @@ class TestNominalControl:
         ts = np.linspace(0.0, 5.0, 2 * steps + 1)
         ref = np.stack([u(t) for t in ts])
         assert np.max(np.abs(U - ref)) < 1e-10
+
+
+class TestHalfGrid:
+    # 2*steps below 256, a multiple of 256, and neither: one partial
+    # checkpoint block, whole blocks only, and a partial last block
+    @pytest.mark.parametrize("steps", [100, 256, 300])
+    def test_gain_grid_matches_direct_exponentials(self, steps):
+        A = np.array([[0.0, 1.0], [-2.0, -0.3]])
+        B = np.array([[1.0, 0.0], [0.5, -1.0]])
+        sys = LtiSystem(A, B, name="osc")
+        total = 3.0
+        g = np.array([0.7, -1.1])
+        u = ControlSignal(evaluator=None, t_f=total, kind="nominal",
+                          gain_vector=g, system=sys)
+        U = u.sample_half_grid(steps)
+        last = 2 * steps
+        delta = total / last
+        assert U.shape == (last + 1, 2)
+        for j in sorted({0, 1, 255, 256, 257, last} & set(range(last + 1))):
+            ref = -B.T @ scipy.linalg.expm(A.T * (total - j * delta)) @ g
+            assert np.max(np.abs(U[j] - ref)) < 1e-12, j
 
 
 class TestDisturbedControl:
