@@ -1,19 +1,14 @@
-"""Hot numerical kernels with optional JIT compilation.
+"""Hot numerical kernels, one whole-array numpy implementation each.
 
-expm_core and jacobi_core are written as plain loop-level numpy functions
-so the same source runs under numba's nopython mode or as-is. When numba
-imports cleanly (and DISTCOST_DISABLE_NUMBA is unset) those names point
-at compiled versions; otherwise they point at the raw functions. The raw
-functions stay reachable through PY_IMPLS so benchmarks/bench_kernels.py
-can time both paths against each other. splitmix_fill is whole-array
-uint64 numpy and has a single build. RK4 and the control half-grid need
-no kernel: they are batched numpy in simulate.py and synthesis.py.
+expm_core is degree-13 Pade scaling and squaring, jacobi_core the cyclic
+Jacobi eigensolve (kept over a QR-based solver for its relative accuracy
+on graded positive-definite Gramians), and splitmix_fill the
+counter-based splitmix64 stream. RK4 and the control half-grid need no
+kernel: they are batched numpy in simulate.py and synthesis.py.
 
 Kernels take C-contiguous float64 arrays and do no validation; the
-wrappers in linalg/gramian/synthesis own the error checking.
+wrappers in linalg/gramian/signals own the error checking.
 """
-
-import os
 
 import numpy as np
 
@@ -46,16 +41,10 @@ _SM_S11 = np.uint64(11)
 _SM_INV53 = 2.0 ** -53
 
 
-def _expm(M):
+def expm_core(M):
     # scaling and squaring with a fixed degree-13 Pade approximant
     n = M.shape[0]
-    eta = 0.0
-    for j in range(n):
-        colsum = 0.0
-        for i in range(n):
-            colsum += abs(M[i, j])
-        if colsum > eta:
-            eta = colsum
+    eta = np.max(np.sum(np.abs(M), axis=0), initial=0.0)
     s = 0
     if eta > _PADE_THETA:
         s = int(np.ceil(np.log2(eta / _PADE_THETA)))
@@ -74,23 +63,22 @@ def _expm(M):
     return E
 
 
-def _jacobi(S, off_tol, max_sweeps):
-    # cyclic Jacobi on a symmetric matrix; S is clobbered, caller copies.
+def _off_norm(S):
+    # Frobenius norm of the off-diagonal part, from the masked entries:
+    # ||S||_F^2 - ||diag S||^2 would cancel catastrophically near convergence
+    O = S - np.diag(np.diag(S))
+    return np.sqrt(np.sum(O * O))
+
+
+def jacobi_core(S, off_tol, max_sweeps):
+    # cyclic Jacobi on a symmetric matrix; works on a copy of S.
     # Returns (diag, V, off, sweeps, thresh); convergence means off <= thresh.
     n = S.shape[0]
-    V = np.eye(n)
-    fro2 = 0.0
-    for i in range(n):
-        for j in range(n):
-            fro2 += S[i, j] * S[i, j]
-    thresh = off_tol * np.sqrt(fro2)
-
-    off2 = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                off2 += S[i, j] * S[i, j]
-    off = np.sqrt(off2)
+    # S on top of V in one buffer, so one column update rotates both
+    SV = np.concatenate([S, np.eye(n)])
+    S, V = SV[:n], SV[n:]
+    thresh = off_tol * np.sqrt(np.sum(S * S))
+    off = _off_norm(S)
 
     sweeps = 0
     while off > thresh and sweeps < max_sweeps:
@@ -106,36 +94,23 @@ def _jacobi(S, off_tol, max_sweeps):
                     t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 sn = t * c
-                for k in range(n):
-                    skp = S[k, p]
-                    skq = S[k, q]
-                    S[k, p] = c * skp - sn * skq
-                    S[k, q] = sn * skp + c * skq
-                for k in range(n):
-                    spk = S[p, k]
-                    sqk = S[q, k]
-                    S[p, k] = c * spk - sn * sqk
-                    S[q, k] = sn * spk + c * sqk
-                for k in range(n):
-                    vkp = V[k, p]
-                    vkq = V[k, q]
-                    V[k, p] = c * vkp - sn * vkq
-                    V[k, q] = sn * vkp + c * vkq
+                # columns of S and V, then rows of S; each pair is read
+                # in full before either half is overwritten
+                xp = SV[:, p].copy()
+                xq = SV[:, q].copy()
+                SV[:, p] = c * xp - sn * xq
+                SV[:, q] = sn * xp + c * xq
+                sp = S[p, :].copy()
+                sq = S[q, :].copy()
+                S[p, :] = c * sp - sn * sq
+                S[q, :] = sn * sp + c * sq
         sweeps += 1
-        off2 = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    off2 += S[i, j] * S[i, j]
-        off = np.sqrt(off2)
+        off = _off_norm(S)
 
-    diag = np.empty(n)
-    for i in range(n):
-        diag[i] = S[i, i]
-    return diag, V, off, sweeps, thresh
+    return np.diag(S).copy(), V, off, sweeps, thresh
 
 
-def _splitmix_fill(seed, start, count):
+def splitmix_fill(seed, start, count):
     # counter-based splitmix64: draw i is mix(seed + (i+1)*GOLD), mapped
     # to [0, 1) through the top 53 bits. Stateless, so any subrange of a
     # stream can be generated independently; uint64 ops wrap mod 2^64.
@@ -144,44 +119,3 @@ def _splitmix_fill(seed, start, count):
     z = (z ^ (z >> _SM_S2)) * _SM_M2
     z = z ^ (z >> _SM_S3)
     return (z >> _SM_S11).astype(np.float64) * _SM_INV53
-
-
-def _env_flag_set(name):
-    return os.environ.get(name, "").strip().lower() not in ("", "0", "false", "no", "off")
-
-
-NUMBA_DISABLED_BY_ENV = _env_flag_set("DISTCOST_DISABLE_NUMBA")
-
-USING_NUMBA = False
-if not NUMBA_DISABLED_BY_ENV:
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        _njit = None
-    if _njit is not None:
-        USING_NUMBA = True
-
-PY_IMPLS = {
-    "expm": _expm,
-    "jacobi": _jacobi,
-    "splitmix_fill": _splitmix_fill,
-}
-
-if USING_NUMBA:
-    _jit = _njit(cache=True, nogil=True)
-    expm_core = _jit(_expm)
-    jacobi_core = _jit(_jacobi)
-else:
-    expm_core = _expm
-    jacobi_core = _jacobi
-# whole-array uint64 ops already run at native speed, so one build serves
-splitmix_fill = _splitmix_fill
-
-
-def warm_up():
-    """Run every kernel once so the jit builds are compiled (or loaded
-    from the disk cache) before anything is timed."""
-    expm_core(np.array([[0.0, 1.0], [-1.0, -0.5]]))
-    jacobi_core(np.array([[2.0, 1.0], [1.0, 2.0]]), 1e-12, 100)
-    with np.errstate(over="ignore"):
-        splitmix_fill(np.uint64(0), 0, 4)

@@ -70,6 +70,13 @@ def disturbed_signal_energy(sys: LtiSystem, task: StabilizationTask,
     return float(np.sum(h * h))
 
 
+def disturbance_terms(bundle: GramianBundle, w_bar: float):
+    """(q_bar, c_term) for disturbances bounded by w_bar: q_bar bounds each
+    entry of U^T R(w, t_f), and c_term = q_bar^2 sum(lambda)."""
+    q_bar = w_bar * norm(bundle.spec.U, "one") * bundle.v_bar_unit
+    return q_bar, q_bar * q_bar * float(np.sum(bundle.spec.lambdas))
+
+
 def disturbed_energy_bound(sys: LtiSystem, task: StabilizationTask,
                            bundle: GramianBundle) -> EnergyReport:
     """Upper bound on the worst-case disturbed energy, with witness.
@@ -81,10 +88,9 @@ def disturbed_energy_bound(sys: LtiSystem, task: StabilizationTask,
     lam = bundle.spec.lambdas
     U = bundle.spec.U
     e_n = nominal_energy(sys, task, bundle)
-    q_bar = task.w_bar * norm(U, "one") * bundle.v_bar_unit
+    q_bar, c_term = disturbance_terms(bundle, task.w_bar)
     p = lam * (U.T @ (bundle.state_transition @ task.x0))
     cross = 2.0 * q_bar * float(np.sum(np.abs(p)))
-    c_term = q_bar * q_bar * float(np.sum(lam))
     witness = q_bar * np.sign(p)
     witness.setflags(write=False)
     return EnergyReport(

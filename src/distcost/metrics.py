@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import disturbance_terms
 from .errors import DomainError, IllConditionedError
 from .gramian import GramianBundle
 from .linalg import norm, sym_eig
@@ -42,16 +43,25 @@ class MetricReport:
     l_min: float
 
 
-def _bound_ingredients(bundle: GramianBundle, w_bar: float):
+def _radius(R, positive: bool) -> float:
+    R = float(R)
+    if not np.isfinite(R) or R < 0.0 or (positive and R == 0.0):
+        kind = "positive" if positive else "nonnegative"
+        raise DomainError(f"radius R must be {kind} and finite, got {R}")
+    return R
+
+
+def _additive(sys: LtiSystem, bundle: GramianBundle, w_bar, R: float):
+    # (r_A_bound, gamma, c_term) at a checked radius R
+    if bundle.W_B.shape != (sys.n, sys.n):
+        raise DomainError("bundle does not match system dimensions")
+    w_bar = float(w_bar)
     if not np.isfinite(w_bar) or w_bar < 0.0:
         raise DomainError(f"w_bar must be nonnegative and finite, got {w_bar!r}")
-    lam = bundle.spec.lambdas
-    U = bundle.spec.U
-    q_bar = w_bar * norm(U, "one") * bundle.v_bar_unit
-    weighted = (lam[:, None] * U.T) @ bundle.state_transition
+    q_bar, c_term = disturbance_terms(bundle, w_bar)
+    weighted = (bundle.spec.lambdas[:, None] * bundle.spec.U.T) @ bundle.state_transition
     gamma = 2.0 * q_bar * norm(weighted, "one")
-    c_term = q_bar * q_bar * float(np.sum(lam))
-    return gamma, c_term
+    return c_term + gamma * R * np.sqrt(sys.n), gamma, c_term
 
 
 def _l_min(bundle: GramianBundle, settings: NumericSettings) -> float:
@@ -70,13 +80,7 @@ def _l_min(bundle: GramianBundle, settings: NumericSettings) -> float:
 def additive_metric_bound(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
                           R: float) -> float:
     """Upper bound on the worst extra disturbed energy over ||x0||_2 <= R."""
-    R = float(R)
-    if R < 0.0 or not np.isfinite(R):
-        raise DomainError(f"radius R must be nonnegative and finite, got {R}")
-    if bundle.W_B.shape != (sys.n, sys.n):
-        raise DomainError("bundle does not match system dimensions")
-    gamma, c_term = _bound_ingredients(bundle, float(w_bar))
-    return c_term + gamma * R * np.sqrt(sys.n)
+    return _additive(sys, bundle, w_bar, _radius(R, positive=False))[0]
 
 
 def multiplicative_metric_bound(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
@@ -86,23 +90,13 @@ def multiplicative_metric_bound(sys: LtiSystem, bundle: GramianBundle, w_bar: fl
 
     Always in (0, 1]; equal to 1 when w_bar = 0 and nondecreasing in R.
     """
-    R = float(R)
-    if R <= 0.0 or not np.isfinite(R):
-        raise DomainError(f"radius R must be positive and finite, got {R}")
-    if bundle.W_B.shape != (sys.n, sys.n):
-        raise DomainError("bundle does not match system dimensions")
-    gamma, c_term = _bound_ingredients(bundle, float(w_bar))
-    l = _l_min(bundle, settings)
-    lr2 = l * R * R
-    return lr2 / (lr2 + gamma * R * np.sqrt(sys.n) + c_term)
+    return metric_report(sys, bundle, w_bar, R, settings).r_M_bound
 
 
 def hardness(R: float, t_f: float) -> float:
     """Hardness H = R / t_f of stabilizing from radius R within t_f."""
-    R = float(R)
+    R = _radius(R, positive=False)
     t_f = float(t_f)
-    if R < 0.0 or not np.isfinite(R):
-        raise DomainError(f"radius R must be nonnegative and finite, got {R}")
     if t_f <= 0.0 or not np.isfinite(t_f):
         raise DomainError(f"t_f must be positive and finite, got {t_f}")
     return R / t_f
@@ -111,19 +105,16 @@ def hardness(R: float, t_f: float) -> float:
 def metric_report(sys: LtiSystem, bundle: GramianBundle, w_bar: float, R: float,
                   settings: NumericSettings = DEFAULT_SETTINGS) -> MetricReport:
     """Evaluate both bounds and hardness at one (R, t_f) grid point."""
-    R = float(R)
-    if R <= 0.0 or not np.isfinite(R):
-        raise DomainError(f"radius R must be positive and finite, got {R}")
-    gamma, c_term = _bound_ingredients(bundle, float(w_bar))
+    R = _radius(R, positive=True)
+    r_A, gamma, c_term = _additive(sys, bundle, w_bar, R)
     l = _l_min(bundle, settings)
-    rootn = np.sqrt(sys.n)
     lr2 = l * R * R
     return MetricReport(
         R=R,
         t_f=bundle.t_f,
-        r_A_bound=c_term + gamma * R * rootn,
-        r_M_bound=lr2 / (lr2 + gamma * R * rootn + c_term),
-        hardness=R / bundle.t_f,
+        r_A_bound=r_A,
+        r_M_bound=lr2 / (lr2 + gamma * R * np.sqrt(sys.n) + c_term),
+        hardness=hardness(R, bundle.t_f),
         gamma=float(gamma),
         c_term=float(c_term),
         l_min=l,

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from distcost import _kernels
 from distcost.gramian import build_bundle
 from distcost.models import admire
 from distcost.systems import StabilizationTask
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile/load every jit specialization up front so timed tests
-    # measure the algorithms, not the compiler
-    _kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

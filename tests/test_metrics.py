@@ -113,3 +113,9 @@ class TestDomainChecks:
     def test_negative_wbar_rejected(self, jet, jet_bundle_half):
         with pytest.raises(DomainError):
             additive_metric_bound(jet, jet_bundle_half, -1.0, 1.0)
+
+    def test_report_rejects_mismatched_bundle(self, jet, scalar_bundle):
+        # a 1-state bundle with the 3-state jet: every entry point refuses it
+        for f in (additive_metric_bound, multiplicative_metric_bound, metric_report):
+            with pytest.raises(DomainError):
+                f(jet, scalar_bundle, 1.0, 1.0)
