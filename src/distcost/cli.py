@@ -13,6 +13,7 @@ win. Exit codes: 0 success, 2 invalid configuration, 3 parse failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -174,7 +175,10 @@ def _signal_from_spec(spec: dict, sys_: LtiSystem, task: StabilizationTask,
     if kind == "constant_sign":
         sign = spec.get("sign_vector")
         if sign is None:
-            sign = worst_constant_sign(sys_, task, bundle)
+            # the worst pattern depends on the amplitude, so search at the
+            # spec's own
+            sign = worst_constant_sign(sys_, dataclasses.replace(task, w_bar=w_bar),
+                                       bundle)
         kwargs["sign_vector"] = np.asarray(sign, dtype=np.float64)
     elif kind == "sinusoid":
         for key in ("amplitudes", "frequencies", "phases"):

@@ -51,8 +51,9 @@ def _radius(R, positive: bool) -> float:
     return R
 
 
-def _additive(sys: LtiSystem, bundle: GramianBundle, w_bar, R: float):
-    # (r_A_bound, gamma, c_term) at a checked radius R
+def _additive(sys: LtiSystem, bundle: GramianBundle, w_bar, R):
+    # (r_A_bound, gamma, c_term) at a checked radius R, or elementwise at
+    # an array of them
     if bundle.W_B.shape != (sys.n, sys.n):
         raise DomainError("bundle does not match system dimensions")
     w_bar = float(w_bar)
@@ -105,17 +106,23 @@ def hardness(R: float, t_f: float) -> float:
 def metric_report(sys: LtiSystem, bundle: GramianBundle, w_bar: float, R: float,
                   settings: NumericSettings = DEFAULT_SETTINGS) -> MetricReport:
     """Evaluate both bounds and hardness at one (R, t_f) grid point."""
-    R = _radius(R, positive=True)
-    r_A, gamma, c_term = _additive(sys, bundle, w_bar, R)
+    return _metric_reports(sys, bundle, w_bar, (R,), settings)[0]
+
+
+def _metric_reports(sys: LtiSystem, bundle: GramianBundle, w_bar: float, R_grid,
+                    settings: NumericSettings) -> list:
+    # metric_report at every R of R_grid: gamma, c and l_min depend on the
+    # bundle alone, so they (and l_min's eigensolve) are computed once
+    Rs = [_radius(R, positive=True) for R in R_grid]
+    r_A, gamma, c_term = _additive(sys, bundle, w_bar, np.array(Rs))
     l = _l_min(bundle, settings)
-    lr2 = l * R * R
-    return MetricReport(
+    return [MetricReport(
         R=R,
         t_f=bundle.t_f,
-        r_A_bound=r_A,
-        r_M_bound=lr2 / (lr2 + gamma * R * np.sqrt(sys.n) + c_term),
+        r_A_bound=r_A[j],
+        r_M_bound=l * R * R / (l * R * R + gamma * R * np.sqrt(sys.n) + c_term),
         hardness=hardness(R, bundle.t_f),
         gamma=float(gamma),
         c_term=float(c_term),
         l_min=l,
-    )
+    ) for j, R in enumerate(Rs)]

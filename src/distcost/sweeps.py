@@ -9,7 +9,6 @@ changing a single output bit.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from itertools import product
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .energy import (disturbed_energy_bound, disturbed_signal_energy,
 from .errors import DomainError
 from .gramian import GramianBundle, build_bundle
 from .linalg import block_expm
-from .metrics import metric_report
+from .metrics import MetricReport, _metric_reports
 from .settings import DEFAULT_SETTINGS, NumericSettings
 from .signals import derive_seed, make_disturbance, uniform_stream
 from .synthesis import disturbance_response
@@ -36,6 +35,11 @@ DEFAULT_ACCURACY_TF_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 # disturbance-draw grid resolution used by the sampled-evidence columns
 EVIDENCE_CELLS = 100
+
+# sign patterns per block of the constant-class search: a few MB of
+# temporaries at n = 20, where all 2^20 patterns at once would take
+# 160 MiB per array
+_SIGN_BLOCK = 1 << 14
 
 
 def sample_gaussians(seed: int, count: int, dim: int) -> np.ndarray:
@@ -91,25 +95,35 @@ def worst_constant_sign(sys: LtiSystem, task: StabilizationTask,
                         bundle: GramianBundle) -> np.ndarray:
     """The sign pattern s maximizing the energy of compensating w = w_bar*s.
 
-    Exhaustive over the 2^n patterns; the disturbed energy is convex
-    quadratic in the constant value, so the maximum over the amplitude
-    box is attained at a vertex.
+    Exhaustive over the 2^n patterns (n <= 20); the disturbed energy is
+    convex quadratic in the constant value, so the maximum over the
+    amplitude box is attained at a vertex. Patterns are enumerated in
+    ``itertools.product((1.0, -1.0), repeat=n)`` order, pattern k having
+    s_j = 1 - 2 * bit (n-1-j) of k, in blocks of ``_SIGN_BLOCK`` rows:
+    each block's energies ||L (e^{A t_f} x0 + w_bar V s)||^2, with
+    L = diag(sqrt(lambda)) U^T, come from two matmuls. Among equal
+    energies the first pattern in that order wins.
     """
     n = sys.n
     if n > 20:
         raise DomainError("exhaustive sign search is limited to n <= 20")
     V = transition_integral(sys, task.t_f)
     base = bundle.state_transition @ task.x0
-    lam = bundle.spec.lambdas
-    Ut = bundle.spec.U.T
-    best, best_s = -np.inf, None
-    for bits in product((1.0, -1.0), repeat=n):
-        s = np.array(bits)
-        h = np.sqrt(lam) * (Ut @ (base + V @ (task.w_bar * s)))
-        e = float(np.sum(h * h))
-        if e > best:
-            best, best_s = e, s
-    return best_s
+    L = np.sqrt(bundle.spec.lambdas)[:, None] * bundle.spec.U.T
+    shifts = np.arange(n - 1, -1, -1)
+    total = 1 << n
+    best, best_k = -np.inf, 0
+    for start in range(0, total, _SIGN_BLOCK):
+        k = np.arange(start, min(start + _SIGN_BLOCK, total))
+        S = 1.0 - 2.0 * ((k[:, None] >> shifts) & 1)
+        # the direct sum of squares: the expanded quadratic in s cancels
+        # when ||x0|| is large
+        H = (base + (task.w_bar * S) @ V.T) @ L.T
+        e = np.einsum("ij,ij->i", H, H)
+        i = int(np.argmax(e))
+        if e[i] > best:
+            best, best_k = e[i], start + i
+    return 1.0 - 2.0 * ((best_k >> shifts) & 1)
 
 
 def _class_signal(kind: str, sys: LtiSystem, task: StabilizationTask,
@@ -148,11 +162,10 @@ def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
     return rows
 
 
-def _sweep_point(sys: LtiSystem, bundle: GramianBundle, w_bar: float, R: float,
-                 x0_dir: np.ndarray, samples: int, seed: int, cells: int,
-                 settings: NumericSettings):
-    t_f = bundle.t_f
-    rep = metric_report(sys, bundle, w_bar, R, settings)
+def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
+                 w_bar: float, x0_dir: np.ndarray, samples: int, seed: int,
+                 cells: int):
+    t_f, R = bundle.t_f, rep.R
     x0_rep = R * x0_dir
     task_rep = StabilizationTask(x0=x0_rep, t_f=t_f, w_bar=w_bar)
     e_n_rep = nominal_energy(sys, task_rep, bundle)
@@ -220,13 +233,15 @@ def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
     x0_dir = x0_dir / nrm
 
     bundles = {float(t_f): build_bundle(sys, t_f, settings) for t_f in tf_grid}
-    points = [(i, j, float(t_f), float(R))
-              for i, t_f in enumerate(tf_grid) for j, R in enumerate(R_grid)]
+    reports = {t_f: _metric_reports(sys, bundle, w_bar, R_grid, settings)
+               for t_f, bundle in bundles.items()}
+    points = [(i, j, float(t_f))
+              for i, t_f in enumerate(tf_grid) for j in range(len(R_grid))]
 
     def run(pt):
-        i, j, t_f, R = pt
-        return _sweep_point(sys, bundles[t_f], w_bar, R, x0_dir, samples,
-                            derive_seed(seed, i, j), cells, settings)
+        i, j, t_f = pt
+        return _sweep_point(sys, bundles[t_f], reports[t_f][j], w_bar, x0_dir,
+                            samples, derive_seed(seed, i, j), cells)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,10 +1,15 @@
 import json
 import os
+from itertools import product
 
 import numpy as np
 import pytest
 
 from distcost.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_PARSE, entry
+from distcost.energy import disturbed_signal_energy
+from distcost.gramian import build_bundle
+from distcost.signals import make_disturbance
+from distcost.systems import StabilizationTask
 
 
 def run(tmp_path, *argv):
@@ -48,6 +53,23 @@ class TestStabilize:
         rc, out = run(tmp_path, "stabilize", "--steps", "500", "--config", str(cfg))
         assert rc == 0
         assert (out / "traj_bias.csv").exists()
+
+    def test_constant_spec_amplitude_sets_worst_sign(self, tmp_path, jet, jet_x0):
+        # the worst pattern depends on the amplitude: at t_f = 0.5 it is
+        # (1, -1, 1) at w_bar = 1 but (-1, -1, 1) at w_bar = 100
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"wbar": 1.0, "tf": 0.5, "disturbances": [
+            {"name": "loud", "kind": "constant_sign", "wbar": 100.0}]}))
+        rc, out = run(tmp_path, "stabilize", "--steps", "200", "--config", str(cfg))
+        assert rc == 0
+        loud = json.loads((out / "summary.json").read_text())["runs"][1]
+        task = StabilizationTask(x0=jet_x0, t_f=0.5, w_bar=1.0)
+        bundle = build_bundle(jet, 0.5)
+        worst = max(disturbed_signal_energy(
+            jet, task, bundle,
+            make_disturbance("constant_sign", 100.0, 3, sign_vector=np.array(s)))
+            for s in product((1.0, -1.0), repeat=3))
+        assert loud["energy_closed_form"] == worst
 
     def test_csv_header(self, tmp_path):
         rc, out = run(tmp_path, "stabilize", "--steps", "500")

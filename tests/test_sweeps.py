@@ -1,13 +1,46 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distcost import sweeps
 from distcost.energy import disturbed_signal_energy
+from distcost.errors import DomainError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
 from distcost.sweeps import (bound_accuracy_rows, metrics_sweep_rows,
                              sample_ball, sample_gaussians, sample_sphere,
-                             worst_constant_sign)
-from distcost.systems import StabilizationTask
+                             transition_integral, worst_constant_sign)
+from distcost.systems import LtiSystem, StabilizationTask
+
+
+def reference_worst_sign(sys, task, bundle):
+    """The per-pattern search loop: (first maximizing pattern, energy of
+    every pattern in itertools.product order)."""
+    V = transition_integral(sys, task.t_f)
+    base = bundle.state_transition @ task.x0
+    lam = bundle.spec.lambdas
+    Ut = bundle.spec.U.T
+    best, best_s, energies = -np.inf, None, []
+    for bits in product((1.0, -1.0), repeat=sys.n):
+        s = np.array(bits)
+        h = np.sqrt(lam) * (Ut @ (base + V @ (task.w_bar * s)))
+        e = float(np.sum(h * h))
+        energies.append(e)
+        if e > best:
+            best, best_s = e, s
+    return best_s, np.array(energies)
+
+
+def random_sign_problem(n, seed, t_f=0.5, x0_scale=1.0, w_bar=1.0):
+    # B has n columns so the Gramian stays well conditioned at any n <= 8
+    rng = np.random.default_rng(seed)
+    sys = LtiSystem(rng.standard_normal((n, n)) / np.sqrt(n),
+                    rng.standard_normal((n, n)), name="random")
+    x0 = x0_scale * rng.standard_normal(n)
+    return sys, StabilizationTask(x0=x0, t_f=t_f, w_bar=w_bar), build_bundle(sys, t_f)
 
 
 class TestSamplers:
@@ -46,7 +79,6 @@ class TestSamplers:
 
 class TestWorstConstantSign:
     def test_beats_every_other_pattern(self, jet, jet_task_5, jet_bundle_5):
-        from itertools import product
         best = worst_constant_sign(jet, jet_task_5, jet_bundle_5)
         w_best = make_disturbance("constant_sign", 1.0, 3, sign_vector=best)
         e_best = disturbed_signal_energy(jet, jet_task_5, jet_bundle_5, w_best)
@@ -63,6 +95,43 @@ class TestWorstConstantSign:
         task_neg = StabilizationTask(x0=np.array([-1.0]), t_f=1.0, w_bar=1.0)
         assert worst_constant_sign(sys, task_pos, bundle)[0] == 1.0
         assert worst_constant_sign(sys, task_neg, bundle)[0] == -1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.1, 2.0),
+           st.floats(-2.0, 4.0), st.floats(-3.0, 3.0))
+    def test_matches_loop_reference_random_systems(self, n, seed, t_f, log_x0,
+                                                   log_w):
+        sys, task, bundle = random_sign_problem(n, seed, t_f, 10.0 ** log_x0,
+                                                10.0 ** log_w)
+        ref_s, energies = reference_worst_sign(sys, task, bundle)
+        got = worst_constant_sign(sys, task, bundle)
+        k = int(np.dot((1.0 - got) / 2.0, 2 ** np.arange(n - 1, -1, -1)))
+        top = np.max(energies)
+        assert energies[k] >= top * (1.0 - 1e-12)
+        if top - np.sort(energies)[-2] > 1e-12 * top:
+            assert np.array_equal(got, ref_s)
+
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_block_boundaries(self, monkeypatch, block):
+        sys, task, bundle = random_sign_problem(6, 7, x0_scale=0.1, w_bar=3.0)
+        full = worst_constant_sign(sys, task, bundle)
+        monkeypatch.setattr(sweeps, "_SIGN_BLOCK", block)
+        assert np.array_equal(worst_constant_sign(sys, task, bundle), full)
+        assert np.array_equal(full, reference_worst_sign(sys, task, bundle)[0])
+
+    def test_ties_keep_first_pattern(self, monkeypatch):
+        # at w_bar = 0 every pattern has the same energy, so the first in
+        # product order wins, within a block and across blocks
+        sys, task, bundle = random_sign_problem(5, 3, w_bar=0.0)
+        assert np.array_equal(worst_constant_sign(sys, task, bundle), np.ones(5))
+        monkeypatch.setattr(sweeps, "_SIGN_BLOCK", 4)
+        assert np.array_equal(worst_constant_sign(sys, task, bundle), np.ones(5))
+
+    def test_rejects_more_than_twenty_states(self):
+        sys = LtiSystem(-np.eye(21), np.eye(21), name="n21")
+        task = StabilizationTask(x0=np.ones(21), t_f=1.0, w_bar=1.0)
+        with pytest.raises(DomainError):
+            worst_constant_sign(sys, task, build_bundle(sys, 1.0))
 
 
 class TestBoundAccuracyRows:
