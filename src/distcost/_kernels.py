@@ -110,12 +110,18 @@ def jacobi_core(S, off_tol, max_sweeps):
     return np.diag(S).copy(), V, off, sweeps, thresh
 
 
+def mix64(z):
+    # the splitmix64 finalizer on uint64 values; uint64 ops wrap mod 2^64
+    z = (z ^ (z >> _SM_S1)) * _SM_M1
+    z = (z ^ (z >> _SM_S2)) * _SM_M2
+    return z ^ (z >> _SM_S3)
+
+
 def splitmix_fill(seed, start, count):
     # counter-based splitmix64: draw i is mix(seed + (i+1)*GOLD), mapped
     # to [0, 1) through the top 53 bits. Stateless, so any subrange of a
-    # stream can be generated independently; uint64 ops wrap mod 2^64.
+    # stream can be generated independently. A uint64 vector of seeds
+    # gives one row of draws per seed.
+    seed = np.asarray(seed, dtype=np.uint64)[..., None]
     z = seed + (np.arange(count, dtype=np.uint64) + np.uint64(start + 1)) * _SM_GOLD
-    z = (z ^ (z >> _SM_S1)) * _SM_M1
-    z = (z ^ (z >> _SM_S2)) * _SM_M2
-    z = z ^ (z >> _SM_S3)
-    return (z >> _SM_S11).astype(np.float64) * _SM_INV53
+    return (mix64(z) >> _SM_S11).astype(np.float64) * _SM_INV53

@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--steps", type=int, help="integrator step count")
     common.add_argument("--seed", type=int, help="master seed for all draws")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--workers", type=int, help="concurrent sweep workers")
+    common.add_argument("--workers", type=int,
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--config", help="JSON config file (flags win)")
 
     parser = argparse.ArgumentParser(

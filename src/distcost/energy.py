@@ -65,7 +65,12 @@ def disturbed_signal_energy(sys: LtiSystem, task: StabilizationTask,
                             bundle: GramianBundle, w: DisturbanceSignal) -> float:
     """Energy of the stabilizing control when disturbance w is known a priori."""
     _check_bundle(sys, task, bundle)
-    R = disturbance_response(sys, w, task.t_f)
+    return _response_energy(bundle, task, disturbance_response(sys, w, task.t_f))
+
+
+def _response_energy(bundle: GramianBundle, task: StabilizationTask,
+                     R: np.ndarray) -> float:
+    # energy of the control compensating a known disturbance response R
     h = _half_weighted(bundle, bundle.state_transition @ task.x0 + R)
     return float(np.sum(h * h))
 
@@ -112,7 +117,4 @@ def energy_pair_for_response(bundle: GramianBundle, task: StabilizationTask,
     energy-increasing member of the pair can pick the larger of the two
     without integrating twice.
     """
-    base = bundle.state_transition @ task.x0
-    h_plus = _half_weighted(bundle, base + R)
-    h_minus = _half_weighted(bundle, base - R)
-    return float(np.sum(h_plus * h_plus)), float(np.sum(h_minus * h_minus))
+    return _response_energy(bundle, task, R), _response_energy(bundle, task, -R)

@@ -19,7 +19,8 @@ import numpy as np
 from . import _kernels as _k
 from .errors import DomainError
 
-__all__ = ["DisturbanceSignal", "make_disturbance", "uniform_stream", "derive_seed"]
+__all__ = ["DisturbanceSignal", "make_disturbance", "uniform_stream", "derive_seed",
+           "derive_seeds"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,6 +56,14 @@ def derive_seed(master: int, *indices: int) -> int:
     for idx in indices:
         z = mix(z ^ mix((z + int(idx) + 1) & _MASK64))
     return z
+
+
+def derive_seeds(master: int, count: int, *indices: int) -> np.ndarray:
+    """``derive_seed(master, *indices, k)`` for k = 0..count-1, as one
+    uint64 vector."""
+    z = np.uint64(derive_seed(master, *indices))
+    k = np.arange(count, dtype=np.uint64)
+    return _k.mix64(z ^ _k.mix64(z + k + np.uint64(1)))
 
 
 @dataclass(frozen=True)

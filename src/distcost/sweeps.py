@@ -2,25 +2,24 @@
 
 Everything here is deterministic given (seed, grid): child seeds are
 derived from the master seed and the grid/draw indices alone, never from
-execution order, so sweeps parallelize across grid points without
-changing a single output bit.
+execution order. A grid point's sampled evidence is a few whole-array
+operations over all of its samples at once.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from .energy import (disturbed_energy_bound, disturbed_signal_energy,
-                     energy_pair_for_response, nominal_energy)
+from . import _kernels as _k
+from .energy import (_response_energy, disturbance_terms,
+                     disturbed_energy_bound, nominal_energy)
 from .errors import DomainError
 from .gramian import GramianBundle, build_bundle
 from .linalg import block_expm
 from .metrics import MetricReport, _metric_reports
 from .settings import DEFAULT_SETTINGS, NumericSettings
-from .signals import derive_seed, make_disturbance, uniform_stream
-from .synthesis import disturbance_response
+from .signals import derive_seed, derive_seeds, make_disturbance, uniform_stream
+from .synthesis import _fold_cells, disturbance_response
 from .systems import LtiSystem, StabilizationTask
 
 __all__ = ["sample_gaussians", "sample_sphere", "sample_ball",
@@ -40,6 +39,11 @@ EVIDENCE_CELLS = 100
 # temporaries at n = 20, where all 2^20 patterns at once would take
 # 160 MiB per array
 _SIGN_BLOCK = 1 << 14
+
+# piecewise cell values per block of sphere samples in the multiplicative
+# evidence: 2 MiB per (samples, cells, n) temporary for any config, with
+# at least one sample per block
+_SAMPLE_BLOCK = 1 << 18
 
 
 def sample_gaussians(seed: int, count: int, dim: int) -> np.ndarray:
@@ -104,6 +108,13 @@ def worst_constant_sign(sys: LtiSystem, task: StabilizationTask,
     L = diag(sqrt(lambda)) U^T, come from two matmuls. Among equal
     energies the first pattern in that order wins.
     """
+    return _worst_constant(sys, task, bundle)[0]
+
+
+def _worst_constant(sys: LtiSystem, task: StabilizationTask,
+                    bundle: GramianBundle):
+    # (worst sign pattern s, V = int_0^tf e^{As} ds); the constant-class
+    # response of w_bar * s is V (w_bar s), so callers reuse V
     n = sys.n
     if n > 20:
         raise DomainError("exhaustive sign search is limited to n <= 20")
@@ -123,20 +134,22 @@ def worst_constant_sign(sys: LtiSystem, task: StabilizationTask,
         i = int(np.argmax(e))
         if e[i] > best:
             best, best_k = e[i], start + i
-    return 1.0 - 2.0 * ((best_k >> shifts) & 1)
+    return 1.0 - 2.0 * ((best_k >> shifts) & 1), V
 
 
-def _class_signal(kind: str, sys: LtiSystem, task: StabilizationTask,
-                  bundle: GramianBundle, seed: int, cells: int):
+def _class_response(kind: str, sys: LtiSystem, task: StabilizationTask,
+                    bundle: GramianBundle, seed: int, cells: int) -> np.ndarray:
     if kind == "constant":
-        s = worst_constant_sign(sys, task, bundle)
-        return make_disturbance("constant_sign", task.w_bar, sys.n, sign_vector=s)
+        s, V = _worst_constant(sys, task, bundle)
+        return V @ (task.w_bar * s)
     if kind == "sinusoid":
-        return make_disturbance("sinusoid", task.w_bar, sys.n)
-    if kind == "piecewise":
-        return make_disturbance("piecewise_uniform", task.w_bar, sys.n, seed=seed,
-                                cells=cells, horizon=task.t_f)
-    raise DomainError(f"unknown disturbance class {kind!r}")
+        w = make_disturbance("sinusoid", task.w_bar, sys.n)
+    elif kind == "piecewise":
+        w = make_disturbance("piecewise_uniform", task.w_bar, sys.n, seed=seed,
+                             cells=cells, horizon=task.t_f)
+    else:
+        raise DomainError(f"unknown disturbance class {kind!r}")
+    return disturbance_response(sys, w, task.t_f)
 
 
 def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
@@ -155,49 +168,56 @@ def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
         bound = disturbed_energy_bound(sys, task, bundle).E_D_bound
         row = {"t_f": float(t_f)}
         for kind in classes:
-            w = _class_signal(kind, sys, task, bundle, derive_seed(seed, 1, i), cells)
-            e = disturbed_signal_energy(sys, task, bundle, w)
-            row[f"ratio_{kind}"] = float(e / bound)
+            R = _class_response(kind, sys, task, bundle, derive_seed(seed, 1, i), cells)
+            row[f"ratio_{kind}"] = float(_response_energy(bundle, task, R) / bound)
         rows.append(row)
     return rows
+
+
+def _row_energies(bundle: GramianBundle, X: np.ndarray) -> np.ndarray:
+    # ||diag(sqrt(lambda)) U^T x||^2 for every row x of X
+    H = np.sqrt(bundle.spec.lambdas) * (X @ bundle.spec.U)
+    return np.sum(H * H, axis=1)
 
 
 def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
                  w_bar: float, x0_dir: np.ndarray, samples: int, seed: int,
                  cells: int):
-    t_f, R = bundle.t_f, rep.R
-    x0_rep = R * x0_dir
-    task_rep = StabilizationTask(x0=x0_rep, t_f=t_f, w_bar=w_bar)
+    t_f, R, n = bundle.t_f, rep.R, sys.n
+    task_rep = StabilizationTask(x0=R * x0_dir, t_f=t_f, w_bar=w_bar)
     e_n_rep = nominal_energy(sys, task_rep, bundle)
     e_bound_rep = disturbed_energy_bound(sys, task_rep, bundle).E_D_bound
+    Phi_T = bundle.state_transition.T
 
-    # additive evidence: worst-case extra energy over the ball
-    ball = sample_ball(derive_seed(seed, 2), samples, sys.n, R)
-    diff_min, diff_max = np.inf, -np.inf
-    for x0 in ball:
-        if not np.any(x0 != 0.0):
-            continue
-        task = StabilizationTask(x0=x0, t_f=t_f, w_bar=w_bar)
-        r = disturbed_energy_bound(sys, task, bundle)
-        d = r.E_D_bound - r.E_N
-        diff_min = min(diff_min, d)
-        diff_max = max(diff_max, d)
+    # additive evidence: the worst-case extra energy E_D_bound - E_N of
+    # disturbed_energy_bound at every nonzero ball sample, in its order of
+    # operations: E_N + 2 q_bar ||p||_1 + c with p = diag(lambda) U^T Phi x0
+    ball = sample_ball(derive_seed(seed, 2), samples, n, R)
+    base = ball[np.any(ball != 0.0, axis=1)] @ Phi_T
+    e_n = _row_energies(bundle, base)
+    q_bar, c_term = disturbance_terms(bundle, w_bar)
+    P = bundle.spec.lambdas * (base @ bundle.spec.U)
+    diff = (e_n + 2.0 * q_bar * np.sum(np.abs(P), axis=1) + c_term) - e_n
 
     # multiplicative evidence: energy ratios on the sphere, one seeded
-    # draw per sample, flipped to the energy-increasing member of (w, -w)
-    sphere = sample_sphere(derive_seed(seed, 3), samples, sys.n, R)
+    # piecewise draw per sample (the stream of derive_seed(seed, 4, i)),
+    # flipped to the energy-increasing member of (w, -w). The responses
+    # are disturbance_response's cell fold, over a block of samples at once.
+    sphere = sample_sphere(derive_seed(seed, 3), samples, n, R)
+    seeds = derive_seeds(seed, samples, 4)
+    Phi_d, J = block_expm(sys.A, np.eye(n), np.zeros((n, n)), t_f / cells)
+    block = max(1, _SAMPLE_BLOCK // (cells * n))
     ratio_min, ratio_max = np.inf, -np.inf
-    for i, x0 in enumerate(sphere):
-        task = StabilizationTask(x0=x0, t_f=t_f, w_bar=w_bar)
-        w = make_disturbance("piecewise_uniform", w_bar, sys.n,
-                             seed=derive_seed(seed, 4, i), cells=cells,
-                             horizon=t_f)
-        resp = disturbance_response(sys, w, t_f)
-        e_plus, e_minus = energy_pair_for_response(bundle, task, resp)
-        e_d = max(e_plus, e_minus)
-        ratio = nominal_energy(sys, task, bundle) / e_d
-        ratio_min = min(ratio_min, ratio)
-        ratio_max = max(ratio_max, ratio)
+    for start in range(0, samples, block):
+        u = _k.splitmix_fill(seeds[start:start + block], 0, cells * n)
+        values = (w_bar * (2.0 * u - 1.0)).reshape(-1, cells, n)
+        resp = _fold_cells(values[:, ::-1] @ J.T, Phi_d)
+        base = sphere[start:start + block] @ Phi_T
+        e_d = np.maximum(_row_energies(bundle, base + resp),
+                         _row_energies(bundle, base - resp))
+        ratio = _row_energies(bundle, base) / e_d
+        ratio_min = min(ratio_min, float(np.min(ratio)))
+        ratio_max = max(ratio_max, float(np.max(ratio)))
 
     return {
         "R": float(R),
@@ -207,10 +227,10 @@ def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
         "r_M_bound": float(rep.r_M_bound),
         "E_N": float(e_n_rep),
         "E_D_bound": float(e_bound_rep),
-        "diff_min": float(diff_min),
-        "diff_max": float(diff_max),
-        "ratio_min": float(ratio_min),
-        "ratio_max": float(ratio_max),
+        "diff_min": float(np.min(diff, initial=np.inf)),
+        "diff_max": float(np.max(diff, initial=-np.inf)),
+        "ratio_min": ratio_min,
+        "ratio_max": ratio_max,
     }
 
 
@@ -221,11 +241,17 @@ def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
                        settings: NumericSettings = DEFAULT_SETTINGS):
     """Metric bounds plus sampled evidence over the (R, t_f) grid.
 
-    Rows come back in grid order (t_f outer, R inner) regardless of the
-    worker count; the child seed of a point depends only on its grid
-    indices. ``x0_dir`` fixes the direction of the representative initial
-    state R * x0_dir reported in the E_N / E_D_bound columns.
+    Rows come back in grid order (t_f outer, R inner); the child seed of
+    a point depends only on its grid indices. ``x0_dir`` fixes the
+    direction of the representative initial state R * x0_dir reported in
+    the E_N / E_D_bound columns. ``workers`` is accepted for compatibility
+    and has no effect: each point is a few whole-array operations.
     """
+    samples, cells = int(samples), int(cells)
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    if cells < 1:
+        raise DomainError("cells must be >= 1")
     x0_dir = np.asarray(x0_dir, dtype=np.float64)
     nrm = float(np.sqrt(np.sum(x0_dir * x0_dir)))
     if nrm == 0.0:
@@ -235,17 +261,7 @@ def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
     bundles = {float(t_f): build_bundle(sys, t_f, settings) for t_f in tf_grid}
     reports = {t_f: _metric_reports(sys, bundle, w_bar, R_grid, settings)
                for t_f, bundle in bundles.items()}
-    points = [(i, j, float(t_f))
-              for i, t_f in enumerate(tf_grid) for j in range(len(R_grid))]
-
-    def run(pt):
-        i, j, t_f = pt
-        return _sweep_point(sys, bundles[t_f], reports[t_f][j], w_bar, x0_dir,
-                            samples, derive_seed(seed, i, j), cells)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, points))
-    else:
-        rows = [run(pt) for pt in points]
-    return rows
+    return [_sweep_point(sys, bundles[float(t_f)], rep, float(w_bar), x0_dir,
+                         samples, derive_seed(seed, i, j), cells)
+            for i, t_f in enumerate(tf_grid)
+            for j, rep in enumerate(reports[float(t_f)])]

@@ -185,16 +185,23 @@ def disturbance_response(sys: LtiSystem, w: DisturbanceSignal, t_f) -> np.ndarra
             "signal with horizon equal to (a multiple of) the cell grid"
         )
     Phi, J = block_expm(A, I, Z, t_f / K)
-    # Y[j] = J v_{K-1-j} is weighted by Phi^j. Folding neighbours as
-    # Y[2i] + Phi Y[2i+1] and squaring Phi halves the sum each pass, so
-    # the powers of Phi are never formed one by one.
-    Y = w.cell_values[K - 1::-1] @ J.T
-    while Y.shape[0] > 1:
-        if Y.shape[0] % 2:
-            Y = np.vstack([Y, np.zeros(n)])
-        Y = Y[0::2] + Y[1::2] @ Phi.T
+    return _fold_cells(w.cell_values[K - 1::-1] @ J.T, Phi)
+
+
+def _fold_cells(Y: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    """sum_j Phi^j Y[..., j, :] over the cell axis (second to last).
+
+    Folding neighbours as Y[2i] + Phi Y[2i+1] and squaring Phi halves the
+    sum each pass, so the powers of Phi are never formed one by one. With
+    Y[j] = J v_{K-1-j} this is the piecewise response; leading axes batch
+    independent signals.
+    """
+    while Y.shape[-2] > 1:
+        if Y.shape[-2] % 2:
+            Y = np.concatenate([Y, np.zeros_like(Y[..., :1, :])], axis=-2)
+        Y = Y[..., 0::2, :] + Y[..., 1::2, :] @ Phi.T
         Phi = Phi @ Phi
-    return Y[0]
+    return Y[..., 0, :]
 
 
 def _sinusoid_exosystem(w: DisturbanceSignal):

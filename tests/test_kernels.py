@@ -163,6 +163,14 @@ class TestSplitmix:
         out = _kernels.splitmix_fill(np.uint64(seed), start, 300)
         assert np.array_equal(out, np.array([draw(i) for i in range(300)]))
 
+    @pytest.mark.parametrize("start", [0, 17, 2**40])
+    def test_seed_vector_rows_match_single_seeds(self, start):
+        seeds = [0, 12345, 2**64 - 1]
+        rows = _kernels.splitmix_fill(np.array(seeds, dtype=np.uint64), start, 300)
+        assert rows.shape == (3, 300)
+        for seed, row in zip(seeds, rows):
+            assert np.array_equal(row, _kernels.splitmix_fill(np.uint64(seed), start, 300))
+
     def test_offset_slices_same_stream(self):
         with np.errstate(over="ignore"):
             whole = _kernels.splitmix_fill(np.uint64(9), np.uint64(0), 100)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distcost.errors import DomainError, ValidationError
-from distcost.signals import derive_seed, make_disturbance, uniform_stream
+from distcost.signals import derive_seed, derive_seeds, make_disturbance, uniform_stream
 
 
 class TestUniformStream:
@@ -42,6 +42,15 @@ class TestDeriveSeed:
     def test_in_uint64_range(self):
         s = derive_seed(2**63, 999, 999)
         assert 0 <= s < 2**64
+
+
+    @pytest.mark.parametrize("master", [0, 12345, 2**64 - 1])
+    @pytest.mark.parametrize("prefix", [(), (4,), (2, 3)])
+    def test_vector_matches_scalar(self, master, prefix):
+        seeds = derive_seeds(master, 70, *prefix)
+        assert seeds.dtype == np.uint64
+        assert [int(z) for z in seeds] == [derive_seed(master, *prefix, k)
+                                           for k in range(70)]
 
 
 class TestSignals:

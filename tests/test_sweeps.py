@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distcost import sweeps
-from distcost.energy import disturbed_signal_energy
+from distcost.energy import (disturbed_energy_bound, disturbed_signal_energy,
+                             energy_pair_for_response, nominal_energy)
 from distcost.errors import DomainError
 from distcost.gramian import build_bundle
-from distcost.signals import make_disturbance
+from distcost.metrics import _metric_reports
+from distcost.signals import derive_seed, make_disturbance
+from distcost.synthesis import disturbance_response
 from distcost.sweeps import (bound_accuracy_rows, metrics_sweep_rows,
                              sample_ball, sample_gaussians, sample_sphere,
                              transition_integral, worst_constant_sign)
+from distcost.settings import DEFAULT_SETTINGS
 from distcost.systems import LtiSystem, StabilizationTask
 
 
@@ -32,6 +36,60 @@ def reference_worst_sign(sys, task, bundle):
         if e > best:
             best, best_s = e, s
     return best_s, np.array(energies)
+
+
+def reference_sweep_point(sys, bundle, rep, w_bar, x0_dir, samples, seed, cells):
+    """One sweep point with a task, a signal and a response per sample.
+    Samples come through the ``sweeps`` module, so patching a sampler there
+    patches both implementations."""
+    t_f, R = bundle.t_f, rep.R
+    task_rep = StabilizationTask(x0=R * x0_dir, t_f=t_f, w_bar=w_bar)
+    e_n_rep = nominal_energy(sys, task_rep, bundle)
+    e_bound_rep = disturbed_energy_bound(sys, task_rep, bundle).E_D_bound
+    diff_min, diff_max = np.inf, -np.inf
+    for x0 in sweeps.sample_ball(derive_seed(seed, 2), samples, sys.n, R):
+        if not np.any(x0 != 0.0):
+            continue
+        r = disturbed_energy_bound(sys, StabilizationTask(x0=x0, t_f=t_f, w_bar=w_bar),
+                                   bundle)
+        diff_min = min(diff_min, r.E_D_bound - r.E_N)
+        diff_max = max(diff_max, r.E_D_bound - r.E_N)
+    ratio_min, ratio_max = np.inf, -np.inf
+    for i, x0 in enumerate(sweeps.sample_sphere(derive_seed(seed, 3), samples,
+                                                sys.n, R)):
+        task = StabilizationTask(x0=x0, t_f=t_f, w_bar=w_bar)
+        w = make_disturbance("piecewise_uniform", w_bar, sys.n,
+                             seed=derive_seed(seed, 4, i), cells=cells, horizon=t_f)
+        e_d = max(energy_pair_for_response(bundle, task,
+                                           disturbance_response(sys, w, t_f)))
+        ratio = nominal_energy(sys, task, bundle) / e_d
+        ratio_min = min(ratio_min, ratio)
+        ratio_max = max(ratio_max, ratio)
+    return {"R": R, "t_f": t_f, "H": R / t_f, "r_A_bound": rep.r_A_bound,
+            "r_M_bound": rep.r_M_bound, "E_N": e_n_rep, "E_D_bound": e_bound_rep,
+            "diff_min": diff_min, "diff_max": diff_max,
+            "ratio_min": ratio_min, "ratio_max": ratio_max}
+
+
+EVIDENCE = ("diff_min", "diff_max", "ratio_min", "ratio_max")
+BOUNDS = ("R", "t_f", "H", "r_A_bound", "r_M_bound", "E_N", "E_D_bound")
+
+
+def sweep_point_pair(sys, t_f, R, w_bar, samples, seed, cells, x0_dir=None):
+    """(batched, reference) rows of one sweep point."""
+    bundle = build_bundle(sys, t_f)
+    rep = _metric_reports(sys, bundle, w_bar, (R,), DEFAULT_SETTINGS)[0]
+    if x0_dir is None:
+        x0_dir = np.ones(sys.n) / np.sqrt(sys.n)
+    args = (sys, bundle, rep, w_bar, x0_dir, samples, seed, cells)
+    return sweeps._sweep_point(*args), reference_sweep_point(*args)
+
+
+def assert_rows_match(got, ref):
+    for key in BOUNDS:
+        assert got[key] == ref[key], key
+    for key in EVIDENCE:
+        assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0), key
 
 
 def random_sign_problem(n, seed, t_f=0.5, x0_scale=1.0, w_bar=1.0):
@@ -142,6 +200,29 @@ class TestBoundAccuracyRows:
             for key in ("ratio_constant", "ratio_sinusoid", "ratio_piecewise"):
                 assert 0.0 < row[key] <= 1.0
 
+    def test_constant_ratio_reuses_sign_search_integral(self, jet, jet_x0,
+                                                       monkeypatch):
+        # the constant class takes its response from the sign search's
+        # int_0^tf e^{As} ds, with the same value as the signal path
+        kinds = []
+        response = sweeps.disturbance_response
+
+        def recording(sys, w, t_f):
+            kinds.append(w.kind)
+            return response(sys, w, t_f)
+
+        monkeypatch.setattr(sweeps, "disturbance_response", recording)
+        rows = bound_accuracy_rows(jet, jet_x0, 1.0, (0.5, 2.0), seed=0)
+        assert kinds == ["sinusoid", "piecewise_uniform"] * 2
+        for row in rows:
+            bundle = build_bundle(jet, row["t_f"])
+            task = StabilizationTask(x0=jet_x0, t_f=row["t_f"], w_bar=1.0)
+            w = make_disturbance("constant_sign", 1.0, 3,
+                                 sign_vector=worst_constant_sign(jet, task, bundle))
+            e = disturbed_signal_energy(jet, task, bundle, w)
+            bound = disturbed_energy_bound(jet, task, bundle).E_D_bound
+            assert row["ratio_constant"] == float(e / bound)
+
     def test_constant_dominates_sinusoid(self, jet, jet_x0):
         rows = bound_accuracy_rows(jet, jet_x0, 1.0, (0.1, 1.0, 5.0), seed=0)
         for row in rows:
@@ -174,3 +255,62 @@ class TestMetricsSweepRows:
         assert a["r_A_bound"] == b["r_A_bound"]
         assert a["r_M_bound"] == b["r_M_bound"]
         assert a["ratio_min"] != b["ratio_min"]
+
+    def test_zero_samples_rejected(self, jet, jet_x0):
+        with pytest.raises(DomainError, match="samples"):
+            metrics_sweep_rows(jet, jet_x0, 1.0, (100.0,), (0.5,), samples=0)
+
+    def test_zero_cells_rejected(self, jet, jet_x0):
+        with pytest.raises(DomainError, match="cells"):
+            metrics_sweep_rows(jet, jet_x0, 1.0, (100.0,), (0.5,), samples=5,
+                               cells=0)
+
+
+class TestBatchedEvidence:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           samples=st.sampled_from([1, 2, 7, 50]),
+           cells=st.sampled_from([1, 3, 100, 101]),
+           t_f=st.floats(0.2, 2.0), log_R=st.floats(-1.0, 2.0),
+           log_w=st.floats(-1.0, 1.0))
+    def test_matches_per_sample_reference(self, n, seed, samples, cells, t_f,
+                                          log_R, log_w):
+        sys, task, _ = random_sign_problem(n, seed, t_f)
+        got, ref = sweep_point_pair(sys, t_f, 10.0 ** log_R, 10.0 ** log_w,
+                                    samples, seed, cells, x0_dir=task.x0)
+        assert_rows_match(got, ref)
+
+    def test_zero_ball_row_is_skipped(self, jet, monkeypatch):
+        ball = sweeps.sample_ball
+
+        def with_zero_row(seed, count, dim, radius):
+            b = ball(seed, count, dim, radius)
+            b[1] = 0.0
+            return b
+
+        monkeypatch.setattr(sweeps, "sample_ball", with_zero_row)
+        got, ref = sweep_point_pair(jet, 0.5, 100.0, 1.0, 6, 11, 40)
+        assert_rows_match(got, ref)
+        # a zero row would add exactly c_term, below every nonzero row's
+        # extra energy, so diff_min shows whether it was skipped
+        c_term = _metric_reports(jet, build_bundle(jet, 0.5), 1.0, (100.0,),
+                                 DEFAULT_SETTINGS)[0].c_term
+        assert got["diff_min"] > c_term
+
+    def test_all_zero_ball_leaves_empty_extremes(self, jet, monkeypatch):
+        monkeypatch.setattr(sweeps, "sample_ball",
+                            lambda seed, count, dim, radius: np.zeros((count, dim)))
+        got, ref = sweep_point_pair(jet, 0.5, 100.0, 1.0, 3, 0, 10)
+        assert (got["diff_min"], got["diff_max"]) == (np.inf, -np.inf)
+        assert_rows_match(got, ref)
+
+    @pytest.mark.parametrize("block", [1, 75, 225])
+    def test_block_boundaries(self, jet, monkeypatch, block):
+        # _SAMPLE_BLOCK counts cell values: at 25 cells of 3 states, 1 and
+        # 75 give one sample per block and 225 three, so 7 samples end on
+        # a short block
+        full, ref = sweep_point_pair(jet, 0.25, 31.6, 1.0, 7, 5, 25)
+        monkeypatch.setattr(sweeps, "_SAMPLE_BLOCK", block)
+        blocked, _ = sweep_point_pair(jet, 0.25, 31.6, 1.0, 7, 5, 25)
+        assert blocked == full
+        assert_rows_match(blocked, ref)
