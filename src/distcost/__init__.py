@@ -19,7 +19,6 @@ from .linalg import SpectralDecomposition, expm, norm, sym_eig
 from .metrics import (MetricReport, additive_metric_bound, hardness,
                       metric_report, multiplicative_metric_bound)
 from .models import admire, builtin_models, load_model, save_model
-from .settings import DEFAULT_SETTINGS, NumericSettings, settings_from_dict
 from .signals import (DisturbanceSignal, derive_seed, make_disturbance,
                       uniform_stream)
 from .simulate import Trajectory, simulate_closed_loop, trajectory_to_csv
@@ -29,18 +28,17 @@ from .systems import LtiSystem, StabilizationTask, controllability_rank
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "ControlSignal", "DEFAULT_SETTINGS", "DimensionError",
-    "DistcostError", "DisturbanceSignal", "DomainError", "EnergyReport",
-    "GramianBundle", "IllConditionedError", "LtiSystem", "MetricReport",
-    "ModelParseError", "NumericSettings", "NumericalError",
-    "SpectralDecomposition", "StabilizationTask", "Trajectory",
-    "ValidationError", "additive_metric_bound", "admire", "build_bundle",
-    "builtin_models", "controllability_gramian", "controllability_rank",
-    "derive_seed", "disturbance_response", "disturbed_control",
-    "disturbed_energy_bound", "disturbed_signal_energy",
+    "ConfigError", "ControlSignal", "DimensionError", "DistcostError",
+    "DisturbanceSignal", "DomainError", "EnergyReport", "GramianBundle",
+    "IllConditionedError", "LtiSystem", "MetricReport", "ModelParseError",
+    "NumericalError", "SpectralDecomposition", "StabilizationTask",
+    "Trajectory", "ValidationError", "additive_metric_bound", "admire",
+    "build_bundle", "builtin_models", "controllability_gramian",
+    "controllability_rank", "derive_seed", "disturbance_response",
+    "disturbed_control", "disturbed_energy_bound", "disturbed_signal_energy",
     "energy_pair_for_response", "expm", "hardness", "load_model",
     "make_disturbance", "metric_report", "multiplicative_metric_bound",
     "nominal_control", "nominal_energy", "norm", "norm_integral",
-    "save_model", "settings_from_dict", "simulate_closed_loop", "sym_eig",
-    "trajectory_to_csv", "uniform_stream", "__version__",
+    "save_model", "simulate_closed_loop", "sym_eig", "trajectory_to_csv",
+    "uniform_stream", "__version__",
 ]

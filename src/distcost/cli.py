@@ -25,7 +25,6 @@ from .errors import (ConfigError, DimensionError, DomainError, ModelParseError,
                      NumericalError, ValidationError)
 from .gramian import build_bundle
 from .models import builtin_models, load_model
-from .settings import DEFAULT_SETTINGS, settings_from_dict
 from .signals import derive_seed, make_disturbance
 from .simulate import simulate_closed_loop, trajectory_to_csv
 from .sweeps import (DEFAULT_ACCURACY_TF_GRID, DEFAULT_R_GRID, DEFAULT_TF_GRID,
@@ -39,8 +38,7 @@ EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
 _CONFIG_KEYS = {"model", "x0", "tf", "wbar", "R_grid", "tf_grid", "steps",
-                "seed", "out", "workers", "samples", "cells", "settings",
-                "disturbances"}
+                "seed", "out", "workers", "samples", "cells", "disturbances"}
 
 _DISTURBANCE_KEYS = {"name", "kind", "wbar", "sign_vector", "amplitudes",
                      "frequencies", "phases", "cells", "seed"}
@@ -96,6 +94,16 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _float_tuple(values, key: str) -> tuple:
+    # a flag's comma-separated text or a config file's JSON list
+    if isinstance(values, str):
+        return _parse_float_list(values)
+    vals = tuple(float(v) for v in values)
+    if not vals:
+        raise ConfigError(f"{key} must be a nonempty number list")
+    return vals
+
+
 def _pick(flag_value, cfg: dict, key: str, default):
     if flag_value is not None:
         return flag_value
@@ -110,33 +118,31 @@ class RunConfig:
     def __init__(self, args):
         cfg = _load_config(args.config) if args.config else {}
         self.model_src = _pick(args.model, cfg, "model", "admire")
-        x0 = _pick(args.x0, cfg, "x0", "5,-1,3")
-        if isinstance(x0, str):
-            x0 = _parse_float_list(x0)
-        self.x0 = np.asarray(x0, dtype=np.float64)
-        self.t_f = float(_pick(args.tf, cfg, "tf", 5.0))
-        self.w_bar = float(_pick(args.wbar, cfg, "wbar", 1.0))
-        R_grid = _pick(getattr(args, "R_grid", None), cfg, "R_grid", DEFAULT_R_GRID)
-        if isinstance(R_grid, str):
-            R_grid = _parse_float_list(R_grid)
-        self.R_grid = tuple(float(v) for v in R_grid)
+        if not isinstance(self.model_src, str):
+            raise ConfigError(f"model must be a name or a path, got {self.model_src!r}")
         default_tf_grid = (DEFAULT_ACCURACY_TF_GRID if args.command == "bound-accuracy"
                            else DEFAULT_TF_GRID)
-        tf_grid = _pick(getattr(args, "tf_grid", None), cfg, "tf_grid", default_tf_grid)
-        if isinstance(tf_grid, str):
-            tf_grid = _parse_float_list(tf_grid)
-        self.tf_grid = tuple(float(v) for v in tf_grid)
-        self.steps = int(_pick(args.steps, cfg, "steps", 5000))
-        self.seed = int(_pick(args.seed, cfg, "seed", 0))
-        self.out = str(_pick(args.out, cfg, "out", "."))
-        self.workers = int(_pick(args.workers, cfg, "workers", 1))
-        self.samples = int(cfg.get("samples", 500))
-        self.cells = int(cfg.get("cells", EVIDENCE_CELLS))
-        self.disturbances = cfg.get("disturbances", list(_DEFAULT_DISTURBANCES))
         try:
-            self.settings = settings_from_dict(cfg.get("settings", {}), DEFAULT_SETTINGS)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad numeric settings: {exc}") from exc
+            self.x0 = np.array(_float_tuple(_pick(args.x0, cfg, "x0", "5,-1,3"), "x0"))
+            self.t_f = float(_pick(args.tf, cfg, "tf", 5.0))
+            self.w_bar = float(_pick(args.wbar, cfg, "wbar", 1.0))
+            self.R_grid = _float_tuple(
+                _pick(getattr(args, "R_grid", None), cfg, "R_grid", DEFAULT_R_GRID),
+                "R_grid")
+            self.tf_grid = _float_tuple(
+                _pick(getattr(args, "tf_grid", None), cfg, "tf_grid", default_tf_grid),
+                "tf_grid")
+            self.steps = int(_pick(args.steps, cfg, "steps", 5000))
+            self.seed = int(_pick(args.seed, cfg, "seed", 0))
+            self.out = str(_pick(args.out, cfg, "out", "."))
+            self.workers = int(_pick(args.workers, cfg, "workers", 1))
+            self.samples = int(cfg.get("samples", 500))
+            self.cells = int(cfg.get("cells", EVIDENCE_CELLS))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
+        self.disturbances = cfg.get("disturbances", list(_DEFAULT_DISTURBANCES))
+        if not isinstance(self.disturbances, list):
+            raise ConfigError("disturbances must be a list of objects")
         if any(v <= 0.0 for v in self.tf_grid):
             raise ConfigError("tf_grid entries must be positive")
         if any(v <= 0.0 for v in self.R_grid):
@@ -200,15 +206,34 @@ def _run_name(spec: dict, index: int) -> str:
     return name
 
 
+def _resolve_runs(cfg: RunConfig, sys_: LtiSystem, task: StabilizationTask,
+                  bundle) -> list:
+    # (name, signal) per configured disturbance, every one checked before
+    # stabilize writes its first file: each name owns traj_<name>.csv.
+    # Piecewise cells default to an even divisor of the step count so the
+    # integrator sees cell-constant stage values.
+    default_cells = 1000 if cfg.steps % 1000 == 0 else cfg.steps
+    runs, taken = [], {"nominal"}
+    for i, spec in enumerate(cfg.disturbances):
+        try:
+            w = _signal_from_spec(spec, sys_, task, bundle, default_cells, cfg.seed, i)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"malformed disturbance spec {spec!r}: {exc}") from exc
+        name = _run_name(spec, i)
+        if name in taken:
+            raise ConfigError(f"disturbance name {name!r} is repeated or reserved")
+        taken.add(name)
+        runs.append((name, w))
+    return runs
+
+
 def cmd_stabilize(cfg: RunConfig) -> int:
     sys_ = cfg.load_system()
     task = StabilizationTask(x0=cfg.x0, t_f=cfg.t_f, w_bar=cfg.w_bar)
-    bundle = build_bundle(sys_, cfg.t_f, cfg.settings)
+    bundle = build_bundle(sys_, cfg.t_f)
     bound = disturbed_energy_bound(sys_, task, bundle)
+    resolved = _resolve_runs(cfg, sys_, task, bundle)
     outdir = cfg.outdir()
-    # piecewise cells default to an even divisor of the step count so the
-    # integrator sees cell-constant stage values
-    default_cells = 1000 if cfg.steps % 1000 == 0 else cfg.steps
 
     runs = []
     u_n = nominal_control(sys_, task, bundle)
@@ -219,9 +244,7 @@ def cmd_stabilize(cfg: RunConfig) -> int:
                  "energy_quadrature": traj.energy,
                  "energy_closed_form": bound.E_N})
 
-    for i, spec in enumerate(cfg.disturbances):
-        name = _run_name(spec, i)
-        w = _signal_from_spec(spec, sys_, task, bundle, default_cells, cfg.seed, i)
+    for name, w in resolved:
         u_d = disturbed_control(sys_, task, bundle, w)
         traj = simulate_closed_loop(sys_, task, u_d, w, cfg.steps)
         _atomic_write(os.path.join(outdir, f"traj_{name}.csv"), trajectory_to_csv(traj))
@@ -241,8 +264,7 @@ def cmd_stabilize(cfg: RunConfig) -> int:
 def cmd_bound_accuracy(cfg: RunConfig) -> int:
     sys_ = cfg.load_system()
     rows = bound_accuracy_rows(sys_, cfg.x0, cfg.w_bar, cfg.tf_grid,
-                               seed=cfg.seed, cells=cfg.cells,
-                               settings=cfg.settings)
+                               seed=cfg.seed, cells=cfg.cells)
     outdir = cfg.outdir()
     header = ["t_f", "ratio_constant", "ratio_sinusoid", "ratio_piecewise"]
     _atomic_write(os.path.join(outdir, "bound_accuracy.csv"), _csv_text(header, rows))
@@ -256,8 +278,7 @@ def cmd_metrics_sweep(cfg: RunConfig) -> int:
     sys_ = cfg.load_system()
     rows = metrics_sweep_rows(sys_, cfg.x0, cfg.w_bar, cfg.R_grid, cfg.tf_grid,
                               samples=cfg.samples, seed=cfg.seed,
-                              cells=cfg.cells, workers=cfg.workers,
-                              settings=cfg.settings)
+                              cells=cfg.cells, workers=cfg.workers)
     outdir = cfg.outdir()
     header = ["R", "t_f", "H", "r_A_bound", "r_M_bound", "E_N", "E_D_bound",
               "diff_min", "diff_max", "ratio_min", "ratio_max"]
@@ -274,7 +295,7 @@ def cmd_metrics_sweep(cfg: RunConfig) -> int:
 def cmd_energy(cfg: RunConfig) -> int:
     sys_ = cfg.load_system()
     task = StabilizationTask(x0=cfg.x0, t_f=cfg.t_f, w_bar=cfg.w_bar)
-    bundle = build_bundle(sys_, cfg.t_f, cfg.settings)
+    bundle = build_bundle(sys_, cfg.t_f)
     report = disturbed_energy_bound(sys_, task, bundle)
     payload = {"command": "energy", "config": cfg.echo(),
                "E_N": report.E_N, "E_D_bound": report.E_D_bound,

@@ -14,10 +14,17 @@ import numpy as np
 
 from .errors import DomainError, IllConditionedError, NumericalError
 from .linalg import SpectralDecomposition, block_expm, expm, sym_eig
-from .settings import DEFAULT_SETTINGS, NumericSettings
 from .systems import LtiSystem
 
 __all__ = ["GramianBundle", "controllability_gramian", "norm_integral", "build_bundle"]
+
+# lambda_max / lambda_min of W_B above this leaves W_B_inv with at most
+# two correct digits in double precision, so the horizon is rejected
+_CONDITION_LIMIT = 1e14
+# adaptive Simpson on the norm integral: absolute tolerance is this times
+# t_f, with at most _ADAPTIVE_DEPTH halvings of any subinterval
+_NORM_INTEGRAL_TOL = 1e-9
+_ADAPTIVE_DEPTH = 24
 
 
 @dataclass(frozen=True)
@@ -51,8 +58,7 @@ def _gramian_and_transition(sys: LtiSystem, t_f: float):
     return W, trans
 
 
-def controllability_gramian(sys: LtiSystem, t_f,
-                            settings: NumericSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def controllability_gramian(sys: LtiSystem, t_f) -> np.ndarray:
     """Finite-horizon controllability Gramian of (A, B) over [0, t_f].
 
     Returns the symmetrized W_B; raises IllConditionedError when the
@@ -61,16 +67,15 @@ def controllability_gramian(sys: LtiSystem, t_f,
     """
     t_f = _check_horizon(t_f)
     W, _ = _gramian_and_transition(sys, t_f)
-    _checked_eig(W, t_f, settings)
+    _checked_eig(W, t_f)
     return W
 
 
-def _checked_eig(W: np.ndarray, t_f: float,
-                 settings: NumericSettings = DEFAULT_SETTINGS) -> SpectralDecomposition:
-    spec = sym_eig(W, settings)
+def _checked_eig(W: np.ndarray, t_f: float) -> SpectralDecomposition:
+    spec = sym_eig(W)
     lam_max = spec.lambdas[0]
     lam_min = spec.lambdas[-1]
-    if lam_min <= 0.0 or lam_max / lam_min > settings.gramian_condition_limit:
+    if lam_min <= 0.0 or lam_max / lam_min > _CONDITION_LIMIT:
         cond = np.inf if lam_min <= 0.0 else lam_max / lam_min
         raise IllConditionedError(
             f"Gramian is numerically singular at horizon t_f = {t_f:g} "
@@ -81,13 +86,13 @@ def _checked_eig(W: np.ndarray, t_f: float,
     return spec
 
 
-def norm_integral(sys: LtiSystem, t_f, settings: NumericSettings = DEFAULT_SETTINGS) -> float:
+def norm_integral(sys: LtiSystem, t_f) -> float:
     """int_0^tf ||e^{A(tf-t)}||_inf dt by adaptive composite Simpson.
 
     By the substitution s = tf - t this equals int_0^tf ||e^{As}||_inf ds,
     which is the form actually integrated. Absolute tolerance is
-    ``settings.norm_integral_tol * t_f``; exhausting the halving depth
-    raises NumericalError carrying the achieved estimate and error bound.
+    ``_NORM_INTEGRAL_TOL * t_f``; exhausting the halving depth raises
+    NumericalError carrying the achieved estimate and error bound.
     """
     t_f = _check_horizon(t_f)
     A = sys.A
@@ -96,8 +101,8 @@ def norm_integral(sys: LtiSystem, t_f, settings: NumericSettings = DEFAULT_SETTI
         E = expm(A * s)
         return float(np.max(np.sum(np.abs(E), axis=1)))
 
-    tol = settings.norm_integral_tol * t_f
-    depth_limit = settings.adaptive_depth
+    tol = _NORM_INTEGRAL_TOL * t_f
+    depth_limit = _ADAPTIVE_DEPTH
 
     a, b = 0.0, t_f
     fa, fb = f(a), f(b)
@@ -141,8 +146,7 @@ def norm_integral(sys: LtiSystem, t_f, settings: NumericSettings = DEFAULT_SETTI
     return total
 
 
-def build_bundle(sys: LtiSystem, t_f,
-                 settings: NumericSettings = DEFAULT_SETTINGS) -> GramianBundle:
+def build_bundle(sys: LtiSystem, t_f) -> GramianBundle:
     """Assemble the GramianBundle for (sys, t_f).
 
     W_B is inverted through its own spectral factors (eigenvalues inverted,
@@ -151,7 +155,7 @@ def build_bundle(sys: LtiSystem, t_f,
     """
     t_f = _check_horizon(t_f)
     W, trans = _gramian_and_transition(sys, t_f)
-    spec_w = _checked_eig(W, t_f, settings)
+    spec_w = _checked_eig(W, t_f)
 
     inv_lam = 1.0 / spec_w.lambdas[::-1]
     inv_U = np.ascontiguousarray(spec_w.U[:, ::-1])
@@ -161,7 +165,7 @@ def build_bundle(sys: LtiSystem, t_f,
     W_inv = spec_inv.reconstruct()
     W_inv = 0.5 * (W_inv + W_inv.T)
 
-    v_unit = norm_integral(sys, t_f, settings)
+    v_unit = norm_integral(sys, t_f)
 
     for arr in (W, W_inv, trans):
         arr.setflags(write=False)

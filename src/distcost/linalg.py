@@ -15,10 +15,17 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import DimensionError, DomainError, NumericalError
-from .settings import DEFAULT_SETTINGS, NumericSettings
 
 __all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "expm", "block_expm",
            "shifted_powers", "sym_eig", "norm"]
+
+# Jacobi stops when off(M) <= _JACOBI_OFF_TOL * ||M||_F, which leaves the
+# eigenvalues accurate to about that relative level
+_JACOBI_OFF_TOL = 1e-12
+# cyclic Jacobi converges quadratically, so only a broken input hits this
+_JACOBI_MAX_SWEEPS = 100
+# ||M - M^T||_inf above this times max|M| is rejected as not symmetric
+_SYMMETRY_TOL = 1e-10
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -113,16 +120,14 @@ def shifted_powers(D: np.ndarray, count: int) -> np.ndarray:
         Dk = 2.0 * Dk + Dk @ Dk
 
 
-def sym_eig(M, settings: NumericSettings = DEFAULT_SETTINGS) -> SpectralDecomposition:
+def sym_eig(M) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Parameters
     ----------
     M : array_like
-        Symmetric matrix; asymmetry beyond ``settings.symmetry_tol``
-        (relative, infinity norm) is rejected.
-    settings : NumericSettings
-        Supplies the off-diagonal convergence tolerance and sweep budget.
+        Symmetric matrix; asymmetry beyond ``_SYMMETRY_TOL`` (relative,
+        infinity norm) is rejected.
 
     Returns
     -------
@@ -143,13 +148,12 @@ def sym_eig(M, settings: NumericSettings = DEFAULT_SETTINGS) -> SpectralDecompos
     if n != A.shape[1]:
         raise DimensionError(f"sym_eig operand must be square, got shape {A.shape}")
     scale = np.max(np.abs(A)) if n else 0.0
-    if scale > 0.0 and np.max(np.abs(A - A.T)) > settings.symmetry_tol * scale:
+    if scale > 0.0 and np.max(np.abs(A - A.T)) > _SYMMETRY_TOL * scale:
         raise DomainError("sym_eig operand is not symmetric within tolerance")
 
     work = 0.5 * (A + A.T)
-    diag, V, off, sweeps, thresh = _k.jacobi_core(
-        work, settings.jacobi_off_tol, settings.jacobi_max_sweeps
-    )
+    diag, V, off, sweeps, thresh = _k.jacobi_core(work, _JACOBI_OFF_TOL,
+                                                  _JACOBI_MAX_SWEEPS)
     if off > thresh:
         raise NumericalError(
             f"Jacobi iteration did not converge in {sweeps} sweeps "

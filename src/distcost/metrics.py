@@ -22,7 +22,6 @@ from .energy import disturbance_terms
 from .errors import DomainError, IllConditionedError
 from .gramian import GramianBundle
 from .linalg import norm, sym_eig
-from .settings import DEFAULT_SETTINGS, NumericSettings
 from .systems import LtiSystem
 
 __all__ = ["MetricReport", "additive_metric_bound", "multiplicative_metric_bound",
@@ -65,9 +64,9 @@ def _additive(sys: LtiSystem, bundle: GramianBundle, w_bar, R):
     return c_term + gamma * R * np.sqrt(sys.n), gamma, c_term
 
 
-def _l_min(bundle: GramianBundle, settings: NumericSettings) -> float:
+def _l_min(bundle: GramianBundle) -> float:
     M = bundle.state_transition.T @ bundle.W_B_inv @ bundle.state_transition
-    spec = sym_eig(0.5 * (M + M.T), settings)
+    spec = sym_eig(0.5 * (M + M.T))
     l = float(spec.lambdas[-1])
     if l <= 0.0:
         raise IllConditionedError(
@@ -85,13 +84,12 @@ def additive_metric_bound(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
 
 
 def multiplicative_metric_bound(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
-                                R: float,
-                                settings: NumericSettings = DEFAULT_SETTINGS) -> float:
+                                R: float) -> float:
     """Lower bound on the nominal/disturbed energy ratio over ||x0||_2 >= R.
 
     Always in (0, 1]; equal to 1 when w_bar = 0 and nondecreasing in R.
     """
-    return metric_report(sys, bundle, w_bar, R, settings).r_M_bound
+    return metric_report(sys, bundle, w_bar, R).r_M_bound
 
 
 def hardness(R: float, t_f: float) -> float:
@@ -103,19 +101,19 @@ def hardness(R: float, t_f: float) -> float:
     return R / t_f
 
 
-def metric_report(sys: LtiSystem, bundle: GramianBundle, w_bar: float, R: float,
-                  settings: NumericSettings = DEFAULT_SETTINGS) -> MetricReport:
+def metric_report(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
+                  R: float) -> MetricReport:
     """Evaluate both bounds and hardness at one (R, t_f) grid point."""
-    return _metric_reports(sys, bundle, w_bar, (R,), settings)[0]
+    return _metric_reports(sys, bundle, w_bar, (R,))[0]
 
 
-def _metric_reports(sys: LtiSystem, bundle: GramianBundle, w_bar: float, R_grid,
-                    settings: NumericSettings) -> list:
+def _metric_reports(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
+                    R_grid) -> list:
     # metric_report at every R of R_grid: gamma, c and l_min depend on the
     # bundle alone, so they (and l_min's eigensolve) are computed once
     Rs = [_radius(R, positive=True) for R in R_grid]
     r_A, gamma, c_term = _additive(sys, bundle, w_bar, np.array(Rs))
-    l = _l_min(bundle, settings)
+    l = _l_min(bundle)
     return [MetricReport(
         R=R,
         t_f=bundle.t_f,

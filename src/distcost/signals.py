@@ -98,10 +98,6 @@ class DisturbanceSignal:
                 f"up to {t_max:g}"
             )
 
-    def cell_index(self, t: float) -> int:
-        k = int(t / self.horizon * self.cells)
-        return min(max(k, 0), self.cells - 1)
-
     def eval(self, t) -> np.ndarray:
         """Value at scalar time t (vectorized over a 1-D array of times)."""
         taus = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -124,10 +120,6 @@ class DisturbanceSignal:
         idx = np.clip((taus / self.horizon * self.cells).astype(np.int64),
                       0, self.cells - 1)
         return self.cell_values[idx]
-
-    def max_abs_on_grid(self, t_f: float, samples: int = 2048) -> float:
-        taus = np.linspace(0.0, min(t_f, self.horizon), samples)
-        return float(np.max(np.abs(self._values(taus)))) if self.dim else 0.0
 
 
 def make_disturbance(kind: str, w_bar: float, dim: int, seed: int = 0,

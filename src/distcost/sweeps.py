@@ -17,7 +17,6 @@ from .errors import DomainError
 from .gramian import GramianBundle, build_bundle
 from .linalg import block_expm
 from .metrics import MetricReport, _metric_reports
-from .settings import DEFAULT_SETTINGS, NumericSettings
 from .signals import derive_seed, derive_seeds, make_disturbance, uniform_stream
 from .synthesis import _fold_cells, disturbance_response
 from .systems import LtiSystem, StabilizationTask
@@ -154,8 +153,7 @@ def _class_response(kind: str, sys: LtiSystem, task: StabilizationTask,
 
 def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
                         tf_grid, classes=("constant", "sinusoid", "piecewise"),
-                        seed: int = 0, cells: int = EVIDENCE_CELLS,
-                        settings: NumericSettings = DEFAULT_SETTINGS):
+                        seed: int = 0, cells: int = EVIDENCE_CELLS):
     """Ratio ||u_D||^2 / E_D_bound per horizon and disturbance class.
 
     Returns a list of dict rows, one per t_f, with a ratio column per
@@ -163,7 +161,7 @@ def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
     """
     rows = []
     for i, t_f in enumerate(tf_grid):
-        bundle = build_bundle(sys, t_f, settings)
+        bundle = build_bundle(sys, t_f)
         task = StabilizationTask(x0=x0, t_f=float(t_f), w_bar=w_bar)
         bound = disturbed_energy_bound(sys, task, bundle).E_D_bound
         row = {"t_f": float(t_f)}
@@ -237,8 +235,7 @@ def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
 def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
                        R_grid=DEFAULT_R_GRID, tf_grid=DEFAULT_TF_GRID,
                        samples: int = 500, seed: int = 0,
-                       cells: int = EVIDENCE_CELLS, workers: int = 1,
-                       settings: NumericSettings = DEFAULT_SETTINGS):
+                       cells: int = EVIDENCE_CELLS, workers: int = 1):
     """Metric bounds plus sampled evidence over the (R, t_f) grid.
 
     Rows come back in grid order (t_f outer, R inner); the child seed of
@@ -258,8 +255,8 @@ def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
         raise DomainError("x0 direction must be nonzero")
     x0_dir = x0_dir / nrm
 
-    bundles = {float(t_f): build_bundle(sys, t_f, settings) for t_f in tf_grid}
-    reports = {t_f: _metric_reports(sys, bundle, w_bar, R_grid, settings)
+    bundles = {float(t_f): build_bundle(sys, t_f) for t_f in tf_grid}
+    reports = {t_f: _metric_reports(sys, bundle, w_bar, R_grid)
                for t_f, bundle in bundles.items()}
     return [_sweep_point(sys, bundles[float(t_f)], rep, float(w_bar), x0_dir,
                          samples, derive_seed(seed, i, j), cells)

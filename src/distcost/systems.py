@@ -8,7 +8,10 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, ValidationError
 from .linalg import as_matrix, as_vector
-from .settings import DEFAULT_SETTINGS
+
+# singular values of the controllability matrix below this times the
+# largest count as zero
+_CONTROLLABILITY_TOL = 1e-10
 
 
 def controllability_rank(A: np.ndarray, B: np.ndarray, rel_tol: float) -> int:
@@ -45,7 +48,7 @@ class LtiSystem:
             raise DimensionError(
                 f"B row count {B.shape[0]} does not match state dimension {A.shape[0]}"
             )
-        rank = controllability_rank(A, B, DEFAULT_SETTINGS.controllability_tol)
+        rank = controllability_rank(A, B, _CONTROLLABILITY_TOL)
         if rank < A.shape[0]:
             raise ValidationError(
                 f"(A, B) is not controllable: controllability matrix rank {rank} "

@@ -76,6 +76,22 @@ class TestStabilize:
         header = (out / "traj_nominal.csv").read_text().split("\n", 1)[0]
         assert header == "t,x1,x2,x3,u1,u2,u3,u4,xnorm,energy"
 
+    @pytest.mark.parametrize("disturbances", [
+        [{"name": "a", "kind": "sinusoid"}, {"name": "b", "kind": "bogus"}],
+        [{"name": "a", "kind": "sinusoid"}, {"name": "a", "kind": "constant_sign"}],
+        [{"kind": "sinusoid"}, {"kind": "sinusoid"}],
+        [{"name": "nominal", "kind": "sinusoid"}],
+    ], ids=["bad-kind", "repeated-name", "repeated-default-name", "reserved-name"])
+    def test_bad_run_list_writes_nothing(self, tmp_path, disturbances):
+        # every run is resolved before the first file is written, and a
+        # name may own only one traj_<name>.csv
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"disturbances": disturbances}))
+        (tmp_path / "out").mkdir()
+        rc, out = run(tmp_path, "stabilize", "--steps", "200", "--config", str(cfg))
+        assert rc == EXIT_CONFIG
+        assert os.listdir(out) == []
+
 
 class TestBoundAccuracy:
     def test_csv_schema_and_trends(self, tmp_path):
@@ -192,6 +208,25 @@ class TestExitCodes:
         rc, _ = run(tmp_path, "energy", "--model", str(model),
                     "--x0", "1,1", "--tf", "1e-8")
         assert rc == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("command,doc", [
+        ("metrics-sweep", {"samples": "abc"}),
+        ("energy", {"tf": "x"}),
+        ("energy", {"x0": [1, "a", 2]}),
+        ("energy", {"model": 5}),
+        ("stabilize", {"disturbances": {"name": "a", "kind": "sinusoid"}}),
+        ("stabilize", {"disturbances": [{"kind": "piecewise_uniform", "cells": "x"}]}),
+        ("metrics-sweep", {"R_grid": []}),
+        ("bound-accuracy", {"tf_grid": []}),
+    ], ids=["samples-text", "tf-text", "x0-text-entry", "model-number",
+            "disturbances-object", "cells-text", "empty-R-grid", "empty-tf-grid"])
+    def test_malformed_config_value_is_config(self, tmp_path, capsys, command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc, out = run(tmp_path, command, "--steps", "200", "--config", str(cfg))
+        assert rc == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
 
     def test_bad_settings_value_is_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,9 +3,9 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from distcost import gramian
 from distcost.errors import IllConditionedError, NumericalError
 from distcost.gramian import build_bundle, controllability_gramian, norm_integral
-from distcost.settings import DEFAULT_SETTINGS, settings_from_dict
 from distcost.systems import LtiSystem
 
 
@@ -104,8 +104,9 @@ class TestNormIntegral:
         ref = scipy.integrate.simpson(vals, x=taus)
         assert norm_integral(jet, 5.0) == pytest.approx(ref, rel=1e-6)
 
-    def test_budget_exhaustion_raises_with_estimate(self, jet):
-        tight = settings_from_dict({"adaptive_depth": 2, "norm_integral_tol": 1e-14})
+    def test_budget_exhaustion_raises_with_estimate(self, jet, monkeypatch):
+        monkeypatch.setattr(gramian, "_ADAPTIVE_DEPTH", 2)
+        monkeypatch.setattr(gramian, "_NORM_INTEGRAL_TOL", 1e-14)
         with pytest.raises(NumericalError) as exc:
-            norm_integral(jet, 5.0, tight)
+            norm_integral(jet, 5.0)
         assert exc.value.estimate is not None

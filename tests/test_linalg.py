@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distcost import linalg
 from distcost.errors import DimensionError, DomainError, NumericalError
 from distcost.linalg import as_matrix, as_vector, expm, norm, sym_eig
 
@@ -84,6 +85,19 @@ class TestSymEig:
         spec = sym_eig(S)
         with pytest.raises(ValueError):
             spec.U[0, 0] = 5.0
+
+    def test_sweep_budget_exhaustion_raises_with_estimate(self, monkeypatch):
+        # one cyclic sweep cannot annihilate the off-diagonal mass of a
+        # dense 4 x 4 SPD matrix to 1e-12 of its norm
+        G = np.array([[2.0, 1.0, 0.5, 0.2], [0.0, 1.5, 0.7, 0.3],
+                      [0.0, 0.0, 1.2, 0.9], [0.0, 0.0, 0.0, 1.0]])
+        S = G @ G.T
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalError) as exc:
+            sym_eig(S)
+        assert exc.value.iterations == 1
+        assert exc.value.estimate is not None and exc.value.estimate.shape == (4,)
+        assert exc.value.error_bound > 0.0
 
 
 class TestNorm:

@@ -16,7 +16,6 @@ from distcost.synthesis import disturbance_response
 from distcost.sweeps import (bound_accuracy_rows, metrics_sweep_rows,
                              sample_ball, sample_gaussians, sample_sphere,
                              transition_integral, worst_constant_sign)
-from distcost.settings import DEFAULT_SETTINGS
 from distcost.systems import LtiSystem, StabilizationTask
 
 
@@ -78,7 +77,7 @@ BOUNDS = ("R", "t_f", "H", "r_A_bound", "r_M_bound", "E_N", "E_D_bound")
 def sweep_point_pair(sys, t_f, R, w_bar, samples, seed, cells, x0_dir=None):
     """(batched, reference) rows of one sweep point."""
     bundle = build_bundle(sys, t_f)
-    rep = _metric_reports(sys, bundle, w_bar, (R,), DEFAULT_SETTINGS)[0]
+    rep = _metric_reports(sys, bundle, w_bar, (R,))[0]
     if x0_dir is None:
         x0_dir = np.ones(sys.n) / np.sqrt(sys.n)
     args = (sys, bundle, rep, w_bar, x0_dir, samples, seed, cells)
@@ -293,8 +292,7 @@ class TestBatchedEvidence:
         assert_rows_match(got, ref)
         # a zero row would add exactly c_term, below every nonzero row's
         # extra energy, so diff_min shows whether it was skipped
-        c_term = _metric_reports(jet, build_bundle(jet, 0.5), 1.0, (100.0,),
-                                 DEFAULT_SETTINGS)[0].c_term
+        c_term = _metric_reports(jet, build_bundle(jet, 0.5), 1.0, (100.0,))[0].c_term
         assert got["diff_min"] > c_term
 
     def test_all_zero_ball_leaves_empty_extremes(self, jet, monkeypatch):
