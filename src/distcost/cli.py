@@ -26,7 +26,7 @@ from .errors import (ConfigError, DimensionError, DomainError, ModelParseError,
 from .gramian import build_bundle
 from .models import builtin_models, load_model
 from .signals import derive_seed, make_disturbance
-from .simulate import simulate_closed_loop, trajectory_to_csv
+from .simulate import csv_text, simulate_closed_loop, trajectory_to_csv
 from .sweeps import (DEFAULT_ACCURACY_TF_GRID, DEFAULT_R_GRID, DEFAULT_TF_GRID,
                      EVIDENCE_CELLS, bound_accuracy_rows, metrics_sweep_rows,
                      worst_constant_sign)
@@ -38,7 +38,7 @@ EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
 _CONFIG_KEYS = {"model", "x0", "tf", "wbar", "R_grid", "tf_grid", "steps",
-                "seed", "out", "workers", "samples", "cells", "disturbances"}
+                "seed", "out", "samples", "cells", "disturbances"}
 
 _DISTURBANCE_KEYS = {"name", "kind", "wbar", "sign_vector", "amplitudes",
                      "frequencies", "phases", "cells", "seed"}
@@ -59,13 +59,8 @@ def _write_json(path: str, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(header, rows) -> str:
-    # repr() of a float is the shortest decimal that round-trips (<= 17
-    # significant digits), which is the CSV number contract
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(row[k])) for k in header))
-    return "\n".join(lines) + "\n"
+def _write_csv(path: str, header, rows) -> None:
+    _atomic_write(path, csv_text(header, [[row[k] for k in header] for row in rows]))
 
 
 def _parse_float_list(text: str) -> tuple:
@@ -135,10 +130,9 @@ class RunConfig:
             self.steps = int(_pick(args.steps, cfg, "steps", 5000))
             self.seed = int(_pick(args.seed, cfg, "seed", 0))
             self.out = str(_pick(args.out, cfg, "out", "."))
-            self.workers = int(_pick(args.workers, cfg, "workers", 1))
             self.samples = int(cfg.get("samples", 500))
             self.cells = int(cfg.get("cells", EVIDENCE_CELLS))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
         self.disturbances = cfg.get("disturbances", list(_DEFAULT_DISTURBANCES))
         if not isinstance(self.disturbances, list):
@@ -147,8 +141,6 @@ class RunConfig:
             raise ConfigError("tf_grid entries must be positive")
         if any(v <= 0.0 for v in self.R_grid):
             raise ConfigError("R_grid entries must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
 
@@ -217,7 +209,7 @@ def _resolve_runs(cfg: RunConfig, sys_: LtiSystem, task: StabilizationTask,
     for i, spec in enumerate(cfg.disturbances):
         try:
             w = _signal_from_spec(spec, sys_, task, bundle, default_cells, cfg.seed, i)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"malformed disturbance spec {spec!r}: {exc}") from exc
         name = _run_name(spec, i)
         if name in taken:
@@ -267,7 +259,7 @@ def cmd_bound_accuracy(cfg: RunConfig) -> int:
                                seed=cfg.seed, cells=cfg.cells)
     outdir = cfg.outdir()
     header = ["t_f", "ratio_constant", "ratio_sinusoid", "ratio_piecewise"]
-    _atomic_write(os.path.join(outdir, "bound_accuracy.csv"), _csv_text(header, rows))
+    _write_csv(os.path.join(outdir, "bound_accuracy.csv"), header, rows)
     summary = {"command": "bound-accuracy", "config": cfg.echo(),
                "tf_grid": list(cfg.tf_grid), "rows": len(rows)}
     _write_json(os.path.join(outdir, "summary.json"), summary)
@@ -278,11 +270,11 @@ def cmd_metrics_sweep(cfg: RunConfig) -> int:
     sys_ = cfg.load_system()
     rows = metrics_sweep_rows(sys_, cfg.x0, cfg.w_bar, cfg.R_grid, cfg.tf_grid,
                               samples=cfg.samples, seed=cfg.seed,
-                              cells=cfg.cells, workers=cfg.workers)
+                              cells=cfg.cells)
     outdir = cfg.outdir()
     header = ["R", "t_f", "H", "r_A_bound", "r_M_bound", "E_N", "E_D_bound",
               "diff_min", "diff_max", "ratio_min", "ratio_max"]
-    _atomic_write(os.path.join(outdir, "metrics.csv"), _csv_text(header, rows))
+    _write_csv(os.path.join(outdir, "metrics.csv"), header, rows)
     summary = {"command": "metrics-sweep", "config": cfg.echo(),
                "R_grid": list(cfg.R_grid), "tf_grid": list(cfg.tf_grid),
                "samples": cfg.samples, "rows": len(rows),
@@ -327,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--steps", type=int, help="integrator step count")
     common.add_argument("--seed", type=int, help="master seed for all draws")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--workers", type=int,
-                        help="accepted for compatibility; has no effect")
     common.add_argument("--config", help="JSON config file (flags win)")
 
     parser = argparse.ArgumentParser(

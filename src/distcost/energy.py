@@ -48,17 +48,18 @@ class EnergyReport:
     cross_term: float
 
 
-def _half_weighted(bundle: GramianBundle, v: np.ndarray) -> np.ndarray:
-    # diag(sqrt(lambda)) U^T v, the "half" of the W_B^{-1} quadratic form
-    return np.sqrt(bundle.spec.lambdas) * (bundle.spec.U.T @ v)
+def weighted_energies(bundle: GramianBundle, X: np.ndarray):
+    """||diag(sqrt(lambda)) U^T x||^2, the W_B^{-1} quadratic form, for x = X
+    or for every row x of X."""
+    H = np.sqrt(bundle.spec.lambdas) * (X @ bundle.spec.U)
+    return np.sum(H * H, axis=-1)
 
 
 def nominal_energy(sys: LtiSystem, task: StabilizationTask,
                    bundle: GramianBundle) -> float:
     """Minimum control energy stabilizing the nominal system from x0 at t_f."""
     _check_bundle(sys, task, bundle)
-    h = _half_weighted(bundle, bundle.state_transition @ task.x0)
-    return float(np.sum(h * h))
+    return float(weighted_energies(bundle, bundle.state_transition @ task.x0))
 
 
 def disturbed_signal_energy(sys: LtiSystem, task: StabilizationTask,
@@ -71,8 +72,7 @@ def disturbed_signal_energy(sys: LtiSystem, task: StabilizationTask,
 def _response_energy(bundle: GramianBundle, task: StabilizationTask,
                      R: np.ndarray) -> float:
     # energy of the control compensating a known disturbance response R
-    h = _half_weighted(bundle, bundle.state_transition @ task.x0 + R)
-    return float(np.sum(h * h))
+    return float(weighted_energies(bundle, bundle.state_transition @ task.x0 + R))
 
 
 def disturbance_terms(bundle: GramianBundle, w_bar: float):
@@ -90,22 +90,33 @@ def disturbed_energy_bound(sys: LtiSystem, task: StabilizationTask,
     witness.
     """
     _check_bundle(sys, task, bundle)
-    lam = bundle.spec.lambdas
-    U = bundle.spec.U
-    e_n = nominal_energy(sys, task, bundle)
     q_bar, c_term = disturbance_terms(bundle, task.w_bar)
-    p = lam * (U.T @ (bundle.state_transition @ task.x0))
-    cross = 2.0 * q_bar * float(np.sum(np.abs(p)))
+    e_n, p, cross, bound = energy_bound_rows(bundle, bundle.state_transition @ task.x0,
+                                             q_bar, c_term)
     witness = q_bar * np.sign(p)
     witness.setflags(write=False)
     return EnergyReport(
-        E_N=e_n,
-        E_D_bound=e_n + cross + c_term,
+        E_N=float(e_n),
+        E_D_bound=float(bound),
         q_bar=float(q_bar),
         witness_q=witness,
         c_term=float(c_term),
         cross_term=float(cross),
     )
+
+
+def energy_bound_rows(bundle: GramianBundle, X: np.ndarray, q_bar: float,
+                      c_term: float):
+    """(E_N, p, cross_term, E_D_bound) for X = e^{A t_f} x0, or for every
+    row of X, with (q_bar, c_term) from ``disturbance_terms``.
+
+    p = diag(lambda) U^T X, cross_term = 2 q_bar ||p||_1, and E_D_bound is
+    assembled as E_N + cross_term + c_term.
+    """
+    e_n = weighted_energies(bundle, X)
+    p = bundle.spec.lambdas * (X @ bundle.spec.U)
+    cross = 2.0 * q_bar * np.sum(np.abs(p), axis=-1)
+    return e_n, p, cross, e_n + cross + c_term
 
 
 def energy_pair_for_response(bundle: GramianBundle, task: StabilizationTask,

@@ -20,23 +20,25 @@ from . import _kernels as _k
 from .errors import DomainError
 
 __all__ = ["DisturbanceSignal", "make_disturbance", "uniform_stream", "derive_seed",
-           "derive_seeds"]
+           "derive_seeds", "piecewise_cell_values"]
 
 _MASK64 = (1 << 64) - 1
 
 
-def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
+def uniform_stream(seed, start: int, count: int) -> np.ndarray:
     """Draws [start, start+count) of the splitmix64 stream for ``seed``.
 
     Draw i is mix64(seed + (i+1) * 0x9E3779B97F4A7C15) mapped to [0, 1)
     via the top 53 bits; mix64 is the standard splitmix64 finalizer
     (xor-shift 30, multiply 0xBF58476D1CE4E5B9, xor-shift 27, multiply
-    0x94D049BB133111EB, xor-shift 31).
+    0x94D049BB133111EB, xor-shift 31). ``seed`` is an int, or a uint64
+    vector of seeds giving one row of draws each.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
-    with np.errstate(over="ignore"):
-        return _k.splitmix_fill(np.uint64(int(seed) & _MASK64), int(start), int(count))
+    if not isinstance(seed, np.ndarray):
+        seed = np.uint64(int(seed) & _MASK64)
+    return _k.splitmix_fill(seed, int(start), int(count))
 
 
 def derive_seed(master: int, *indices: int) -> int:
@@ -45,17 +47,11 @@ def derive_seed(master: int, *indices: int) -> int:
     Each index is mixed in as child = mix64(child XOR mix64(child + index + 1)),
     evaluated in 64-bit wrapping arithmetic.
     """
-    z = int(master) & _MASK64
-
-    def mix(v: int) -> int:
-        v &= _MASK64
-        v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (v ^ (v >> 31)) & _MASK64
-
+    # a one-element array: uint64 array arithmetic wraps without warning
+    z = np.array([int(master) & _MASK64], dtype=np.uint64)
     for idx in indices:
-        z = mix(z ^ mix((z + int(idx) + 1) & _MASK64))
-    return z
+        z = _k.mix64(z ^ _k.mix64(z + np.uint64((int(idx) + 1) & _MASK64)))
+    return int(z[0])
 
 
 def derive_seeds(master: int, count: int, *indices: int) -> np.ndarray:
@@ -91,19 +87,27 @@ class DisturbanceSignal:
     def cells(self) -> int:
         return 0 if self.cell_values is None else self.cell_values.shape[0]
 
-    def _require_domain(self, t_max: float):
-        if t_max > self.horizon * (1.0 + 1e-12):
+    def require_cover(self, t_f: float):
+        """Raise DomainError unless the signal is defined on all of [0, t_f]."""
+        if t_f > self.horizon * (1.0 + 1e-12):
             raise DomainError(
-                f"signal defined on [0, {self.horizon:g}] cannot be evaluated "
-                f"up to {t_max:g}"
+                f"disturbance defined on [0, {self.horizon:g}] does not cover "
+                f"t = {t_f:g}"
             )
+
+    def aligned_cells(self, t_f: float) -> int:
+        """How many whole piecewise cells span [0, t_f]; 0 when t_f falls
+        inside a cell."""
+        frac = t_f / self.horizon * self.cells
+        K = int(round(frac))
+        return K if K >= 1 and abs(frac - K) <= 1e-9 * max(1.0, frac) else 0
 
     def eval(self, t) -> np.ndarray:
         """Value at scalar time t (vectorized over a 1-D array of times)."""
         taus = np.atleast_1d(np.asarray(t, dtype=np.float64))
         if np.any(taus < -1e-12):
             raise DomainError("disturbance evaluated at negative time")
-        self._require_domain(float(np.max(taus)) if taus.size else 0.0)
+        self.require_cover(float(np.max(taus)) if taus.size else 0.0)
         out = self._values(taus)
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
@@ -174,6 +178,8 @@ def make_disturbance(kind: str, w_bar: float, dim: int, seed: int = 0,
         for name, arr in (("amplitudes", amp), ("frequencies", freq), ("phases", ph)):
             if arr.shape != (dim,):
                 raise DomainError(f"{name} must have shape ({dim},)")
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"{name} must be finite")
         if np.any(np.abs(amp) > w_bar * (1.0 + 1e-15)):
             raise DomainError("sinusoid amplitude exceeds w_bar")
         for a in (amp, freq, ph):
@@ -186,15 +192,25 @@ def make_disturbance(kind: str, w_bar: float, dim: int, seed: int = 0,
         horizon = float(horizon)
         if cells < 1:
             raise DomainError("piecewise_uniform needs at least one cell")
-        if horizon <= 0.0:
-            raise DomainError("piecewise_uniform horizon must be positive")
-        u = uniform_stream(seed, 0, cells * dim).reshape(cells, dim)
-        values = w_bar * (2.0 * u - 1.0)
+        if not 0.0 < horizon < np.inf:
+            raise DomainError(
+                f"piecewise_uniform horizon must be positive and finite, got {horizon}")
+        values = piecewise_cell_values(seed, w_bar, cells, dim)
         values.setflags(write=False)
         return DisturbanceSignal(kind="piecewise_uniform", w_bar=w_bar, dim=dim,
                                  horizon=horizon, cell_values=values, seed=int(seed))
 
     raise DomainError(f"unknown disturbance kind {kind!r}")
+
+
+def piecewise_cell_values(seed, w_bar: float, cells: int, dim: int) -> np.ndarray:
+    """Cell values w_bar * (2u - 1) of a piecewise_uniform signal, (cells, dim).
+
+    Cell k, channel c takes draw k*dim + c of the stream of ``seed``; a
+    uint64 seed vector gives one (cells, dim) block per seed.
+    """
+    u = uniform_stream(seed, 0, cells * dim)
+    return (w_bar * (2.0 * u - 1.0)).reshape(u.shape[:-1] + (cells, dim))
 
 
 def _default_frequencies(dim: int) -> np.ndarray:

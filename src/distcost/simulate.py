@@ -27,7 +27,7 @@ from .linalg import shifted_powers
 from .signals import DisturbanceSignal
 from .systems import LtiSystem, StabilizationTask
 
-__all__ = ["Trajectory", "simulate_closed_loop", "trajectory_to_csv"]
+__all__ = ["Trajectory", "simulate_closed_loop", "trajectory_to_csv", "csv_text"]
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,10 @@ def _disturbance_stages(w: DisturbanceSignal, t_f: float, steps: int,
                         n: int) -> np.ndarray:
     if w is None or w.kind == "zero":
         return np.zeros((steps, 3, n))
-    if t_f > w.horizon * (1.0 + 1e-12):
-        raise DomainError(
-            f"disturbance defined on [0, {w.horizon:g}] does not cover t_f = {t_f:g}"
-        )
+    w.require_cover(t_f)
     if w.kind == "piecewise_uniform":
-        frac = t_f / w.horizon * w.cells
-        K = int(round(frac))
-        if K >= 1 and abs(frac - K) <= 1e-9 * max(1.0, frac) and steps % K == 0:
+        K = w.aligned_cells(t_f)
+        if K and steps % K == 0:
             # step grid refines the cell grid: every stage of a step sees
             # the step's own cell value, jumps land exactly on step edges
             cell_of_step = np.repeat(np.arange(K), steps // K)
@@ -193,8 +189,19 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     header += [f"x{i + 1}" for i in range(n)]
     header += [f"u{i + 1}" for i in range(p)]
     header += ["xnorm", "energy"]
-    table = np.column_stack([traj.times, traj.states, traj.controls,
-                             traj.state_norms, traj.control_energy_running])
+    return csv_text(header, np.column_stack([traj.times, traj.states, traj.controls,
+                                             traj.state_norms,
+                                             traj.control_energy_running]))
+
+
+def csv_text(header, table) -> str:
+    """CSV text: the header line, one line per row of the float table, and
+    a trailing newline.
+
+    Numbers are written as repr() of each float, the shortest decimal
+    that round-trips (<= 17 significant digits).
+    """
     lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    lines += [",".join(map(repr, row))
+              for row in np.asarray(table, dtype=np.float64).tolist()]
     return "\n".join(lines) + "\n"

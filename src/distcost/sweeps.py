@@ -2,23 +2,25 @@
 
 Everything here is deterministic given (seed, grid): child seeds are
 derived from the master seed and the grid/draw indices alone, never from
-execution order. A grid point's sampled evidence is a few whole-array
-operations over all of its samples at once.
+execution order. A grid point's sampled evidence calls the module that
+owns each formula over a leading sample axis: the energies and the
+E_D_bound assembly of ``energy``, the piecewise draws of ``signals`` and
+their responses from ``synthesis``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels as _k
 from .energy import (_response_energy, disturbance_terms,
-                     disturbed_energy_bound, nominal_energy)
+                     disturbed_energy_bound, energy_bound_rows, nominal_energy,
+                     weighted_energies)
 from .errors import DomainError
 from .gramian import GramianBundle, build_bundle
-from .linalg import block_expm
 from .metrics import MetricReport, _metric_reports
-from .signals import derive_seed, derive_seeds, make_disturbance, uniform_stream
-from .synthesis import _fold_cells, disturbance_response
+from .signals import (derive_seed, derive_seeds, make_disturbance,
+                      piecewise_cell_values, uniform_stream)
+from .synthesis import disturbance_response, piecewise_response
 from .systems import LtiSystem, StabilizationTask
 
 __all__ = ["sample_gaussians", "sample_sphere", "sample_ball",
@@ -45,21 +47,25 @@ _SIGN_BLOCK = 1 << 14
 _SAMPLE_BLOCK = 1 << 18
 
 
+def _box_muller(u: np.ndarray, dim: int) -> np.ndarray:
+    # (count, dim) standard normals, one (radius, angle) pair per two
+    # columns (u[:, 2i], u[:, 2i+1]) of the uniforms
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
+    th = 2.0 * np.pi * u[:, 1::2]
+    g = np.empty(u.shape)
+    g[:, 0::2] = r * np.cos(th)
+    g[:, 1::2] = r * np.sin(th)
+    return g[:, :dim]
+
+
 def sample_gaussians(seed: int, count: int, dim: int) -> np.ndarray:
     """(count, dim) standard normals via Box-Muller on the uniform stream.
 
     Sample i consumes draws [i*D, (i+1)*D) with D = 2*ceil(dim/2), so any
     sample can be regenerated in isolation.
     """
-    pairs = (dim + 1) // 2
-    D = 2 * pairs
-    u = uniform_stream(seed, 0, count * D).reshape(count, D)
-    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
-    th = 2.0 * np.pi * u[:, 1::2]
-    g = np.empty((count, D))
-    g[:, 0::2] = r * np.cos(th)
-    g[:, 1::2] = r * np.sin(th)
-    return g[:, :dim]
+    D = 2 * ((dim + 1) // 2)
+    return _box_muller(uniform_stream(seed, 0, count * D).reshape(count, D), dim)
 
 
 def sample_sphere(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
@@ -73,15 +79,9 @@ def sample_sphere(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
 def sample_ball(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
     """(count, dim) points uniform in the ball; one extra draw per sample
     sets the radius as radius * u^(1/dim)."""
-    pairs = (dim + 1) // 2
-    D = 2 * pairs + 1
+    D = 2 * ((dim + 1) // 2) + 1
     u = uniform_stream(seed, 0, count * D).reshape(count, D)
-    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0:-1:2]))
-    th = 2.0 * np.pi * u[:, 1:-1:2]
-    g = np.empty((count, 2 * pairs))
-    g[:, 0::2] = r * np.cos(th)
-    g[:, 1::2] = r * np.sin(th)
-    g = g[:, :dim]
+    g = _box_muller(u[:, :-1], dim)
     nrm = np.sqrt(np.sum(g * g, axis=1))
     nrm[nrm == 0.0] = 1.0
     scale = radius * u[:, -1] ** (1.0 / dim)
@@ -89,9 +89,9 @@ def sample_ball(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
 
 
 def transition_integral(sys: LtiSystem, t_f: float) -> np.ndarray:
-    """int_0^tf e^{As} ds through one augmented exponential."""
-    n = sys.n
-    return block_expm(sys.A, np.eye(n), np.zeros((n, n)), t_f)[1]
+    """int_0^tf e^{As} ds: column j is the response to the constant
+    disturbance e_j."""
+    return piecewise_response(sys, np.eye(sys.n)[:, None, :], t_f).T
 
 
 def worst_constant_sign(sys: LtiSystem, task: StabilizationTask,
@@ -103,23 +103,14 @@ def worst_constant_sign(sys: LtiSystem, task: StabilizationTask,
     amplitude box is attained at a vertex. Patterns are enumerated in
     ``itertools.product((1.0, -1.0), repeat=n)`` order, pattern k having
     s_j = 1 - 2 * bit (n-1-j) of k, in blocks of ``_SIGN_BLOCK`` rows:
-    each block's energies ||L (e^{A t_f} x0 + w_bar V s)||^2, with
-    L = diag(sqrt(lambda)) U^T, come from two matmuls. Among equal
-    energies the first pattern in that order wins.
+    each block's responses are one batched ``piecewise_response`` of
+    one-cell signals, and its energies one ``weighted_energies`` call.
+    Among equal energies the first pattern in that order wins.
     """
-    return _worst_constant(sys, task, bundle)[0]
-
-
-def _worst_constant(sys: LtiSystem, task: StabilizationTask,
-                    bundle: GramianBundle):
-    # (worst sign pattern s, V = int_0^tf e^{As} ds); the constant-class
-    # response of w_bar * s is V (w_bar s), so callers reuse V
     n = sys.n
     if n > 20:
         raise DomainError("exhaustive sign search is limited to n <= 20")
-    V = transition_integral(sys, task.t_f)
     base = bundle.state_transition @ task.x0
-    L = np.sqrt(bundle.spec.lambdas)[:, None] * bundle.spec.U.T
     shifts = np.arange(n - 1, -1, -1)
     total = 1 << n
     best, best_k = -np.inf, 0
@@ -128,54 +119,42 @@ def _worst_constant(sys: LtiSystem, task: StabilizationTask,
         S = 1.0 - 2.0 * ((k[:, None] >> shifts) & 1)
         # the direct sum of squares: the expanded quadratic in s cancels
         # when ||x0|| is large
-        H = (base + (task.w_bar * S) @ V.T) @ L.T
-        e = np.einsum("ij,ij->i", H, H)
+        R = piecewise_response(sys, task.w_bar * S[:, None, :], task.t_f)
+        e = weighted_energies(bundle, base + R)
         i = int(np.argmax(e))
         if e[i] > best:
             best, best_k = e[i], start + i
-    return 1.0 - 2.0 * ((best_k >> shifts) & 1), V
-
-
-def _class_response(kind: str, sys: LtiSystem, task: StabilizationTask,
-                    bundle: GramianBundle, seed: int, cells: int) -> np.ndarray:
-    if kind == "constant":
-        s, V = _worst_constant(sys, task, bundle)
-        return V @ (task.w_bar * s)
-    if kind == "sinusoid":
-        w = make_disturbance("sinusoid", task.w_bar, sys.n)
-    elif kind == "piecewise":
-        w = make_disturbance("piecewise_uniform", task.w_bar, sys.n, seed=seed,
-                             cells=cells, horizon=task.t_f)
-    else:
-        raise DomainError(f"unknown disturbance class {kind!r}")
-    return disturbance_response(sys, w, task.t_f)
+    return 1.0 - 2.0 * ((best_k >> shifts) & 1)
 
 
 def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
-                        tf_grid, classes=("constant", "sinusoid", "piecewise"),
-                        seed: int = 0, cells: int = EVIDENCE_CELLS):
+                        tf_grid, seed: int = 0, cells: int = EVIDENCE_CELLS):
     """Ratio ||u_D||^2 / E_D_bound per horizon and disturbance class.
 
-    Returns a list of dict rows, one per t_f, with a ratio column per
-    class. The piecewise class gets a child seed per horizon index.
+    Returns a list of dict rows, one per t_f, with a ratio column for each
+    of the constant, sinusoid and piecewise classes. The piecewise class
+    gets a child seed per horizon index.
     """
     rows = []
     for i, t_f in enumerate(tf_grid):
         bundle = build_bundle(sys, t_f)
         task = StabilizationTask(x0=x0, t_f=float(t_f), w_bar=w_bar)
         bound = disturbed_energy_bound(sys, task, bundle).E_D_bound
+        piecewise = make_disturbance("piecewise_uniform", w_bar, sys.n,
+                                     seed=derive_seed(seed, 1, i), cells=cells,
+                                     horizon=task.t_f)
+        responses = {
+            "constant": piecewise_response(
+                sys, task.w_bar * worst_constant_sign(sys, task, bundle)[None], task.t_f),
+            "sinusoid": disturbance_response(
+                sys, make_disturbance("sinusoid", w_bar, sys.n), task.t_f),
+            "piecewise": disturbance_response(sys, piecewise, task.t_f),
+        }
         row = {"t_f": float(t_f)}
-        for kind in classes:
-            R = _class_response(kind, sys, task, bundle, derive_seed(seed, 1, i), cells)
+        for kind, R in responses.items():
             row[f"ratio_{kind}"] = float(_response_energy(bundle, task, R) / bound)
         rows.append(row)
     return rows
-
-
-def _row_energies(bundle: GramianBundle, X: np.ndarray) -> np.ndarray:
-    # ||diag(sqrt(lambda)) U^T x||^2 for every row x of X
-    H = np.sqrt(bundle.spec.lambdas) * (X @ bundle.spec.U)
-    return np.sum(H * H, axis=1)
 
 
 def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
@@ -188,32 +167,27 @@ def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
     Phi_T = bundle.state_transition.T
 
     # additive evidence: the worst-case extra energy E_D_bound - E_N of
-    # disturbed_energy_bound at every nonzero ball sample, in its order of
-    # operations: E_N + 2 q_bar ||p||_1 + c with p = diag(lambda) U^T Phi x0
+    # disturbed_energy_bound at every nonzero ball sample
     ball = sample_ball(derive_seed(seed, 2), samples, n, R)
     base = ball[np.any(ball != 0.0, axis=1)] @ Phi_T
-    e_n = _row_energies(bundle, base)
-    q_bar, c_term = disturbance_terms(bundle, w_bar)
-    P = bundle.spec.lambdas * (base @ bundle.spec.U)
-    diff = (e_n + 2.0 * q_bar * np.sum(np.abs(P), axis=1) + c_term) - e_n
+    e_n, _, _, bound = energy_bound_rows(bundle, base, *disturbance_terms(bundle, w_bar))
+    diff = bound - e_n
 
     # multiplicative evidence: energy ratios on the sphere, one seeded
     # piecewise draw per sample (the stream of derive_seed(seed, 4, i)),
-    # flipped to the energy-increasing member of (w, -w). The responses
-    # are disturbance_response's cell fold, over a block of samples at once.
+    # flipped to the energy-increasing member of (w, -w), the responses
+    # of a block of samples in one piecewise_response call
     sphere = sample_sphere(derive_seed(seed, 3), samples, n, R)
     seeds = derive_seeds(seed, samples, 4)
-    Phi_d, J = block_expm(sys.A, np.eye(n), np.zeros((n, n)), t_f / cells)
     block = max(1, _SAMPLE_BLOCK // (cells * n))
     ratio_min, ratio_max = np.inf, -np.inf
     for start in range(0, samples, block):
-        u = _k.splitmix_fill(seeds[start:start + block], 0, cells * n)
-        values = (w_bar * (2.0 * u - 1.0)).reshape(-1, cells, n)
-        resp = _fold_cells(values[:, ::-1] @ J.T, Phi_d)
+        values = piecewise_cell_values(seeds[start:start + block], w_bar, cells, n)
+        resp = piecewise_response(sys, values, t_f)
         base = sphere[start:start + block] @ Phi_T
-        e_d = np.maximum(_row_energies(bundle, base + resp),
-                         _row_energies(bundle, base - resp))
-        ratio = _row_energies(bundle, base) / e_d
+        e_d = np.maximum(weighted_energies(bundle, base + resp),
+                         weighted_energies(bundle, base - resp))
+        ratio = weighted_energies(bundle, base) / e_d
         ratio_min = min(ratio_min, float(np.min(ratio)))
         ratio_max = max(ratio_max, float(np.max(ratio)))
 
@@ -235,14 +209,13 @@ def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
 def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
                        R_grid=DEFAULT_R_GRID, tf_grid=DEFAULT_TF_GRID,
                        samples: int = 500, seed: int = 0,
-                       cells: int = EVIDENCE_CELLS, workers: int = 1):
+                       cells: int = EVIDENCE_CELLS):
     """Metric bounds plus sampled evidence over the (R, t_f) grid.
 
     Rows come back in grid order (t_f outer, R inner); the child seed of
     a point depends only on its grid indices. ``x0_dir`` fixes the
     direction of the representative initial state R * x0_dir reported in
-    the E_N / E_D_bound columns. ``workers`` is accepted for compatibility
-    and has no effect: each point is a few whole-array operations.
+    the E_N / E_D_bound columns.
     """
     samples, cells = int(samples), int(cells)
     if samples < 1:

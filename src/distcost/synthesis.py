@@ -28,7 +28,7 @@ from .signals import DisturbanceSignal
 from .systems import LtiSystem, StabilizationTask
 
 __all__ = ["ControlSignal", "nominal_control", "disturbed_control",
-           "disturbance_response"]
+           "disturbance_response", "piecewise_response"]
 
 # the control half-grid restarts from a fresh expm this many nodes apart,
 # which keeps accumulated rounding below ~1e-13 relative
@@ -159,47 +159,45 @@ def disturbance_response(sys: LtiSystem, w: DisturbanceSignal, t_f) -> np.ndarra
         raise DomainError(f"t_f must be positive and finite, got {t_f}")
     if w.dim != sys.n:
         raise DimensionError(f"disturbance dim {w.dim} does not match n = {sys.n}")
-    if t_f > w.horizon * (1.0 + 1e-12):
-        raise DomainError(
-            f"disturbance defined on [0, {w.horizon:g}] does not cover t_f = {t_f:g}"
-        )
+    w.require_cover(t_f)
     if w.kind == "zero":
         return np.zeros(sys.n)
-
-    A = sys.A
-    n = sys.n
     if w.kind == "sinusoid":
         C, S, z0 = _sinusoid_exosystem(w)
-        return block_expm(A, C, S, t_f)[1] @ z0
-    I, Z = np.eye(n), np.zeros((n, n))
+        return block_expm(sys.A, C, S, t_f)[1] @ z0
     if w.kind == "constant_sign":
-        return block_expm(A, I, Z, t_f)[1] @ (w.w_bar * w.sign_vector)
+        return piecewise_response(sys, (w.w_bar * w.sign_vector)[None], t_f)
     if w.kind != "piecewise_uniform":
         raise DomainError(f"unknown disturbance kind {w.kind!r}")
-
-    frac = t_f / w.horizon * w.cells
-    K = max(int(round(frac)), 1)
-    if abs(frac - K) > 1e-9 * max(1.0, frac):
+    K = w.aligned_cells(t_f)
+    if K == 0:
         raise DomainError(
             "piecewise disturbance cells do not align with t_f; build the "
             "signal with horizon equal to (a multiple of) the cell grid"
         )
-    Phi, J = block_expm(A, I, Z, t_f / K)
-    return _fold_cells(w.cell_values[K - 1::-1] @ J.T, Phi)
+    return piecewise_response(sys, w.cell_values[:K], t_f)
 
 
-def _fold_cells(Y: np.ndarray, Phi: np.ndarray) -> np.ndarray:
-    """sum_j Phi^j Y[..., j, :] over the cell axis (second to last).
+def piecewise_response(sys: LtiSystem, values: np.ndarray, t_f: float) -> np.ndarray:
+    """R(w, t_f) for w piecewise constant, values[..., k, :] on cell k of K
+    uniform cells spanning [0, t_f]; leading axes batch independent signals.
 
-    Folding neighbours as Y[2i] + Phi Y[2i+1] and squaring Phi halves the
-    sum each pass, so the powers of Phi are never formed one by one. With
-    Y[j] = J v_{K-1-j} this is the piecewise response; leading axes batch
-    independent signals.
+    R = sum_k e^{Ad(K-1-k)} J(d) v_k with d = t_f / K and J(d) =
+    int_0^d e^{As} ds, both from one ``block_expm``. A constant is a single
+    cell. Writing Y[k] = J v_k, the sum folds neighbours as
+    Phi Y[2i] + Y[2i+1] and squares Phi, halving it each pass, so the
+    powers of Phi are never formed one by one.
     """
+    n = sys.n
+    Phi, J = block_expm(sys.A, np.eye(n), np.zeros((n, n)), t_f / values.shape[-2])
+    # one 2-D product for all signals and cells: a stacked matmul would
+    # take the leading axes one small product at a time
+    Y = (values.reshape(-1, n) @ J.T).reshape(values.shape)
     while Y.shape[-2] > 1:
         if Y.shape[-2] % 2:
-            Y = np.concatenate([Y, np.zeros_like(Y[..., :1, :])], axis=-2)
-        Y = Y[..., 0::2, :] + Y[..., 1::2, :] @ Phi.T
+            # a zero cell in front keeps every later cell's power of Phi
+            Y = np.concatenate([np.zeros_like(Y[..., :1, :]), Y], axis=-2)
+        Y = Y[..., 0::2, :] @ Phi.T + Y[..., 1::2, :]
         Phi = Phi @ Phi
     return Y[..., 0, :]
 

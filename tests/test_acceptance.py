@@ -35,7 +35,7 @@ W_BAR = 1.0
 def default_sweep(jet):
     # shared by criteria 6 and 8: the full default grid at 500 samples
     return metrics_sweep_rows(jet, X0, W_BAR, DEFAULT_R_GRID, DEFAULT_TF_GRID,
-                              samples=500, seed=0, workers=4)
+                              samples=500, seed=0)
 
 
 def test_criterion_1_admire_stabilization(jet):
@@ -227,7 +227,7 @@ def test_criterion_9_determinism(tmp_path):
     rc_a = entry(["metrics-sweep", "--config", str(cfg), "--seed", "7",
                   "--out", str(tmp_path / "a")])
     rc_b = entry(["metrics-sweep", "--config", str(cfg), "--seed", "7",
-                  "--workers", "3", "--out", str(tmp_path / "b")])
+                  "--out", str(tmp_path / "b")])
     assert rc_a == 0 and rc_b == 0
     a = (tmp_path / "a" / "metrics.csv").read_bytes()
     b = (tmp_path / "b" / "metrics.csv").read_bytes()

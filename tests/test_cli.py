@@ -81,7 +81,11 @@ class TestStabilize:
         [{"name": "a", "kind": "sinusoid"}, {"name": "a", "kind": "constant_sign"}],
         [{"kind": "sinusoid"}, {"kind": "sinusoid"}],
         [{"name": "nominal", "kind": "sinusoid"}],
-    ], ids=["bad-kind", "repeated-name", "repeated-default-name", "reserved-name"])
+        [{"name": "s", "kind": "sinusoid", "phases": [float("nan"), 0, 0]}],
+        [{"name": "s", "kind": "sinusoid", "frequencies": [float("inf"), 27, 35]}],
+        [{"name": "s", "kind": "sinusoid", "amplitudes": [float("nan"), 1, 1]}],
+    ], ids=["bad-kind", "repeated-name", "repeated-default-name", "reserved-name",
+            "nan-phase", "inf-frequency", "nan-amplitude"])
     def test_bad_run_list_writes_nothing(self, tmp_path, disturbances):
         # every run is resolved before the first file is written, and a
         # name may own only one traj_<name>.csv
@@ -133,7 +137,7 @@ class TestMetricsSweep:
         rc1 = entry(["metrics-sweep", *fast_args, "--config", str(cfg),
                      "--out", str(tmp_path / "a")])
         rc2 = entry(["metrics-sweep", *fast_args, "--config", str(cfg),
-                     "--workers", "4", "--out", str(tmp_path / "b")])
+                     "--out", str(tmp_path / "b")])
         assert rc1 == 0 and rc2 == 0
         csv_a = (tmp_path / "a" / "metrics.csv").read_bytes()
         csv_b = (tmp_path / "b" / "metrics.csv").read_bytes()
@@ -218,8 +222,16 @@ class TestExitCodes:
         ("stabilize", {"disturbances": [{"kind": "piecewise_uniform", "cells": "x"}]}),
         ("metrics-sweep", {"R_grid": []}),
         ("bound-accuracy", {"tf_grid": []}),
+        ("metrics-sweep", {"workers": 2}),
+        ("energy", {"seed": float("inf")}),
+        ("metrics-sweep", {"samples": -float("inf")}),
+        ("bound-accuracy", {"cells": float("inf")}),
+        ("stabilize", {"disturbances": [{"kind": "piecewise_uniform",
+                                         "seed": float("inf")}]}),
     ], ids=["samples-text", "tf-text", "x0-text-entry", "model-number",
-            "disturbances-object", "cells-text", "empty-R-grid", "empty-tf-grid"])
+            "disturbances-object", "cells-text", "empty-R-grid", "empty-tf-grid",
+            "workers-key", "infinite-seed", "infinite-samples", "infinite-cells",
+            "infinite-disturbance-seed"])
     def test_malformed_config_value_is_config(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -227,6 +239,20 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
+
+    def test_infinite_steps_is_config(self, tmp_path):
+        # steps comes from the config only when no --steps flag is given
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 1e400}))
+        rc, out = run(tmp_path, "stabilize", "--config", str(cfg))
+        assert rc == EXIT_CONFIG
+        assert not out.exists() or not os.listdir(out)
+
+    def test_workers_flag_is_usage_error(self, tmp_path):
+        # argparse rejects the unknown flag with its usage-error status 2
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "metrics-sweep", "--workers", "4")
+        assert exc.value.code == EXIT_CONFIG
 
     def test_bad_settings_value_is_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -84,6 +84,17 @@ class TestSignals:
         with pytest.raises(DomainError):
             make_disturbance("sinusoid", 1.0, 2, amplitudes=[0.5, 1.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("key", ["amplitudes", "frequencies", "phases"])
+    def test_sinusoid_rejects_non_finite_parameters(self, key, bad):
+        with pytest.raises(DomainError, match=key):
+            make_disturbance("sinusoid", 1.0, 3, **{key: [bad, 0.5, 0.5]})
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_piecewise_rejects_non_finite_horizon(self, horizon):
+        with pytest.raises(DomainError, match="horizon"):
+            make_disturbance("piecewise_uniform", 1.0, 2, cells=4, horizon=horizon)
+
     def test_piecewise_constant_within_cells(self):
         w = make_disturbance("piecewise_uniform", 1.0, 2, seed=9, cells=10, horizon=1.0)
         v_a = w.eval(0.31)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from distcost.errors import DomainError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
-from distcost.simulate import (Trajectory, _rk4, simulate_closed_loop,
-                               trajectory_to_csv)
+from distcost.simulate import (Trajectory, _disturbance_stages, _rk4,
+                               simulate_closed_loop, trajectory_to_csv)
 from distcost.synthesis import disturbed_control, nominal_control
 from distcost.systems import LtiSystem, StabilizationTask
 
@@ -89,6 +89,29 @@ class TestAffineRk4:
         ref = rk4_reference(A, B, x0, h, U_half, w_stages)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestDisturbanceStages:
+    @pytest.mark.parametrize("t_f,cells_spanned", [(1.0, 8), (0.5, 4)])
+    def test_aligned_cells_repeat_cell_values(self, t_f, cells_spanned):
+        # 8 cells over [0, 1]: t_f spans whole cells that divide the steps,
+        # so all three stages of a step take its own cell's value
+        w = make_disturbance("piecewise_uniform", 1.0, 2, seed=4, cells=8, horizon=1.0)
+        stages = _disturbance_stages(w, t_f, 1000, 2)
+        expected = np.repeat(w.cell_values[:cells_spanned], 1000 // cells_spanned, axis=0)
+        for j in range(3):
+            assert np.array_equal(stages[:, j], expected)
+
+    def test_unaligned_cells_sample_each_stage(self):
+        # 7 cells do not divide 1000 steps: each stage takes the signal's
+        # value at its own node, so a step holding a jump sees both cells
+        w = make_disturbance("piecewise_uniform", 1.0, 2, seed=4, cells=7, horizon=1.0)
+        stages = _disturbance_stages(w, 1.0, 1000, 2)
+        h = 1.0 / 1000
+        left = np.linspace(0.0, 1.0, 1001)[:-1]
+        for j, offset in enumerate((0.0, 0.5 * h, h)):
+            assert np.array_equal(stages[:, j], w.eval(left + offset))
+        assert np.any(stages[:, 0] != stages[:, 2])
 
 
 class TestConvergenceOrder:

