@@ -24,8 +24,9 @@ from .energy import disturbed_energy_bound, disturbed_signal_energy, nominal_ene
 from .errors import (ConfigError, DimensionError, DomainError, ModelParseError,
                      NumericalError, ValidationError)
 from .gramian import build_bundle
+from .linalg import as_scalar
 from .models import builtin_models, load_model
-from .signals import derive_seed, make_disturbance
+from .signals import as_seed, derive_seed, make_disturbance
 from .simulate import csv_text, simulate_closed_loop, trajectory_to_csv
 from .sweeps import (DEFAULT_ACCURACY_TF_GRID, DEFAULT_R_GRID, DEFAULT_TF_GRID,
                      EVIDENCE_CELLS, bound_accuracy_rows, metrics_sweep_rows,
@@ -128,19 +129,23 @@ class RunConfig:
                 _pick(getattr(args, "tf_grid", None), cfg, "tf_grid", default_tf_grid),
                 "tf_grid")
             self.steps = int(_pick(args.steps, cfg, "steps", 5000))
-            self.seed = int(_pick(args.seed, cfg, "seed", 0))
+            self.seed = as_seed(_pick(args.seed, cfg, "seed", 0))
             self.out = str(_pick(args.out, cfg, "out", "."))
             self.samples = int(cfg.get("samples", 500))
-            self.cells = int(cfg.get("cells", EVIDENCE_CELLS))
+            default_cells = EVIDENCE_CELLS
+            if args.command == "stabilize":
+                # piecewise cells default to an even divisor of the step
+                # count, so the integrator sees cell-constant stage values
+                default_cells = 1000 if self.steps % 1000 == 0 else self.steps
+            self.cells = int(cfg.get("cells", default_cells))
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
         self.disturbances = cfg.get("disturbances", list(_DEFAULT_DISTURBANCES))
         if not isinstance(self.disturbances, list):
             raise ConfigError("disturbances must be a list of objects")
-        if any(v <= 0.0 for v in self.tf_grid):
-            raise ConfigError("tf_grid entries must be positive")
-        if any(v <= 0.0 for v in self.R_grid):
-            raise ConfigError("R_grid entries must be positive")
+        for key, grid in (("tf_grid", self.tf_grid), ("R_grid", self.R_grid)):
+            for v in grid:
+                as_scalar(v, f"{key} entry", positive=True)
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
 
@@ -184,7 +189,7 @@ def _signal_from_spec(spec: dict, sys_: LtiSystem, task: StabilizationTask,
                 kwargs[key] = np.asarray(spec[key], dtype=np.float64)
     elif kind == "piecewise_uniform":
         kwargs["cells"] = int(spec.get("cells", default_cells))
-        kwargs["seed"] = int(spec.get("seed", derive_seed(master_seed, 5, index)))
+        kwargs["seed"] = spec.get("seed", derive_seed(master_seed, 5, index))
         kwargs["horizon"] = task.t_f
     elif kind != "zero":
         raise ConfigError(f"unknown disturbance kind {kind!r}")
@@ -201,14 +206,11 @@ def _run_name(spec: dict, index: int) -> str:
 def _resolve_runs(cfg: RunConfig, sys_: LtiSystem, task: StabilizationTask,
                   bundle) -> list:
     # (name, signal) per configured disturbance, every one checked before
-    # stabilize writes its first file: each name owns traj_<name>.csv.
-    # Piecewise cells default to an even divisor of the step count so the
-    # integrator sees cell-constant stage values.
-    default_cells = 1000 if cfg.steps % 1000 == 0 else cfg.steps
+    # stabilize writes its first file: each name owns traj_<name>.csv
     runs, taken = [], {"nominal"}
     for i, spec in enumerate(cfg.disturbances):
         try:
-            w = _signal_from_spec(spec, sys_, task, bundle, default_cells, cfg.seed, i)
+            w = _signal_from_spec(spec, sys_, task, bundle, cfg.cells, cfg.seed, i)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"malformed disturbance spec {spec!r}: {exc}") from exc
         name = _run_name(spec, i)

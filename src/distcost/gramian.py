@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IllConditionedError, NumericalError
-from .linalg import SpectralDecomposition, block_expm, expm, sym_eig
+from .errors import IllConditionedError, NumericalError
+from .linalg import SpectralDecomposition, as_scalar, block_expm, expm, sym_eig
 from .systems import LtiSystem
 
 __all__ = ["GramianBundle", "controllability_gramian", "norm_integral", "build_bundle"]
@@ -44,13 +44,6 @@ class GramianBundle:
     state_transition: np.ndarray
 
 
-def _check_horizon(t_f) -> float:
-    t_f = float(t_f)
-    if not np.isfinite(t_f) or t_f <= 0.0:
-        raise DomainError(f"horizon t_f must be positive and finite, got {t_f}")
-    return t_f
-
-
 def _gramian_and_transition(sys: LtiSystem, t_f: float):
     trans, E12 = block_expm(sys.A, sys.B @ sys.B.T, -sys.A.T, t_f)
     W = E12 @ trans.T
@@ -65,7 +58,7 @@ def controllability_gramian(sys: LtiSystem, t_f) -> np.ndarray:
     eigenvalue spread says the horizon is too short for the pair to be
     usefully controllable in double precision.
     """
-    t_f = _check_horizon(t_f)
+    t_f = as_scalar(t_f, "horizon t_f", positive=True)
     W, _ = _gramian_and_transition(sys, t_f)
     _checked_eig(W, t_f)
     return W
@@ -94,7 +87,7 @@ def norm_integral(sys: LtiSystem, t_f) -> float:
     ``_NORM_INTEGRAL_TOL * t_f``; exhausting the halving depth raises
     NumericalError carrying the achieved estimate and error bound.
     """
-    t_f = _check_horizon(t_f)
+    t_f = as_scalar(t_f, "horizon t_f", positive=True)
     A = sys.A
 
     def f(s: float) -> float:
@@ -153,7 +146,7 @@ def build_bundle(sys: LtiSystem, t_f) -> GramianBundle:
     eigenvectors shared), which keeps W_B_inv exactly symmetric and hands
     the factors of W_B_inv to the worst-case energy bound for free.
     """
-    t_f = _check_horizon(t_f)
+    t_f = as_scalar(t_f, "horizon t_f", positive=True)
     W, trans = _gramian_and_transition(sys, t_f)
     spec_w = _checked_eig(W, t_f)
 

@@ -16,8 +16,8 @@ import numpy as np
 from . import _kernels as _k
 from .errors import DimensionError, DomainError, NumericalError
 
-__all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "expm", "block_expm",
-           "shifted_powers", "sym_eig", "norm"]
+__all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "as_scalar", "expm",
+           "block_expm", "shifted_powers", "sym_eig", "norm"]
 
 # Jacobi stops when off(M) <= _JACOBI_OFF_TOL * ||M||_F, which leaves the
 # eigenvalues accurate to about that relative level
@@ -45,6 +45,16 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise DomainError(f"{name} contains non-finite entries")
     return A
+
+
+def as_scalar(x, name: str, positive: bool = False) -> float:
+    """Coerce a horizon, amplitude or radius to a float, rejecting
+    non-finite and negative values and, when ``positive``, zero."""
+    x = float(x)
+    if not np.isfinite(x) or x < 0.0 or (positive and x == 0.0):
+        kind = "positive" if positive else "nonnegative"
+        raise DomainError(f"{name} must be {kind} and finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True)

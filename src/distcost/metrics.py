@@ -21,7 +21,7 @@ import numpy as np
 from .energy import disturbance_terms
 from .errors import DomainError, IllConditionedError
 from .gramian import GramianBundle
-from .linalg import norm, sym_eig
+from .linalg import as_scalar, norm, sym_eig
 from .systems import LtiSystem
 
 __all__ = ["MetricReport", "additive_metric_bound", "multiplicative_metric_bound",
@@ -42,23 +42,12 @@ class MetricReport:
     l_min: float
 
 
-def _radius(R, positive: bool) -> float:
-    R = float(R)
-    if not np.isfinite(R) or R < 0.0 or (positive and R == 0.0):
-        kind = "positive" if positive else "nonnegative"
-        raise DomainError(f"radius R must be {kind} and finite, got {R}")
-    return R
-
-
 def _additive(sys: LtiSystem, bundle: GramianBundle, w_bar, R):
     # (r_A_bound, gamma, c_term) at a checked radius R, or elementwise at
     # an array of them
     if bundle.W_B.shape != (sys.n, sys.n):
         raise DomainError("bundle does not match system dimensions")
-    w_bar = float(w_bar)
-    if not np.isfinite(w_bar) or w_bar < 0.0:
-        raise DomainError(f"w_bar must be nonnegative and finite, got {w_bar!r}")
-    q_bar, c_term = disturbance_terms(bundle, w_bar)
+    q_bar, c_term = disturbance_terms(bundle, as_scalar(w_bar, "w_bar"))
     weighted = (bundle.spec.lambdas[:, None] * bundle.spec.U.T) @ bundle.state_transition
     gamma = 2.0 * q_bar * norm(weighted, "one")
     return c_term + gamma * R * np.sqrt(sys.n), gamma, c_term
@@ -80,7 +69,7 @@ def _l_min(bundle: GramianBundle) -> float:
 def additive_metric_bound(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
                           R: float) -> float:
     """Upper bound on the worst extra disturbed energy over ||x0||_2 <= R."""
-    return _additive(sys, bundle, w_bar, _radius(R, positive=False))[0]
+    return _additive(sys, bundle, w_bar, as_scalar(R, "radius R"))[0]
 
 
 def multiplicative_metric_bound(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
@@ -94,11 +83,7 @@ def multiplicative_metric_bound(sys: LtiSystem, bundle: GramianBundle, w_bar: fl
 
 def hardness(R: float, t_f: float) -> float:
     """Hardness H = R / t_f of stabilizing from radius R within t_f."""
-    R = _radius(R, positive=False)
-    t_f = float(t_f)
-    if t_f <= 0.0 or not np.isfinite(t_f):
-        raise DomainError(f"t_f must be positive and finite, got {t_f}")
-    return R / t_f
+    return as_scalar(R, "radius R") / as_scalar(t_f, "t_f", positive=True)
 
 
 def metric_report(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
@@ -111,7 +96,7 @@ def _metric_reports(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
                     R_grid) -> list:
     # metric_report at every R of R_grid: gamma, c and l_min depend on the
     # bundle alone, so they (and l_min's eigensolve) are computed once
-    Rs = [_radius(R, positive=True) for R in R_grid]
+    Rs = [as_scalar(R, "radius R", positive=True) for R in R_grid]
     r_A, gamma, c_term = _additive(sys, bundle, w_bar, np.array(Rs))
     l = _l_min(bundle)
     return [MetricReport(

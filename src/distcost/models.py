@@ -54,20 +54,15 @@ def _parse_matrix(obj, rows: int, cols: int, field: str) -> np.ndarray:
                 raise ModelParseError(
                     f"row {i} of {field!r} has {len(r)} entries, expected {cols}"
                 )
-            for j, v in enumerate(r):
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise ModelParseError(
-                        f"entry ({i}, {j}) of {field!r} is not a number"
-                    )
-        return np.asarray(obj, dtype=np.float64)
-    # flat row-major
-    if len(obj) != rows * cols:
+        obj = [v for r in obj for v in r]
+    elif len(obj) != rows * cols:  # flat row-major
         raise ModelParseError(
             f"field {field!r} has {len(obj)} entries, expected {rows}x{cols}"
         )
     for k, v in enumerate(obj):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ModelParseError(f"entry {k} of {field!r} is not a number")
+            raise ModelParseError(
+                f"entry ({k // cols}, {k % cols}) of {field!r} is not a number")
     return np.asarray(obj, dtype=np.float64).reshape(rows, cols)
 
 

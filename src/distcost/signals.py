@@ -18,11 +18,20 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import DomainError
+from .linalg import as_scalar
 
 __all__ = ["DisturbanceSignal", "make_disturbance", "uniform_stream", "derive_seed",
-           "derive_seeds", "piecewise_cell_values"]
+           "derive_seeds", "piecewise_cell_values", "as_seed"]
 
 _MASK64 = (1 << 64) - 1
+
+
+def as_seed(seed) -> int:
+    """The integer a seed names. A float must be a whole number: 1.0 names
+    seed 1, while 1.5, nan and inf raise DomainError."""
+    if isinstance(seed, (float, np.floating)) and not float(seed).is_integer():
+        raise DomainError(f"seed must be a whole number, got {seed!r}")
+    return int(seed)
 
 
 def uniform_stream(seed, start: int, count: int) -> np.ndarray:
@@ -37,7 +46,7 @@ def uniform_stream(seed, start: int, count: int) -> np.ndarray:
     if count < 0:
         raise DomainError("count must be nonnegative")
     if not isinstance(seed, np.ndarray):
-        seed = np.uint64(int(seed) & _MASK64)
+        seed = np.uint64(as_seed(seed) & _MASK64)
     return _k.splitmix_fill(seed, int(start), int(count))
 
 
@@ -48,7 +57,7 @@ def derive_seed(master: int, *indices: int) -> int:
     evaluated in 64-bit wrapping arithmetic.
     """
     # a one-element array: uint64 array arithmetic wraps without warning
-    z = np.array([int(master) & _MASK64], dtype=np.uint64)
+    z = np.array([as_seed(master) & _MASK64], dtype=np.uint64)
     for idx in indices:
         z = _k.mix64(z ^ _k.mix64(z + np.uint64((int(idx) + 1) & _MASK64)))
     return int(z[0])
@@ -141,16 +150,15 @@ def make_disturbance(kind: str, w_bar: float, dim: int, seed: int = 0,
         Signal dimension (the state dimension n).
     seed : int
         Stream seed for piecewise_uniform; cell k, channel c consumes
-        draw k*dim + c of the stream.
+        draw k*dim + c of the stream. A float must be a whole number.
     sign_vector : entries in {-1, 0, +1}, constant_sign only.
     amplitudes, frequencies, phases : per-channel sinusoid parameters
         (rad/s for frequencies); amplitudes default to w_bar.
     cells, horizon : piecewise_uniform grid: ``cells`` uniform cells
         spanning [0, horizon].
     """
-    w_bar = float(w_bar)
-    if w_bar < 0.0 or not np.isfinite(w_bar):
-        raise DomainError(f"w_bar must be nonnegative and finite, got {w_bar}")
+    w_bar = as_scalar(w_bar, "w_bar")
+    seed = as_seed(seed)
     if dim < 1:
         raise DomainError("dim must be at least 1")
 
@@ -189,16 +197,13 @@ def make_disturbance(kind: str, w_bar: float, dim: int, seed: int = 0,
 
     if kind == "piecewise_uniform":
         cells = int(cells)
-        horizon = float(horizon)
         if cells < 1:
             raise DomainError("piecewise_uniform needs at least one cell")
-        if not 0.0 < horizon < np.inf:
-            raise DomainError(
-                f"piecewise_uniform horizon must be positive and finite, got {horizon}")
+        horizon = as_scalar(horizon, "piecewise_uniform horizon", positive=True)
         values = piecewise_cell_values(seed, w_bar, cells, dim)
         values.setflags(write=False)
         return DisturbanceSignal(kind="piecewise_uniform", w_bar=w_bar, dim=dim,
-                                 horizon=horizon, cell_values=values, seed=int(seed))
+                                 horizon=horizon, cell_values=values, seed=seed)
 
     raise DomainError(f"unknown disturbance kind {kind!r}")
 

@@ -138,8 +138,9 @@ def simulate_closed_loop(sys: LtiSystem, task: StabilizationTask, u,
     Parameters
     ----------
     u : ControlSignal, callable, or None
-        None means zero control; a ControlSignal is sampled through its
-        half-grid cache, any other callable is evaluated pointwise.
+        None means zero control; a ControlSignal is sampled on the half-step
+        grid by its ``sample_half_grid``, any other callable is evaluated
+        pointwise.
     w : DisturbanceSignal or None
         None means no disturbance.
     steps : int

@@ -17,13 +17,12 @@ signals a log2(K)-pass fold over the K cells. No quadrature is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 from .gramian import GramianBundle
-from .linalg import block_expm, expm, shifted_powers
+from .linalg import as_scalar, block_expm, expm, shifted_powers
 from .signals import DisturbanceSignal
 from .systems import LtiSystem, StabilizationTask
 
@@ -37,14 +36,14 @@ _CHECKPOINT = 256
 
 @dataclass(frozen=True)
 class ControlSignal:
-    """A synthesized control, defined exactly on [0, t_f].
+    """A synthesized control u(t) = -B^T e^{A^T(t_f - t)} g, defined
+    exactly on [0, t_f].
 
-    ``gain_vector`` is the constant W_B^{-1}[e^{A t_f} x0 + R(w, t_f)]
+    ``gain_vector`` is the constant g = W_B^{-1}[e^{A t_f} x0 + R(w, t_f)]
     the signal encodes; ``kind`` records whether a disturbance response
     was folded in. Calling the signal outside [0, t_f] raises.
     """
 
-    evaluator: Callable[[float], np.ndarray]
     t_f: float
     kind: str
     gain_vector: np.ndarray
@@ -56,7 +55,8 @@ class ControlSignal:
             raise DomainError(
                 f"control signal is defined on [0, {self.t_f:g}], got t = {t:g}"
             )
-        return self.evaluator(t)
+        Phi = expm(self.system.A.T * (self.t_f - t))
+        return -(self.system.B.T @ (Phi @ self.gain_vector))
 
     def sample_half_grid(self, steps: int) -> np.ndarray:
         """Control values on the half-step grid k * t_f / (2*steps).
@@ -98,27 +98,23 @@ def _check_bundle(sys: LtiSystem, task: StabilizationTask, bundle: GramianBundle
         )
 
 
-def _make_signal(sys: LtiSystem, t_f: float, gain: np.ndarray, kind: str) -> ControlSignal:
-    At = sys.A.T
-    B_T = sys.B.T
-
-    def evaluate(t: float) -> np.ndarray:
-        Phi = expm(At * (t_f - t))
-        return -(B_T @ (Phi @ gain))
-
-    gain = np.ascontiguousarray(gain)
+def _control(sys: LtiSystem, task: StabilizationTask, bundle: GramianBundle,
+             w: DisturbanceSignal | None) -> ControlSignal:
+    # the gain W_B^{-1}[e^{A t_f} x0 + R(w, t_f)], with R = 0 when w is None
+    _check_bundle(sys, task, bundle)
+    rhs = bundle.state_transition @ task.x0
+    if w is not None:
+        rhs = rhs + disturbance_response(sys, w, task.t_f)
+    gain = np.ascontiguousarray(bundle.spec.apply(rhs))
     gain.setflags(write=False)
-    return ControlSignal(evaluator=evaluate, t_f=t_f, kind=kind,
+    return ControlSignal(t_f=task.t_f, kind="nominal" if w is None else "disturbed",
                          gain_vector=gain, system=sys)
 
 
 def nominal_control(sys: LtiSystem, task: StabilizationTask,
                     bundle: GramianBundle) -> ControlSignal:
     """Minimum-energy control stabilizing the disturbance-free system at t_f."""
-    _check_bundle(sys, task, bundle)
-    rhs = bundle.state_transition @ task.x0
-    gain = bundle.spec.apply(rhs)
-    return _make_signal(sys, task.t_f, gain, "nominal")
+    return _control(sys, task, bundle, None)
 
 
 def disturbed_control(sys: LtiSystem, task: StabilizationTask,
@@ -129,13 +125,7 @@ def disturbed_control(sys: LtiSystem, task: StabilizationTask,
     identically zero (the zero signal takes a shortcut that returns an
     exact zero response, so the gain vectors match bit for bit).
     """
-    _check_bundle(sys, task, bundle)
-    if w.dim != sys.n:
-        raise DimensionError(f"disturbance dim {w.dim} does not match n = {sys.n}")
-    R = disturbance_response(sys, w, task.t_f)
-    rhs = bundle.state_transition @ task.x0 + R
-    gain = bundle.spec.apply(rhs)
-    return _make_signal(sys, task.t_f, gain, "disturbed")
+    return _control(sys, task, bundle, w)
 
 
 def disturbance_response(sys: LtiSystem, w: DisturbanceSignal, t_f) -> np.ndarray:
@@ -154,9 +144,7 @@ def disturbance_response(sys: LtiSystem, w: DisturbanceSignal, t_f) -> np.ndarra
     DomainError if the signal is not defined on all of [0, t_f], or (for
     piecewise signals) if t_f does not land on a cell boundary.
     """
-    t_f = float(t_f)
-    if t_f <= 0.0 or not np.isfinite(t_f):
-        raise DomainError(f"t_f must be positive and finite, got {t_f}")
+    t_f = as_scalar(t_f, "t_f", positive=True)
     if w.dim != sys.n:
         raise DimensionError(f"disturbance dim {w.dim} does not match n = {sys.n}")
     w.require_cover(t_f)

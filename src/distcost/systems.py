@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ValidationError
-from .linalg import as_matrix, as_vector
+from .errors import DimensionError, ValidationError
+from .linalg import as_matrix, as_scalar, as_vector
 
 # singular values of the controllability matrix below this times the
 # largest count as zero
@@ -84,13 +84,7 @@ class StabilizationTask:
         x0 = as_vector(self.x0, "x0")
         if not np.any(x0 != 0.0):
             raise ValidationError("x0 must be nonzero")
-        t_f = float(self.t_f)
-        if not np.isfinite(t_f) or t_f <= 0.0:
-            raise DomainError(f"t_f must be positive and finite, got {t_f}")
-        w_bar = float(self.w_bar)
-        if not np.isfinite(w_bar) or w_bar < 0.0:
-            raise DomainError(f"w_bar must be nonnegative and finite, got {w_bar}")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "t_f", t_f)
-        object.__setattr__(self, "w_bar", w_bar)
+        object.__setattr__(self, "t_f", as_scalar(self.t_f, "t_f", positive=True))
+        object.__setattr__(self, "w_bar", as_scalar(self.w_bar, "w_bar"))

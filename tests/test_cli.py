@@ -46,6 +46,17 @@ class TestStabilize:
         nominal = summary["runs"][0]
         assert abs(nominal["energy_quadrature"] - summary["E_N"]) / summary["E_N"] < 1e-5
 
+    def test_cells_key_sets_piecewise_cells(self, tmp_path):
+        spec = {"disturbances": [{"name": "p", "kind": "piecewise_uniform"}]}
+        texts = []
+        for doc in ({**spec, "cells": 10}, spec):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            rc, out = run(tmp_path, "stabilize", "--steps", "1000", "--config", str(cfg))
+            assert rc == 0
+            texts.append((out / "traj_p.csv").read_text())
+        assert texts[0] != texts[1]
+
     def test_custom_disturbance_names(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"disturbances": [
@@ -228,10 +239,15 @@ class TestExitCodes:
         ("bound-accuracy", {"cells": float("inf")}),
         ("stabilize", {"disturbances": [{"kind": "piecewise_uniform",
                                          "seed": float("inf")}]}),
+        ("stabilize", {"tf_grid": [1.0, -1.0]}),
+        ("metrics-sweep", {"R_grid": [10.0, float("nan")]}),
+        ("metrics-sweep", {"seed": 1.7}),
+        ("stabilize", {"disturbances": [{"kind": "piecewise_uniform", "seed": 1.5}]}),
     ], ids=["samples-text", "tf-text", "x0-text-entry", "model-number",
             "disturbances-object", "cells-text", "empty-R-grid", "empty-tf-grid",
             "workers-key", "infinite-seed", "infinite-samples", "infinite-cells",
-            "infinite-disturbance-seed"])
+            "infinite-disturbance-seed", "negative-tf-grid", "nan-R-grid", "fractional-seed",
+            "fractional-disturbance-seed"])
     def test_malformed_config_value_is_config(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))

@@ -1,0 +1,50 @@
+"""Every public entry point that takes a horizon, amplitude or radius
+rejects an out-of-domain value with DomainError, through the one shared
+rule ``linalg.as_scalar``."""
+
+import numpy as np
+import pytest
+
+from distcost.errors import DomainError
+from distcost.gramian import build_bundle, controllability_gramian, norm_integral
+from distcost.metrics import additive_metric_bound, hardness, multiplicative_metric_bound
+from distcost.signals import make_disturbance
+from distcost.synthesis import disturbance_response
+from distcost.systems import StabilizationTask
+
+_X0 = np.array([5.0, -1.0, 3.0])
+
+# (id, call with the value under test, whether zero is out of the domain);
+# w_bar and the radius of the additive bound and of hardness may be zero.
+# Each call takes the value, the ADMIRE system and its t_f = 0.5 bundle.
+ENTRY_POINTS = [
+    ("task-t_f", lambda x, s, b: StabilizationTask(x0=_X0, t_f=x, w_bar=1.0), True),
+    ("task-w_bar", lambda x, s, b: StabilizationTask(x0=_X0, t_f=1.0, w_bar=x), False),
+    ("build_bundle", lambda x, s, b: build_bundle(s, x), True),
+    ("controllability_gramian", lambda x, s, b: controllability_gramian(s, x), True),
+    ("norm_integral", lambda x, s, b: norm_integral(s, x), True),
+    ("disturbance_response",
+     lambda x, s, b: disturbance_response(s, make_disturbance("zero", 1.0, 3), x), True),
+    ("hardness-t_f", lambda x, s, b: hardness(10.0, x), True),
+    ("hardness-R", lambda x, s, b: hardness(x, 1.0), False),
+    ("additive-R", lambda x, s, b: additive_metric_bound(s, b, 1.0, x), False),
+    ("additive-w_bar", lambda x, s, b: additive_metric_bound(s, b, x, 10.0), False),
+    ("multiplicative-R", lambda x, s, b: multiplicative_metric_bound(s, b, 1.0, x), True),
+    ("multiplicative-w_bar",
+     lambda x, s, b: multiplicative_metric_bound(s, b, x, 10.0), False),
+    ("make_disturbance-w_bar", lambda x, s, b: make_disturbance("zero", x, 3), False),
+    ("make_disturbance-horizon",
+     lambda x, s, b: make_disturbance("piecewise_uniform", 1.0, 3, cells=4, horizon=x),
+     True),
+]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("call,positive", [e[1:] for e in ENTRY_POINTS],
+                         ids=[e[0] for e in ENTRY_POINTS])
+def test_out_of_domain_scalar_is_domain_error(jet, jet_bundle_half, call, positive, value):
+    if value == 0.0 and not positive:
+        call(value, jet, jet_bundle_half)  # zero is admissible here
+        return
+    with pytest.raises(DomainError):
+        call(value, jet, jet_bundle_half)

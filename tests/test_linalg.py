@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from distcost import linalg
 from distcost.errors import DimensionError, DomainError, NumericalError
-from distcost.linalg import as_matrix, as_vector, expm, norm, sym_eig
+from distcost.linalg import as_matrix, as_scalar, as_vector, expm, norm, sym_eig
 
 rng = np.random.default_rng(7)
 
@@ -27,6 +27,26 @@ class TestConversions:
     def test_as_vector_rejects_inf(self):
         with pytest.raises(DomainError):
             as_vector([np.inf], "v")
+
+    def test_as_scalar_returns_float(self):
+        x = as_scalar(np.int64(3), "t_f", positive=True)
+        assert x == 3.0 and type(x) is float
+        assert as_scalar(0, "w_bar") == 0.0
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_as_scalar_rejects_negative_and_non_finite(self, bad):
+        with pytest.raises(DomainError, match="w_bar must be nonnegative"):
+            as_scalar(bad, "w_bar")
+
+    def test_as_scalar_positive_rejects_zero(self):
+        with pytest.raises(DomainError, match="t_f must be positive"):
+            as_scalar(0.0, "t_f", positive=True)
+
+    def test_as_scalar_keeps_conversion_errors(self):
+        with pytest.raises(ValueError):
+            as_scalar("abc", "R")
+        with pytest.raises(TypeError):
+            as_scalar(None, "R")
 
 
 class TestExpm:

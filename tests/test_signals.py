@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distcost.errors import DomainError, ValidationError
-from distcost.signals import derive_seed, derive_seeds, make_disturbance, uniform_stream
+from distcost.signals import (as_seed, derive_seed, derive_seeds, make_disturbance,
+                              uniform_stream)
 
 
 class TestUniformStream:
@@ -123,6 +124,23 @@ class TestSignals:
     def test_negative_wbar_rejected(self):
         with pytest.raises(DomainError):
             make_disturbance("zero", -1.0, 2)
+
+    @pytest.mark.parametrize("seed", [1.7, -0.5, np.nan, np.inf])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            make_disturbance("piecewise_uniform", 1.0, 2, seed=seed, cells=4)
+        with pytest.raises(DomainError, match="seed"):
+            derive_seed(seed, 2)
+        with pytest.raises(DomainError, match="seed"):
+            uniform_stream(seed, 0, 4)
+
+    def test_whole_float_seed_names_its_integer(self):
+        w1 = make_disturbance("piecewise_uniform", 1.0, 2, seed=7.0, cells=8)
+        w2 = make_disturbance("piecewise_uniform", 1.0, 2, seed=7, cells=8)
+        assert w1.seed == 7 and type(w1.seed) is int
+        assert np.array_equal(w1.cell_values, w2.cell_values)
+        assert derive_seed(1.0, 2) == derive_seed(1, 2)
+        assert as_seed(np.int64(-3)) == -3 and as_seed(2**64 - 1) == 2**64 - 1
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 40), st.floats(0.1, 10.0))

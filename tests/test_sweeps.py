@@ -201,8 +201,9 @@ class TestBoundAccuracyRows:
 
     def test_constant_ratio_reuses_sign_search_integral(self, jet, jet_x0,
                                                        monkeypatch):
-        # the constant class takes its response from the sign search's
-        # int_0^tf e^{As} ds, with the same value as the signal path
+        # the constant class takes its response from piecewise_response of
+        # w_bar * s, not from disturbance_response, with the same value as
+        # the signal path
         kinds = []
         response = sweeps.disturbance_response
 
