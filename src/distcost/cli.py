@@ -20,18 +20,18 @@ import sys
 
 import numpy as np
 
-from .energy import disturbed_energy_bound, disturbed_signal_energy, nominal_energy
+from .energy import disturbed_energy_bound, disturbed_signal_energy
 from .errors import (ConfigError, DimensionError, DomainError, ModelParseError,
                      NumericalError, ValidationError)
 from .gramian import build_bundle
-from .linalg import as_scalar
+from .linalg import as_scalar, as_whole
 from .models import builtin_models, load_model
-from .signals import as_seed, derive_seed, make_disturbance
+from .signals import derive_seed, make_disturbance
 from .simulate import csv_text, simulate_closed_loop, trajectory_to_csv
 from .sweeps import (DEFAULT_ACCURACY_TF_GRID, DEFAULT_R_GRID, DEFAULT_TF_GRID,
                      EVIDENCE_CELLS, bound_accuracy_rows, metrics_sweep_rows,
                      worst_constant_sign)
-from .synthesis import disturbed_control, nominal_control
+from .synthesis import disturbed_control
 from .systems import LtiSystem, StabilizationTask
 
 EXIT_CONFIG = 2
@@ -128,16 +128,16 @@ class RunConfig:
             self.tf_grid = _float_tuple(
                 _pick(getattr(args, "tf_grid", None), cfg, "tf_grid", default_tf_grid),
                 "tf_grid")
-            self.steps = int(_pick(args.steps, cfg, "steps", 5000))
-            self.seed = as_seed(_pick(args.seed, cfg, "seed", 0))
+            self.steps = as_whole(_pick(args.steps, cfg, "steps", 5000), "steps")
+            self.seed = as_whole(_pick(args.seed, cfg, "seed", 0), "seed")
             self.out = str(_pick(args.out, cfg, "out", "."))
-            self.samples = int(cfg.get("samples", 500))
+            self.samples = as_whole(cfg.get("samples", 500), "samples")
             default_cells = EVIDENCE_CELLS
             if args.command == "stabilize":
                 # piecewise cells default to an even divisor of the step
                 # count, so the integrator sees cell-constant stage values
                 default_cells = 1000 if self.steps % 1000 == 0 else self.steps
-            self.cells = int(cfg.get("cells", default_cells))
+            self.cells = as_whole(cfg.get("cells", default_cells), "cells")
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
         self.disturbances = cfg.get("disturbances", list(_DEFAULT_DISTURBANCES))
@@ -174,26 +174,18 @@ def _signal_from_spec(spec: dict, sys_: LtiSystem, task: StabilizationTask,
         raise ConfigError(f"unknown disturbance keys: {sorted(unknown)}")
     kind = spec["kind"]
     w_bar = float(spec.get("wbar", task.w_bar))
-    kwargs = {}
-    if kind == "constant_sign":
-        sign = spec.get("sign_vector")
-        if sign is None:
-            # the worst pattern depends on the amplitude, so search at the
-            # spec's own
-            sign = worst_constant_sign(sys_, dataclasses.replace(task, w_bar=w_bar),
-                                       bundle)
-        kwargs["sign_vector"] = np.asarray(sign, dtype=np.float64)
-    elif kind == "sinusoid":
-        for key in ("amplitudes", "frequencies", "phases"):
-            if key in spec:
-                kwargs[key] = np.asarray(spec[key], dtype=np.float64)
-    elif kind == "piecewise_uniform":
-        kwargs["cells"] = int(spec.get("cells", default_cells))
-        kwargs["seed"] = spec.get("seed", derive_seed(master_seed, 5, index))
-        kwargs["horizon"] = task.t_f
-    elif kind != "zero":
-        raise ConfigError(f"unknown disturbance kind {kind!r}")
-    return make_disturbance(kind, w_bar, sys_.n, **kwargs)
+    sign = spec.get("sign_vector")
+    if kind == "constant_sign" and sign is None:
+        # the worst pattern depends on the amplitude, so search at the
+        # spec's own
+        sign = worst_constant_sign(sys_, dataclasses.replace(task, w_bar=w_bar), bundle)
+    return make_disturbance(kind, w_bar, sys_.n, sign_vector=sign,
+                            amplitudes=spec.get("amplitudes"),
+                            frequencies=spec.get("frequencies"),
+                            phases=spec.get("phases"),
+                            cells=spec.get("cells", default_cells),
+                            seed=spec.get("seed", derive_seed(master_seed, 5, index)),
+                            horizon=task.t_f)
 
 
 def _run_name(spec: dict, index: int) -> str:
@@ -230,24 +222,17 @@ def cmd_stabilize(cfg: RunConfig) -> int:
     outdir = cfg.outdir()
 
     runs = []
-    u_n = nominal_control(sys_, task, bundle)
-    traj = simulate_closed_loop(sys_, task, u_n, None, cfg.steps)
-    _atomic_write(os.path.join(outdir, "traj_nominal.csv"), trajectory_to_csv(traj))
-    runs.append({"name": "nominal", "kind": "zero",
-                 "terminal_residual": traj.terminal_residual,
-                 "energy_quadrature": traj.energy,
-                 "energy_closed_form": bound.E_N})
-
-    for name, w in resolved:
-        u_d = disturbed_control(sys_, task, bundle, w)
-        traj = simulate_closed_loop(sys_, task, u_d, w, cfg.steps)
+    for name, w in [("nominal", None), *resolved]:
+        control = disturbed_control(sys_, task, bundle, w)
+        traj = simulate_closed_loop(sys_, task, control, w, cfg.steps)
         _atomic_write(os.path.join(outdir, f"traj_{name}.csv"), trajectory_to_csv(traj))
-        e_d = disturbed_signal_energy(sys_, task, bundle, w)
-        runs.append({"name": name, "kind": w.kind,
-                     "terminal_residual": traj.terminal_residual,
-                     "energy_quadrature": traj.energy,
-                     "energy_closed_form": e_d,
-                     "bound_ratio": e_d / bound.E_D_bound})
+        run = {"name": name, "kind": "zero" if w is None else w.kind,
+               "terminal_residual": traj.terminal_residual,
+               "energy_quadrature": traj.energy, "energy_closed_form": bound.E_N}
+        if w is not None:
+            e_d = disturbed_signal_energy(sys_, task, bundle, w)
+            run.update(energy_closed_form=e_d, bound_ratio=e_d / bound.E_D_bound)
+        runs.append(run)
 
     summary = {"command": "stabilize", "config": cfg.echo(),
                "E_N": bound.E_N, "E_D_bound": bound.E_D_bound, "runs": runs}

@@ -16,8 +16,8 @@ import numpy as np
 from . import _kernels as _k
 from .errors import DimensionError, DomainError, NumericalError
 
-__all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "as_scalar", "expm",
-           "block_expm", "shifted_powers", "sym_eig", "norm"]
+__all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "as_scalar", "as_whole",
+           "expm", "block_expm", "shifted_powers", "sym_eig", "norm"]
 
 # Jacobi stops when off(M) <= _JACOBI_OFF_TOL * ||M||_F, which leaves the
 # eigenvalues accurate to about that relative level
@@ -55,6 +55,14 @@ def as_scalar(x, name: str, positive: bool = False) -> float:
         kind = "positive" if positive else "nonnegative"
         raise DomainError(f"{name} must be {kind} and finite, got {x}")
     return x
+
+
+def as_whole(x, name: str) -> int:
+    """The integer a count or seed names. A float must be a whole number:
+    5.0 names 5, while 5.9, nan and inf raise DomainError."""
+    if isinstance(x, (float, np.floating)) and not float(x).is_integer():
+        raise DomainError(f"{name} must be a whole number, got {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)

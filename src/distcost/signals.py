@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .errors import DomainError
-from .linalg import as_scalar
+from .linalg import as_scalar, as_whole
 
 __all__ = ["DisturbanceSignal", "make_disturbance", "uniform_stream", "derive_seed",
            "derive_seeds", "piecewise_cell_values", "as_seed"]
@@ -27,11 +27,8 @@ _MASK64 = (1 << 64) - 1
 
 
 def as_seed(seed) -> int:
-    """The integer a seed names. A float must be a whole number: 1.0 names
-    seed 1, while 1.5, nan and inf raise DomainError."""
-    if isinstance(seed, (float, np.floating)) and not float(seed).is_integer():
-        raise DomainError(f"seed must be a whole number, got {seed!r}")
-    return int(seed)
+    """The integer a seed names, by the whole-number rule of ``as_whole``."""
+    return as_whole(seed, "seed")
 
 
 def uniform_stream(seed, start: int, count: int) -> np.ndarray:
@@ -155,7 +152,7 @@ def make_disturbance(kind: str, w_bar: float, dim: int, seed: int = 0,
     amplitudes, frequencies, phases : per-channel sinusoid parameters
         (rad/s for frequencies); amplitudes default to w_bar.
     cells, horizon : piecewise_uniform grid: ``cells`` uniform cells
-        spanning [0, horizon].
+        spanning [0, horizon]; a float count must be a whole number.
     """
     w_bar = as_scalar(w_bar, "w_bar")
     seed = as_seed(seed)
@@ -196,7 +193,7 @@ def make_disturbance(kind: str, w_bar: float, dim: int, seed: int = 0,
                                  amplitudes=amp, frequencies=freq, phases=ph)
 
     if kind == "piecewise_uniform":
-        cells = int(cells)
+        cells = as_whole(cells, "cells")
         if cells < 1:
             raise DomainError("piecewise_uniform needs at least one cell")
         horizon = as_scalar(horizon, "piecewise_uniform horizon", positive=True)

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import shifted_powers
+from .linalg import as_whole, shifted_powers
 from .signals import DisturbanceSignal
+from .synthesis import ControlSignal
 from .systems import LtiSystem, StabilizationTask
 
 __all__ = ["Trajectory", "simulate_closed_loop", "trajectory_to_csv", "csv_text"]
@@ -53,20 +54,6 @@ class Trajectory:
     @property
     def energy(self) -> float:
         return float(self.control_energy_running[-1])
-
-
-def _control_half_grid(u, t_f: float, steps: int, p: int) -> np.ndarray:
-    if u is None:
-        return np.zeros((2 * steps + 1, p))
-    if hasattr(u, "sample_half_grid"):
-        if abs(u.t_f - t_f) > 1e-12 * max(1.0, t_f):
-            raise DomainError(
-                f"control defined on [0, {u.t_f:g}] does not match horizon {t_f:g}"
-            )
-        return u.sample_half_grid(steps)
-    # plain callable: evaluate pointwise on the half grid
-    taus = np.linspace(0.0, t_f, 2 * steps + 1)
-    return np.ascontiguousarray([np.asarray(u(t), dtype=np.float64) for t in taus])
 
 
 def _disturbance_stages(w: DisturbanceSignal, t_f: float, steps: int,
@@ -131,20 +118,22 @@ def _rk4(A, B, x0, h, U_half, w_stages):
     return np.concatenate([X.reshape(-1, n), starts[blocks:]])[:steps + 1]
 
 
-def simulate_closed_loop(sys: LtiSystem, task: StabilizationTask, u,
+def simulate_closed_loop(sys: LtiSystem, task: StabilizationTask, u: ControlSignal,
                          w: DisturbanceSignal | None, steps: int) -> Trajectory:
     """Integrate xdot = A x + B u(t) + w(t) from x0 over [0, t_f].
 
     Parameters
     ----------
-    u : ControlSignal, callable, or None
-        None means zero control; a ControlSignal is sampled on the half-step
-        grid by its ``sample_half_grid``, any other callable is evaluated
-        pointwise.
+    u : ControlSignal
+        Sampled on the half-step grid by its ``sample_half_grid``. It must
+        be built for the task's horizon (else DomainError) and the
+        system's input count (else DimensionError); a zero gain vector
+        gives zero control.
     w : DisturbanceSignal or None
         None means no disturbance.
     steps : int
-        Uniform RK4 step count, at least 100.
+        Uniform RK4 step count, at least 100; a float must be a whole
+        number.
 
     Returns
     -------
@@ -152,7 +141,7 @@ def simulate_closed_loop(sys: LtiSystem, task: StabilizationTask, u,
         States and controls on the step grid, state norms, and the
         running control energy (composite Simpson per step).
     """
-    steps = int(steps)
+    steps = as_whole(steps, "steps")
     if steps < 100:
         raise DomainError(f"steps must be at least 100, got {steps}")
     if w is not None and w.dim != sys.n:
@@ -160,12 +149,15 @@ def simulate_closed_loop(sys: LtiSystem, task: StabilizationTask, u,
     t_f = task.t_f
     h = t_f / steps
 
-    U_half = _control_half_grid(u, t_f, steps, sys.p)
-    if U_half.shape != (2 * steps + 1, sys.p):
-        raise DimensionError(
-            f"control samples have shape {U_half.shape}, expected "
-            f"{(2 * steps + 1, sys.p)}"
+    if abs(u.t_f - t_f) > 1e-12 * max(1.0, t_f):
+        raise DomainError(
+            f"control defined on [0, {u.t_f:g}] does not match horizon {t_f:g}"
         )
+    if u.system.p != sys.p:
+        raise DimensionError(
+            f"control has {u.system.p} inputs, the system has p = {sys.p}"
+        )
+    U_half = u.sample_half_grid(steps)
     w_stages = _disturbance_stages(w, t_f, steps, sys.n)
     X = _rk4(sys.A, sys.B, task.x0, h, U_half, w_stages)
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .energy import (_response_energy, disturbance_terms,
-                     disturbed_energy_bound, energy_bound_rows, nominal_energy,
-                     weighted_energies)
+                     disturbed_energy_bound, energy_bound_rows, weighted_energies)
 from .errors import DomainError
 from .gramian import GramianBundle, build_bundle
+from .linalg import as_whole
 from .metrics import MetricReport, _metric_reports
 from .signals import (derive_seed, derive_seeds, make_disturbance,
                       piecewise_cell_values, uniform_stream)
@@ -162,8 +162,7 @@ def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
                  cells: int):
     t_f, R, n = bundle.t_f, rep.R, sys.n
     task_rep = StabilizationTask(x0=R * x0_dir, t_f=t_f, w_bar=w_bar)
-    e_n_rep = nominal_energy(sys, task_rep, bundle)
-    e_bound_rep = disturbed_energy_bound(sys, task_rep, bundle).E_D_bound
+    report = disturbed_energy_bound(sys, task_rep, bundle)
     Phi_T = bundle.state_transition.T
 
     # additive evidence: the worst-case extra energy E_D_bound - E_N of
@@ -197,8 +196,8 @@ def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
         "H": float(R) / float(t_f),
         "r_A_bound": float(rep.r_A_bound),
         "r_M_bound": float(rep.r_M_bound),
-        "E_N": float(e_n_rep),
-        "E_D_bound": float(e_bound_rep),
+        "E_N": report.E_N,
+        "E_D_bound": report.E_D_bound,
         "diff_min": float(np.min(diff, initial=np.inf)),
         "diff_max": float(np.max(diff, initial=-np.inf)),
         "ratio_min": ratio_min,
@@ -217,7 +216,7 @@ def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
     direction of the representative initial state R * x0_dir reported in
     the E_N / E_D_bound columns.
     """
-    samples, cells = int(samples), int(cells)
+    samples, cells = as_whole(samples, "samples"), as_whole(cells, "cells")
     if samples < 1:
         raise DomainError("samples must be >= 1")
     if cells < 1:

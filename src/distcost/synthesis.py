@@ -40,12 +40,10 @@ class ControlSignal:
     exactly on [0, t_f].
 
     ``gain_vector`` is the constant g = W_B^{-1}[e^{A t_f} x0 + R(w, t_f)]
-    the signal encodes; ``kind`` records whether a disturbance response
-    was folded in. Calling the signal outside [0, t_f] raises.
+    the signal encodes. Calling the signal outside [0, t_f] raises.
     """
 
     t_f: float
-    kind: str
     gain_vector: np.ndarray
     system: LtiSystem
 
@@ -107,8 +105,7 @@ def _control(sys: LtiSystem, task: StabilizationTask, bundle: GramianBundle,
         rhs = rhs + disturbance_response(sys, w, task.t_f)
     gain = np.ascontiguousarray(bundle.spec.apply(rhs))
     gain.setflags(write=False)
-    return ControlSignal(t_f=task.t_f, kind="nominal" if w is None else "disturbed",
-                         gain_vector=gain, system=sys)
+    return ControlSignal(t_f=task.t_f, gain_vector=gain, system=sys)
 
 
 def nominal_control(sys: LtiSystem, task: StabilizationTask,
@@ -118,12 +115,13 @@ def nominal_control(sys: LtiSystem, task: StabilizationTask,
 
 
 def disturbed_control(sys: LtiSystem, task: StabilizationTask,
-                      bundle: GramianBundle, w: DisturbanceSignal) -> ControlSignal:
+                      bundle: GramianBundle, w: DisturbanceSignal | None) -> ControlSignal:
     """Minimum-energy stabilizing control when w is known a priori.
 
-    Reduces exactly to the nominal control when the response of w is
-    identically zero (the zero signal takes a shortcut that returns an
-    exact zero response, so the gain vectors match bit for bit).
+    w = None gives the nominal control. It reduces exactly to the nominal
+    control when the response of w is identically zero too (the zero
+    signal takes a shortcut that returns an exact zero response, so the
+    gain vectors match bit for bit).
     """
     return _control(sys, task, bundle, w)
 

@@ -82,6 +82,21 @@ class TestStabilize:
             for s in product((1.0, -1.0), repeat=3))
         assert loud["energy_closed_form"] == worst
 
+    def test_sinusoid_spec_amplitudes_reach_run(self, tmp_path, jet, jet_x0):
+        amplitudes = [0.5, 0.25, 1.0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tf": 0.5, "disturbances": [
+            {"name": "s", "kind": "sinusoid", "amplitudes": amplitudes}]}))
+        rc, out = run(tmp_path, "stabilize", "--steps", "200", "--config", str(cfg))
+        assert rc == 0
+        got = json.loads((out / "summary.json").read_text())["runs"][1]
+        task = StabilizationTask(x0=jet_x0, t_f=0.5, w_bar=1.0)
+        bundle = build_bundle(jet, 0.5)
+        spec_energy, default_energy = (disturbed_signal_energy(
+            jet, task, bundle, make_disturbance("sinusoid", 1.0, 3, amplitudes=a))
+            for a in (np.array(amplitudes), None))
+        assert got["energy_closed_form"] == spec_energy != default_energy
+
     def test_csv_header(self, tmp_path):
         rc, out = run(tmp_path, "stabilize", "--steps", "500")
         header = (out / "traj_nominal.csv").read_text().split("\n", 1)[0]
@@ -243,11 +258,15 @@ class TestExitCodes:
         ("metrics-sweep", {"R_grid": [10.0, float("nan")]}),
         ("metrics-sweep", {"seed": 1.7}),
         ("stabilize", {"disturbances": [{"kind": "piecewise_uniform", "seed": 1.5}]}),
+        ("metrics-sweep", {"samples": 5.9}),
+        ("bound-accuracy", {"cells": 4.7}),
+        ("stabilize", {"disturbances": [{"kind": "piecewise_uniform", "cells": 4.7}]}),
     ], ids=["samples-text", "tf-text", "x0-text-entry", "model-number",
             "disturbances-object", "cells-text", "empty-R-grid", "empty-tf-grid",
             "workers-key", "infinite-seed", "infinite-samples", "infinite-cells",
             "infinite-disturbance-seed", "negative-tf-grid", "nan-R-grid", "fractional-seed",
-            "fractional-disturbance-seed"])
+            "fractional-disturbance-seed", "fractional-samples", "fractional-cells",
+            "fractional-disturbance-cells"])
     def test_malformed_config_value_is_config(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -260,6 +279,13 @@ class TestExitCodes:
         # steps comes from the config only when no --steps flag is given
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": 1e400}))
+        rc, out = run(tmp_path, "stabilize", "--config", str(cfg))
+        assert rc == EXIT_CONFIG
+        assert not out.exists() or not os.listdir(out)
+
+    def test_fractional_steps_is_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 200.5}))
         rc, out = run(tmp_path, "stabilize", "--config", str(cfg))
         assert rc == EXIT_CONFIG
         assert not out.exists() or not os.listdir(out)

@@ -104,6 +104,18 @@ class TestNormIntegral:
         ref = scipy.integrate.simpson(vals, x=taus)
         assert norm_integral(jet, 5.0) == pytest.approx(ref, rel=1e-6)
 
+    @pytest.mark.parametrize("seed", [13, 34])
+    def test_kinked_integrand_meets_tolerance(self, seed):
+        # the row attaining ||e^{As}||_inf changes at a kink, where the
+        # panels hit the halving depth; their pessimistic error share still
+        # fits the tolerance, so the integral returns instead of raising
+        A = np.random.default_rng(seed).standard_normal((2, 2)) / np.sqrt(2.0)
+        sys = LtiSystem(A, np.eye(2), name="kink")
+        ref, _ = scipy.integrate.quad(
+            lambda s: np.linalg.norm(scipy.linalg.expm(A * s), np.inf), 0.0, 5.0,
+            epsabs=1e-12, epsrel=1e-13, limit=500)
+        assert abs(norm_integral(sys, 5.0) - ref) <= gramian._NORM_INTEGRAL_TOL * 5.0
+
     def test_budget_exhaustion_raises_with_estimate(self, jet, monkeypatch):
         monkeypatch.setattr(gramian, "_ADAPTIVE_DEPTH", 2)
         monkeypatch.setattr(gramian, "_NORM_INTEGRAL_TOL", 1e-14)

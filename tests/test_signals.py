@@ -96,6 +96,12 @@ class TestSignals:
         with pytest.raises(DomainError, match="horizon"):
             make_disturbance("piecewise_uniform", 1.0, 2, cells=4, horizon=horizon)
 
+    def test_piecewise_fractional_cells_rejected(self):
+        with pytest.raises(DomainError, match="cells"):
+            make_disturbance("piecewise_uniform", 1.0, 2, cells=4.7)
+        w = make_disturbance("piecewise_uniform", 1.0, 2, cells=4.0)
+        assert w.cells == 4
+
     def test_piecewise_constant_within_cells(self):
         w = make_disturbance("piecewise_uniform", 1.0, 2, seed=9, cells=10, horizon=1.0)
         v_a = w.eval(0.31)

@@ -5,12 +5,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distcost.errors import DomainError
+from distcost.errors import DimensionError, DomainError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
 from distcost.simulate import (Trajectory, _disturbance_stages, _rk4,
                                simulate_closed_loop, trajectory_to_csv)
-from distcost.synthesis import disturbed_control, nominal_control
+from distcost.synthesis import ControlSignal, disturbed_control, nominal_control
 from distcost.systems import LtiSystem, StabilizationTask
 
 
@@ -64,7 +64,7 @@ class TestClosedForm:
         A = np.array([[-0.6, 0.2], [0.0, -1.1]])
         sys = LtiSystem(A, np.eye(2), name="a")
         task = StabilizationTask(x0=np.array([1.0, -2.0]), t_f=2.0)
-        zero_u = lambda t: np.zeros(2)
+        zero_u = ControlSignal(t_f=2.0, gain_vector=np.zeros(2), system=sys)
         traj = simulate_closed_loop(sys, task, zero_u, None, 400)
         for idx in (0, 100, 400):
             ref = scipy.linalg.expm(A * traj.times[idx]) @ task.x0
@@ -161,6 +161,24 @@ class TestValidation:
         sys, task, u = scalar_run
         with pytest.raises(DomainError):
             simulate_closed_loop(sys, task, u, None, 99)
+
+    def test_fractional_steps(self, scalar_run):
+        sys, task, u = scalar_run
+        with pytest.raises(DomainError, match="steps"):
+            simulate_closed_loop(sys, task, u, None, 100.5)
+
+    def test_control_for_another_horizon(self, scalar_run):
+        sys, _, u = scalar_run
+        task = StabilizationTask(x0=np.array([1.0]), t_f=2.0)
+        with pytest.raises(DomainError, match="horizon"):
+            simulate_closed_loop(sys, task, u, None, 100)
+
+    def test_control_for_another_input_count(self, scalar_run):
+        sys, task, _ = scalar_run
+        two_inputs = LtiSystem(np.zeros((1, 1)), np.ones((1, 2)), name="s2")
+        u = ControlSignal(t_f=1.0, gain_vector=np.zeros(1), system=two_inputs)
+        with pytest.raises(DimensionError, match="inputs"):
+            simulate_closed_loop(sys, task, u, None, 100)
 
     def test_outputs_readonly(self, scalar_run):
         sys, task, u = scalar_run

@@ -260,6 +260,12 @@ class TestMetricsSweepRows:
         with pytest.raises(DomainError, match="samples"):
             metrics_sweep_rows(jet, jet_x0, 1.0, (100.0,), (0.5,), samples=0)
 
+    @pytest.mark.parametrize("key,value", [("samples", 5.9), ("cells", 4.7)])
+    def test_fractional_count_rejected(self, jet, jet_x0, key, value):
+        with pytest.raises(DomainError, match=key):
+            metrics_sweep_rows(jet, jet_x0, 1.0, (100.0,), (0.5,),
+                               **{"samples": 5, "cells": 4, key: value})
+
     def test_zero_cells_rejected(self, jet, jet_x0):
         with pytest.raises(DomainError, match="cells"):
             metrics_sweep_rows(jet, jet_x0, 1.0, (100.0,), (0.5,), samples=5,

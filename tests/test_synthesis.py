@@ -98,7 +98,7 @@ class TestHalfGrid:
         sys = LtiSystem(A, B, name="osc")
         total = 3.0
         g = np.array([0.7, -1.1])
-        u = ControlSignal(t_f=total, kind="nominal", gain_vector=g, system=sys)
+        u = ControlSignal(t_f=total, gain_vector=g, system=sys)
         U = u.sample_half_grid(steps)
         last = 2 * steps
         delta = total / last
