@@ -1,10 +1,14 @@
 """Hot numerical kernels, one whole-array numpy implementation each.
 
 expm_core is degree-13 Pade scaling and squaring, jacobi_core the cyclic
-Jacobi eigensolve (kept over a QR-based solver for its relative accuracy
-on graded positive-definite Gramians), and splitmix_fill the
-counter-based splitmix64 stream. RK4 and the control half-grid need no
-kernel: they are batched numpy in simulate.py and synthesis.py.
+Jacobi eigensolve, and splitmix_fill the counter-based splitmix64
+stream. RK4 and the control half-grid need no kernel: they are batched
+numpy in simulate.py and synthesis.py.
+
+Jacobi stops on the absolute test off(S) <= tol * ||S||_F, so on
+ill-conditioned Gramians it is less accurate than numpy.linalg.eigh: at
+cond(W_B) 3.4e9 it left E_N 6.0e-5 off a 60-digit truth, where eigh was
+2.4e-7 off.
 
 Kernels take C-contiguous float64 arrays and do no validation; the
 wrappers in linalg/gramian/signals own the error checking.

@@ -26,7 +26,7 @@ from .errors import (ConfigError, DimensionError, DomainError, ModelParseError,
 from .gramian import build_bundle
 from .linalg import as_scalar, as_whole
 from .models import builtin_models, load_model
-from .signals import derive_seed, make_disturbance
+from .signals import KIND_PARAMETERS, derive_seed, make_disturbance
 from .simulate import csv_text, simulate_closed_loop, trajectory_to_csv
 from .sweeps import (DEFAULT_ACCURACY_TF_GRID, DEFAULT_R_GRID, DEFAULT_TF_GRID,
                      EVIDENCE_CELLS, bound_accuracy_rows, metrics_sweep_rows,
@@ -40,9 +40,6 @@ EXIT_NUMERIC = 4
 
 _CONFIG_KEYS = {"model", "x0", "tf", "wbar", "R_grid", "tf_grid", "steps",
                 "seed", "out", "samples", "cells", "disturbances"}
-
-_DISTURBANCE_KEYS = {"name", "kind", "wbar", "sign_vector", "amplitudes",
-                     "frequencies", "phases", "cells", "seed"}
 
 _DEFAULT_DISTURBANCES = ({"name": "constant", "kind": "constant_sign"},
                          {"name": "sinusoid", "kind": "sinusoid"},
@@ -167,25 +164,26 @@ class RunConfig:
 
 def _signal_from_spec(spec: dict, sys_: LtiSystem, task: StabilizationTask,
                       bundle, default_cells: int, master_seed: int, index: int):
+    # a spec is a name, a kind, an amplitude and that kind's parameters
+    # (make_disturbance rejects any other key), but never a horizon: a
+    # piecewise grid always spans [0, t_f]
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"disturbance spec must be an object with a 'kind': {spec!r}")
-    unknown = set(spec) - _DISTURBANCE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown disturbance keys: {sorted(unknown)}")
+    if "horizon" in spec:
+        raise ConfigError("a disturbance spec takes no horizon; cells span [0, tf]")
     kind = spec["kind"]
     w_bar = float(spec.get("wbar", task.w_bar))
-    sign = spec.get("sign_vector")
-    if kind == "constant_sign" and sign is None:
+    params = {k: v for k, v in spec.items() if k not in ("name", "kind", "wbar")}
+    takes = KIND_PARAMETERS.get(kind, {})
+    if "horizon" in takes:
+        params = {"cells": default_cells, "seed": derive_seed(master_seed, 5, index),
+                  **params, "horizon": task.t_f}
+    if "sign_vector" in takes and params.get("sign_vector") is None:
         # the worst pattern depends on the amplitude, so search at the
         # spec's own
-        sign = worst_constant_sign(sys_, dataclasses.replace(task, w_bar=w_bar), bundle)
-    return make_disturbance(kind, w_bar, sys_.n, sign_vector=sign,
-                            amplitudes=spec.get("amplitudes"),
-                            frequencies=spec.get("frequencies"),
-                            phases=spec.get("phases"),
-                            cells=spec.get("cells", default_cells),
-                            seed=spec.get("seed", derive_seed(master_seed, 5, index)),
-                            horizon=task.t_f)
+        params["sign_vector"] = worst_constant_sign(
+            sys_, dataclasses.replace(task, w_bar=w_bar), bundle)
+    return make_disturbance(kind, w_bar, sys_.n, **params)
 
 
 def _run_name(spec: dict, index: int) -> str:

@@ -2,8 +2,10 @@
 
 Three concrete classes plus zero: a constant sign-pattern disturbance at
 full amplitude, per-channel sinusoids, and a piecewise-constant signal
-with i.i.d. uniform values per grid cell. Every signal satisfies
-||w(t)||_inf <= w_bar by construction.
+with i.i.d. uniform values per grid cell. ``KIND_PARAMETERS`` is the one
+table of each kind's parameters. Zero and constant signals are a single
+cell, so every kind but the sinusoid is a cell grid. Every signal
+satisfies ||w(t)||_inf <= w_bar by construction.
 
 Randomness is a counter-based splitmix64 stream (see ``uniform_stream``),
 so any draw can be regenerated from (seed, index) alone and identical
@@ -20,8 +22,8 @@ from . import _kernels as _k
 from .errors import DomainError
 from .linalg import as_scalar, as_whole
 
-__all__ = ["DisturbanceSignal", "make_disturbance", "uniform_stream", "derive_seed",
-           "derive_seeds", "piecewise_cell_values", "as_seed"]
+__all__ = ["DisturbanceSignal", "KIND_PARAMETERS", "make_disturbance", "uniform_stream",
+           "derive_seed", "derive_seeds", "piecewise_cell_values", "as_seed"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -40,11 +42,12 @@ def uniform_stream(seed, start: int, count: int) -> np.ndarray:
     0x94D049BB133111EB, xor-shift 31). ``seed`` is an int, or a uint64
     vector of seeds giving one row of draws each.
     """
+    start, count = as_whole(start, "start"), as_whole(count, "count")
     if count < 0:
         raise DomainError("count must be nonnegative")
     if not isinstance(seed, np.ndarray):
         seed = np.uint64(as_seed(seed) & _MASK64)
-    return _k.splitmix_fill(seed, int(start), int(count))
+    return _k.splitmix_fill(seed, start, count)
 
 
 def derive_seed(master: int, *indices: int) -> int:
@@ -56,7 +59,8 @@ def derive_seed(master: int, *indices: int) -> int:
     # a one-element array: uint64 array arithmetic wraps without warning
     z = np.array([as_seed(master) & _MASK64], dtype=np.uint64)
     for idx in indices:
-        z = _k.mix64(z ^ _k.mix64(z + np.uint64((int(idx) + 1) & _MASK64)))
+        idx = as_whole(idx, "seed index")
+        z = _k.mix64(z ^ _k.mix64(z + np.uint64((idx + 1) & _MASK64)))
     return int(z[0])
 
 
@@ -64,30 +68,40 @@ def derive_seeds(master: int, count: int, *indices: int) -> np.ndarray:
     """``derive_seed(master, *indices, k)`` for k = 0..count-1, as one
     uint64 vector."""
     z = np.uint64(derive_seed(master, *indices))
-    k = np.arange(count, dtype=np.uint64)
+    k = np.arange(as_whole(count, "count"), dtype=np.uint64)
     return _k.mix64(z ^ _k.mix64(z + k + np.uint64(1)))
+
+
+# each kind's parameters and their defaults; a None default is derived
+# from w_bar and dim: all-plus signs, amplitudes w_bar, the default
+# frequencies, zero phases
+KIND_PARAMETERS = {
+    "zero": {},
+    "constant_sign": {"sign_vector": None},
+    "sinusoid": {"amplitudes": None, "frequencies": None, "phases": None},
+    "piecewise_uniform": {"cells": 1000, "seed": 0, "horizon": 1.0},
+}
 
 
 @dataclass(frozen=True)
 class DisturbanceSignal:
     """A vector disturbance on [0, horizon] with ||w(t)||_inf <= w_bar.
 
-    ``kind`` is one of zero, constant_sign, sinusoid, piecewise_uniform.
-    Analytic kinds are defined for all t >= 0 (horizon = inf); the
-    piecewise kind owns a uniform cell grid over [0, horizon] and is
-    constant inside each cell, taking the last cell's value at t = horizon.
+    ``kind`` labels the class (a key of ``KIND_PARAMETERS``). A sinusoid
+    carries its per-channel parameters; every other kind is a uniform
+    cell grid over [0, horizon], constant inside each cell and taking the
+    last cell's value at t = horizon. Zero and constant signals are one
+    cell over all t >= 0 (horizon = inf); a sinusoid is defined there too.
     """
 
     kind: str
     w_bar: float
     dim: int
     horizon: float = np.inf
-    sign_vector: np.ndarray | None = None
     amplitudes: np.ndarray | None = None
     frequencies: np.ndarray | None = None
     phases: np.ndarray | None = None
     cell_values: np.ndarray | None = None
-    seed: int | None = None
 
     @property
     def cells(self) -> int:
@@ -102,8 +116,11 @@ class DisturbanceSignal:
             )
 
     def aligned_cells(self, t_f: float) -> int:
-        """How many whole piecewise cells span [0, t_f]; 0 when t_f falls
-        inside a cell."""
+        """How many whole cells span [0, t_f]; 0 when t_f falls inside a
+        cell. A single cell is constant, so it counts as aligned with
+        every t_f it covers."""
+        if self.cells == 1:
+            return 1
         frac = t_f / self.horizon * self.cells
         K = int(round(frac))
         return K if K >= 1 and abs(frac - K) <= 1e-9 * max(1.0, frac) else 0
@@ -118,91 +135,75 @@ class DisturbanceSignal:
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
     def _values(self, taus: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros((taus.size, self.dim))
-        if self.kind == "constant_sign":
-            return np.broadcast_to(self.w_bar * self.sign_vector,
-                                   (taus.size, self.dim)).copy()
-        if self.kind == "sinusoid":
+        if self.cell_values is None:
             arg = np.outer(taus, self.frequencies) + self.phases
             return np.sin(arg) * self.amplitudes
-        # piecewise_uniform: cell k owns [k*d, (k+1)*d), last cell closed
+        # cell k owns [k*d, (k+1)*d), last cell closed
         idx = np.clip((taus / self.horizon * self.cells).astype(np.int64),
                       0, self.cells - 1)
         return self.cell_values[idx]
 
 
-def make_disturbance(kind: str, w_bar: float, dim: int, seed: int = 0,
-                     sign_vector=None, amplitudes=None, frequencies=None,
-                     phases=None, cells: int = 1000, horizon: float = 1.0,
-                     ) -> DisturbanceSignal:
+def make_disturbance(kind: str, w_bar: float, dim: int, **params) -> DisturbanceSignal:
     """Construct one of the disturbance classes.
 
     Parameters
     ----------
-    kind : {"zero", "constant_sign", "sinusoid", "piecewise_uniform"}
+    kind : a key of ``KIND_PARAMETERS``
+        "zero", "constant_sign", "sinusoid" or "piecewise_uniform".
     w_bar : float
         Pointwise infinity-norm bound; amplitudes above it are rejected.
     dim : int
         Signal dimension (the state dimension n).
-    seed : int
-        Stream seed for piecewise_uniform; cell k, channel c consumes
-        draw k*dim + c of the stream. A float must be a whole number.
-    sign_vector : entries in {-1, 0, +1}, constant_sign only.
-    amplitudes, frequencies, phases : per-channel sinusoid parameters
-        (rad/s for frequencies); amplitudes default to w_bar.
-    cells, horizon : piecewise_uniform grid: ``cells`` uniform cells
-        spanning [0, horizon]; a float count must be a whole number.
+    **params
+        The kind's parameters from ``KIND_PARAMETERS``: an absent one
+        takes its default, any other raises DomainError. Sign entries
+        lie in {-1, 0, +1} and frequencies are in rad/s. ``cells``
+        uniform cells span [0, ``horizon``], cell k, channel c taking
+        draw k*dim + c of the stream of ``seed`` (both whole numbers).
     """
     w_bar = as_scalar(w_bar, "w_bar")
-    seed = as_seed(seed)
     if dim < 1:
         raise DomainError("dim must be at least 1")
+    if kind not in KIND_PARAMETERS:
+        raise DomainError(f"unknown disturbance kind {kind!r}")
+    foreign = sorted(set(params) - set(KIND_PARAMETERS[kind]))
+    if foreign:
+        raise DomainError(f"a {kind} disturbance takes no parameter {', '.join(foreign)}")
+    p = {**KIND_PARAMETERS[kind], **params}
 
-    if kind == "zero":
-        return DisturbanceSignal(kind="zero", w_bar=w_bar, dim=dim)
-
-    if kind == "constant_sign":
-        s = np.asarray(sign_vector if sign_vector is not None else np.ones(dim),
-                       dtype=np.float64)
-        if s.shape != (dim,):
-            raise DomainError(f"sign_vector must have shape ({dim},)")
-        if not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
-            raise DomainError("sign_vector entries must lie in {-1, 0, +1}")
-        s.setflags(write=False)
-        return DisturbanceSignal(kind="constant_sign", w_bar=w_bar, dim=dim,
-                                 sign_vector=s)
+    # the per-channel vectors, with the defaults a None stands for; the
+    # frequencies cycle when dim > 3
+    derived = {"sign_vector": np.ones(dim), "amplitudes": np.full(dim, w_bar),
+               "frequencies": np.resize([20.0, 27.0, 35.0], dim),
+               "phases": np.zeros(dim)}
+    for name in [k for k in p if k in derived]:
+        arr = np.array(derived[name] if p[name] is None else p[name], dtype=np.float64)
+        if arr.shape != (dim,):
+            raise DomainError(f"{name} must have shape ({dim},)")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{name} must be finite")
+        arr.setflags(write=False)
+        p[name] = arr
 
     if kind == "sinusoid":
-        amp = np.asarray(amplitudes if amplitudes is not None else np.full(dim, w_bar),
-                         dtype=np.float64)
-        freq = np.asarray(frequencies if frequencies is not None
-                          else _default_frequencies(dim), dtype=np.float64)
-        ph = np.asarray(phases if phases is not None else np.zeros(dim),
-                        dtype=np.float64)
-        for name, arr in (("amplitudes", amp), ("frequencies", freq), ("phases", ph)):
-            if arr.shape != (dim,):
-                raise DomainError(f"{name} must have shape ({dim},)")
-            if not np.all(np.isfinite(arr)):
-                raise DomainError(f"{name} must be finite")
-        if np.any(np.abs(amp) > w_bar * (1.0 + 1e-15)):
+        if np.any(np.abs(p["amplitudes"]) > w_bar * (1.0 + 1e-15)):
             raise DomainError("sinusoid amplitude exceeds w_bar")
-        for a in (amp, freq, ph):
-            a.setflags(write=False)
-        return DisturbanceSignal(kind="sinusoid", w_bar=w_bar, dim=dim,
-                                 amplitudes=amp, frequencies=freq, phases=ph)
-
+        return DisturbanceSignal(kind=kind, w_bar=w_bar, dim=dim, **p)
     if kind == "piecewise_uniform":
-        cells = as_whole(cells, "cells")
+        cells = as_whole(p["cells"], "cells")
         if cells < 1:
             raise DomainError("piecewise_uniform needs at least one cell")
-        horizon = as_scalar(horizon, "piecewise_uniform horizon", positive=True)
-        values = piecewise_cell_values(seed, w_bar, cells, dim)
-        values.setflags(write=False)
-        return DisturbanceSignal(kind="piecewise_uniform", w_bar=w_bar, dim=dim,
-                                 horizon=horizon, cell_values=values, seed=seed)
-
-    raise DomainError(f"unknown disturbance kind {kind!r}")
+        horizon = as_scalar(p["horizon"], "piecewise_uniform horizon", positive=True)
+        values = piecewise_cell_values(as_seed(p["seed"]), w_bar, cells, dim)
+    else:
+        s = p.get("sign_vector", np.zeros(dim))
+        if not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
+            raise DomainError("sign_vector entries must lie in {-1, 0, +1}")
+        horizon, values = np.inf, (w_bar * s)[None]
+    values.setflags(write=False)
+    return DisturbanceSignal(kind=kind, w_bar=w_bar, dim=dim, horizon=horizon,
+                             cell_values=values)
 
 
 def piecewise_cell_values(seed, w_bar: float, cells: int, dim: int) -> np.ndarray:
@@ -214,8 +215,3 @@ def piecewise_cell_values(seed, w_bar: float, cells: int, dim: int) -> np.ndarra
     u = uniform_stream(seed, 0, cells * dim)
     return (w_bar * (2.0 * u - 1.0)).reshape(u.shape[:-1] + (cells, dim))
 
-
-def _default_frequencies(dim: int) -> np.ndarray:
-    # per-channel high-frequency defaults, cycled when dim > 3
-    base = np.array([20.0, 27.0, 35.0])
-    return np.resize(base, dim)

@@ -58,19 +58,18 @@ class Trajectory:
 
 def _disturbance_stages(w: DisturbanceSignal, t_f: float, steps: int,
                         n: int) -> np.ndarray:
-    if w is None or w.kind == "zero":
+    if w is None:
         return np.zeros((steps, 3, n))
     w.require_cover(t_f)
-    if w.kind == "piecewise_uniform":
-        K = w.aligned_cells(t_f)
-        if K and steps % K == 0:
-            # step grid refines the cell grid: every stage of a step sees
-            # the step's own cell value, jumps land exactly on step edges
-            cell_of_step = np.repeat(np.arange(K), steps // K)
-            vals = w.cell_values[cell_of_step]
-            return np.repeat(vals[:, None, :], 3, axis=1)
-        # unaligned grids: fall back to pointwise sampling; integration
-        # order degrades at interior jumps
+    K = w.aligned_cells(t_f)
+    if K and steps % K == 0:
+        # step grid refines the cell grid: every stage of a step sees
+        # the step's own cell value, jumps land exactly on step edges
+        cell_of_step = np.repeat(np.arange(K), steps // K)
+        vals = w.cell_values[cell_of_step]
+        return np.repeat(vals[:, None, :], 3, axis=1)
+    # sinusoids and unaligned grids: pointwise sampling; integration
+    # order degrades at interior jumps
     h = t_f / steps
     t_left = np.linspace(0.0, t_f, steps + 1)[:-1]
     left = w._values(t_left)

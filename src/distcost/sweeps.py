@@ -16,7 +16,7 @@ from .energy import (_response_energy, disturbance_terms,
                      disturbed_energy_bound, energy_bound_rows, weighted_energies)
 from .errors import DomainError
 from .gramian import GramianBundle, build_bundle
-from .linalg import as_whole
+from .linalg import as_scalar, as_whole
 from .metrics import MetricReport, _metric_reports
 from .signals import (derive_seed, derive_seeds, make_disturbance,
                       piecewise_cell_values, uniform_stream)
@@ -70,6 +70,7 @@ def sample_gaussians(seed: int, count: int, dim: int) -> np.ndarray:
 
 def sample_sphere(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
     """(count, dim) points uniform on the sphere of the given radius."""
+    radius = as_scalar(radius, "radius")
     g = sample_gaussians(seed, count, dim)
     nrm = np.sqrt(np.sum(g * g, axis=1))
     nrm[nrm == 0.0] = 1.0
@@ -79,6 +80,7 @@ def sample_sphere(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
 def sample_ball(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
     """(count, dim) points uniform in the ball; one extra draw per sample
     sets the radius as radius * u^(1/dim)."""
+    radius = as_scalar(radius, "radius")
     D = 2 * ((dim + 1) // 2) + 1
     u = uniform_stream(seed, 0, count * D).reshape(count, D)
     g = _box_muller(u[:, :-1], dim)

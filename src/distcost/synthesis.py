@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .gramian import GramianBundle
-from .linalg import as_scalar, block_expm, expm, shifted_powers
+from .linalg import as_scalar, as_whole, block_expm, expm, shifted_powers
 from .signals import DisturbanceSignal
 from .systems import LtiSystem, StabilizationTask
 
@@ -63,6 +63,7 @@ class ControlSignal:
         value the RK4 stages need; shape (2*steps + 1, p). Values match
         pointwise evaluation to ~1e-13 relative.
         """
+        steps = as_whole(steps, "steps")
         if steps < 1:
             raise DomainError("steps must be at least 1")
         n_nodes = 2 * steps + 1
@@ -118,10 +119,7 @@ def disturbed_control(sys: LtiSystem, task: StabilizationTask,
                       bundle: GramianBundle, w: DisturbanceSignal | None) -> ControlSignal:
     """Minimum-energy stabilizing control when w is known a priori.
 
-    w = None gives the nominal control. It reduces exactly to the nominal
-    control when the response of w is identically zero too (the zero
-    signal takes a shortcut that returns an exact zero response, so the
-    gain vectors match bit for bit).
+    w = None gives the nominal control.
     """
     return _control(sys, task, bundle, w)
 
@@ -132,29 +130,23 @@ def disturbance_response(sys: LtiSystem, w: DisturbanceSignal, t_f) -> np.ndarra
     Every class is the output of a linear exosystem, so the integral is a
     block of one block-triangular exponential (``block_expm``):
 
-    - constant w: R = J(t_f) w with J(t) = int_0^t e^{As} ds;
     - sinusoid: the state z = (sin(omega_i t + phi_i), cos(omega_i t + phi_i))
       obeys z' = S z, w = C z, and R = [expm([[A, C], [0, S]] t_f)]_12 z(0);
-    - piecewise, K cells of width d = t_f / K with values v_k:
-      R = sum_k e^{Ad(K-1-k)} J(d) v_k.
+    - a cell grid, K cells of width d = t_f / K with values v_k:
+      R = sum_k e^{Ad(K-1-k)} J(d) v_k with J(t) = int_0^t e^{As} ds.
+      Zero and constant signals are one cell, R = J(t_f) v_0.
 
     The result is exact up to rounding in the exponential. Raises
     DomainError if the signal is not defined on all of [0, t_f], or (for
-    piecewise signals) if t_f does not land on a cell boundary.
+    a grid of several cells) if t_f does not land on a cell boundary.
     """
     t_f = as_scalar(t_f, "t_f", positive=True)
     if w.dim != sys.n:
         raise DimensionError(f"disturbance dim {w.dim} does not match n = {sys.n}")
     w.require_cover(t_f)
-    if w.kind == "zero":
-        return np.zeros(sys.n)
-    if w.kind == "sinusoid":
+    if w.cell_values is None:
         C, S, z0 = _sinusoid_exosystem(w)
         return block_expm(sys.A, C, S, t_f)[1] @ z0
-    if w.kind == "constant_sign":
-        return piecewise_response(sys, (w.w_bar * w.sign_vector)[None], t_f)
-    if w.kind != "piecewise_uniform":
-        raise DomainError(f"unknown disturbance kind {w.kind!r}")
     K = w.aligned_cells(t_f)
     if K == 0:
         raise DomainError(

@@ -110,11 +110,18 @@ class TestStabilize:
         [{"name": "s", "kind": "sinusoid", "phases": [float("nan"), 0, 0]}],
         [{"name": "s", "kind": "sinusoid", "frequencies": [float("inf"), 27, 35]}],
         [{"name": "s", "kind": "sinusoid", "amplitudes": [float("nan"), 1, 1]}],
+        [{"kind": "constant_sign", "amplitudes": [9, 9, 9]}],
+        [{"kind": "sinusoid", "cells": 4.7}],
+        [{"kind": "sinusoid", "seed": 1}],
+        [{"kind": "zero", "sign_vector": [1, 1, 1]}],
+        [{"kind": "piecewise_uniform", "horizon": 5.0}],
     ], ids=["bad-kind", "repeated-name", "repeated-default-name", "reserved-name",
-            "nan-phase", "inf-frequency", "nan-amplitude"])
+            "nan-phase", "inf-frequency", "nan-amplitude", "constant-amplitudes",
+            "sinusoid-cells", "sinusoid-seed", "zero-sign-vector", "piecewise-horizon"])
     def test_bad_run_list_writes_nothing(self, tmp_path, disturbances):
-        # every run is resolved before the first file is written, and a
-        # name may own only one traj_<name>.csv
+        # every run is resolved before the first file is written, a name
+        # may own only one traj_<name>.csv, and a spec takes only its
+        # kind's parameters
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"disturbances": disturbances}))
         (tmp_path / "out").mkdir()

@@ -9,13 +9,15 @@ from distcost.errors import DomainError
 from distcost.gramian import build_bundle, controllability_gramian, norm_integral
 from distcost.metrics import additive_metric_bound, hardness, multiplicative_metric_bound
 from distcost.signals import make_disturbance
+from distcost.sweeps import sample_ball, sample_sphere
 from distcost.synthesis import disturbance_response
 from distcost.systems import StabilizationTask
 
 _X0 = np.array([5.0, -1.0, 3.0])
 
 # (id, call with the value under test, whether zero is out of the domain);
-# w_bar and the radius of the additive bound and of hardness may be zero.
+# w_bar and the radius of the additive bound, of hardness and of the
+# samplers may be zero.
 # Each call takes the value, the ADMIRE system and its t_f = 0.5 bundle.
 ENTRY_POINTS = [
     ("task-t_f", lambda x, s, b: StabilizationTask(x0=_X0, t_f=x, w_bar=1.0), True),
@@ -36,6 +38,8 @@ ENTRY_POINTS = [
     ("make_disturbance-horizon",
      lambda x, s, b: make_disturbance("piecewise_uniform", 1.0, 3, cells=4, horizon=x),
      True),
+    ("sample_sphere-radius", lambda x, s, b: sample_sphere(0, 2, 3, x), False),
+    ("sample_ball-radius", lambda x, s, b: sample_ball(0, 2, 3, x), False),
 ]
 
 

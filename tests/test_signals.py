@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distcost.errors import DomainError, ValidationError
-from distcost.signals import (as_seed, derive_seed, derive_seeds, make_disturbance,
-                              uniform_stream)
+from distcost.signals import (KIND_PARAMETERS, as_seed, derive_seed, derive_seeds,
+                              make_disturbance, uniform_stream)
 
 
 class TestUniformStream:
@@ -62,6 +62,31 @@ class TestSignals:
     def test_constant_sign(self):
         w = make_disturbance("constant_sign", 0.5, 3, sign_vector=[1, -1, 0])
         assert np.array_equal(w.eval(2.0), np.array([0.5, -0.5, 0.0]))
+
+    def test_zero_and_constant_are_one_cell(self):
+        z = make_disturbance("zero", 1.0, 3)
+        c = make_disturbance("constant_sign", 0.5, 3, sign_vector=[1, -1, 0])
+        assert np.array_equal(z.cell_values, np.zeros((1, 3)))
+        assert np.array_equal(c.cell_values, [[0.5, -0.5, 0.0]])
+        assert z.aligned_cells(7.3) == c.aligned_cells(7.3) == 1
+
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMETERS))
+    def test_every_kind_builds_from_its_defaults(self, kind):
+        w = make_disturbance(kind, 1.0, 3, **KIND_PARAMETERS[kind])
+        assert w.kind == kind and w.dim == 3
+
+    @pytest.mark.parametrize("kind,params", [
+        ("zero", {"sign_vector": [1, 1]}),
+        ("constant_sign", {"amplitudes": [9, 9]}),
+        ("sinusoid", {"cells": 4}),
+        ("sinusoid", {"seed": 1}),
+        ("piecewise_uniform", {"phases": [0, 0]}),
+        ("piecewise_uniform", {"horizn": 1.0}),
+    ])
+    def test_foreign_parameter_rejected(self, kind, params):
+        (name,) = params
+        with pytest.raises(DomainError, match=f"{kind} .* {name}"):
+            make_disturbance(kind, 1.0, 2, **params)
 
     def test_constant_sign_rejects_bad_entries(self):
         with pytest.raises(DomainError):
@@ -139,11 +164,20 @@ class TestSignals:
             derive_seed(seed, 2)
         with pytest.raises(DomainError, match="seed"):
             uniform_stream(seed, 0, 4)
+        # the stream position, the seed indices and the seed count are
+        # whole numbers too
+        with pytest.raises(DomainError, match="seed index"):
+            derive_seed(0, seed)
+        with pytest.raises(DomainError, match="start"):
+            uniform_stream(0, seed, 4)
+        with pytest.raises(DomainError, match="count"):
+            uniform_stream(0, 0, seed)
+        with pytest.raises(DomainError, match="count"):
+            derive_seeds(0, seed)
 
     def test_whole_float_seed_names_its_integer(self):
         w1 = make_disturbance("piecewise_uniform", 1.0, 2, seed=7.0, cells=8)
         w2 = make_disturbance("piecewise_uniform", 1.0, 2, seed=7, cells=8)
-        assert w1.seed == 7 and type(w1.seed) is int
         assert np.array_equal(w1.cell_values, w2.cell_values)
         assert derive_seed(1.0, 2) == derive_seed(1, 2)
         assert as_seed(np.int64(-3)) == -3 and as_seed(2**64 - 1) == 2**64 - 1

@@ -166,6 +166,8 @@ class TestValidation:
         sys, task, u = scalar_run
         with pytest.raises(DomainError, match="steps"):
             simulate_closed_loop(sys, task, u, None, 100.5)
+        with pytest.raises(DomainError, match="steps"):
+            u.sample_half_grid(2.5)
 
     def test_control_for_another_horizon(self, scalar_run):
         sys, _, u = scalar_run

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -24,38 +26,60 @@ def _segments(w, t_f, nodes):
 
 
 def _simpson_sum(segments, integrand):
-    total = 0.0
-    for taus, mid in segments:
-        vals = np.stack([integrand(tau, mid) for tau in taus])
-        total = total + scipy.integrate.simpson(vals, x=taus, axis=0)
-    return total
+    # integrand(taus, mid) gives the (nodes, n) values of one segment
+    return sum(scipy.integrate.simpson(integrand(taus, mid), x=taus, axis=0)
+               for taus, mid in segments)
 
 
-def _w_at(w, tau, mid):
+def _w_at(w, taus, mid):
     # piecewise signals are cell-constant: sampling at the segment
     # midpoint returns the correct cell value even at shared boundary
     # nodes, where eval(tau) would pick the neighboring cell
     if getattr(w, "cell_values", None) is not None:
-        return w.eval(mid)
-    return w.eval(tau)
+        return np.broadcast_to(w.eval(mid), (taus.size, w.dim))
+    return w.eval(taus)
+
+
+def _expm_nodes(A):
+    """s -> e^{A s_k} for every node s_k, shape (nodes, n, n).
+
+    One eigendecomposition A = V diag(lam) V^-1 gives every node as
+    V diag(e^{lam s_k}) V^-1; when V is too ill-conditioned for that
+    (cond(V) > 1e8), each node takes its own scipy expm.
+    """
+    lam, V = np.linalg.eig(A)
+    if np.linalg.cond(V) > 1e8:
+        return lambda s: np.stack([scipy.linalg.expm(A * sk) for sk in s])
+    V_inv = np.linalg.inv(V)
+    return lambda s: ((V * np.exp(np.outer(s, lam))[:, None, :]) @ V_inv).real
 
 
 def dense_response(sys, w, t_f, nodes=16385):
     """Piecewise-aware Simpson oracle for R(w, t_f)."""
-    def integrand(tau, mid):
-        return scipy.linalg.expm(sys.A * (t_f - tau)) @ _w_at(w, tau, mid)
+    expm_at = _expm_nodes(sys.A)
+
+    def integrand(taus, mid):
+        return np.einsum("kij,kj->ki", expm_at(t_f - taus), _w_at(w, taus, mid))
     return _simpson_sum(_segments(w, t_f, nodes), integrand)
 
 
 def terminal_state(sys, task, u, w, nodes=16385):
     """x(t_f) by direct quadrature of the variation-of-constants formula."""
     t_f = task.t_f
+    expm_at = _expm_nodes(sys.A)
 
-    def integrand(tau, mid):
-        drive = sys.B @ u(tau)
+    def integrand(taus, mid):
+        E = expm_at(t_f - taus)
+        # u(tau) = -B^T e^{A^T(t_f - tau)} g from the same exponentials;
+        # the control's own call path must agree at every 64th node
+        U = -np.einsum("kji,j->ki", E, u.gain_vector) @ sys.B
+        for k in range(0, taus.size, 64):
+            ref = u(taus[k])
+            assert np.linalg.norm(U[k] - ref) <= 1e-12 * np.linalg.norm(ref), taus[k]
+        drive = U @ sys.B.T
         if w is not None:
-            drive = drive + _w_at(w, tau, mid)
-        return scipy.linalg.expm(sys.A * (t_f - tau)) @ drive
+            drive = drive + _w_at(w, taus, mid)
+        return np.einsum("kij,kj->ki", E, drive)
 
     free = scipy.linalg.expm(sys.A * t_f) @ task.x0
     return free + _simpson_sum(_segments(w, t_f, nodes), integrand)
@@ -124,7 +148,7 @@ class TestDisturbedControl:
         w = make_disturbance("zero", 1.0, jet.n)
         u_n = nominal_control(jet, jet_task_5, jet_bundle_5)
         u_d = disturbed_control(jet, jet_task_5, jet_bundle_5, w)
-        assert np.array_equal(u_d.gain_vector, u_n.gain_vector)
+        assert u_d.gain_vector.tobytes() == u_n.gain_vector.tobytes()
 
     def test_gain_shift_is_response(self, jet, jet_task_5, jet_bundle_5):
         # gain = W^-1 (Phi x0 + R): subtracting the nominal gain and
@@ -181,7 +205,6 @@ class TestDisturbanceResponse:
 
     def test_linearity_in_sign(self, jet):
         # the response is linear in w, so negating the cell values flips it
-        import dataclasses
         w = make_disturbance("piecewise_uniform", 1.0, jet.n, seed=8, cells=16,
                              horizon=1.0)
         R = disturbance_response(jet, w, 1.0)
@@ -195,6 +218,16 @@ class TestDisturbanceResponse:
         w = make_disturbance("constant_sign", 0.5, 2, sign_vector=[1, -1])
         R = disturbance_response(sys, w, 3.0)
         assert np.max(np.abs(R - np.array([1.5, -1.5]))) < 1e-12
+
+    def test_one_cell_piecewise_is_the_constant(self, jet):
+        # one cell is aligned with every t_f it covers: a one-cell grid
+        # over [0, 5] holding the constant's value responds like it at 2
+        c = make_disturbance("constant_sign", 1.0, jet.n, sign_vector=[1, -1, 1])
+        w = dataclasses.replace(
+            make_disturbance("piecewise_uniform", 1.0, jet.n, cells=1, horizon=5.0),
+            cell_values=c.cell_values)
+        got = disturbance_response(jet, w, 2.0)
+        assert got.tobytes() == disturbance_response(jet, c, 2.0).tobytes()
 
     def test_piecewise_misaligned_horizon_rejected(self, jet):
         w = make_disturbance("piecewise_uniform", 1.0, jet.n, seed=1, cells=7,
