@@ -8,8 +8,7 @@ hardness measure tying bound accuracy to R / t_f.
 """
 
 from .energy import (EnergyReport, disturbed_energy_bound,
-                     disturbed_signal_energy, energy_pair_for_response,
-                     nominal_energy)
+                     disturbed_signal_energy, nominal_energy)
 from .errors import (ConfigError, DimensionError, DistcostError, DomainError,
                      IllConditionedError, ModelParseError, NumericalError,
                      ValidationError)
@@ -36,9 +35,8 @@ __all__ = [
     "build_bundle", "builtin_models", "controllability_gramian",
     "controllability_rank", "derive_seed", "disturbance_response",
     "disturbed_control", "disturbed_energy_bound", "disturbed_signal_energy",
-    "energy_pair_for_response", "expm", "hardness", "load_model",
-    "make_disturbance", "metric_report", "multiplicative_metric_bound",
-    "nominal_control", "nominal_energy", "norm", "norm_integral",
-    "save_model", "simulate_closed_loop", "sym_eig", "trajectory_to_csv",
-    "uniform_stream", "__version__",
+    "expm", "hardness", "load_model", "make_disturbance", "metric_report",
+    "multiplicative_metric_bound", "nominal_control", "nominal_energy", "norm",
+    "norm_integral", "save_model", "simulate_closed_loop", "sym_eig",
+    "trajectory_to_csv", "uniform_stream", "__version__",
 ]

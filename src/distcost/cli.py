@@ -6,8 +6,9 @@ class), ``bound-accuracy`` (energy-ratio table over horizons),
 ``energy`` (one-shot report), ``model`` (inspect/validate a model file).
 
 Configuration comes from flags plus an optional JSON config file; flags
-win. Exit codes: 0 success, 2 invalid configuration, 3 parse failure
-(model or config JSON), 4 numerical failure.
+win. A command takes only the keys it reads (``_COMMAND_OPTIONS``).
+Exit codes: 0 success, 2 invalid configuration, 3 parse failure (model
+or config JSON), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .energy import disturbed_energy_bound, disturbed_signal_energy
 from .errors import (ConfigError, DimensionError, DomainError, ModelParseError,
                      NumericalError, ValidationError)
 from .gramian import build_bundle
-from .linalg import as_scalar, as_whole
+from .linalg import as_whole
 from .models import builtin_models, load_model
 from .signals import KIND_PARAMETERS, derive_seed, make_disturbance
 from .simulate import csv_text, simulate_closed_loop, trajectory_to_csv
@@ -38,12 +37,32 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
-_CONFIG_KEYS = {"model", "x0", "tf", "wbar", "R_grid", "tf_grid", "steps",
-                "seed", "out", "samples", "cells", "disturbances"}
+# the keys each command reads, as flags or config-file keys; any other
+# exits 2, so no value a run ignores can be set
+_COMMAND_OPTIONS = {
+    "stabilize": ("model", "x0", "tf", "wbar", "steps", "seed", "out", "cells",
+                  "disturbances"),
+    "bound-accuracy": ("model", "x0", "wbar", "tf_grid", "seed", "out", "cells"),
+    "metrics-sweep": ("model", "x0", "wbar", "R_grid", "tf_grid", "seed", "out",
+                      "samples", "cells"),
+    "energy": ("model", "x0", "tf", "wbar", "out"),
+    "model": ("model",),
+}
 
-_DEFAULT_DISTURBANCES = ({"name": "constant", "kind": "constant_sign"},
-                         {"name": "sinusoid", "kind": "sinusoid"},
-                         {"name": "piecewise", "kind": "piecewise_uniform"})
+# the help of each key a flag can set, the flag being --key with "_" as
+# "-"; samples, cells and disturbances are config-only. A flag's text
+# goes through the same resolver as a config value (see _KEYS).
+_FLAG_HELP = {
+    "model": "builtin model name or model JSON path",
+    "x0": "initial state, comma-separated",
+    "tf": "final time",
+    "wbar": "disturbance amplitude bound",
+    "R_grid": "initial-radius grid, comma-separated",
+    "tf_grid": "final-time grid, comma-separated",
+    "steps": "integrator step count",
+    "seed": "master seed for all draws",
+    "out": "output directory",
+}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -61,16 +80,6 @@ def _write_csv(path: str, header, rows) -> None:
     _atomic_write(path, csv_text(header, [[row[k] for k in header] for row in rows]))
 
 
-def _parse_float_list(text: str) -> tuple:
-    try:
-        vals = tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated number list, got {text!r}") from exc
-    if not vals:
-        raise ConfigError(f"expected a nonempty number list, got {text!r}")
-    return vals
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -81,85 +90,97 @@ def _load_config(path: str) -> dict:
         raise ModelParseError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
 def _float_tuple(values, key: str) -> tuple:
     # a flag's comma-separated text or a config file's JSON list
     if isinstance(values, str):
-        return _parse_float_list(values)
+        values = [tok for tok in values.replace(" ", "").split(",") if tok]
     vals = tuple(float(v) for v in values)
     if not vals:
         raise ConfigError(f"{key} must be a nonempty number list")
     return vals
 
 
-def _pick(flag_value, cfg: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cfg[key]
-    return default
+def _of_type(kind: type, what: str):
+    # a JSON value used as is: str() would let "model": 5 through as a path
+    def check(value):
+        if not isinstance(value, kind):
+            raise ConfigError(f"expected {what}, got {value!r}")
+        return value
+    return check
+
+
+# key: (default, resolver). A resolver turns a flag's text or a config
+# file's JSON value into the value the command reads; ValueError,
+# TypeError and OverflowError mark a malformed one. bound-accuracy's
+# tf_grid and stabilize's cells default differently (see _default).
+_KEYS = {
+    "model": ("admire", _of_type(str, "a model name or path")),
+    "x0": ((5.0, -1.0, 3.0), lambda v: _float_tuple(v, "x0")),
+    "tf": (5.0, float),
+    "wbar": (1.0, float),
+    "R_grid": (DEFAULT_R_GRID, lambda v: _float_tuple(v, "R_grid")),
+    "tf_grid": (DEFAULT_TF_GRID, lambda v: _float_tuple(v, "tf_grid")),
+    "steps": (5000, lambda v: as_whole(v, "steps")),
+    "seed": (0, lambda v: as_whole(v, "seed")),
+    "out": (".", str),
+    "samples": (500, lambda v: as_whole(v, "samples")),
+    "cells": (EVIDENCE_CELLS, lambda v: as_whole(v, "cells")),
+    "disturbances": ([{"name": "constant", "kind": "constant_sign"},
+                      {"name": "sinusoid", "kind": "sinusoid"},
+                      {"name": "piecewise", "kind": "piecewise_uniform"}],
+                     _of_type(list, "a list of disturbance objects")),
+}
+
+
+def _default(command: str, key: str, resolved: dict):
+    if command == "bound-accuracy" and key == "tf_grid":
+        return DEFAULT_ACCURACY_TF_GRID
+    if command == "stabilize" and key == "cells":
+        # piecewise cells default to an even divisor of the step count
+        # (resolved first: it comes before cells in the command's keys),
+        # so the integrator sees cell-constant stage values
+        steps = resolved["steps"]
+        return 1000 if steps % 1000 == 0 else steps
+    return _KEYS[key][0]
 
 
 class RunConfig:
-    """Merged flag/file configuration for one command invocation."""
+    """The command's keys of ``_COMMAND_OPTIONS`` as attributes, each
+    resolved from its flag, else the config file, else its default."""
 
     def __init__(self, args):
+        keys = _COMMAND_OPTIONS[args.command]
         cfg = _load_config(args.config) if args.config else {}
-        self.model_src = _pick(args.model, cfg, "model", "admire")
-        if not isinstance(self.model_src, str):
-            raise ConfigError(f"model must be a name or a path, got {self.model_src!r}")
-        default_tf_grid = (DEFAULT_ACCURACY_TF_GRID if args.command == "bound-accuracy"
-                           else DEFAULT_TF_GRID)
+        foreign = sorted(set(cfg) - set(keys))
+        if foreign:
+            raise ConfigError(f"{args.command} reads no config key {', '.join(foreign)}")
+        resolved = {}
         try:
-            self.x0 = np.array(_float_tuple(_pick(args.x0, cfg, "x0", "5,-1,3"), "x0"))
-            self.t_f = float(_pick(args.tf, cfg, "tf", 5.0))
-            self.w_bar = float(_pick(args.wbar, cfg, "wbar", 1.0))
-            self.R_grid = _float_tuple(
-                _pick(getattr(args, "R_grid", None), cfg, "R_grid", DEFAULT_R_GRID),
-                "R_grid")
-            self.tf_grid = _float_tuple(
-                _pick(getattr(args, "tf_grid", None), cfg, "tf_grid", default_tf_grid),
-                "tf_grid")
-            self.steps = as_whole(_pick(args.steps, cfg, "steps", 5000), "steps")
-            self.seed = as_whole(_pick(args.seed, cfg, "seed", 0), "seed")
-            self.out = str(_pick(args.out, cfg, "out", "."))
-            self.samples = as_whole(cfg.get("samples", 500), "samples")
-            default_cells = EVIDENCE_CELLS
-            if args.command == "stabilize":
-                # piecewise cells default to an even divisor of the step
-                # count, so the integrator sees cell-constant stage values
-                default_cells = 1000 if self.steps % 1000 == 0 else self.steps
-            self.cells = as_whole(cfg.get("cells", default_cells), "cells")
+            for key in keys:
+                value = getattr(args, key, None)
+                if value is None:
+                    value = cfg.get(key, _default(args.command, key, resolved))
+                resolved[key] = _KEYS[key][1](value)
         except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
-        self.disturbances = cfg.get("disturbances", list(_DEFAULT_DISTURBANCES))
-        if not isinstance(self.disturbances, list):
-            raise ConfigError("disturbances must be a list of objects")
-        for key, grid in (("tf_grid", self.tf_grid), ("R_grid", self.R_grid)):
-            for v in grid:
-                as_scalar(v, f"{key} entry", positive=True)
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
+            raise ConfigError(f"malformed {key} value: {exc}") from exc
+        vars(self).update(resolved)
 
     def load_system(self) -> LtiSystem:
         builtins = builtin_models()
-        if self.model_src in builtins:
-            return builtins[self.model_src]()
-        return load_model(self.model_src)
+        if self.model in builtins:
+            return builtins[self.model]()
+        return load_model(self.model)
 
     def outdir(self) -> str:
         os.makedirs(self.out, exist_ok=True)
         return self.out
 
     def echo(self) -> dict:
-        return {"model": self.model_src, "x0": [float(v) for v in self.x0],
-                "tf": self.t_f, "wbar": self.w_bar, "steps": self.steps,
-                "seed": self.seed}
+        """Every value the command read, bar the output directory."""
+        return {k: v for k, v in vars(self).items() if k != "out"}
 
 
 def _signal_from_spec(spec: dict, sys_: LtiSystem, task: StabilizationTask,
@@ -212,9 +233,10 @@ def _resolve_runs(cfg: RunConfig, sys_: LtiSystem, task: StabilizationTask,
 
 
 def cmd_stabilize(cfg: RunConfig) -> int:
+    """synthesize controls and write closed-loop trajectories"""
     sys_ = cfg.load_system()
-    task = StabilizationTask(x0=cfg.x0, t_f=cfg.t_f, w_bar=cfg.w_bar)
-    bundle = build_bundle(sys_, cfg.t_f)
+    task = StabilizationTask(x0=cfg.x0, t_f=cfg.tf, w_bar=cfg.wbar)
+    bundle = build_bundle(sys_, cfg.tf)
     bound = disturbed_energy_bound(sys_, task, bundle)
     resolved = _resolve_runs(cfg, sys_, task, bundle)
     outdir = cfg.outdir()
@@ -239,30 +261,29 @@ def cmd_stabilize(cfg: RunConfig) -> int:
 
 
 def cmd_bound_accuracy(cfg: RunConfig) -> int:
+    """energy-ratio table over a final-time grid"""
     sys_ = cfg.load_system()
-    rows = bound_accuracy_rows(sys_, cfg.x0, cfg.w_bar, cfg.tf_grid,
+    rows = bound_accuracy_rows(sys_, cfg.x0, cfg.wbar, cfg.tf_grid,
                                seed=cfg.seed, cells=cfg.cells)
     outdir = cfg.outdir()
     header = ["t_f", "ratio_constant", "ratio_sinusoid", "ratio_piecewise"]
     _write_csv(os.path.join(outdir, "bound_accuracy.csv"), header, rows)
-    summary = {"command": "bound-accuracy", "config": cfg.echo(),
-               "tf_grid": list(cfg.tf_grid), "rows": len(rows)}
+    summary = {"command": "bound-accuracy", "config": cfg.echo(), "rows": len(rows)}
     _write_json(os.path.join(outdir, "summary.json"), summary)
     return 0
 
 
 def cmd_metrics_sweep(cfg: RunConfig) -> int:
+    """metric bounds plus sampled evidence over an (R, t_f) grid"""
     sys_ = cfg.load_system()
-    rows = metrics_sweep_rows(sys_, cfg.x0, cfg.w_bar, cfg.R_grid, cfg.tf_grid,
+    rows = metrics_sweep_rows(sys_, cfg.x0, cfg.wbar, cfg.R_grid, cfg.tf_grid,
                               samples=cfg.samples, seed=cfg.seed,
                               cells=cfg.cells)
     outdir = cfg.outdir()
     header = ["R", "t_f", "H", "r_A_bound", "r_M_bound", "E_N", "E_D_bound",
               "diff_min", "diff_max", "ratio_min", "ratio_max"]
     _write_csv(os.path.join(outdir, "metrics.csv"), header, rows)
-    summary = {"command": "metrics-sweep", "config": cfg.echo(),
-               "R_grid": list(cfg.R_grid), "tf_grid": list(cfg.tf_grid),
-               "samples": cfg.samples, "rows": len(rows),
+    summary = {"command": "metrics-sweep", "config": cfg.echo(), "rows": len(rows),
                "containment": {"diff_le_r_A": all(r["diff_max"] <= r["r_A_bound"] for r in rows),
                                "ratio_ge_r_M": all(r["ratio_min"] >= r["r_M_bound"] for r in rows)}}
     _write_json(os.path.join(outdir, "summary.json"), summary)
@@ -270,9 +291,10 @@ def cmd_metrics_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_energy(cfg: RunConfig) -> int:
+    """one-shot energy report for (model, x0, t_f, w_bar)"""
     sys_ = cfg.load_system()
-    task = StabilizationTask(x0=cfg.x0, t_f=cfg.t_f, w_bar=cfg.w_bar)
-    bundle = build_bundle(sys_, cfg.t_f)
+    task = StabilizationTask(x0=cfg.x0, t_f=cfg.tf, w_bar=cfg.wbar)
+    bundle = build_bundle(sys_, cfg.tf)
     report = disturbed_energy_bound(sys_, task, bundle)
     payload = {"command": "energy", "config": cfg.echo(),
                "E_N": report.E_N, "E_D_bound": report.E_D_bound,
@@ -285,6 +307,7 @@ def cmd_energy(cfg: RunConfig) -> int:
 
 
 def cmd_model(cfg: RunConfig) -> int:
+    """validate a model and print its normalized JSON"""
     sys_ = cfg.load_system()
     payload = {"name": sys_.name, "n": sys_.n, "p": sys_.p,
                "A": [[float(v) for v in row] for row in sys_.A],
@@ -294,33 +317,20 @@ def cmd_model(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", help="builtin model name or model JSON path")
-    common.add_argument("--x0", help="initial state, comma-separated")
-    common.add_argument("--tf", type=float, help="final time")
-    common.add_argument("--wbar", type=float, help="disturbance amplitude bound")
-    common.add_argument("--R-grid", dest="R_grid", help="initial-radius grid, comma-separated")
-    common.add_argument("--tf-grid", dest="tf_grid", help="final-time grid, comma-separated")
-    common.add_argument("--steps", type=int, help="integrator step count")
-    common.add_argument("--seed", type=int, help="master seed for all draws")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--config", help="JSON config file (flags win)")
-
     parser = argparse.ArgumentParser(
         prog="distcost",
         description="Minimum-energy stabilization under bounded disturbances: "
                     "controls, energy bounds, cost-of-disturbance metrics.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("stabilize", parents=[common],
-                   help="synthesize controls and write closed-loop trajectories")
-    sub.add_parser("bound-accuracy", parents=[common],
-                   help="energy-ratio table over a final-time grid")
-    sub.add_parser("metrics-sweep", parents=[common],
-                   help="metric bounds plus sampled evidence over an (R, t_f) grid")
-    sub.add_parser("energy", parents=[common],
-                   help="one-shot energy report for (model, x0, t_f, w_bar)")
-    sub.add_parser("model", parents=[common],
-                   help="validate a model and print its normalized JSON")
+    for command, keys in _COMMAND_OPTIONS.items():
+        # no prefix matching: bound-accuracy would read --tf as --tf-grid
+        cmd = sub.add_parser(command, help=_COMMANDS[command].__doc__,
+                             allow_abbrev=False)
+        for key in keys:
+            if key in _FLAG_HELP:
+                cmd.add_argument("--" + key.replace("_", "-"), dest=key,
+                                 help=_FLAG_HELP[key])
+        cmd.add_argument("--config", help="JSON config file (flags win)")
     return parser
 
 

@@ -58,14 +58,14 @@ def weighted_energies(bundle: GramianBundle, X: np.ndarray):
 def nominal_energy(sys: LtiSystem, task: StabilizationTask,
                    bundle: GramianBundle) -> float:
     """Minimum control energy stabilizing the nominal system from x0 at t_f."""
-    _check_bundle(sys, task, bundle)
+    _check_bundle(sys, bundle, task)
     return float(weighted_energies(bundle, bundle.state_transition @ task.x0))
 
 
 def disturbed_signal_energy(sys: LtiSystem, task: StabilizationTask,
                             bundle: GramianBundle, w: DisturbanceSignal) -> float:
     """Energy of the stabilizing control when disturbance w is known a priori."""
-    _check_bundle(sys, task, bundle)
+    _check_bundle(sys, bundle, task)
     return _response_energy(bundle, task, disturbance_response(sys, w, task.t_f))
 
 
@@ -89,7 +89,7 @@ def disturbed_energy_bound(sys: LtiSystem, task: StabilizationTask,
     With w_bar = 0 the report collapses to the nominal energy and a zero
     witness.
     """
-    _check_bundle(sys, task, bundle)
+    _check_bundle(sys, bundle, task)
     q_bar, c_term = disturbance_terms(bundle, task.w_bar)
     e_n, p, cross, bound = energy_bound_rows(bundle, bundle.state_transition @ task.x0,
                                              q_bar, c_term)
@@ -117,15 +117,3 @@ def energy_bound_rows(bundle: GramianBundle, X: np.ndarray, q_bar: float,
     p = bundle.spec.lambdas * (X @ bundle.spec.U)
     cross = 2.0 * q_bar * np.sum(np.abs(p), axis=-1)
     return e_n, p, cross, e_n + cross + c_term
-
-
-def energy_pair_for_response(bundle: GramianBundle, task: StabilizationTask,
-                             R: np.ndarray):
-    """Energies of the controls compensating +R and -R, from one response.
-
-    Disturbance classes closed under negation come in (w, -w) pairs whose
-    responses differ only in sign; sampling protocols that want the
-    energy-increasing member of the pair can pick the larger of the two
-    without integrating twice.
-    """
-    return _response_energy(bundle, task, R), _response_energy(bundle, task, -R)

@@ -33,7 +33,9 @@ class GramianBundle:
 
     ``spec`` factors W_B_inv (eigenvalues descending), ``state_transition``
     is e^{A t_f}, and ``v_bar_unit`` is the unit-amplitude value of the
-    disturbance norm integral int_0^tf ||e^{A(tf-t)}||_inf dt.
+    disturbance norm integral int_0^tf ||e^{A(tf-t)}||_inf dt. ``A`` and
+    ``B`` are the pair the bundle was built from, so a consumer can check
+    that it was handed the bundle of its own system.
     """
 
     W_B: np.ndarray
@@ -42,6 +44,8 @@ class GramianBundle:
     t_f: float
     v_bar_unit: float
     state_transition: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
 
 
 def _gramian_and_transition(sys: LtiSystem, t_f: float):
@@ -170,4 +174,6 @@ def build_bundle(sys: LtiSystem, t_f) -> GramianBundle:
         t_f=t_f,
         v_bar_unit=v_unit,
         state_transition=trans,
+        A=sys.A,
+        B=sys.B,
     )

@@ -57,12 +57,16 @@ def as_scalar(x, name: str, positive: bool = False) -> float:
     return x
 
 
-def as_whole(x, name: str) -> int:
-    """The integer a count or seed names. A float must be a whole number:
-    5.0 names 5, while 5.9, nan and inf raise DomainError."""
+def as_whole(x, name: str, minimum: int | None = None) -> int:
+    """The integer a count, dimension or seed names. A float must be a
+    whole number: 5.0 names 5, while 5.9, nan and inf raise DomainError,
+    as does a value below ``minimum``."""
     if isinstance(x, (float, np.floating)) and not float(x).is_integer():
         raise DomainError(f"{name} must be a whole number, got {x!r}")
-    return int(x)
+    n = int(x)
+    if minimum is not None and n < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import disturbance_terms
-from .errors import DomainError, IllConditionedError
+from .errors import IllConditionedError
 from .gramian import GramianBundle
 from .linalg import as_scalar, norm, sym_eig
+from .synthesis import _check_bundle
 from .systems import LtiSystem
 
 __all__ = ["MetricReport", "additive_metric_bound", "multiplicative_metric_bound",
@@ -45,8 +46,7 @@ class MetricReport:
 def _additive(sys: LtiSystem, bundle: GramianBundle, w_bar, R):
     # (r_A_bound, gamma, c_term) at a checked radius R, or elementwise at
     # an array of them
-    if bundle.W_B.shape != (sys.n, sys.n):
-        raise DomainError("bundle does not match system dimensions")
+    _check_bundle(sys, bundle)
     q_bar, c_term = disturbance_terms(bundle, as_scalar(w_bar, "w_bar"))
     weighted = (bundle.spec.lambdas[:, None] * bundle.spec.U.T) @ bundle.state_transition
     gamma = 2.0 * q_bar * norm(weighted, "one")

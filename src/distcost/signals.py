@@ -42,9 +42,7 @@ def uniform_stream(seed, start: int, count: int) -> np.ndarray:
     0x94D049BB133111EB, xor-shift 31). ``seed`` is an int, or a uint64
     vector of seeds giving one row of draws each.
     """
-    start, count = as_whole(start, "start"), as_whole(count, "count")
-    if count < 0:
-        raise DomainError("count must be nonnegative")
+    start, count = as_whole(start, "start", 0), as_whole(count, "count", 0)
     if not isinstance(seed, np.ndarray):
         seed = np.uint64(as_seed(seed) & _MASK64)
     return _k.splitmix_fill(seed, start, count)
@@ -68,7 +66,7 @@ def derive_seeds(master: int, count: int, *indices: int) -> np.ndarray:
     """``derive_seed(master, *indices, k)`` for k = 0..count-1, as one
     uint64 vector."""
     z = np.uint64(derive_seed(master, *indices))
-    k = np.arange(as_whole(count, "count"), dtype=np.uint64)
+    k = np.arange(as_whole(count, "count", 0), dtype=np.uint64)
     return _k.mix64(z ^ _k.mix64(z + k + np.uint64(1)))
 
 
@@ -162,9 +160,7 @@ def make_disturbance(kind: str, w_bar: float, dim: int, **params) -> Disturbance
         uniform cells span [0, ``horizon``], cell k, channel c taking
         draw k*dim + c of the stream of ``seed`` (both whole numbers).
     """
-    w_bar = as_scalar(w_bar, "w_bar")
-    if dim < 1:
-        raise DomainError("dim must be at least 1")
+    w_bar, dim = as_scalar(w_bar, "w_bar"), as_whole(dim, "dim", 1)
     if kind not in KIND_PARAMETERS:
         raise DomainError(f"unknown disturbance kind {kind!r}")
     foreign = sorted(set(params) - set(KIND_PARAMETERS[kind]))
@@ -191,9 +187,7 @@ def make_disturbance(kind: str, w_bar: float, dim: int, **params) -> Disturbance
             raise DomainError("sinusoid amplitude exceeds w_bar")
         return DisturbanceSignal(kind=kind, w_bar=w_bar, dim=dim, **p)
     if kind == "piecewise_uniform":
-        cells = as_whole(p["cells"], "cells")
-        if cells < 1:
-            raise DomainError("piecewise_uniform needs at least one cell")
+        cells = as_whole(p["cells"], "piecewise_uniform cells", 1)
         horizon = as_scalar(p["horizon"], "piecewise_uniform horizon", positive=True)
         values = piecewise_cell_values(as_seed(p["seed"]), w_bar, cells, dim)
     else:

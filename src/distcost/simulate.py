@@ -140,9 +140,7 @@ def simulate_closed_loop(sys: LtiSystem, task: StabilizationTask, u: ControlSign
         States and controls on the step grid, state norms, and the
         running control energy (composite Simpson per step).
     """
-    steps = as_whole(steps, "steps")
-    if steps < 100:
-        raise DomainError(f"steps must be at least 100, got {steps}")
+    steps = as_whole(steps, "steps", 100)
     if w is not None and w.dim != sys.n:
         raise DimensionError(f"disturbance dim {w.dim} does not match n = {sys.n}")
     t_f = task.t_f

@@ -64,6 +64,7 @@ def sample_gaussians(seed: int, count: int, dim: int) -> np.ndarray:
     Sample i consumes draws [i*D, (i+1)*D) with D = 2*ceil(dim/2), so any
     sample can be regenerated in isolation.
     """
+    count, dim = as_whole(count, "count", 0), as_whole(dim, "dim", 1)
     D = 2 * ((dim + 1) // 2)
     return _box_muller(uniform_stream(seed, 0, count * D).reshape(count, D), dim)
 
@@ -81,6 +82,7 @@ def sample_ball(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
     """(count, dim) points uniform in the ball; one extra draw per sample
     sets the radius as radius * u^(1/dim)."""
     radius = as_scalar(radius, "radius")
+    count, dim = as_whole(count, "count", 0), as_whole(dim, "dim", 1)
     D = 2 * ((dim + 1) // 2) + 1
     u = uniform_stream(seed, 0, count * D).reshape(count, D)
     g = _box_muller(u[:, :-1], dim)
@@ -88,12 +90,6 @@ def sample_ball(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
     nrm[nrm == 0.0] = 1.0
     scale = radius * u[:, -1] ** (1.0 / dim)
     return g * (scale / nrm)[:, None]
-
-
-def transition_integral(sys: LtiSystem, t_f: float) -> np.ndarray:
-    """int_0^tf e^{As} ds: column j is the response to the constant
-    disturbance e_j."""
-    return piecewise_response(sys, np.eye(sys.n)[:, None, :], t_f).T
 
 
 def worst_constant_sign(sys: LtiSystem, task: StabilizationTask,
@@ -218,11 +214,7 @@ def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
     direction of the representative initial state R * x0_dir reported in
     the E_N / E_D_bound columns.
     """
-    samples, cells = as_whole(samples, "samples"), as_whole(cells, "cells")
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    if cells < 1:
-        raise DomainError("cells must be >= 1")
+    samples, cells = as_whole(samples, "samples", 1), as_whole(cells, "cells", 1)
     x0_dir = np.asarray(x0_dir, dtype=np.float64)
     nrm = float(np.sqrt(np.sum(x0_dir * x0_dir)))
     if nrm == 0.0:

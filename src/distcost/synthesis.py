@@ -63,9 +63,7 @@ class ControlSignal:
         value the RK4 stages need; shape (2*steps + 1, p). Values match
         pointwise evaluation to ~1e-13 relative.
         """
-        steps = as_whole(steps, "steps")
-        if steps < 1:
-            raise DomainError("steps must be at least 1")
+        steps = as_whole(steps, "steps", 1)
         n_nodes = 2 * steps + 1
         delta = self.t_f / (n_nodes - 1)
         At = self.system.A.T
@@ -82,11 +80,14 @@ class ControlSignal:
         return -(Y @ self.system.B)
 
 
-def _check_bundle(sys: LtiSystem, task: StabilizationTask, bundle: GramianBundle):
-    if bundle.W_B.shape != (sys.n, sys.n):
-        raise DimensionError(
-            f"bundle dimension {bundle.W_B.shape} does not match system n = {sys.n}"
-        )
+def _check_bundle(sys: LtiSystem, bundle: GramianBundle,
+                  task: StabilizationTask | None = None):
+    # a bundle serves only the (A, B) it was built from, and a task only
+    # its own horizon; same-n systems would pass a shape test
+    if not (np.array_equal(bundle.A, sys.A) and np.array_equal(bundle.B, sys.B)):
+        raise DimensionError(f"bundle was built for another system than {sys.name!r}")
+    if task is None:
+        return
     if task.x0.shape != (sys.n,):
         raise DimensionError(
             f"x0 dimension {task.x0.shape[0]} does not match system n = {sys.n}"
@@ -100,7 +101,7 @@ def _check_bundle(sys: LtiSystem, task: StabilizationTask, bundle: GramianBundle
 def _control(sys: LtiSystem, task: StabilizationTask, bundle: GramianBundle,
              w: DisturbanceSignal | None) -> ControlSignal:
     # the gain W_B^{-1}[e^{A t_f} x0 + R(w, t_f)], with R = 0 when w is None
-    _check_bundle(sys, task, bundle)
+    _check_bundle(sys, bundle, task)
     rhs = bundle.state_transition @ task.x0
     if w is not None:
         rhs = rhs + disturbance_response(sys, w, task.t_f)

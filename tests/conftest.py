@@ -1,9 +1,25 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from distcost.gramian import build_bundle
 from distcost.models import admire
 from distcost.systems import StabilizationTask
+
+
+def expm_nodes(A):
+    """s -> e^{A s_k} for every node s_k, shape (nodes, n, n).
+
+    One eigendecomposition A = V diag(lam) V^-1 gives every node as
+    V diag(e^{lam s_k}) V^-1; when V is too ill-conditioned for that
+    (cond(V) > 1e8), each node takes its own scipy expm. Independent
+    oracles use it in place of one expm call per node.
+    """
+    lam, V = np.linalg.eig(A)
+    if np.linalg.cond(V) > 1e8:
+        return lambda s: np.stack([scipy.linalg.expm(A * sk) for sk in s])
+    V_inv = np.linalg.inv(V)
+    return lambda s: ((V * np.exp(np.outer(s, lam))[:, None, :]) @ V_inv).real
 
 
 @pytest.fixture(scope="session")

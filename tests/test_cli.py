@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from distcost.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_PARSE, entry
+from distcost.cli import _COMMAND_OPTIONS, _KEYS, EXIT_CONFIG, EXIT_NUMERIC, EXIT_PARSE, entry
 from distcost.energy import disturbed_signal_energy
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
@@ -21,7 +21,7 @@ def run(tmp_path, *argv):
 def fast_args():
     # small grids keep CLI tests quick; correctness-at-scale lives in
     # the acceptance module
-    return ["--steps", "500", "--tf-grid", "0.5,1", "--R-grid", "10,100"]
+    return ["--tf-grid", "0.5,1", "--R-grid", "10,100"]
 
 
 class TestStabilize:
@@ -205,6 +205,48 @@ class TestEnergyAndModel:
         assert json.loads(capsys.readouterr().out) == doc
 
 
+FOREIGN = [(command, key) for command, keys in _COMMAND_OPTIONS.items()
+           for key in _KEYS if key not in keys]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command,key", FOREIGN,
+                             ids=[f"{c}-{k}" for c, k in FOREIGN])
+    def test_unread_key_is_rejected(self, tmp_path, monkeypatch, command, key):
+        # a command takes neither the flag nor the config key of a value
+        # it does not read, even a valid one, and writes nothing
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)  # the default --out; model writes nowhere
+        with pytest.raises(SystemExit) as exc:
+            entry([command, "--" + key.replace("_", "-"), "1"])
+        assert exc.value.code == EXIT_CONFIG
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: _KEYS[key][0]}))
+        assert entry([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("argv,doc,read", [
+        (["stabilize", "--steps", "500"], {"disturbances": []},
+         {"steps": 500, "cells": 500, "disturbances": []}),
+        (["bound-accuracy", "--tf-grid", "0.5"], {"cells": 10},
+         {"tf_grid": [0.5], "cells": 10}),
+        (["metrics-sweep", "--R-grid", "10", "--tf-grid", "0.5"], {"samples": 5},
+         {"R_grid": [10.0], "tf_grid": [0.5], "samples": 5, "cells": 100}),
+        (["energy", "--tf", "1"], {"x0": [1, 2, 3]}, {"tf": 1.0, "x0": [1.0, 2.0, 3.0]}),
+    ], ids=["stabilize", "bound-accuracy", "metrics-sweep", "energy"])
+    def test_config_echo_is_the_values_read(self, tmp_path, argv, doc, read):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc, out = run(tmp_path, *argv, "--config", str(cfg))
+        assert rc == 0
+        name = "energy.json" if argv[0] == "energy" else "summary.json"
+        summary = json.loads((out / name).read_text())
+        assert set(summary["config"]) == set(_COMMAND_OPTIONS[argv[0]]) - {"out"}
+        assert {k: summary["config"][k] for k in read} == read
+        assert summary["config"]["model"] == "admire"
+
+
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
         rc, _ = run(tmp_path, "energy", "--tf", "1")
@@ -234,7 +276,7 @@ class TestExitCodes:
     def test_bad_model_file_is_parse(self, tmp_path):
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps({"name": "x"}))
-        rc, _ = run(tmp_path, "model", "--model", str(bad))
+        rc = entry(["model", "--model", str(bad)])
         assert rc == EXIT_PARSE
 
     def test_singular_gramian_is_numeric(self, tmp_path):
@@ -256,12 +298,12 @@ class TestExitCodes:
         ("metrics-sweep", {"R_grid": []}),
         ("bound-accuracy", {"tf_grid": []}),
         ("metrics-sweep", {"workers": 2}),
-        ("energy", {"seed": float("inf")}),
+        ("bound-accuracy", {"seed": float("inf")}),
         ("metrics-sweep", {"samples": -float("inf")}),
         ("bound-accuracy", {"cells": float("inf")}),
         ("stabilize", {"disturbances": [{"kind": "piecewise_uniform",
                                          "seed": float("inf")}]}),
-        ("stabilize", {"tf_grid": [1.0, -1.0]}),
+        ("bound-accuracy", {"tf_grid": [1.0, -1.0]}),
         ("metrics-sweep", {"R_grid": [10.0, float("nan")]}),
         ("metrics-sweep", {"seed": 1.7}),
         ("stabilize", {"disturbances": [{"kind": "piecewise_uniform", "seed": 1.5}]}),
@@ -277,7 +319,8 @@ class TestExitCodes:
     def test_malformed_config_value_is_config(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        rc, out = run(tmp_path, command, "--steps", "200", "--config", str(cfg))
+        steps = ["--steps", "200"] if command == "stabilize" else []
+        rc, out = run(tmp_path, command, *steps, "--config", str(cfg))
         assert rc == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)

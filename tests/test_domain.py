@@ -1,6 +1,7 @@
 """Every public entry point that takes a horizon, amplitude or radius
 rejects an out-of-domain value with DomainError, through the one shared
-rule ``linalg.as_scalar``."""
+rule ``linalg.as_scalar``; counts, dimensions and stream offsets go
+through ``linalg.as_whole`` and its range check."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from distcost.errors import DomainError
 from distcost.gramian import build_bundle, controllability_gramian, norm_integral
 from distcost.metrics import additive_metric_bound, hardness, multiplicative_metric_bound
-from distcost.signals import make_disturbance
+from distcost.signals import derive_seeds, make_disturbance, uniform_stream
 from distcost.sweeps import sample_ball, sample_sphere
 from distcost.synthesis import disturbance_response
 from distcost.systems import StabilizationTask
@@ -52,3 +53,21 @@ def test_out_of_domain_scalar_is_domain_error(jet, jet_bundle_half, call, positi
         return
     with pytest.raises(DomainError):
         call(value, jet, jet_bundle_half)
+
+
+# (id, call with a count, dimension or stream offset that is fractional
+# or below its minimum)
+BAD_COUNTS = [
+    ("derive_seeds-negative-count", lambda: derive_seeds(0, -1)),
+    ("uniform_stream-negative-start", lambda: uniform_stream(0, -5, 2)),
+    ("sample_sphere-zero-dim", lambda: sample_sphere(0, 2, 0, 1.0)),
+    ("sample_sphere-fractional-count", lambda: sample_sphere(0, 2.5, 3, 1.0)),
+    ("sample_ball-zero-dim", lambda: sample_ball(0, 2, 0, 1.0)),
+    ("make_disturbance-fractional-dim", lambda: make_disturbance("zero", 1.0, 2.5)),
+]
+
+
+@pytest.mark.parametrize("call", [e[1] for e in BAD_COUNTS], ids=[e[0] for e in BAD_COUNTS])
+def test_out_of_range_count_is_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

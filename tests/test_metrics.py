@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from distcost.energy import disturbed_energy_bound, nominal_energy
-from distcost.errors import DomainError
+from distcost.errors import DimensionError, DomainError
 from distcost.gramian import build_bundle
 from distcost.linalg import norm
 from distcost.metrics import (additive_metric_bound, hardness, metric_report,
@@ -115,7 +115,8 @@ class TestDomainChecks:
             additive_metric_bound(jet, jet_bundle_half, -1.0, 1.0)
 
     def test_report_rejects_mismatched_bundle(self, jet, scalar_bundle):
-        # a 1-state bundle with the 3-state jet: every entry point refuses it
+        # a 1-state bundle with the 3-state jet: every entry point refuses
+        # it, by the bundle check the energy and control functions share
         for f in (additive_metric_bound, multiplicative_metric_bound, metric_report):
-            with pytest.raises(DomainError):
+            with pytest.raises(DimensionError):
                 f(jet, scalar_bundle, 1.0, 1.0)

@@ -7,12 +7,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distcost.energy import disturbed_energy_bound, nominal_energy
 from distcost.errors import DimensionError, DomainError
 from distcost.gramian import build_bundle
+from distcost.metrics import metric_report
 from distcost.signals import make_disturbance
 from distcost.synthesis import (ControlSignal, disturbance_response,
                                 disturbed_control, nominal_control)
 from distcost.systems import LtiSystem, StabilizationTask
+
+from conftest import expm_nodes
 
 
 def _segments(w, t_f, nodes):
@@ -40,23 +44,9 @@ def _w_at(w, taus, mid):
     return w.eval(taus)
 
 
-def _expm_nodes(A):
-    """s -> e^{A s_k} for every node s_k, shape (nodes, n, n).
-
-    One eigendecomposition A = V diag(lam) V^-1 gives every node as
-    V diag(e^{lam s_k}) V^-1; when V is too ill-conditioned for that
-    (cond(V) > 1e8), each node takes its own scipy expm.
-    """
-    lam, V = np.linalg.eig(A)
-    if np.linalg.cond(V) > 1e8:
-        return lambda s: np.stack([scipy.linalg.expm(A * sk) for sk in s])
-    V_inv = np.linalg.inv(V)
-    return lambda s: ((V * np.exp(np.outer(s, lam))[:, None, :]) @ V_inv).real
-
-
 def dense_response(sys, w, t_f, nodes=16385):
     """Piecewise-aware Simpson oracle for R(w, t_f)."""
-    expm_at = _expm_nodes(sys.A)
+    expm_at = expm_nodes(sys.A)
 
     def integrand(taus, mid):
         return np.einsum("kij,kj->ki", expm_at(t_f - taus), _w_at(w, taus, mid))
@@ -66,7 +56,7 @@ def dense_response(sys, w, t_f, nodes=16385):
 def terminal_state(sys, task, u, w, nodes=16385):
     """x(t_f) by direct quadrature of the variation-of-constants formula."""
     t_f = task.t_f
-    expm_at = _expm_nodes(sys.A)
+    expm_at = expm_nodes(sys.A)
 
     def integrand(taus, mid):
         E = expm_at(t_f - taus)
@@ -102,6 +92,19 @@ class TestNominalControl:
         task = StabilizationTask(x0=np.array([1.0, 0.0, 0.0]), t_f=4.0)
         with pytest.raises(DimensionError):
             nominal_control(jet, task, jet_bundle_5)
+
+    @pytest.mark.parametrize("call", [
+        nominal_energy, disturbed_energy_bound,
+        lambda s, task, b: disturbed_control(s, task, b, None),
+        lambda s, task, b: metric_report(s, b, task.w_bar, 10.0),
+    ], ids=["nominal_energy", "disturbed_energy_bound", "disturbed_control",
+            "metric_report"])
+    def test_bundle_of_another_system(self, jet, jet_task_5, jet_bundle_5, call):
+        # the same n, so a shape test passes; ADMIRE's bundle would give
+        # the 2A system a wrong energy with no error
+        other = LtiSystem(2.0 * jet.A, jet.B, name="admire-2A")
+        with pytest.raises(DimensionError):
+            call(other, jet_task_5, jet_bundle_5)
 
     def test_half_grid_matches_pointwise(self, jet, jet_task_5, jet_bundle_5):
         u = nominal_control(jet, jet_task_5, jet_bundle_5)
