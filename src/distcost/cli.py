@@ -93,11 +93,18 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _number(value) -> float:
+    # float(True) is 1.0, but a JSON true or false is no number
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _float_tuple(values, key: str) -> tuple:
     # a flag's comma-separated text or a config file's JSON list
     if isinstance(values, str):
         values = [tok for tok in values.replace(" ", "").split(",") if tok]
-    vals = tuple(float(v) for v in values)
+    vals = tuple(_number(v) for v in values)
     if not vals:
         raise ConfigError(f"{key} must be a nonempty number list")
     return vals
@@ -119,8 +126,8 @@ def _of_type(kind: type, what: str):
 _KEYS = {
     "model": ("admire", _of_type(str, "a model name or path")),
     "x0": ((5.0, -1.0, 3.0), lambda v: _float_tuple(v, "x0")),
-    "tf": (5.0, float),
-    "wbar": (1.0, float),
+    "tf": (5.0, _number),
+    "wbar": (1.0, _number),
     "R_grid": (DEFAULT_R_GRID, lambda v: _float_tuple(v, "R_grid")),
     "tf_grid": (DEFAULT_TF_GRID, lambda v: _float_tuple(v, "tf_grid")),
     "steps": (5000, lambda v: as_whole(v, "steps")),
@@ -175,7 +182,10 @@ class RunConfig:
         return load_model(self.model)
 
     def outdir(self) -> str:
-        os.makedirs(self.out, exist_ok=True)
+        try:
+            os.makedirs(self.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.out!r}: {exc}") from exc
         return self.out
 
     def echo(self) -> dict:
@@ -193,7 +203,7 @@ def _signal_from_spec(spec: dict, sys_: LtiSystem, task: StabilizationTask,
     if "horizon" in spec:
         raise ConfigError("a disturbance spec takes no horizon; cells span [0, tf]")
     kind = spec["kind"]
-    w_bar = float(spec.get("wbar", task.w_bar))
+    w_bar = _number(spec.get("wbar", task.w_bar))
     params = {k: v for k, v in spec.items() if k not in ("name", "kind", "wbar")}
     takes = KIND_PARAMETERS.get(kind, {})
     if "horizon" in takes:

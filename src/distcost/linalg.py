@@ -17,7 +17,7 @@ from . import _kernels as _k
 from .errors import DimensionError, DomainError, NumericalError
 
 __all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "as_scalar", "as_whole",
-           "expm", "block_expm", "shifted_powers", "sym_eig", "norm"]
+           "expm", "block_expm", "linear_scan", "sym_eig", "norm"]
 
 # Jacobi stops when off(M) <= _JACOBI_OFF_TOL * ||M||_F, which leaves the
 # eigenvalues accurate to about that relative level
@@ -60,8 +60,9 @@ def as_scalar(x, name: str, positive: bool = False) -> float:
 def as_whole(x, name: str, minimum: int | None = None) -> int:
     """The integer a count, dimension or seed names. A float must be a
     whole number: 5.0 names 5, while 5.9, nan and inf raise DomainError,
-    as does a value below ``minimum``."""
-    if isinstance(x, (float, np.floating)) and not float(x).is_integer():
+    as do a boolean and a value below ``minimum``."""
+    if isinstance(x, (bool, np.bool_)) or (
+            isinstance(x, (float, np.floating)) and not float(x).is_integer()):
         raise DomainError(f"{name} must be a whole number, got {x!r}")
     n = int(x)
     if minimum is not None and n < minimum:
@@ -123,23 +124,23 @@ def block_expm(A, C, S, t: float):
     return np.ascontiguousarray(E[:n, :n]), E[:n, n:]
 
 
-def shifted_powers(D: np.ndarray, count: int) -> np.ndarray:
-    """Stack of (I + D)^j - I for j = 0, ..., count-1, shape (count, n, n).
+def linear_scan(X: np.ndarray, D_pow) -> np.ndarray:
+    """Every state of x_{k+1} = P x_k + X[k+1] from x_0 = X[0], row k of
+    the result being x_k.
 
-    For a near-identity propagator I + D, forming I + D in floating point
-    would round away the low bits of the small D, and that same error
-    would then be repeated at every power; carrying the powers minus the
-    identity keeps them. Built by doubling,
-    (I + D_a)(I + D_b) - I = D_a + D_b + D_a D_b, so it takes log2(count)
-    batched products instead of count - 1 single ones.
+    An inclusive prefix scan (Hillis & Steele, CACM 1986): pass j adds to
+    each row the row 2^j before it, carried by P^(2^j), so
+    (len(X) - 1).bit_length() batched passes reach every row.
+    ``D_pow[j]`` is P^(2^j) - I, not P^(2^j): for a near-identity P,
+    forming P in floating point would round away the low bits of the
+    small difference, and the scan would repeat that error at every
+    state. A ``D_pow`` too short for X raises IndexError.
     """
-    P = np.zeros((1,) + D.shape)
-    Dk = D
-    while True:
-        P = np.concatenate([P, P + Dk + P @ Dk])
-        if P.shape[0] >= count:
-            return P[:count]
-        Dk = 2.0 * Dk + Dk @ Dk
+    X = np.array(X, dtype=np.float64)
+    for j in range((len(X) - 1).bit_length()):
+        s = 1 << j
+        X[s:] = X[s:] + X[:-s] + X[:-s] @ D_pow[j].T
+    return X
 
 
 def sym_eig(M) -> SpectralDecomposition:

@@ -12,18 +12,18 @@ One RK4 step on xdot = A x + f(t) is exactly affine, x_{k+1} = T x_k + F_k:
 with f = B u + w at the left, mid and right stages. T is RK4's degree-4
 polynomial, not e^{hA}, so this is still RK4 with its O(h^4) error and
 an independent check of the closed-form energies. The recurrence runs as
-a blocked scan: blocks of L ~ sqrt(steps) steps advance together, then
-the block start states are carried across.
+one prefix scan (``linalg.linear_scan``) in log2(steps) batched passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import as_whole, shifted_powers
+from .linalg import as_whole, linear_scan
 from .signals import DisturbanceSignal
 from .synthesis import ControlSignal
 from .systems import LtiSystem, StabilizationTask
@@ -82,8 +82,8 @@ def _rk4(A, B, x0, h, U_half, w_stages):
     # the affine RK4 recurrence of the module docstring; U_half is u on the
     # half-step grid, w_stages the (left, mid, right) w of each step. T is
     # kept as I + D, since rounding I + D would repeat one error per step.
-    steps, n = w_stages.shape[0], A.shape[0]
-    I = np.eye(n)
+    steps = w_stages.shape[0]
+    I = np.eye(A.shape[0])
     M = h * A
     M2 = M @ M
     M3 = M2 @ M
@@ -95,26 +95,11 @@ def _rk4(A, B, x0, h, U_half, w_stages):
                      + (f[1::2] + w_stages[:, 1]) @ P_mid.T
                      + f[2::2] + w_stages[:, 2])
 
-    L = int(np.ceil(np.sqrt(steps)))
-    blocks = -(-steps // L)
-    F_blocks = np.zeros((blocks * L, n))
-    F_blocks[:steps] = F
-    F_blocks = F_blocks.reshape(blocks, L, n)
-    # partial[b, i]: state at step b*L + i when block b starts from zero
-    partial = np.empty((blocks, L, n))
-    acc = np.zeros((blocks, n))
-    for i in range(L):
-        partial[:, i] = acc
-        acc = acc + acc @ D.T + F_blocks[:, i]
-    D_pow = shifted_powers(D, L + 1)
-    starts = np.empty((blocks + 1, n))
-    starts[0] = x0
-    for b in range(blocks):
-        starts[b + 1] = starts[b] + D_pow[L] @ starts[b] + acc[b]
-    X = (starts[:blocks, None, :] + partial
-         + np.einsum("ijk,bk->bij", D_pow[:L], starts[:blocks]))
-    # steps that pad the last block run past t_f and are dropped
-    return np.concatenate([X.reshape(-1, n), starts[blocks:]])[:steps + 1]
+    # T is a polynomial, not an exponential, so its powers T^(2^j) - I
+    # come only by doubling: (I + D)^2 - I = 2D + D^2
+    D_pow = list(accumulate(range(steps.bit_length() - 1),
+                            lambda Dj, _: 2.0 * Dj + Dj @ Dj, initial=D))
+    return linear_scan(np.vstack([x0, F]), D_pow)
 
 
 def simulate_closed_loop(sys: LtiSystem, task: StabilizationTask, u: ControlSignal,

@@ -22,16 +22,12 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .gramian import GramianBundle
-from .linalg import as_scalar, as_whole, block_expm, expm, shifted_powers
+from .linalg import as_scalar, as_whole, block_expm, expm, linear_scan
 from .signals import DisturbanceSignal
 from .systems import LtiSystem, StabilizationTask
 
 __all__ = ["ControlSignal", "nominal_control", "disturbed_control",
            "disturbance_response", "piecewise_response"]
-
-# the control half-grid restarts from a fresh expm this many nodes apart,
-# which keeps accumulated rounding below ~1e-13 relative
-_CHECKPOINT = 256
 
 
 @dataclass(frozen=True)
@@ -64,19 +60,19 @@ class ControlSignal:
         pointwise evaluation to ~1e-13 relative.
         """
         steps = as_whole(steps, "steps", 1)
-        n_nodes = 2 * steps + 1
-        delta = self.t_f / (n_nodes - 1)
+        passes = (2 * steps).bit_length()
+        delta = self.t_f / (2 * steps)
         At = self.system.A.T
         g = self.gain_vector
-        # node n_nodes-1-k needs e^{A^T k delta} g. Write the back-offset
-        # as k = c*CP + m: checkpoint c starts from a fresh exponential
-        # applied to g, and E^m with E = e^{A^T delta} walks m nodes on.
-        seeds = np.array([g] + [expm(At * (c * _CHECKPOINT * delta)) @ g
-                                for c in range(1, (n_nodes - 1) // _CHECKPOINT + 1)])
-        D_pow = shifted_powers(expm(At * delta) - np.eye(g.shape[0]),
-                               min(_CHECKPOINT, n_nodes))
-        Y = seeds[:, None, :] + np.einsum("mij,cj->cmi", D_pow, seeds)
-        Y = Y.reshape(-1, g.shape[0])[n_nodes - 1::-1]
+        # node 2*steps - k needs e^{A^T k delta} g, the k-th state of
+        # y_{k+1} = e^{A^T delta} y_k from y_0 = g. Each power comes from a
+        # fresh exponential: doubling the first one would compound its
+        # rounding at every pass.
+        I = np.eye(g.shape[0])
+        D_pow = [expm(At * (delta * 2**j)) - I for j in range(passes)]
+        X = np.zeros((2 * steps + 1, g.shape[0]))
+        X[0] = g
+        Y = linear_scan(X, D_pow)[::-1]
         return -(Y @ self.system.B)
 
 

@@ -310,20 +310,45 @@ class TestExitCodes:
         ("metrics-sweep", {"samples": 5.9}),
         ("bound-accuracy", {"cells": 4.7}),
         ("stabilize", {"disturbances": [{"kind": "piecewise_uniform", "cells": 4.7}]}),
+        # JSON true and false are no numbers, though float(True) is 1.0
+        ("energy", {"tf": True}),
+        ("energy", {"wbar": False}),
+        ("energy", {"x0": [True, 0, 0]}),
+        ("metrics-sweep", {"R_grid": [10.0, True]}),
+        ("bound-accuracy", {"tf_grid": [True]}),
+        ("bound-accuracy", {"seed": True}),
+        ("stabilize", {"steps": True}),
+        ("metrics-sweep", {"samples": True}),
+        ("bound-accuracy", {"cells": True}),
+        ("stabilize", {"disturbances": [{"kind": "sinusoid", "wbar": True}]}),
     ], ids=["samples-text", "tf-text", "x0-text-entry", "model-number",
             "disturbances-object", "cells-text", "empty-R-grid", "empty-tf-grid",
             "workers-key", "infinite-seed", "infinite-samples", "infinite-cells",
             "infinite-disturbance-seed", "negative-tf-grid", "nan-R-grid", "fractional-seed",
             "fractional-disturbance-seed", "fractional-samples", "fractional-cells",
-            "fractional-disturbance-cells"])
+            "fractional-disturbance-cells", "boolean-tf", "boolean-wbar", "boolean-x0-entry",
+            "boolean-R-grid-entry", "boolean-tf-grid-entry", "boolean-seed", "boolean-steps",
+            "boolean-samples", "boolean-cells", "boolean-disturbance-wbar"])
     def test_malformed_config_value_is_config(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        steps = ["--steps", "200"] if command == "stabilize" else []
+        # a --steps flag keeps stabilize short, unless steps is the bad value
+        steps = ["--steps", "200"] if command == "stabilize" and "steps" not in doc else []
         rc, out = run(tmp_path, command, *steps, "--config", str(cfg))
         assert rc == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["empty", "under-a-file"])
+    def test_bad_output_directory_is_config(self, tmp_path, capsys, under_file):
+        # os.makedirs fails on "" and on a path through a regular file
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "sub") if under_file else ""
+        rc = entry(["energy", "--tf", "1", "--out", out])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert "Traceback" not in err
 
     def test_infinite_steps_is_config(self, tmp_path):
         # steps comes from the config only when no --steps flag is given

@@ -64,6 +64,8 @@ BAD_COUNTS = [
     ("sample_sphere-fractional-count", lambda: sample_sphere(0, 2.5, 3, 1.0)),
     ("sample_ball-zero-dim", lambda: sample_ball(0, 2, 0, 1.0)),
     ("make_disturbance-fractional-dim", lambda: make_disturbance("zero", 1.0, 2.5)),
+    ("make_disturbance-boolean-seed",
+     lambda: make_disturbance("piecewise_uniform", 1.0, 2, seed=True, cells=4, horizon=1.0)),
 ]
 
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from distcost import linalg
 from distcost.errors import DimensionError, DomainError, NumericalError
-from distcost.linalg import as_matrix, as_scalar, as_vector, expm, norm, sym_eig
+from distcost.linalg import (as_matrix, as_scalar, as_vector, expm, linear_scan, norm,
+                             sym_eig)
 
 rng = np.random.default_rng(7)
 
@@ -72,6 +73,47 @@ class TestExpm:
         M = 2.0 * rng.standard_normal((5, 5))
         P = expm(M) @ expm(-M)
         assert np.max(np.abs(P - np.eye(5))) < 1e-12
+
+
+def doubled_powers(D, count):
+    # (I + D)^(2^j) - I for j < count, by (I + D)^2 - I = 2D + D^2
+    D_pow = [D]
+    while len(D_pow) < count:
+        D_pow.append(2.0 * D_pow[-1] + D_pow[-1] @ D_pow[-1])
+    return D_pow[:count]
+
+
+class TestLinearScan:
+    # lengths cover no pass (1); len(X) - 1 at a power of two (2, 3, 257),
+    # where the last pass shifts by all of it; and len(X) - 1 just below
+    # (255, 256) or well past (1000) one
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([1, 2, 3, 255, 256, 257, 1000]),
+           st.floats(1e-4, 1e-2), st.integers(0, 2**32 - 1))
+    def test_matches_sequential_recurrence(self, n, length, h, seed):
+        rng_ = np.random.default_rng(seed)
+        D = h * rng_.standard_normal((n, n)) / np.sqrt(n)
+        X = rng_.standard_normal((length, n))
+        ref = np.empty_like(X)
+        ref[0] = X[0]
+        for k in range(1, length):
+            ref[k] = ref[k - 1] + D @ ref[k - 1] + X[k]
+        got = linear_scan(X, doubled_powers(D, (length - 1).bit_length()))
+        assert got.shape == X.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_leaves_input_unchanged(self):
+        X = rng.standard_normal((9, 2))
+        before = X.copy()
+        linear_scan(X, doubled_powers(0.01 * np.eye(2), 4))
+        assert np.array_equal(X, before)
+
+    @pytest.mark.parametrize("length", [2, 256, 257])
+    def test_too_few_powers_raise(self, length):
+        X = rng.standard_normal((length, 2))
+        short = doubled_powers(0.01 * np.eye(2), (length - 1).bit_length() - 1)
+        with pytest.raises(IndexError):
+            linear_scan(X, short)
 
 
 class TestSymEig:

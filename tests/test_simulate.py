@@ -72,10 +72,12 @@ class TestClosedForm:
 
 
 class TestAffineRk4:
-    # steps cover a perfect square (100), a remainder in the last block
-    # (101, 1000) and a count just past a block boundary (257)
+    # the scan runs steps.bit_length() passes: at a power of two (128,
+    # 256) the last pass shifts by all the steps, the others (100, 101,
+    # 257, 1000) end on a partial pass
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 4), st.sampled_from([100, 101, 257, 1000]),
+    @given(st.integers(1, 6), st.integers(1, 4),
+           st.sampled_from([100, 101, 128, 256, 257, 1000]),
            st.floats(0.1, 5.0), st.integers(0, 2**32 - 1))
     def test_matches_stage_by_stage_reference(self, n, p, steps, t_f, seed):
         rng = np.random.default_rng(seed)

@@ -116,8 +116,9 @@ class TestNominalControl:
 
 
 class TestHalfGrid:
-    # 2*steps below 256, a multiple of 256, and neither: one partial
-    # checkpoint block, whole blocks only, and a partial last block
+    # the scan walks 2*steps nodes back from t_f: 512 is a power of two,
+    # so its last pass shifts by all of them, while 200 and 600 end on a
+    # partial pass
     @pytest.mark.parametrize("steps", [100, 256, 300])
     def test_gain_grid_matches_direct_exponentials(self, steps):
         A = np.array([[0.0, 1.0], [-2.0, -0.3]])
@@ -133,6 +134,16 @@ class TestHalfGrid:
         for j in sorted({0, 1, 255, 256, 257, last} & set(range(last + 1))):
             ref = -B.T @ scipy.linalg.expm(A.T * (total - j * delta)) @ g
             assert np.max(np.abs(U[j] - ref)) < 1e-12, j
+
+    def test_jet_grid_keeps_fresh_power_accuracy(self, jet, jet_task_5, jet_bundle_5):
+        # every node of the default 5000-step grid at about 1e-15 relative;
+        # powers doubled from one exponential would miss by about 2e-13
+        u = nominal_control(jet, jet_task_5, jet_bundle_5)
+        steps = 5000
+        U = u.sample_half_grid(steps)
+        back = 5.0 - np.linspace(0.0, 5.0, 2 * steps + 1)
+        ref = -(expm_nodes(jet.A.T)(back) @ u.gain_vector) @ jet.B
+        assert np.max(np.abs(U - ref)) <= 5e-14 * np.max(np.abs(ref))
 
 
 class TestDisturbedControl:
