@@ -193,8 +193,8 @@ class RunConfig:
         return {k: v for k, v in vars(self).items() if k != "out"}
 
 
-def _signal_from_spec(spec: dict, sys_: LtiSystem, task: StabilizationTask,
-                      bundle, default_cells: int, master_seed: int, index: int):
+def _signal_from_spec(spec: dict, task: StabilizationTask, bundle,
+                      default_cells: int, master_seed: int, index: int):
     # a spec is a name, a kind, an amplitude and that kind's parameters
     # (make_disturbance rejects any other key), but never a horizon: a
     # piecewise grid always spans [0, t_f]
@@ -213,8 +213,8 @@ def _signal_from_spec(spec: dict, sys_: LtiSystem, task: StabilizationTask,
         # the worst pattern depends on the amplitude, so search at the
         # spec's own
         params["sign_vector"] = worst_constant_sign(
-            sys_, dataclasses.replace(task, w_bar=w_bar), bundle)
-    return make_disturbance(kind, w_bar, sys_.n, **params)
+            dataclasses.replace(task, w_bar=w_bar), bundle)
+    return make_disturbance(kind, w_bar, bundle.system.n, **params)
 
 
 def _run_name(spec: dict, index: int) -> str:
@@ -224,14 +224,13 @@ def _run_name(spec: dict, index: int) -> str:
     return name
 
 
-def _resolve_runs(cfg: RunConfig, sys_: LtiSystem, task: StabilizationTask,
-                  bundle) -> list:
+def _resolve_runs(cfg: RunConfig, task: StabilizationTask, bundle) -> list:
     # (name, signal) per configured disturbance, every one checked before
     # stabilize writes its first file: each name owns traj_<name>.csv
     runs, taken = [], {"nominal"}
     for i, spec in enumerate(cfg.disturbances):
         try:
-            w = _signal_from_spec(spec, sys_, task, bundle, cfg.cells, cfg.seed, i)
+            w = _signal_from_spec(spec, task, bundle, cfg.cells, cfg.seed, i)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"malformed disturbance spec {spec!r}: {exc}") from exc
         name = _run_name(spec, i)
@@ -244,23 +243,22 @@ def _resolve_runs(cfg: RunConfig, sys_: LtiSystem, task: StabilizationTask,
 
 def cmd_stabilize(cfg: RunConfig) -> int:
     """synthesize controls and write closed-loop trajectories"""
-    sys_ = cfg.load_system()
     task = StabilizationTask(x0=cfg.x0, t_f=cfg.tf, w_bar=cfg.wbar)
-    bundle = build_bundle(sys_, cfg.tf)
-    bound = disturbed_energy_bound(sys_, task, bundle)
-    resolved = _resolve_runs(cfg, sys_, task, bundle)
+    bundle = build_bundle(cfg.load_system(), cfg.tf)
+    bound = disturbed_energy_bound(task, bundle)
+    resolved = _resolve_runs(cfg, task, bundle)
     outdir = cfg.outdir()
 
     runs = []
     for name, w in [("nominal", None), *resolved]:
-        control = disturbed_control(sys_, task, bundle, w)
-        traj = simulate_closed_loop(sys_, task, control, w, cfg.steps)
+        control = disturbed_control(task, bundle, w)
+        traj = simulate_closed_loop(task, control, w, cfg.steps)
         _atomic_write(os.path.join(outdir, f"traj_{name}.csv"), trajectory_to_csv(traj))
         run = {"name": name, "kind": "zero" if w is None else w.kind,
                "terminal_residual": traj.terminal_residual,
                "energy_quadrature": traj.energy, "energy_closed_form": bound.E_N}
         if w is not None:
-            e_d = disturbed_signal_energy(sys_, task, bundle, w)
+            e_d = disturbed_signal_energy(task, bundle, w)
             run.update(energy_closed_form=e_d, bound_ratio=e_d / bound.E_D_bound)
         runs.append(run)
 
@@ -302,10 +300,8 @@ def cmd_metrics_sweep(cfg: RunConfig) -> int:
 
 def cmd_energy(cfg: RunConfig) -> int:
     """one-shot energy report for (model, x0, t_f, w_bar)"""
-    sys_ = cfg.load_system()
     task = StabilizationTask(x0=cfg.x0, t_f=cfg.tf, w_bar=cfg.wbar)
-    bundle = build_bundle(sys_, cfg.tf)
-    report = disturbed_energy_bound(sys_, task, bundle)
+    report = disturbed_energy_bound(task, build_bundle(cfg.load_system(), cfg.tf))
     payload = {"command": "energy", "config": cfg.echo(),
                "E_N": report.E_N, "E_D_bound": report.E_D_bound,
                "q_bar": report.q_bar, "cross_term": report.cross_term,

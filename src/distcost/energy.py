@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .gramian import GramianBundle
 from .linalg import norm
 from .signals import DisturbanceSignal
 from .synthesis import _check_bundle, disturbance_response
-from .systems import LtiSystem, StabilizationTask
+from .systems import StabilizationTask
 
 __all__ = ["EnergyReport", "nominal_energy", "disturbed_signal_energy",
            "disturbed_energy_bound"]
@@ -55,18 +56,18 @@ def weighted_energies(bundle: GramianBundle, X: np.ndarray):
     return np.sum(H * H, axis=-1)
 
 
-def nominal_energy(sys: LtiSystem, task: StabilizationTask,
-                   bundle: GramianBundle) -> float:
-    """Minimum control energy stabilizing the nominal system from x0 at t_f."""
-    _check_bundle(sys, bundle, task)
+def nominal_energy(task: StabilizationTask, bundle: GramianBundle) -> float:
+    """Minimum control energy stabilizing the bundle's system from x0 at t_f."""
+    _check_bundle(bundle, task)
     return float(weighted_energies(bundle, bundle.state_transition @ task.x0))
 
 
-def disturbed_signal_energy(sys: LtiSystem, task: StabilizationTask,
-                            bundle: GramianBundle, w: DisturbanceSignal) -> float:
+def disturbed_signal_energy(task: StabilizationTask, bundle: GramianBundle,
+                            w: DisturbanceSignal) -> float:
     """Energy of the stabilizing control when disturbance w is known a priori."""
-    _check_bundle(sys, bundle, task)
-    return _response_energy(bundle, task, disturbance_response(sys, w, task.t_f))
+    _check_bundle(bundle, task)
+    return _response_energy(bundle, task,
+                            disturbance_response(bundle.system, w, task.t_f))
 
 
 def _response_energy(bundle: GramianBundle, task: StabilizationTask,
@@ -82,17 +83,19 @@ def disturbance_terms(bundle: GramianBundle, w_bar: float):
     return q_bar, q_bar * q_bar * float(np.sum(bundle.spec.lambdas))
 
 
-def disturbed_energy_bound(sys: LtiSystem, task: StabilizationTask,
-                           bundle: GramianBundle) -> EnergyReport:
+def disturbed_energy_bound(task: StabilizationTask, bundle: GramianBundle) -> EnergyReport:
     """Upper bound on the worst-case disturbed energy, with witness.
 
     With w_bar = 0 the report collapses to the nominal energy and a zero
-    witness.
+    witness. Raises NumericalError when the bound overflows; E_N is
+    never above it, so both are then finite.
     """
-    _check_bundle(sys, bundle, task)
+    _check_bundle(bundle, task)
     q_bar, c_term = disturbance_terms(bundle, task.w_bar)
     e_n, p, cross, bound = energy_bound_rows(bundle, bundle.state_transition @ task.x0,
                                              q_bar, c_term)
+    if not np.isfinite(bound):
+        raise NumericalError(f"disturbed energy bound E_D_bound = {bound!r} is not finite")
     witness = q_bar * np.sign(p)
     witness.setflags(write=False)
     return EnergyReport(

@@ -33,9 +33,9 @@ class GramianBundle:
 
     ``spec`` factors W_B_inv (eigenvalues descending), ``state_transition``
     is e^{A t_f}, and ``v_bar_unit`` is the unit-amplitude value of the
-    disturbance norm integral int_0^tf ||e^{A(tf-t)}||_inf dt. ``A`` and
-    ``B`` are the pair the bundle was built from, so a consumer can check
-    that it was handed the bundle of its own system.
+    disturbance norm integral int_0^tf ||e^{A(tf-t)}||_inf dt. ``system``
+    is the pair the bundle was built from: every consumer reads (A, B)
+    from it, so no second system can be passed beside the bundle.
     """
 
     W_B: np.ndarray
@@ -44,14 +44,16 @@ class GramianBundle:
     t_f: float
     v_bar_unit: float
     state_transition: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
+    system: LtiSystem
 
 
 def _gramian_and_transition(sys: LtiSystem, t_f: float):
     trans, E12 = block_expm(sys.A, sys.B @ sys.B.T, -sys.A.T, t_f)
     W = E12 @ trans.T
     W = 0.5 * (W + W.T)
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(trans))):
+        raise IllConditionedError(
+            f"Gramian exponential overflows at horizon t_f = {t_f:g}")
     return W, trans
 
 
@@ -174,6 +176,5 @@ def build_bundle(sys: LtiSystem, t_f) -> GramianBundle:
         t_f=t_f,
         v_bar_unit=v_unit,
         state_transition=trans,
-        A=sys.A,
-        B=sys.B,
+        system=sys,
     )

@@ -22,8 +22,6 @@ from .energy import disturbance_terms
 from .errors import IllConditionedError
 from .gramian import GramianBundle
 from .linalg import as_scalar, norm, sym_eig
-from .synthesis import _check_bundle
-from .systems import LtiSystem
 
 __all__ = ["MetricReport", "additive_metric_bound", "multiplicative_metric_bound",
            "hardness", "metric_report"]
@@ -43,14 +41,13 @@ class MetricReport:
     l_min: float
 
 
-def _additive(sys: LtiSystem, bundle: GramianBundle, w_bar, R):
+def _additive(bundle: GramianBundle, w_bar, R):
     # (r_A_bound, gamma, c_term) at a checked radius R, or elementwise at
     # an array of them
-    _check_bundle(sys, bundle)
     q_bar, c_term = disturbance_terms(bundle, as_scalar(w_bar, "w_bar"))
     weighted = (bundle.spec.lambdas[:, None] * bundle.spec.U.T) @ bundle.state_transition
     gamma = 2.0 * q_bar * norm(weighted, "one")
-    return c_term + gamma * R * np.sqrt(sys.n), gamma, c_term
+    return c_term + gamma * R * np.sqrt(bundle.system.n), gamma, c_term
 
 
 def _l_min(bundle: GramianBundle) -> float:
@@ -66,19 +63,17 @@ def _l_min(bundle: GramianBundle) -> float:
     return l
 
 
-def additive_metric_bound(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
-                          R: float) -> float:
+def additive_metric_bound(bundle: GramianBundle, w_bar: float, R: float) -> float:
     """Upper bound on the worst extra disturbed energy over ||x0||_2 <= R."""
-    return _additive(sys, bundle, w_bar, as_scalar(R, "radius R"))[0]
+    return _additive(bundle, w_bar, as_scalar(R, "radius R"))[0]
 
 
-def multiplicative_metric_bound(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
-                                R: float) -> float:
+def multiplicative_metric_bound(bundle: GramianBundle, w_bar: float, R: float) -> float:
     """Lower bound on the nominal/disturbed energy ratio over ||x0||_2 >= R.
 
     Always in (0, 1]; equal to 1 when w_bar = 0 and nondecreasing in R.
     """
-    return metric_report(sys, bundle, w_bar, R).r_M_bound
+    return metric_report(bundle, w_bar, R).r_M_bound
 
 
 def hardness(R: float, t_f: float) -> float:
@@ -86,24 +81,22 @@ def hardness(R: float, t_f: float) -> float:
     return as_scalar(R, "radius R") / as_scalar(t_f, "t_f", positive=True)
 
 
-def metric_report(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
-                  R: float) -> MetricReport:
+def metric_report(bundle: GramianBundle, w_bar: float, R: float) -> MetricReport:
     """Evaluate both bounds and hardness at one (R, t_f) grid point."""
-    return _metric_reports(sys, bundle, w_bar, (R,))[0]
+    return _metric_reports(bundle, w_bar, (R,))[0]
 
 
-def _metric_reports(sys: LtiSystem, bundle: GramianBundle, w_bar: float,
-                    R_grid) -> list:
+def _metric_reports(bundle: GramianBundle, w_bar: float, R_grid) -> list:
     # metric_report at every R of R_grid: gamma, c and l_min depend on the
     # bundle alone, so they (and l_min's eigensolve) are computed once
     Rs = [as_scalar(R, "radius R", positive=True) for R in R_grid]
-    r_A, gamma, c_term = _additive(sys, bundle, w_bar, np.array(Rs))
+    r_A, gamma, c_term = _additive(bundle, w_bar, np.array(Rs))
     l = _l_min(bundle)
     return [MetricReport(
         R=R,
         t_f=bundle.t_f,
         r_A_bound=r_A[j],
-        r_M_bound=l * R * R / (l * R * R + gamma * R * np.sqrt(sys.n) + c_term),
+        r_M_bound=l * R * R / (l * R * R + gamma * R * np.sqrt(bundle.system.n) + c_term),
         hardness=hardness(R, bundle.t_f),
         gamma=float(gamma),
         c_term=float(c_term),

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .linalg import as_whole, linear_scan
 from .signals import DisturbanceSignal
-from .synthesis import ControlSignal
-from .systems import LtiSystem, StabilizationTask
+from .synthesis import ControlSignal, _check_x0
+from .systems import StabilizationTask
 
 __all__ = ["Trajectory", "simulate_closed_loop", "trajectory_to_csv", "csv_text"]
 
@@ -102,19 +102,22 @@ def _rk4(A, B, x0, h, U_half, w_stages):
     return linear_scan(np.vstack([x0, F]), D_pow)
 
 
-def simulate_closed_loop(sys: LtiSystem, task: StabilizationTask, u: ControlSignal,
+def simulate_closed_loop(task: StabilizationTask, u: ControlSignal,
                          w: DisturbanceSignal | None, steps: int) -> Trajectory:
-    """Integrate xdot = A x + B u(t) + w(t) from x0 over [0, t_f].
+    """Integrate xdot = A x + B u(t) + w(t) from x0 over [0, t_f], with
+    (A, B) the control's own ``u.system``.
 
     Parameters
     ----------
+    task : StabilizationTask
+        x0 must have the system's dimension n (else DimensionError).
     u : ControlSignal
         Sampled on the half-step grid by its ``sample_half_grid``. It must
-        be built for the task's horizon (else DomainError) and the
-        system's input count (else DimensionError); a zero gain vector
-        gives zero control.
+        be built for the task's horizon (else DomainError); a zero gain
+        vector gives zero control.
     w : DisturbanceSignal or None
-        None means no disturbance.
+        None means no disturbance; else of dimension n (else
+        DimensionError).
     steps : int
         Uniform RK4 step count, at least 100; a float must be a whole
         number.
@@ -126,6 +129,8 @@ def simulate_closed_loop(sys: LtiSystem, task: StabilizationTask, u: ControlSign
         running control energy (composite Simpson per step).
     """
     steps = as_whole(steps, "steps", 100)
+    sys = u.system
+    _check_x0(task, sys.n)
     if w is not None and w.dim != sys.n:
         raise DimensionError(f"disturbance dim {w.dim} does not match n = {sys.n}")
     t_f = task.t_f
@@ -134,10 +139,6 @@ def simulate_closed_loop(sys: LtiSystem, task: StabilizationTask, u: ControlSign
     if abs(u.t_f - t_f) > 1e-12 * max(1.0, t_f):
         raise DomainError(
             f"control defined on [0, {u.t_f:g}] does not match horizon {t_f:g}"
-        )
-    if u.system.p != sys.p:
-        raise DimensionError(
-            f"control has {u.system.p} inputs, the system has p = {sys.p}"
         )
     U_half = u.sample_half_grid(steps)
     w_stages = _disturbance_stages(w, t_f, steps, sys.n)

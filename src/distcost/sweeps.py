@@ -14,7 +14,7 @@ import numpy as np
 
 from .energy import (_response_energy, disturbance_terms,
                      disturbed_energy_bound, energy_bound_rows, weighted_energies)
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .gramian import GramianBundle, build_bundle
 from .linalg import as_scalar, as_whole
 from .metrics import MetricReport, _metric_reports
@@ -92,8 +92,7 @@ def sample_ball(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
     return g * (scale / nrm)[:, None]
 
 
-def worst_constant_sign(sys: LtiSystem, task: StabilizationTask,
-                        bundle: GramianBundle) -> np.ndarray:
+def worst_constant_sign(task: StabilizationTask, bundle: GramianBundle) -> np.ndarray:
     """The sign pattern s maximizing the energy of compensating w = w_bar*s.
 
     Exhaustive over the 2^n patterns (n <= 20); the disturbed energy is
@@ -105,7 +104,7 @@ def worst_constant_sign(sys: LtiSystem, task: StabilizationTask,
     one-cell signals, and its energies one ``weighted_energies`` call.
     Among equal energies the first pattern in that order wins.
     """
-    n = sys.n
+    n = bundle.system.n
     if n > 20:
         raise DomainError("exhaustive sign search is limited to n <= 20")
     base = bundle.state_transition @ task.x0
@@ -117,7 +116,7 @@ def worst_constant_sign(sys: LtiSystem, task: StabilizationTask,
         S = 1.0 - 2.0 * ((k[:, None] >> shifts) & 1)
         # the direct sum of squares: the expanded quadratic in s cancels
         # when ||x0|| is large
-        R = piecewise_response(sys, task.w_bar * S[:, None, :], task.t_f)
+        R = piecewise_response(bundle.system, task.w_bar * S[:, None, :], task.t_f)
         e = weighted_energies(bundle, base + R)
         i = int(np.argmax(e))
         if e[i] > best:
@@ -137,13 +136,13 @@ def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
     for i, t_f in enumerate(tf_grid):
         bundle = build_bundle(sys, t_f)
         task = StabilizationTask(x0=x0, t_f=float(t_f), w_bar=w_bar)
-        bound = disturbed_energy_bound(sys, task, bundle).E_D_bound
+        bound = disturbed_energy_bound(task, bundle).E_D_bound
         piecewise = make_disturbance("piecewise_uniform", w_bar, sys.n,
                                      seed=derive_seed(seed, 1, i), cells=cells,
                                      horizon=task.t_f)
         responses = {
             "constant": piecewise_response(
-                sys, task.w_bar * worst_constant_sign(sys, task, bundle)[None], task.t_f),
+                sys, task.w_bar * worst_constant_sign(task, bundle)[None], task.t_f),
             "sinusoid": disturbance_response(
                 sys, make_disturbance("sinusoid", w_bar, sys.n), task.t_f),
             "piecewise": disturbance_response(sys, piecewise, task.t_f),
@@ -155,12 +154,11 @@ def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
     return rows
 
 
-def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
-                 w_bar: float, x0_dir: np.ndarray, samples: int, seed: int,
-                 cells: int):
-    t_f, R, n = bundle.t_f, rep.R, sys.n
+def _sweep_point(bundle: GramianBundle, rep: MetricReport, w_bar: float,
+                 x0_dir: np.ndarray, samples: int, seed: int, cells: int):
+    t_f, R, n = bundle.t_f, rep.R, bundle.system.n
     task_rep = StabilizationTask(x0=R * x0_dir, t_f=t_f, w_bar=w_bar)
-    report = disturbed_energy_bound(sys, task_rep, bundle)
+    report = disturbed_energy_bound(task_rep, bundle)
     Phi_T = bundle.state_transition.T
 
     # additive evidence: the worst-case extra energy E_D_bound - E_N of
@@ -180,7 +178,7 @@ def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
     ratio_min, ratio_max = np.inf, -np.inf
     for start in range(0, samples, block):
         values = piecewise_cell_values(seeds[start:start + block], w_bar, cells, n)
-        resp = piecewise_response(sys, values, t_f)
+        resp = piecewise_response(bundle.system, values, t_f)
         base = sphere[start:start + block] @ Phi_T
         e_d = np.maximum(weighted_energies(bundle, base + resp),
                          weighted_energies(bundle, base - resp))
@@ -191,7 +189,7 @@ def _sweep_point(sys: LtiSystem, bundle: GramianBundle, rep: MetricReport,
     return {
         "R": float(R),
         "t_f": float(t_f),
-        "H": float(R) / float(t_f),
+        "H": rep.hardness,
         "r_A_bound": float(rep.r_A_bound),
         "r_M_bound": float(rep.r_M_bound),
         "E_N": report.E_N,
@@ -219,12 +217,14 @@ def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
     nrm = float(np.sqrt(np.sum(x0_dir * x0_dir)))
     if nrm == 0.0:
         raise DomainError("x0 direction must be nonzero")
+    if not np.isfinite(nrm):
+        raise NumericalError("the norm of the x0 direction overflows")
     x0_dir = x0_dir / nrm
 
     bundles = {float(t_f): build_bundle(sys, t_f) for t_f in tf_grid}
-    reports = {t_f: _metric_reports(sys, bundle, w_bar, R_grid)
+    reports = {t_f: _metric_reports(bundle, w_bar, R_grid)
                for t_f, bundle in bundles.items()}
-    return [_sweep_point(sys, bundles[float(t_f)], rep, float(w_bar), x0_dir,
+    return [_sweep_point(bundles[float(t_f)], rep, float(w_bar), x0_dir,
                          samples, derive_seed(seed, i, j), cells)
             for i, t_f in enumerate(tf_grid)
             for j, rep in enumerate(reports[float(t_f)])]

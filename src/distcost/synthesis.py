@@ -36,7 +36,9 @@ class ControlSignal:
     exactly on [0, t_f].
 
     ``gain_vector`` is the constant g = W_B^{-1}[e^{A t_f} x0 + R(w, t_f)]
-    the signal encodes. Calling the signal outside [0, t_f] raises.
+    the signal encodes, and ``system`` the (A, B) of its bundle, the one
+    ``simulate_closed_loop`` integrates. Calling the signal outside
+    [0, t_f] raises.
     """
 
     t_f: float
@@ -76,49 +78,46 @@ class ControlSignal:
         return -(Y @ self.system.B)
 
 
-def _check_bundle(sys: LtiSystem, bundle: GramianBundle,
-                  task: StabilizationTask | None = None):
-    # a bundle serves only the (A, B) it was built from, and a task only
-    # its own horizon; same-n systems would pass a shape test
-    if not (np.array_equal(bundle.A, sys.A) and np.array_equal(bundle.B, sys.B)):
-        raise DimensionError(f"bundle was built for another system than {sys.name!r}")
-    if task is None:
-        return
-    if task.x0.shape != (sys.n,):
+def _check_x0(task: StabilizationTask, n: int):
+    if task.x0.shape != (n,):
         raise DimensionError(
-            f"x0 dimension {task.x0.shape[0]} does not match system n = {sys.n}"
+            f"x0 dimension {task.x0.shape[0]} does not match system n = {n}"
         )
+
+
+def _check_bundle(bundle: GramianBundle, task: StabilizationTask):
+    # a bundle serves only a task of its own state dimension and horizon
+    _check_x0(task, bundle.system.n)
     if abs(bundle.t_f - task.t_f) > 1e-12 * max(1.0, task.t_f):
         raise DimensionError(
             f"bundle horizon {bundle.t_f:g} does not match task horizon {task.t_f:g}"
         )
 
 
-def _control(sys: LtiSystem, task: StabilizationTask, bundle: GramianBundle,
+def _control(task: StabilizationTask, bundle: GramianBundle,
              w: DisturbanceSignal | None) -> ControlSignal:
     # the gain W_B^{-1}[e^{A t_f} x0 + R(w, t_f)], with R = 0 when w is None
-    _check_bundle(sys, bundle, task)
+    _check_bundle(bundle, task)
     rhs = bundle.state_transition @ task.x0
     if w is not None:
-        rhs = rhs + disturbance_response(sys, w, task.t_f)
+        rhs = rhs + disturbance_response(bundle.system, w, task.t_f)
     gain = np.ascontiguousarray(bundle.spec.apply(rhs))
     gain.setflags(write=False)
-    return ControlSignal(t_f=task.t_f, gain_vector=gain, system=sys)
+    return ControlSignal(t_f=task.t_f, gain_vector=gain, system=bundle.system)
 
 
-def nominal_control(sys: LtiSystem, task: StabilizationTask,
-                    bundle: GramianBundle) -> ControlSignal:
+def nominal_control(task: StabilizationTask, bundle: GramianBundle) -> ControlSignal:
     """Minimum-energy control stabilizing the disturbance-free system at t_f."""
-    return _control(sys, task, bundle, None)
+    return _control(task, bundle, None)
 
 
-def disturbed_control(sys: LtiSystem, task: StabilizationTask,
-                      bundle: GramianBundle, w: DisturbanceSignal | None) -> ControlSignal:
+def disturbed_control(task: StabilizationTask, bundle: GramianBundle,
+                      w: DisturbanceSignal | None) -> ControlSignal:
     """Minimum-energy stabilizing control when w is known a priori.
 
     w = None gives the nominal control.
     """
-    return _control(sys, task, bundle, w)
+    return _control(task, bundle, w)
 
 
 def disturbance_response(sys: LtiSystem, w: DisturbanceSignal, t_f) -> np.ndarray:

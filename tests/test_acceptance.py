@@ -49,19 +49,19 @@ def test_criterion_1_admire_stabilization(jet):
     bundle = build_bundle(jet, t_f)
 
     residuals = {}
-    u_n = nominal_control(jet, task, bundle)
-    residuals["nominal"] = simulate_closed_loop(jet, task, u_n, None, steps).terminal_residual
+    u_n = nominal_control(task, bundle)
+    residuals["nominal"] = simulate_closed_loop(task, u_n, None, steps).terminal_residual
 
     classes = {
         "constant": make_disturbance("constant_sign", W_BAR, jet.n,
-                                     sign_vector=worst_constant_sign(jet, task, bundle)),
+                                     sign_vector=worst_constant_sign(task, bundle)),
         "sinusoid": make_disturbance("sinusoid", W_BAR, jet.n),
         "piecewise": make_disturbance("piecewise_uniform", W_BAR, jet.n,
                                       seed=0, cells=1000, horizon=t_f),
     }
     for name, w in classes.items():
-        u_d = disturbed_control(jet, task, bundle, w)
-        traj = simulate_closed_loop(jet, task, u_d, w, steps)
+        u_d = disturbed_control(task, bundle, w)
+        traj = simulate_closed_loop(task, u_d, w, steps)
         residuals[name] = traj.terminal_residual
     elapsed = time.perf_counter() - t0
 
@@ -78,10 +78,10 @@ def test_criterion_2_scalar_exactness():
     bundle = build_bundle(sys, 1.0)
     task = StabilizationTask(x0=np.array([1.0]), t_f=1.0, w_bar=1.0)
 
-    rep = disturbed_energy_bound(sys, task, bundle)
+    rep = disturbed_energy_bound(task, bundle)
     w = make_disturbance("constant_sign", 1.0, 1, sign_vector=[1])
-    e_attained = disturbed_signal_energy(sys, task, bundle, w)
-    r_M = multiplicative_metric_bound(sys, bundle, 1.0, 1.0)
+    e_attained = disturbed_signal_energy(task, bundle, w)
+    r_M = multiplicative_metric_bound(bundle, 1.0, 1.0)
 
     assert abs(rep.E_N - 1.0) <= 1e-12
     assert abs(rep.E_D_bound - 4.0) <= 1e-12
@@ -101,12 +101,12 @@ def test_criterion_3_bound_containment(jet):
     for i_tf, t_f in enumerate((0.1, 0.5, 1.0, 5.0)):
         bundle = build_bundle(jet, t_f)
         task = StabilizationTask(x0=X0, t_f=t_f, w_bar=W_BAR)
-        bound = disturbed_energy_bound(jet, task, bundle).E_D_bound
+        bound = disturbed_energy_bound(task, bundle).E_D_bound
         for k in range(200):
             w = make_disturbance("piecewise_uniform", W_BAR, jet.n,
                                  seed=derive_seed(0, i_tf, k), cells=50,
                                  horizon=t_f)
-            e = disturbed_signal_energy(jet, task, bundle, w)
+            e = disturbed_signal_energy(task, bundle, w)
             checked += 1
             margin_min = min(margin_min, bound - e)
             if e > bound:
@@ -137,7 +137,7 @@ def test_criterion_5_paper_point_value(jet):
     sampled energy ratios all within [0.85, 1.0]."""
     t_f, R = 0.5, 100.0
     bundle = build_bundle(jet, t_f)
-    r_M = multiplicative_metric_bound(jet, bundle, W_BAR, R)
+    r_M = multiplicative_metric_bound(bundle, W_BAR, R)
     assert abs(r_M - 0.45) <= 0.02, f"r_M = {r_M}"
 
     ratios = []
@@ -150,7 +150,7 @@ def test_criterion_5_paper_point_value(jet):
         base, resp = bundle.state_transition @ task.x0, disturbance_response(jet, w, t_f)
         e_d = max(float(weighted_energies(bundle, base + resp)),
                   float(weighted_energies(bundle, base - resp)))
-        ratios.append(nominal_energy(jet, task, bundle) / e_d)
+        ratios.append(nominal_energy(task, bundle) / e_d)
     lo, hi = min(ratios), max(ratios)
     assert lo >= 0.85 and hi <= 1.0, f"ratios in [{lo:.4f}, {hi:.4f}]"
     print(f"criterion 5: r_M={r_M:.4f}, 500 ratios in [{lo:.4f}, {hi:.4f}]")
@@ -189,10 +189,10 @@ def test_criterion_7_oracle_equivalence(jet):
     w = make_disturbance("sinusoid", W_BAR, jet.n)
     errs = {}
     for name, u, e_closed in (
-        ("nominal", nominal_control(jet, task, bundle),
-         nominal_energy(jet, task, bundle)),
-        ("disturbed", disturbed_control(jet, task, bundle, w),
-         disturbed_signal_energy(jet, task, bundle, w)),
+        ("nominal", nominal_control(task, bundle),
+         nominal_energy(task, bundle)),
+        ("disturbed", disturbed_control(task, bundle, w),
+         disturbed_signal_energy(task, bundle, w)),
     ):
         ts = np.linspace(0.0, t_f, 20001)
         # u(t) = -B^T e^{A^T(t_f - t)} g at every node from one

@@ -12,6 +12,10 @@ from distcost.signals import make_disturbance
 from distcost.systems import StabilizationTask
 
 
+# a finite initial state whose energies overflow a double
+HUGE_X0 = "1e200,1e200,1e200"
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     return entry([*argv, "--out", str(out)]), out
@@ -77,7 +81,7 @@ class TestStabilize:
         task = StabilizationTask(x0=jet_x0, t_f=0.5, w_bar=1.0)
         bundle = build_bundle(jet, 0.5)
         worst = max(disturbed_signal_energy(
-            jet, task, bundle,
+            task, bundle,
             make_disturbance("constant_sign", 100.0, 3, sign_vector=np.array(s)))
             for s in product((1.0, -1.0), repeat=3))
         assert loud["energy_closed_form"] == worst
@@ -93,7 +97,7 @@ class TestStabilize:
         task = StabilizationTask(x0=jet_x0, t_f=0.5, w_bar=1.0)
         bundle = build_bundle(jet, 0.5)
         spec_energy, default_energy = (disturbed_signal_energy(
-            jet, task, bundle, make_disturbance("sinusoid", 1.0, 3, amplitudes=a))
+            task, bundle, make_disturbance("sinusoid", 1.0, 3, amplitudes=a))
             for a in (np.array(amplitudes), None))
         assert got["energy_closed_form"] == spec_energy != default_energy
 
@@ -287,6 +291,29 @@ class TestExitCodes:
         rc, _ = run(tmp_path, "energy", "--model", str(model),
                     "--x0", "1,1", "--tf", "1e-8")
         assert rc == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("tf", ["800", "1e300"])
+    def test_overflowing_gramian_is_numeric(self, tmp_path, tf):
+        with pytest.warns(RuntimeWarning):
+            rc, out = run(tmp_path, "energy", "--tf", tf)
+        assert rc == EXIT_NUMERIC
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--x0", HUGE_X0],
+        ["stabilize", "--x0", HUGE_X0, "--steps", "200"],
+        ["bound-accuracy", "--x0", HUGE_X0, "--tf-grid", "1"],
+        ["metrics-sweep", "--x0", HUGE_X0, "--tf-grid", "1", "--R-grid", "10"],
+        ["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"],
+    ], ids=["energy", "stabilize", "bound-accuracy", "metrics-sweep",
+            "metrics-sweep-R-grid"])
+    def test_overflowing_energy_is_numeric(self, tmp_path, argv):
+        # finite input whose energies overflow: no Infinity or nan reaches
+        # a file, because the run stops before its first write
+        with pytest.warns(RuntimeWarning):
+            rc, out = run(tmp_path, *argv)
+        assert rc == EXIT_NUMERIC
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,doc", [
         ("metrics-sweep", {"samples": "abc"}),

@@ -30,11 +30,11 @@ ENTRY_POINTS = [
      lambda x, s, b: disturbance_response(s, make_disturbance("zero", 1.0, 3), x), True),
     ("hardness-t_f", lambda x, s, b: hardness(10.0, x), True),
     ("hardness-R", lambda x, s, b: hardness(x, 1.0), False),
-    ("additive-R", lambda x, s, b: additive_metric_bound(s, b, 1.0, x), False),
-    ("additive-w_bar", lambda x, s, b: additive_metric_bound(s, b, x, 10.0), False),
-    ("multiplicative-R", lambda x, s, b: multiplicative_metric_bound(s, b, 1.0, x), True),
+    ("additive-R", lambda x, s, b: additive_metric_bound(b, 1.0, x), False),
+    ("additive-w_bar", lambda x, s, b: additive_metric_bound(b, x, 10.0), False),
+    ("multiplicative-R", lambda x, s, b: multiplicative_metric_bound(b, 1.0, x), True),
     ("multiplicative-w_bar",
-     lambda x, s, b: multiplicative_metric_bound(s, b, x, 10.0), False),
+     lambda x, s, b: multiplicative_metric_bound(b, x, 10.0), False),
     ("make_disturbance-w_bar", lambda x, s, b: make_disturbance("zero", x, 3), False),
     ("make_disturbance-horizon",
      lambda x, s, b: make_disturbance("piecewise_uniform", 1.0, 3, cells=4, horizon=x),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from distcost.energy import (disturbed_energy_bound, disturbed_signal_energy,
                              nominal_energy, weighted_energies)
+from distcost.errors import NumericalError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
 from distcost.synthesis import disturbance_response
@@ -27,12 +28,12 @@ class TestScalarClosedForms:
 
     def test_nominal_energy(self, scalar_sys, scalar_bundle):
         task = StabilizationTask(x0=np.array([1.0]), t_f=1.0, w_bar=1.0)
-        assert nominal_energy(scalar_sys, task, scalar_bundle) == pytest.approx(1.0, abs=1e-12)
+        assert nominal_energy(task, scalar_bundle) == pytest.approx(1.0, abs=1e-12)
 
     def test_disturbed_bound_is_four(self, scalar_sys, scalar_bundle):
         # E_N + 2 q ||p||_1 + q^2 sum(lambda) = 1 + 2 + 1 with q = 1
         task = StabilizationTask(x0=np.array([1.0]), t_f=1.0, w_bar=1.0)
-        rep = disturbed_energy_bound(scalar_sys, task, scalar_bundle)
+        rep = disturbed_energy_bound(task, scalar_bundle)
         assert rep.E_N == pytest.approx(1.0, abs=1e-12)
         assert rep.q_bar == pytest.approx(1.0, abs=1e-12)
         assert rep.E_D_bound == pytest.approx(4.0, abs=1e-12)
@@ -41,12 +42,12 @@ class TestScalarClosedForms:
         # w = 1 compensating control has energy (x0 + R)^2 / W = 4
         task = StabilizationTask(x0=np.array([1.0]), t_f=1.0, w_bar=1.0)
         w = make_disturbance("constant_sign", 1.0, 1, sign_vector=[1])
-        e = disturbed_signal_energy(scalar_sys, task, scalar_bundle, w)
+        e = disturbed_signal_energy(task, scalar_bundle, w)
         assert e == pytest.approx(4.0, abs=1e-12)
 
     def test_witness_sign_matches_attaining_disturbance(self, scalar_sys, scalar_bundle):
         task = StabilizationTask(x0=np.array([1.0]), t_f=1.0, w_bar=1.0)
-        rep = disturbed_energy_bound(scalar_sys, task, scalar_bundle)
+        rep = disturbed_energy_bound(task, scalar_bundle)
         assert np.array_equal(rep.witness_q, np.array([1.0]))
 
 
@@ -54,15 +55,15 @@ class TestNominalEnergy:
     def test_quadratic_in_x0(self, jet, jet_bundle_5):
         base = StabilizationTask(x0=np.array([5.0, -1.0, 3.0]), t_f=5.0)
         scaled = StabilizationTask(x0=2.5 * base.x0, t_f=5.0)
-        e1 = nominal_energy(jet, base, jet_bundle_5)
-        e2 = nominal_energy(jet, scaled, jet_bundle_5)
+        e1 = nominal_energy(base, jet_bundle_5)
+        e2 = nominal_energy(scaled, jet_bundle_5)
         assert e2 == pytest.approx(2.5**2 * e1, rel=1e-12)
 
     def test_gramian_quadratic_form(self, jet, jet_task_5, jet_bundle_5):
         # E_N = (Phi x0)' W^-1 (Phi x0)
         v = jet_bundle_5.state_transition @ jet_task_5.x0
         ref = float(v @ np.linalg.solve(jet_bundle_5.W_B, v))
-        assert nominal_energy(jet, jet_task_5, jet_bundle_5) == pytest.approx(ref, rel=1e-10)
+        assert nominal_energy(jet_task_5, jet_bundle_5) == pytest.approx(ref, rel=1e-10)
 
     def test_nonincreasing_in_horizon(self, jet, jet_x0):
         # a longer deadline can only reduce the minimum energy on this
@@ -70,7 +71,7 @@ class TestNominalEnergy:
         energies = []
         for t_f in (0.5, 1.0, 2.0, 5.0):
             task = StabilizationTask(x0=jet_x0, t_f=t_f)
-            energies.append(nominal_energy(jet, task, build_bundle(jet, t_f)))
+            energies.append(nominal_energy(task, build_bundle(jet, t_f)))
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
@@ -80,18 +81,18 @@ class TestDisturbedEnergy:
         R = disturbance_response(jet, w, 5.0)
         v = jet_bundle_5.state_transition @ jet_task_5.x0 + R
         ref = float(v @ np.linalg.solve(jet_bundle_5.W_B, v))
-        got = disturbed_signal_energy(jet, jet_task_5, jet_bundle_5, w)
+        got = disturbed_signal_energy(jet_task_5, jet_bundle_5, w)
         assert got == pytest.approx(ref, rel=1e-10)
 
     def test_zero_disturbance_equals_nominal(self, jet, jet_task_5, jet_bundle_5):
         w = make_disturbance("zero", 1.0, jet.n)
-        assert disturbed_signal_energy(jet, jet_task_5, jet_bundle_5, w) == \
-            nominal_energy(jet, jet_task_5, jet_bundle_5)
+        assert disturbed_signal_energy(jet_task_5, jet_bundle_5, w) == \
+            nominal_energy(jet_task_5, jet_bundle_5)
 
 
 class TestBound:
     def test_bound_has_three_nonnegative_parts(self, jet, jet_task_5, jet_bundle_5):
-        rep = disturbed_energy_bound(jet, jet_task_5, jet_bundle_5)
+        rep = disturbed_energy_bound(jet_task_5, jet_bundle_5)
         assert rep.cross_term >= 0.0 and rep.c_term >= 0.0 and rep.q_bar >= 0.0
         assert rep.E_D_bound == pytest.approx(rep.E_N + rep.cross_term + rep.c_term, rel=1e-14)
 
@@ -99,19 +100,31 @@ class TestBound:
         bounds = []
         for w_bar in (0.0, 0.5, 1.0, 2.0):
             task = StabilizationTask(x0=jet_x0, t_f=5.0, w_bar=w_bar)
-            bounds.append(disturbed_energy_bound(jet, task, jet_bundle_5).E_D_bound)
+            bounds.append(disturbed_energy_bound(task, jet_bundle_5).E_D_bound)
         assert all(b > a or (a == b == bounds[0]) for a, b in zip(bounds, bounds[1:]))
         task0 = StabilizationTask(x0=jet_x0, t_f=5.0, w_bar=0.0)
-        assert bounds[0] == nominal_energy(jet, task0, jet_bundle_5)
+        assert bounds[0] == nominal_energy(task0, jet_bundle_5)
+
+    def test_overflowing_energy_raises(self, jet_bundle_5):
+        task = StabilizationTask(x0=np.full(3, 1e200), t_f=5.0, w_bar=1.0)
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(NumericalError, match="not finite"):
+            disturbed_energy_bound(task, jet_bundle_5)
+
+    def test_overflowing_disturbance_term_raises(self, jet_x0, jet_bundle_5):
+        # q_bar^2 overflows as a Python float, which warns of nothing
+        task = StabilizationTask(x0=jet_x0, t_f=5.0, w_bar=1e200)
+        with pytest.raises(NumericalError, match="not finite"):
+            disturbed_energy_bound(task, jet_bundle_5)
 
     def test_witness_entries_are_signs(self, jet, jet_task_5, jet_bundle_5):
-        rep = disturbed_energy_bound(jet, jet_task_5, jet_bundle_5)
+        rep = disturbed_energy_bound(jet_task_5, jet_bundle_5)
         assert np.all(np.isin(rep.witness_q, [-rep.q_bar, 0.0, rep.q_bar]))
 
     def test_witness_maximizes_over_random_sign_boxes(self, jet, jet_task_5, jet_bundle_5):
         # the transformed-coordinate quadratic q -> ||sqrt(lam) (U'Phi x0 + q)||^2
         # must peak at the witness over the box |q_i| <= q_bar
-        rep = disturbed_energy_bound(jet, jet_task_5, jet_bundle_5)
+        rep = disturbed_energy_bound(jet_task_5, jet_bundle_5)
         spec = jet_bundle_5.spec
         base = spec.U.T @ (jet_bundle_5.state_transition @ jet_task_5.x0)
 
@@ -132,10 +145,10 @@ class TestBound:
         sys = LtiSystem(np.array([[-0.3]]), np.ones((1, 1)), name="s")
         bundle = build_bundle(sys, t_f)
         task = StabilizationTask(x0=np.array([2.0]), t_f=t_f, w_bar=w_bar)
-        bound = disturbed_energy_bound(sys, task, bundle).E_D_bound
+        bound = disturbed_energy_bound(task, bundle).E_D_bound
         w = make_disturbance("piecewise_uniform", w_bar, 1, seed=seed, cells=16,
                              horizon=t_f)
-        e = disturbed_signal_energy(sys, task, bundle, w)
+        e = disturbed_signal_energy(task, bundle, w)
         assert e <= bound * (1.0 + 1e-12)
 
 
@@ -153,12 +166,12 @@ class TestEnergyPair:
                              horizon=5.0)
         R = disturbance_response(jet, w, 5.0)
         e_plus, e_minus = energy_pair(jet_bundle_5, jet_task_5, R)
-        direct = disturbed_signal_energy(jet, jet_task_5, jet_bundle_5, w)
+        direct = disturbed_signal_energy(jet_task_5, jet_bundle_5, w)
         assert e_plus == pytest.approx(direct, rel=1e-12)
 
     def test_pair_max_dominates_nominal(self, jet, jet_task_5, jet_bundle_5):
         # e(+R) + e(-R) = 2 E_N + 2 e(R alone), so the max is >= E_N
-        e_n = nominal_energy(jet, jet_task_5, jet_bundle_5)
+        e_n = nominal_energy(jet_task_5, jet_bundle_5)
         for seed in range(20):
             w = make_disturbance("piecewise_uniform", 1.0, jet.n, seed=seed,
                                  cells=20, horizon=5.0)

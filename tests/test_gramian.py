@@ -82,6 +82,14 @@ class TestBundle:
         with pytest.raises(IllConditionedError):
             build_bundle(sys, 1e-8)
 
+    @pytest.mark.parametrize("t_f", [800.0, 1e300])
+    @pytest.mark.parametrize("call", [build_bundle, controllability_gramian])
+    def test_overflowing_exponential_raises(self, jet, call, t_f):
+        # the jet model's unstable mode: e^{A t_f} overflows past t_f ~ 700
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(IllConditionedError, match="overflows"):
+            call(jet, t_f)
+
     def test_v_bar_unit_matches_norm_integral(self, jet, jet_bundle_5):
         assert jet_bundle_5.v_bar_unit == pytest.approx(norm_integral(jet, 5.0), rel=1e-12)
 

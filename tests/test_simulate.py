@@ -47,7 +47,7 @@ def scalar_run():
     sys = LtiSystem(np.zeros((1, 1)), np.ones((1, 1)), name="s")
     task = StabilizationTask(x0=np.array([1.0]), t_f=1.0)
     bundle = build_bundle(sys, 1.0)
-    u = nominal_control(sys, task, bundle)
+    u = nominal_control(task, bundle)
     return sys, task, u
 
 
@@ -55,7 +55,7 @@ class TestClosedForm:
     def test_scalar_integrator_linear_decay(self, scalar_run):
         # A = 0, W = t_f: u = -x0 / t_f constant, so x(t) = x0 (1 - t / t_f)
         sys, task, u = scalar_run
-        traj = simulate_closed_loop(sys, task, u, None, 200)
+        traj = simulate_closed_loop(task, u, None, 200)
         expected = 1.0 - traj.times
         assert np.max(np.abs(traj.states[:, 0] - expected)) < 1e-13
         assert abs(traj.energy - 1.0) < 1e-13
@@ -65,7 +65,7 @@ class TestClosedForm:
         sys = LtiSystem(A, np.eye(2), name="a")
         task = StabilizationTask(x0=np.array([1.0, -2.0]), t_f=2.0)
         zero_u = ControlSignal(t_f=2.0, gain_vector=np.zeros(2), system=sys)
-        traj = simulate_closed_loop(sys, task, zero_u, None, 400)
+        traj = simulate_closed_loop(task, zero_u, None, 400)
         for idx in (0, 100, 400):
             ref = scipy.linalg.expm(A * traj.times[idx]) @ task.x0
             assert np.max(np.abs(traj.states[idx] - ref)) < 1e-10
@@ -123,11 +123,11 @@ class TestConvergenceOrder:
         task = StabilizationTask(x0=jet_x0, t_f=5.0, w_bar=1.0)
         bundle = build_bundle(jet, 5.0)
         w = make_disturbance("sinusoid", 1.0, jet.n)
-        u = disturbed_control(jet, task, bundle, w)
+        u = disturbed_control(task, bundle, w)
 
         def endpoint_error(steps):
-            traj = simulate_closed_loop(jet, task, u, w, steps)
-            fine = simulate_closed_loop(jet, task, u, w, 4 * steps)
+            traj = simulate_closed_loop(task, u, w, steps)
+            fine = simulate_closed_loop(task, u, w, 4 * steps)
             return np.linalg.norm(traj.states[-1] - fine.states[-1])
 
         e400, e800 = endpoint_error(400), endpoint_error(800)
@@ -141,15 +141,15 @@ class TestResiduals:
         for seed in range(20):
             w = make_disturbance("piecewise_uniform", 1.0, jet.n, seed=seed,
                                  cells=1000, horizon=5.0)
-            u = disturbed_control(jet, task, bundle, w)
-            traj = simulate_closed_loop(jet, task, u, w, 5000)
+            u = disturbed_control(task, bundle, w)
+            traj = simulate_closed_loop(task, u, w, 5000)
             assert traj.terminal_residual < 1e-9
 
 
 class TestEnergyAccumulation:
     def test_running_energy_monotone_and_matches_quadrature(self, jet, jet_task_5, jet_bundle_5):
-        u = nominal_control(jet, jet_task_5, jet_bundle_5)
-        traj = simulate_closed_loop(jet, jet_task_5, u, None, 2000)
+        u = nominal_control(jet_task_5, jet_bundle_5)
+        traj = simulate_closed_loop(jet_task_5, u, None, 2000)
         running = traj.control_energy_running
         assert np.all(np.diff(running) >= -1e-15)
         # oracle: Simpson over the sampled ||u||^2 on the same grid
@@ -162,12 +162,12 @@ class TestValidation:
     def test_too_few_steps(self, scalar_run):
         sys, task, u = scalar_run
         with pytest.raises(DomainError):
-            simulate_closed_loop(sys, task, u, None, 99)
+            simulate_closed_loop(task, u, None, 99)
 
     def test_fractional_steps(self, scalar_run):
         sys, task, u = scalar_run
         with pytest.raises(DomainError, match="steps"):
-            simulate_closed_loop(sys, task, u, None, 100.5)
+            simulate_closed_loop(task, u, None, 100.5)
         with pytest.raises(DomainError, match="steps"):
             u.sample_half_grid(2.5)
 
@@ -175,18 +175,23 @@ class TestValidation:
         sys, _, u = scalar_run
         task = StabilizationTask(x0=np.array([1.0]), t_f=2.0)
         with pytest.raises(DomainError, match="horizon"):
-            simulate_closed_loop(sys, task, u, None, 100)
+            simulate_closed_loop(task, u, None, 100)
 
-    def test_control_for_another_input_count(self, scalar_run):
-        sys, task, _ = scalar_run
-        two_inputs = LtiSystem(np.zeros((1, 1)), np.ones((1, 2)), name="s2")
-        u = ControlSignal(t_f=1.0, gain_vector=np.zeros(1), system=two_inputs)
-        with pytest.raises(DimensionError, match="inputs"):
-            simulate_closed_loop(sys, task, u, None, 100)
+    @pytest.mark.parametrize("x0,w_dim,what", [
+        ([1.0, 2.0], 1, "x0 dimension"),
+        ([1.0], 2, "disturbance dim"),
+    ], ids=["x0", "disturbance"])
+    def test_state_of_another_dimension(self, scalar_run, x0, w_dim, what):
+        # the control's 1-state system sets n for the task and the signal
+        _, _, u = scalar_run
+        task = StabilizationTask(x0=np.array(x0), t_f=1.0)
+        w = make_disturbance("zero", 1.0, w_dim)
+        with pytest.raises(DimensionError, match=what):
+            simulate_closed_loop(task, u, w, 100)
 
     def test_outputs_readonly(self, scalar_run):
         sys, task, u = scalar_run
-        traj = simulate_closed_loop(sys, task, u, None, 100)
+        traj = simulate_closed_loop(task, u, None, 100)
         with pytest.raises(ValueError):
             traj.states[0, 0] = 7.0
 
@@ -194,7 +199,7 @@ class TestValidation:
 class TestCsv:
     def test_header_and_shape(self, scalar_run):
         sys, task, u = scalar_run
-        traj = simulate_closed_loop(sys, task, u, None, 100)
+        traj = simulate_closed_loop(task, u, None, 100)
         text = trajectory_to_csv(traj)
         lines = text.strip().split("\n")
         assert lines[0] == "t,x1,u1,xnorm,energy"
@@ -202,7 +207,7 @@ class TestCsv:
 
     def test_values_roundtrip(self, scalar_run):
         sys, task, u = scalar_run
-        traj = simulate_closed_loop(sys, task, u, None, 100)
+        traj = simulate_closed_loop(task, u, None, 100)
         lines = trajectory_to_csv(traj).strip().split("\n")
         j = 37
         t, x1, u1, xnorm, energy = (float(v) for v in lines[1 + j].split(","))

@@ -19,9 +19,10 @@ from distcost.sweeps import (bound_accuracy_rows, metrics_sweep_rows,
 from distcost.systems import LtiSystem, StabilizationTask
 
 
-def reference_worst_sign(sys, task, bundle):
+def reference_worst_sign(task, bundle):
     """The per-pattern search loop: (first maximizing pattern, energy of
     every pattern in itertools.product order)."""
+    sys = bundle.system
     # int_0^tf e^{As} ds: column j is the response to the constant e_j
     V = piecewise_response(sys, np.eye(sys.n)[:, None, :], task.t_f).T
     base = bundle.state_transition @ task.x0
@@ -38,19 +39,19 @@ def reference_worst_sign(sys, task, bundle):
     return best_s, np.array(energies)
 
 
-def reference_sweep_point(sys, bundle, rep, w_bar, x0_dir, samples, seed, cells):
+def reference_sweep_point(bundle, rep, w_bar, x0_dir, samples, seed, cells):
     """One sweep point with a task, a signal and a response per sample.
     Samples come through the ``sweeps`` module, so patching a sampler there
     patches both implementations."""
-    t_f, R = bundle.t_f, rep.R
+    sys, t_f, R = bundle.system, bundle.t_f, rep.R
     task_rep = StabilizationTask(x0=R * x0_dir, t_f=t_f, w_bar=w_bar)
-    e_n_rep = nominal_energy(sys, task_rep, bundle)
-    e_bound_rep = disturbed_energy_bound(sys, task_rep, bundle).E_D_bound
+    e_n_rep = nominal_energy(task_rep, bundle)
+    e_bound_rep = disturbed_energy_bound(task_rep, bundle).E_D_bound
     diff_min, diff_max = np.inf, -np.inf
     for x0 in sweeps.sample_ball(derive_seed(seed, 2), samples, sys.n, R):
         if not np.any(x0 != 0.0):
             continue
-        r = disturbed_energy_bound(sys, StabilizationTask(x0=x0, t_f=t_f, w_bar=w_bar),
+        r = disturbed_energy_bound(StabilizationTask(x0=x0, t_f=t_f, w_bar=w_bar),
                                    bundle)
         diff_min = min(diff_min, r.E_D_bound - r.E_N)
         diff_max = max(diff_max, r.E_D_bound - r.E_N)
@@ -64,7 +65,7 @@ def reference_sweep_point(sys, bundle, rep, w_bar, x0_dir, samples, seed, cells)
         base, resp = bundle.state_transition @ task.x0, disturbance_response(sys, w, t_f)
         e_d = max(float(weighted_energies(bundle, base + resp)),
                   float(weighted_energies(bundle, base - resp)))
-        ratio = nominal_energy(sys, task, bundle) / e_d
+        ratio = nominal_energy(task, bundle) / e_d
         ratio_min = min(ratio_min, ratio)
         ratio_max = max(ratio_max, ratio)
     return {"R": R, "t_f": t_f, "H": R / t_f, "r_A_bound": rep.r_A_bound,
@@ -80,10 +81,10 @@ BOUNDS = ("R", "t_f", "H", "r_A_bound", "r_M_bound", "E_N", "E_D_bound")
 def sweep_point_pair(sys, t_f, R, w_bar, samples, seed, cells, x0_dir=None):
     """(batched, reference) rows of one sweep point."""
     bundle = build_bundle(sys, t_f)
-    rep = _metric_reports(sys, bundle, w_bar, (R,))[0]
+    rep = _metric_reports(bundle, w_bar, (R,))[0]
     if x0_dir is None:
         x0_dir = np.ones(sys.n) / np.sqrt(sys.n)
-    args = (sys, bundle, rep, w_bar, x0_dir, samples, seed, cells)
+    args = (bundle, rep, w_bar, x0_dir, samples, seed, cells)
     return sweeps._sweep_point(*args), reference_sweep_point(*args)
 
 
@@ -139,12 +140,12 @@ class TestSamplers:
 
 class TestWorstConstantSign:
     def test_beats_every_other_pattern(self, jet, jet_task_5, jet_bundle_5):
-        best = worst_constant_sign(jet, jet_task_5, jet_bundle_5)
+        best = worst_constant_sign(jet_task_5, jet_bundle_5)
         w_best = make_disturbance("constant_sign", 1.0, 3, sign_vector=best)
-        e_best = disturbed_signal_energy(jet, jet_task_5, jet_bundle_5, w_best)
+        e_best = disturbed_signal_energy(jet_task_5, jet_bundle_5, w_best)
         for bits in product((1.0, -1.0), repeat=3):
             w = make_disturbance("constant_sign", 1.0, 3, sign_vector=np.array(bits))
-            e = disturbed_signal_energy(jet, jet_task_5, jet_bundle_5, w)
+            e = disturbed_signal_energy(jet_task_5, jet_bundle_5, w)
             assert e <= e_best * (1.0 + 1e-12)
 
     def test_scalar_sign_matches_state_direction(self):
@@ -153,8 +154,8 @@ class TestWorstConstantSign:
         bundle = build_bundle(sys, 1.0)
         task_pos = StabilizationTask(x0=np.array([1.0]), t_f=1.0, w_bar=1.0)
         task_neg = StabilizationTask(x0=np.array([-1.0]), t_f=1.0, w_bar=1.0)
-        assert worst_constant_sign(sys, task_pos, bundle)[0] == 1.0
-        assert worst_constant_sign(sys, task_neg, bundle)[0] == -1.0
+        assert worst_constant_sign(task_pos, bundle)[0] == 1.0
+        assert worst_constant_sign(task_neg, bundle)[0] == -1.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.1, 2.0),
@@ -163,8 +164,8 @@ class TestWorstConstantSign:
                                                    log_w):
         sys, task, bundle = random_sign_problem(n, seed, t_f, 10.0 ** log_x0,
                                                 10.0 ** log_w)
-        ref_s, energies = reference_worst_sign(sys, task, bundle)
-        got = worst_constant_sign(sys, task, bundle)
+        ref_s, energies = reference_worst_sign(task, bundle)
+        got = worst_constant_sign(task, bundle)
         k = int(np.dot((1.0 - got) / 2.0, 2 ** np.arange(n - 1, -1, -1)))
         top = np.max(energies)
         assert energies[k] >= top * (1.0 - 1e-12)
@@ -174,24 +175,24 @@ class TestWorstConstantSign:
     @pytest.mark.parametrize("block", [1, 3, 4])
     def test_block_boundaries(self, monkeypatch, block):
         sys, task, bundle = random_sign_problem(6, 7, x0_scale=0.1, w_bar=3.0)
-        full = worst_constant_sign(sys, task, bundle)
+        full = worst_constant_sign(task, bundle)
         monkeypatch.setattr(sweeps, "_SIGN_BLOCK", block)
-        assert np.array_equal(worst_constant_sign(sys, task, bundle), full)
-        assert np.array_equal(full, reference_worst_sign(sys, task, bundle)[0])
+        assert np.array_equal(worst_constant_sign(task, bundle), full)
+        assert np.array_equal(full, reference_worst_sign(task, bundle)[0])
 
     def test_ties_keep_first_pattern(self, monkeypatch):
         # at w_bar = 0 every pattern has the same energy, so the first in
         # product order wins, within a block and across blocks
         sys, task, bundle = random_sign_problem(5, 3, w_bar=0.0)
-        assert np.array_equal(worst_constant_sign(sys, task, bundle), np.ones(5))
+        assert np.array_equal(worst_constant_sign(task, bundle), np.ones(5))
         monkeypatch.setattr(sweeps, "_SIGN_BLOCK", 4)
-        assert np.array_equal(worst_constant_sign(sys, task, bundle), np.ones(5))
+        assert np.array_equal(worst_constant_sign(task, bundle), np.ones(5))
 
     def test_rejects_more_than_twenty_states(self):
         sys = LtiSystem(-np.eye(21), np.eye(21), name="n21")
         task = StabilizationTask(x0=np.ones(21), t_f=1.0, w_bar=1.0)
         with pytest.raises(DomainError):
-            worst_constant_sign(sys, task, build_bundle(sys, 1.0))
+            worst_constant_sign(task, build_bundle(sys, 1.0))
 
 
 class TestBoundAccuracyRows:
@@ -221,9 +222,9 @@ class TestBoundAccuracyRows:
             bundle = build_bundle(jet, row["t_f"])
             task = StabilizationTask(x0=jet_x0, t_f=row["t_f"], w_bar=1.0)
             w = make_disturbance("constant_sign", 1.0, 3,
-                                 sign_vector=worst_constant_sign(jet, task, bundle))
-            e = disturbed_signal_energy(jet, task, bundle, w)
-            bound = disturbed_energy_bound(jet, task, bundle).E_D_bound
+                                 sign_vector=worst_constant_sign(task, bundle))
+            e = disturbed_signal_energy(task, bundle, w)
+            bound = disturbed_energy_bound(task, bundle).E_D_bound
             assert row["ratio_constant"] == float(e / bound)
 
     def test_constant_dominates_sinusoid(self, jet, jet_x0):
@@ -302,7 +303,7 @@ class TestBatchedEvidence:
         assert_rows_match(got, ref)
         # a zero row would add exactly c_term, below every nonzero row's
         # extra energy, so diff_min shows whether it was skipped
-        c_term = _metric_reports(jet, build_bundle(jet, 0.5), 1.0, (100.0,))[0].c_term
+        c_term = _metric_reports(build_bundle(jet, 0.5), 1.0, (100.0,))[0].c_term
         assert got["diff_min"] > c_term
 
     def test_all_zero_ball_leaves_empty_extremes(self, jet, monkeypatch):
