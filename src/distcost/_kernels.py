@@ -1,9 +1,10 @@
 """Hot numerical kernels, one whole-array numpy implementation each.
 
-expm_core is degree-13 Pade scaling and squaring, jacobi_core the cyclic
-Jacobi eigensolve, and splitmix_fill the counter-based splitmix64
-stream. RK4 and the control half-grid need no kernel: they are batched
-numpy in simulate.py and synthesis.py.
+expm_core is degree-13 Pade scaling and squaring on one (n, n) matrix or
+a (k, n, n) stack, every matrix of a stack getting the bits it gets alone;
+jacobi_core is the cyclic Jacobi eigensolve, and splitmix_fill the
+counter-based splitmix64 stream. RK4 and the control half-grid need no
+kernel: they are batched numpy in simulate.py and synthesis.py.
 
 Jacobi stops on the absolute test off(S) <= tol * ||S||_F, so on
 ill-conditioned Gramians it is less accurate than numpy.linalg.eigh: at
@@ -46,14 +47,15 @@ _SM_INV53 = 2.0 ** -53
 
 
 def expm_core(M):
-    # scaling and squaring with a fixed degree-13 Pade approximant
-    n = M.shape[0]
-    eta = np.max(np.sum(np.abs(M), axis=0), initial=0.0)
-    s = 0
-    if eta > _PADE_THETA:
-        s = int(np.ceil(np.log2(eta / _PADE_THETA)))
-    Ms = M / (2.0 ** s)
-    I = np.eye(n)
+    # scaling and squaring with a fixed degree-13 Pade approximant, on one
+    # (n, n) matrix or a (k, n, n) stack. Each matrix has its own scaling
+    # exponent s and squaring j touches only the matrices with s >= j, so
+    # every matrix of a stack gets the bits it would get alone.
+    S = M.reshape((-1,) + M.shape[-2:])
+    eta = np.sum(np.abs(S), axis=-2).max(axis=-1, initial=0.0)
+    s = np.ceil(np.log2(np.maximum(eta, _PADE_THETA) / _PADE_THETA)).astype(np.int64)
+    Ms = S / (2.0 ** s)[:, None, None]
+    I = np.eye(S.shape[-1])
     M2 = Ms @ Ms
     M4 = M2 @ M2
     M6 = M4 @ M2
@@ -62,9 +64,13 @@ def expm_core(M):
     V = (M6 @ (_B12 * M6 + _B10 * M4 + _B8 * M2)
          + _B6 * M6 + _B4 * M4 + _B2 * M2 + _B0 * I)
     E = np.ascontiguousarray(np.linalg.solve(V - U, V + U))
-    for _ in range(s):
-        E = E @ E
-    return E
+    for j in range(1, int(s.max(initial=0)) + 1):
+        sq = s >= j
+        if sq.all():
+            E = E @ E
+        else:
+            E[sq] = E[sq] @ E[sq]
+    return E.reshape(M.shape)
 
 
 def _off_norm(S):

@@ -25,6 +25,9 @@ _CONDITION_LIMIT = 1e14
 # t_f, with at most _ADAPTIVE_DEPTH halvings of any subinterval
 _NORM_INTEGRAL_TOL = 1e-9
 _ADAPTIVE_DEPTH = 24
+# a stacked expm over the nodes of one refinement level takes at most this
+# many floats per (nodes, n, n) temporary, 2 MiB, with at least one node
+_NODE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -85,63 +88,79 @@ def _checked_eig(W: np.ndarray, t_f: float) -> SpectralDecomposition:
     return spec
 
 
+def _node_norms(A: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # ||e^{A s_k}||_inf at every node s_k, one stacked expm per block
+    block = max(1, _NODE_BLOCK // A.size)
+    out = np.empty(len(s))
+    for i in range(0, len(s), block):
+        E = expm(A * s[i:i + block, None, None])
+        out[i:i + block] = np.max(np.sum(np.abs(E), axis=-1), axis=-1)
+    return out
+
+
 def norm_integral(sys: LtiSystem, t_f) -> float:
     """int_0^tf ||e^{A(tf-t)}||_inf dt by adaptive composite Simpson.
 
     By the substitution s = tf - t this equals int_0^tf ||e^{As}||_inf ds,
     which is the form actually integrated. Absolute tolerance is
-    ``_NORM_INTEGRAL_TOL * t_f``. A subinterval still short of its share
-    after ``_ADAPTIVE_DEPTH`` halvings, as at a kink of the integrand,
-    adds a pessimistic 15 |err| to the error estimate; NumericalError,
-    carrying the estimate and error bound, is raised only when that
-    total misses the tolerance.
+    ``_NORM_INTEGRAL_TOL * t_f``, halved with each halving of a panel. A
+    subinterval still short of its share after ``_ADAPTIVE_DEPTH``
+    halvings, as at a kink of the integrand, adds a pessimistic 15 |err|
+    to the error estimate; NumericalError, carrying the estimate and
+    error bound, is raised only when that total misses the tolerance.
+
+    The panel tree is refined one level at a time, and all new midpoints
+    of a level share one stacked ``expm`` call. Whether a panel is split
+    depends on that panel alone, so the panels are those of a depth-first
+    refinement; the accepted ones are summed in depth-first order
+    (descending left end), which keeps the result and the error estimate
+    bit-for-bit those of the depth-first loop.
     """
     t_f = as_scalar(t_f, "horizon t_f", positive=True)
     A = sys.A
-
-    def f(s: float) -> float:
-        E = expm(A * s)
-        return float(np.max(np.sum(np.abs(E), axis=1)))
-
     tol = _NORM_INTEGRAL_TOL * t_f
-    depth_limit = _ADAPTIVE_DEPTH
 
-    a, b = 0.0, t_f
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    # one level of the panel tree, one column per panel: ends a and b,
+    # midpoint m, the integrand at all three and the panel's Simpson value
+    a, m, b = np.array([0.0]), np.array([0.5 * t_f]), np.array([t_f])
+    fa, fm, fb = np.split(_node_norms(A, np.concatenate([a, m, b])), 3)
+    S = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    tol_d = tol
+    accepted = []  # (left ends, values, error shares), one entry per level
+    for d in range(_ADAPTIVE_DEPTH + 1):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = np.split(_node_norms(A, np.concatenate([lm, rm])), 2)
+        Sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        Sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = (Sl + Sr - S) / 15.0
+        ok = np.abs(err) <= tol_d
+        split = ~ok & (d < _ADAPTIVE_DEPTH)
+        keep = ~split
+        accepted.append((a[keep], (Sl + Sr + err)[keep],
+                         np.where(ok, np.abs(err), np.abs(err) * 15.0)[keep]))
+        if not split.any():
+            break
+        # the two halves of each panel that is split
+        halves = np.concatenate([np.stack([a, lm, m, fa, flm, fm, Sl]),
+                                 np.stack([m, rm, b, fm, frm, fb, Sr])], axis=1)
+        a, m, b, fa, fm, fb, S = halves[:, np.concatenate([split, split])]
+        tol_d = 0.5 * tol_d
 
-    # iterative adaptive Simpson; each stack entry is one subinterval with
-    # its endpoint/midpoint values, Simpson value, tolerance share and depth
+    left, value, share = (np.concatenate(c) for c in zip(*accepted))
     total = 0.0
     err_total = 0.0
-    stack = [(a, m, b, fa, fm, fb, whole, tol, 0)]
-    while stack:
-        a0, m0, b0, f0, f1, f2, S0, tol0, d = stack.pop()
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm = f(lm)
-        frm = f(rm)
-        Sl = (m0 - a0) / 6.0 * (f0 + 4.0 * flm + f1)
-        Sr = (b0 - m0) / 6.0 * (f1 + 4.0 * frm + f2)
-        err = (Sl + Sr - S0) / 15.0
-        if abs(err) <= tol0:
-            total += Sl + Sr + err
-            err_total += abs(err)
-        elif d >= depth_limit:
-            total += Sl + Sr + err
-            err_total += abs(err) * 15.0
-        else:
-            stack.append((a0, lm, m0, f0, flm, f1, Sl, 0.5 * tol0, d + 1))
-            stack.append((m0, rm, b0, f1, frm, f2, Sr, 0.5 * tol0, d + 1))
+    for i in np.argsort(left)[::-1]:  # the depth-first order
+        total += value[i]
+        err_total += share[i]
+    total, err_total = float(total), float(err_total)
     if err_total > tol:
         raise NumericalError(
             f"norm integral error estimate {err_total:.3e} misses tolerance "
-            f"{tol:.3e} within depth {depth_limit}",
+            f"{tol:.3e} within depth {_ADAPTIVE_DEPTH}",
             estimate=total,
             error_bound=err_total,
-            iterations=depth_limit,
+            iterations=_ADAPTIVE_DEPTH,
         )
     return total
 

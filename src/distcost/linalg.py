@@ -94,16 +94,23 @@ def expm(M) -> np.ndarray:
     Parameters
     ----------
     M : array_like
-        Square matrix with finite entries.
+        One square matrix, shape (n, n), or a stack of them, shape
+        (k, n, n), with finite entries.
 
     Returns
     -------
     ndarray
-        e^M, relative accuracy around 1e-12 in the infinity norm for
-        well-conditioned inputs.
+        e^M, or the stack of e^{M_i}, each bit-for-bit what that matrix
+        gives alone; relative accuracy around 1e-12 in the infinity norm
+        for well-conditioned inputs.
     """
-    A = as_matrix(M, "expm operand")
-    if A.shape[0] != A.shape[1]:
+    A = np.ascontiguousarray(np.asarray(M, dtype=np.float64))
+    if A.ndim not in (2, 3):
+        raise DimensionError(
+            f"expm operand must be a matrix or a stack of matrices, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise DomainError("expm operand contains non-finite entries")
+    if A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expm operand must be square, got shape {A.shape}")
     return _k.expm_core(A)
 

@@ -14,9 +14,9 @@ import numpy as np
 
 from .energy import (_response_energy, disturbance_terms,
                      disturbed_energy_bound, energy_bound_rows, weighted_energies)
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .gramian import GramianBundle, build_bundle
-from .linalg import as_scalar, as_whole
+from .linalg import as_scalar, as_vector, as_whole
 from .metrics import MetricReport, _metric_reports
 from .signals import (derive_seed, derive_seeds, make_disturbance,
                       piecewise_cell_values, uniform_stream)
@@ -213,12 +213,16 @@ def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
     the E_N / E_D_bound columns.
     """
     samples, cells = as_whole(samples, "samples", 1), as_whole(cells, "cells", 1)
-    x0_dir = np.asarray(x0_dir, dtype=np.float64)
-    nrm = float(np.sqrt(np.sum(x0_dir * x0_dir)))
-    if nrm == 0.0:
+    x0_dir = as_vector(x0_dir, "x0")
+    if not np.any(x0_dir):
         raise DomainError("x0 direction must be nonzero")
-    if not np.isfinite(nrm):
-        raise NumericalError("the norm of the x0 direction overflows")
+    with np.errstate(over="ignore"):
+        nrm = float(np.sqrt(np.sum(x0_dir * x0_dir)))
+    if nrm == 0.0 or not np.isfinite(nrm):
+        # the squares underflow or overflow: the direction of x0 / max|x0|
+        # is the same, and its norm lies in [1, sqrt(n)]
+        x0_dir = x0_dir / np.max(np.abs(x0_dir))
+        nrm = float(np.sqrt(np.sum(x0_dir * x0_dir)))
     x0_dir = x0_dir / nrm
 
     bundles = {float(t_f): build_bundle(sys, t_f) for t_f in tf_grid}

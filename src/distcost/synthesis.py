@@ -68,10 +68,10 @@ class ControlSignal:
         g = self.gain_vector
         # node 2*steps - k needs e^{A^T k delta} g, the k-th state of
         # y_{k+1} = e^{A^T delta} y_k from y_0 = g. Each power comes from a
-        # fresh exponential: doubling the first one would compound its
-        # rounding at every pass.
-        I = np.eye(g.shape[0])
-        D_pow = [expm(At * (delta * 2**j)) - I for j in range(passes)]
+        # fresh exponential, all in one stacked call: doubling the first one
+        # would compound its rounding at every pass.
+        scales = delta * 2.0 ** np.arange(passes)
+        D_pow = expm(At * scales[:, None, None]) - np.eye(len(g))
         X = np.zeros((2 * steps + 1, g.shape[0]))
         X[0] = g
         Y = linear_scan(X, D_pow)[::-1]

@@ -303,10 +303,8 @@ class TestExitCodes:
         ["energy", "--x0", HUGE_X0],
         ["stabilize", "--x0", HUGE_X0, "--steps", "200"],
         ["bound-accuracy", "--x0", HUGE_X0, "--tf-grid", "1"],
-        ["metrics-sweep", "--x0", HUGE_X0, "--tf-grid", "1", "--R-grid", "10"],
         ["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"],
-    ], ids=["energy", "stabilize", "bound-accuracy", "metrics-sweep",
-            "metrics-sweep-R-grid"])
+    ], ids=["energy", "stabilize", "bound-accuracy", "metrics-sweep-R-grid"])
     def test_overflowing_energy_is_numeric(self, tmp_path, argv):
         # finite input whose energies overflow: no Infinity or nan reaches
         # a file, because the run stops before its first write
@@ -314,6 +312,17 @@ class TestExitCodes:
             rc, out = run(tmp_path, *argv)
         assert rc == EXIT_NUMERIC
         assert not out.exists()
+
+    @pytest.mark.parametrize("x0", [HUGE_X0, "1e-200,1e-200,1e-200"],
+                             ids=["huge", "tiny"])
+    def test_sweep_direction_of_extreme_x0(self, tmp_path, x0):
+        # metrics-sweep reads only the direction of x0, so one whose
+        # squares overflow or underflow names the same sweep as (1, 1, 1)
+        args = ["metrics-sweep", "--tf-grid", "1", "--R-grid", "10"]
+        rc_ref, ref = run(tmp_path / "ref", *args, "--x0", "1,1,1")
+        rc, out = run(tmp_path, *args, "--x0", x0)
+        assert rc == rc_ref == 0
+        assert (out / "metrics.csv").read_bytes() == (ref / "metrics.csv").read_bytes()
 
     @pytest.mark.parametrize("command,doc", [
         ("metrics-sweep", {"samples": "abc"}),

@@ -6,6 +6,7 @@ import scipy.linalg
 from distcost import gramian
 from distcost.errors import IllConditionedError, NumericalError
 from distcost.gramian import build_bundle, controllability_gramian, norm_integral
+from distcost.linalg import expm
 from distcost.systems import LtiSystem
 
 
@@ -20,6 +21,71 @@ def simpson_gramian(sys, t_f, panels=2048):
     h = t_f / panels
     acc = vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum(axis=0) + 2.0 * vals[2:-1:2].sum(axis=0)
     return (h / 6.0) * acc
+
+
+def depth_first_norm_integral(A, t_f):
+    """The depth-first adaptive Simpson norm_integral replaced, kept as the
+    reference: one expm per node, panels popped off a stack.
+
+    Returns (total, err_total, nodes, depth): the integral, its error
+    estimate, the number of integrand evaluations and the deepest panel
+    level visited. Reads the module's tolerance and depth limit at call
+    time, so a monkeypatched limit applies to both implementations.
+    """
+    def f(s):
+        return float(np.max(np.sum(np.abs(expm(A * s)), axis=1)))
+
+    tol = gramian._NORM_INTEGRAL_TOL * t_f
+    depth_limit = gramian._ADAPTIVE_DEPTH
+    a, b = 0.0, t_f
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    total = 0.0
+    err_total = 0.0
+    nodes, depth = 3, 0
+    stack = [(a, m, b, fa, fm, fb, whole, tol, 0)]
+    while stack:
+        a0, m0, b0, f0, f1, f2, S0, tol0, d = stack.pop()
+        depth = max(depth, d)
+        lm = 0.5 * (a0 + m0)
+        rm = 0.5 * (m0 + b0)
+        flm = f(lm)
+        frm = f(rm)
+        nodes += 2
+        Sl = (m0 - a0) / 6.0 * (f0 + 4.0 * flm + f1)
+        Sr = (b0 - m0) / 6.0 * (f1 + 4.0 * frm + f2)
+        err = (Sl + Sr - S0) / 15.0
+        if abs(err) <= tol0:
+            total += Sl + Sr + err
+            err_total += abs(err)
+        elif d >= depth_limit:
+            total += Sl + Sr + err
+            err_total += abs(err) * 15.0
+        else:
+            stack.append((a0, lm, m0, f0, flm, f1, Sl, 0.5 * tol0, d + 1))
+            stack.append((m0, rm, b0, f1, frm, f2, Sr, 0.5 * tol0, d + 1))
+    return total, err_total, nodes, depth
+
+
+def _random_system(seed, n=12, p=4):
+    rng = np.random.default_rng(seed)
+    return LtiSystem(rng.standard_normal((n, n)) / np.sqrt(n),
+                     rng.standard_normal((n, p)), name=f"rand{seed}")
+
+
+def _kink_system(seed):
+    A = np.random.default_rng(seed).standard_normal((2, 2)) / np.sqrt(2.0)
+    return LtiSystem(A, np.eye(2), name="kink")
+
+
+# ADMIRE at three horizons, seeded random n = 12, p = 4 systems, and the
+# two kinked integrands whose panels reach the depth limit
+REFERENCE_CASES = ([("admire", None, t_f) for t_f in (0.1, 0.5, 5.0)]
+                   + [("random", seed, t_f) for seed in (0, 1, 2)
+                      for t_f in (0.25, 5.0)]
+                   + [("kink", seed, 5.0) for seed in (13, 34)])
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +183,8 @@ class TestNormIntegral:
         # the row attaining ||e^{As}||_inf changes at a kink, where the
         # panels hit the halving depth; their pessimistic error share still
         # fits the tolerance, so the integral returns instead of raising
-        A = np.random.default_rng(seed).standard_normal((2, 2)) / np.sqrt(2.0)
-        sys = LtiSystem(A, np.eye(2), name="kink")
+        sys = _kink_system(seed)
+        A = sys.A
         ref, _ = scipy.integrate.quad(
             lambda s: np.linalg.norm(scipy.linalg.expm(A * s), np.inf), 0.0, 5.0,
             epsabs=1e-12, epsrel=1e-13, limit=500)
@@ -129,4 +195,48 @@ class TestNormIntegral:
         monkeypatch.setattr(gramian, "_NORM_INTEGRAL_TOL", 1e-14)
         with pytest.raises(NumericalError) as exc:
             norm_integral(jet, 5.0)
-        assert exc.value.estimate is not None
+        total, err_total, _, _ = depth_first_norm_integral(jet.A, 5.0)
+        assert exc.value.estimate == total
+        assert exc.value.error_bound == err_total
+        assert exc.value.iterations == 2
+
+
+def _reference_case(kind, seed, jet):
+    if kind == "admire":
+        return jet
+    return _random_system(seed) if kind == "random" else _kink_system(seed)
+
+
+class TestLevelSynchronous:
+    """norm_integral refines level by level; the depth-first loop it
+    replaced must give the same bits."""
+
+    @pytest.mark.parametrize("kind,seed,t_f", REFERENCE_CASES)
+    def test_bitwise_equal_to_depth_first(self, jet, kind, seed, t_f):
+        sys = _reference_case(kind, seed, jet)
+        total, _, _, _ = depth_first_norm_integral(sys.A, t_f)
+        assert norm_integral(sys, t_f) == total
+
+    @pytest.mark.parametrize("kind,seed,t_f", [("admire", None, 5.0), ("kink", 34, 5.0)])
+    def test_one_node_blocks_are_bitwise_equal(self, jet, monkeypatch, kind, seed, t_f):
+        sys = _reference_case(kind, seed, jet)
+        total, _, _, _ = depth_first_norm_integral(sys.A, t_f)
+        monkeypatch.setattr(gramian, "_NODE_BLOCK", 1)
+        assert norm_integral(sys, t_f) == total
+
+    @pytest.mark.parametrize("kind,seed,t_f", [("admire", None, 5.0), ("random", 0, 5.0)])
+    def test_one_expm_call_per_level(self, jet, monkeypatch, kind, seed, t_f):
+        sys = _reference_case(kind, seed, jet)
+        _, _, nodes, depth = depth_first_norm_integral(sys.A, t_f)
+        calls = []
+
+        def counting_expm(M):
+            calls.append(len(M))
+            return expm(M)
+
+        monkeypatch.setattr(gramian, "expm", counting_expm)
+        norm_integral(sys, t_f)
+        # the three end and middle nodes, then one call per panel level
+        assert len(calls) == depth + 2
+        assert sum(calls) == nodes
+        assert len(calls) < nodes / 4

@@ -90,6 +90,27 @@ class TestExpm:
         P = _kernels.expm_core(M) @ _kernels.expm_core(-M)
         assert np.max(np.abs(P - np.eye(5))) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_stack_is_bitwise_per_matrix(self, n):
+        # scaling exponents from s = 0 (the zero matrix and small norms) to
+        # s ~ 8 (norm ~1e3) in one stack: each matrix is squared only its
+        # own s times, so it gets the bits it gets alone. Skew-symmetric
+        # matrices keep e^M orthogonal, so nothing overflows.
+        norms = [0.0, 0.5, 3.0, 40.0, 1e3, 0.1, 300.0]
+        gen = np.random.default_rng(n)
+        stack = []
+        for c in norms:
+            X = gen.standard_normal((n, n))
+            X = X - X.T
+            stack.append(c / max(np.max(np.sum(np.abs(X), axis=0)), 1.0) * X)
+        E = _kernels.expm_core(np.stack(stack))
+        assert np.max(np.abs(E[-1] @ E[-1].T - np.eye(n))) < 1e-10
+        for M, Ei in zip(stack, E):
+            assert np.array_equal(Ei, _kernels.expm_core(M))
+
+    def test_empty_stack(self):
+        assert _kernels.expm_core(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
 
 class TestJacobi:
     def _sym(self, n, scale=1.0):

@@ -55,6 +55,28 @@ class TestExpm:
         with pytest.raises(DimensionError):
             expm(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (3,), (1, 2, 2, 2)],
+                             ids=["nonsquare-stack", "1-D", "4-D"])
+    def test_rejects_shape(self, shape):
+        with pytest.raises(DimensionError):
+            expm(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_anywhere_in_stack(self, bad):
+        M = np.zeros((5, 3, 3))
+        M[3, 2, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            expm(M)
+
+    def test_stack_matches_each_matrix(self):
+        scales = np.array([0.0, 0.3, 2.0, 9.0, 70.0, 1.0])
+        stack = np.random.default_rng(3).standard_normal((6, 4, 4)) * scales[:, None, None]
+        E = expm(stack)
+        assert E.shape == stack.shape
+        for M, Ei in zip(stack, E):
+            assert np.array_equal(Ei, expm(M))
+        assert expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
     def test_matches_scipy_on_stiff_matrix(self):
         M = np.array([[-80.0, 100.0], [0.0, -0.1]])
         assert np.max(np.abs(expm(M) - scipy.linalg.expm(M))) < 1e-12
