@@ -12,8 +12,8 @@ from .energy import (EnergyReport, disturbed_energy_bound,
 from .errors import (ConfigError, DimensionError, DistcostError, DomainError,
                      IllConditionedError, ModelParseError, NumericalError,
                      ValidationError)
-from .gramian import (GramianBundle, build_bundle, controllability_gramian,
-                      norm_integral)
+from .gramian import (GramianBundle, build_bundle, build_bundles,
+                      controllability_gramian, norm_integral)
 from .linalg import SpectralDecomposition, expm, norm, sym_eig
 from .metrics import (MetricReport, additive_metric_bound, hardness,
                       metric_report, multiplicative_metric_bound)
@@ -32,7 +32,7 @@ __all__ = [
     "IllConditionedError", "LtiSystem", "MetricReport", "ModelParseError",
     "NumericalError", "SpectralDecomposition", "StabilizationTask",
     "Trajectory", "ValidationError", "additive_metric_bound", "admire",
-    "build_bundle", "builtin_models", "controllability_gramian",
+    "build_bundle", "build_bundles", "builtin_models", "controllability_gramian",
     "controllability_rank", "derive_seed", "disturbance_response",
     "disturbed_control", "disturbed_energy_bound", "disturbed_signal_energy",
     "expm", "hardness", "load_model", "make_disturbance", "metric_report",

@@ -1,9 +1,9 @@
 """Hot numerical kernels, one whole-array numpy implementation each.
 
-expm_core is degree-13 Pade scaling and squaring on one (n, n) matrix or
-a (k, n, n) stack, every matrix of a stack getting the bits it gets alone;
-jacobi_core is the cyclic Jacobi eigensolve, and splitmix_fill the
-counter-based splitmix64 stream. RK4 and the control half-grid need no
+expm_core is degree-13 Pade scaling and squaring and jacobi_core the
+cyclic Jacobi eigensolve, each on one (n, n) matrix or a (k, n, n) stack,
+every matrix of a stack getting the bits it gets alone; splitmix_fill is
+the counter-based splitmix64 stream. RK4 and the control half-grid need no
 kernel: they are batched numpy in simulate.py and synthesis.py.
 
 Jacobi stops on the absolute test off(S) <= tol * ||S||_F, so on
@@ -45,6 +45,9 @@ _SM_S3 = np.uint64(31)
 _SM_S11 = np.uint64(11)
 _SM_INV53 = 2.0 ** -53
 
+# the signs of the sine in the p and q halves of a Jacobi rotation
+_SIGNS = np.array([1.0, -1.0])
+
 
 def expm_core(M):
     # scaling and squaring with a fixed degree-13 Pade approximant, on one
@@ -74,50 +77,87 @@ def expm_core(M):
 
 
 def _off_norm(S):
-    # Frobenius norm of the off-diagonal part, from the masked entries:
-    # ||S||_F^2 - ||diag S||^2 would cancel catastrophically near convergence
-    O = S - np.diag(np.diag(S))
-    return np.sqrt(np.sum(O * O))
+    # Frobenius norm of the off-diagonal part of each matrix of a stack,
+    # from the masked entries: ||S||_F^2 - ||diag S||^2 would cancel
+    # catastrophically near convergence
+    O = S.copy()
+    n = S.shape[-1]
+    O.reshape(len(S), n * n)[:, ::n + 1] = 0.0
+    return _frobenius(O)
+
+
+def _frobenius(S):
+    # each matrix summed as one flat run of n*n squares, the summation
+    # order numpy gives a lone contiguous matrix
+    F = S.reshape(len(S), S.shape[-1] ** 2)
+    return np.sqrt(np.sum(F * F, axis=-1))
+
+
+def _rotate(X, p, q, n):
+    # one Jacobi rotation (p, q) of every S-over-V stack X[i] (2n x n);
+    # each apq is nonzero
+    S = X[:, :n]
+    tau = (S[:, q, q] - S[:, p, p]) / (2.0 * S[:, p, q])
+    # t = sign(tau) / (|tau| + sqrt(1 + tau^2)) with sign(-0) = +1, c =
+    # 1 / sqrt(1 + t^2) and s = t c: the same bits as the two-branch form
+    # of t, as negation is exact
+    a = np.abs(tau)
+    r = 1.0 / (a + np.sqrt(1.0 + a * a))
+    c = 1.0 / np.sqrt(1.0 + r * r)
+    sn = np.copysign(r * c, tau + 0.0)
+    # columns p, q of S and V, then rows p, q of S, each pair read in
+    # full before it is overwritten: new p = c x_p - s x_q and new q =
+    # c x_q - (-s) x_p, which is s x_p + c x_q bit for bit
+    cc = c[:, None, None]
+    g = sn[:, None] * _SIGNS
+    pq = slice(p, q + 1, q - p)
+    cols = X[:, :, pq].copy()
+    X[:, :, pq] = cc * cols - g[:, None, :] * cols[:, :, ::-1]
+    rows = S[:, pq, :].copy()
+    S[:, pq, :] = cc * rows - g[:, :, None] * rows[:, ::-1, :]
 
 
 def jacobi_core(S, off_tol, max_sweeps):
-    # cyclic Jacobi on a symmetric matrix; works on a copy of S.
-    # Returns (diag, V, off, sweeps, thresh); convergence means off <= thresh.
-    n = S.shape[0]
+    # cyclic Jacobi on one symmetric (n, n) matrix or a (k, n, n) stack;
+    # works on a copy. Returns (diag, V, off, sweeps, thresh), one entry
+    # per matrix; a matrix has converged when off <= thresh. Each matrix
+    # has its own threshold and sweep count and is swept only while its
+    # own off > thresh, and a rotation whose apq is exactly 0 is skipped
+    # for that matrix alone, so every matrix of a stack gets the bits it
+    # gets alone.
+    lead, n = S.shape[:-2], S.shape[-1]
+    k = int(np.prod(lead))
+    S = S.reshape(k, n, n)
     # S on top of V in one buffer, so one column update rotates both
-    SV = np.concatenate([S, np.eye(n)])
-    S, V = SV[:n], SV[n:]
-    thresh = off_tol * np.sqrt(np.sum(S * S))
+    SV = np.concatenate([S, np.broadcast_to(np.eye(n), S.shape)], axis=1)
+    thresh = off_tol * _frobenius(S)
     off = _off_norm(S)
+    sweeps = np.zeros(k, dtype=np.int64)
 
-    sweeps = 0
-    while off > thresh and sweeps < max_sweeps:
+    while True:
+        live = np.flatnonzero((off > thresh) & (sweeps < max_sweeps))
+        if not live.size:
+            break
+        X = SV[live]
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = S[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (S[q, q] - S[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                # columns of S and V, then rows of S; each pair is read
-                # in full before either half is overwritten
-                xp = SV[:, p].copy()
-                xq = SV[:, q].copy()
-                SV[:, p] = c * xp - sn * xq
-                SV[:, q] = sn * xp + c * xq
-                sp = S[p, :].copy()
-                sq = S[q, :].copy()
-                S[p, :] = c * sp - sn * sq
-                S[q, :] = sn * sp + c * sq
-        sweeps += 1
-        off = _off_norm(S)
+                nonzero = np.count_nonzero(X[:, p, q])
+                if nonzero == len(X):
+                    _rotate(X, p, q, n)
+                elif nonzero:
+                    nz = X[:, p, q] != 0.0
+                    Y = X[nz]
+                    _rotate(Y, p, q, n)
+                    X[nz] = Y
+        SV[live] = X
+        sweeps[live] += 1
+        off[live] = _off_norm(X[:, :n])
 
-    return np.diag(S).copy(), V, off, sweeps, thresh
+    diag = np.diagonal(SV[:, :n], axis1=1, axis2=2).copy()
+    V = SV[:, n:]
+    return (diag.reshape(lead + (n,)), V.reshape(lead + (n, n)),
+            off.reshape(lead)[()], sweeps.reshape(lead)[()],
+            thresh.reshape(lead)[()])
 
 
 def mix64(z):

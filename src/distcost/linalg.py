@@ -115,20 +115,21 @@ def expm(M) -> np.ndarray:
     return _k.expm_core(A)
 
 
-def block_expm(A, C, S, t: float):
+def block_expm(A, C, S, t):
     """Top block row of expm([[A, C], [0, S]] * t) (Van Loan, IEEE TAC 1978).
 
     With A n x n, C n x m and S m x m, returns the pair
     (e^{At}, int_0^t e^{A(t - s)} C e^{Ss} ds), both from one exponential
-    of the (n + m) x (n + m) block-triangular matrix.
+    of the (n + m) x (n + m) block-triangular matrix. A 1-D array of
+    times gives a stack of each, from one stacked exponential.
     """
     n, m = np.shape(C)
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A
     M[:n, n:] = C
     M[n:, n:] = S
-    E = expm(M * t)
-    return np.ascontiguousarray(E[:n, :n]), E[:n, n:]
+    E = expm(M * np.asarray(t)[..., None, None])
+    return np.ascontiguousarray(E[..., :n, :n]), E[..., :n, n:]
 
 
 def linear_scan(X: np.ndarray, D_pow) -> np.ndarray:
@@ -151,7 +152,8 @@ def linear_scan(X: np.ndarray, D_pow) -> np.ndarray:
 
 
 def sym_eig(M) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations:
+    the stacked Jacobi kernel on a stack of one.
 
     Parameters
     ----------
@@ -181,27 +183,43 @@ def sym_eig(M) -> SpectralDecomposition:
     if scale > 0.0 and np.max(np.abs(A - A.T)) > _SYMMETRY_TOL * scale:
         raise DomainError("sym_eig operand is not symmetric within tolerance")
 
-    work = 0.5 * (A + A.T)
+    out = _sym_eigs(A[None])[0]
+    if isinstance(out, NumericalError):
+        raise out
+    return out
+
+
+def _sym_eigs(A: np.ndarray) -> list:
+    """sym_eig on each matrix of a checked (k, n, n) stack, all in one
+    ``jacobi_core`` call: per matrix, the SpectralDecomposition or the
+    NumericalError that matrix gives alone."""
+    n = A.shape[-1]
+    work = 0.5 * (A + np.swapaxes(A, -1, -2))
     diag, V, off, sweeps, thresh = _k.jacobi_core(work, _JACOBI_OFF_TOL,
                                                   _JACOBI_MAX_SWEEPS)
-    if off > thresh:
-        raise NumericalError(
-            f"Jacobi iteration did not converge in {sweeps} sweeps "
-            f"(off-diagonal norm {off:.3e}, threshold {thresh:.3e})",
-            estimate=diag,
-            error_bound=off,
-            iterations=sweeps,
-        )
-    order = np.argsort(-diag, kind="stable")
-    lam = diag[order]
-    U = np.ascontiguousarray(V[:, order])
-    if n and np.max(np.abs(U.T @ U - np.eye(n))) > 1e-10 * n:
-        raise NumericalError(
-            "eigenvector matrix lost orthogonality", estimate=lam, iterations=sweeps
-        )
-    lam.setflags(write=False)
-    U.setflags(write=False)
-    return SpectralDecomposition(U=U, lambdas=lam)
+    out = []
+    for d, Vi, off_i, sweeps_i, thresh_i in zip(diag, V, off, sweeps.tolist(), thresh):
+        if off_i > thresh_i:
+            out.append(NumericalError(
+                f"Jacobi iteration did not converge in {sweeps_i} sweeps "
+                f"(off-diagonal norm {off_i:.3e}, threshold {thresh_i:.3e})",
+                estimate=d,
+                error_bound=off_i,
+                iterations=sweeps_i,
+            ))
+            continue
+        order = np.argsort(-d, kind="stable")
+        lam = d[order]
+        U = np.ascontiguousarray(Vi[:, order])
+        if n and np.max(np.abs(U.T @ U - np.eye(n))) > 1e-10 * n:
+            out.append(NumericalError(
+                "eigenvector matrix lost orthogonality", estimate=lam,
+                iterations=sweeps_i))
+            continue
+        lam.setflags(write=False)
+        U.setflags(write=False)
+        out.append(SpectralDecomposition(U=U, lambdas=lam))
+    return out
 
 
 def norm(a, kind: str = "two") -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from .energy import (_response_energy, disturbance_terms,
                      disturbed_energy_bound, energy_bound_rows, weighted_energies)
 from .errors import DomainError
-from .gramian import GramianBundle, build_bundle
+from .gramian import GramianBundle, build_bundles
 from .linalg import as_scalar, as_vector, as_whole
 from .metrics import MetricReport, _metric_reports
 from .signals import (derive_seed, derive_seeds, make_disturbance,
@@ -133,9 +133,8 @@ def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
     gets a child seed per horizon index.
     """
     rows = []
-    for i, t_f in enumerate(tf_grid):
-        bundle = build_bundle(sys, t_f)
-        task = StabilizationTask(x0=x0, t_f=float(t_f), w_bar=w_bar)
+    for i, bundle in enumerate(build_bundles(sys, tf_grid)):
+        task = StabilizationTask(x0=x0, t_f=bundle.t_f, w_bar=w_bar)
         bound = disturbed_energy_bound(task, bundle).E_D_bound
         piecewise = make_disturbance("piecewise_uniform", w_bar, sys.n,
                                      seed=derive_seed(seed, 1, i), cells=cells,
@@ -147,7 +146,7 @@ def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
                 sys, make_disturbance("sinusoid", w_bar, sys.n), task.t_f),
             "piecewise": disturbance_response(sys, piecewise, task.t_f),
         }
-        row = {"t_f": float(t_f)}
+        row = {"t_f": task.t_f}
         for kind, R in responses.items():
             row[f"ratio_{kind}"] = float(_response_energy(bundle, task, R) / bound)
         rows.append(row)
@@ -225,7 +224,7 @@ def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
         nrm = float(np.sqrt(np.sum(x0_dir * x0_dir)))
     x0_dir = x0_dir / nrm
 
-    bundles = {float(t_f): build_bundle(sys, t_f) for t_f in tf_grid}
+    bundles = dict(zip(map(float, tf_grid), build_bundles(sys, tf_grid)))
     reports = {t_f: _metric_reports(bundle, w_bar, R_grid)
                for t_f, bundle in bundles.items()}
     return [_sweep_point(bundles[float(t_f)], rep, float(w_bar), x0_dir,

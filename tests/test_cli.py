@@ -292,7 +292,7 @@ class TestExitCodes:
                     "--x0", "1,1", "--tf", "1e-8")
         assert rc == EXIT_NUMERIC
 
-    @pytest.mark.parametrize("tf", ["800", "1e300"])
+    @pytest.mark.parametrize("tf", ["800", "1e300", "5e306", "1e307"])
     def test_overflowing_gramian_is_numeric(self, tmp_path, tf):
         with pytest.warns(RuntimeWarning):
             rc, out = run(tmp_path, "energy", "--tf", tf)

@@ -4,8 +4,10 @@ import scipy.integrate
 import scipy.linalg
 
 from distcost import gramian
-from distcost.errors import IllConditionedError, NumericalError
-from distcost.gramian import build_bundle, controllability_gramian, norm_integral
+from distcost import _kernels
+from distcost.errors import DomainError, IllConditionedError, NumericalError
+from distcost.gramian import (build_bundle, build_bundles, controllability_gramian,
+                              norm_integral)
 from distcost.linalg import expm
 from distcost.systems import LtiSystem
 
@@ -148,10 +150,11 @@ class TestBundle:
         with pytest.raises(IllConditionedError):
             build_bundle(sys, 1e-8)
 
-    @pytest.mark.parametrize("t_f", [800.0, 1e300])
+    @pytest.mark.parametrize("t_f", [800.0, 1e300, 5e306, 1e307])
     @pytest.mark.parametrize("call", [build_bundle, controllability_gramian])
     def test_overflowing_exponential_raises(self, jet, call, t_f):
-        # the jet model's unstable mode: e^{A t_f} overflows past t_f ~ 700
+        # the jet model's unstable mode: e^{A t_f} overflows past t_f ~ 700,
+        # and from t_f ~ 4e306 on the Van Loan block M t_f itself does
         with pytest.warns(RuntimeWarning), \
                 pytest.raises(IllConditionedError, match="overflows"):
             call(jet, t_f)
@@ -240,3 +243,126 @@ class TestLevelSynchronous:
         assert len(calls) == depth + 2
         assert sum(calls) == nodes
         assert len(calls) < nodes / 4
+
+
+def _metzler_system(seed, n=12, p=4):
+    # Metzler A (nonnegative off-diagonal) with a stable diagonal, the
+    # shape of the horizons benchmark model
+    rng = np.random.default_rng(seed)
+    A = np.abs(rng.standard_normal((n, n))) / np.sqrt(n)
+    A[np.diag_indices(n)] = -3.0 + 0.3 * rng.standard_normal(n)
+    return LtiSystem(A, rng.standard_normal((n, p)), name=f"metzler{seed}")
+
+
+def _unstable_double_integrator():
+    # a double integrator shifted by I: cond(W_B) ~ 1 / t_f^2 makes tiny
+    # horizons singular and e^{t_f} overflows past t_f ~ 709
+    return LtiSystem(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [1.0]]),
+                     name="dblint+")
+
+
+HORIZON_GRID = [float(t) for t in np.geomspace(0.25, 5.0, 12)]
+
+
+def _grid_case(kind, jet):
+    return jet if kind == "admire" else _metzler_system(0)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_bundle(got, want):
+    for field in ("W_B", "W_B_inv", "state_transition", "v_bar_unit", "t_f"):
+        assert _same_bits(getattr(got, field), getattr(want, field)), field
+    assert _same_bits(got.spec.U, want.spec.U)
+    assert _same_bits(got.spec.lambdas, want.spec.lambdas)
+    assert got.system is want.system
+
+
+class TestBuildBundles:
+    """build_bundles stacks the work of a whole horizon grid; every bundle
+    must be bit-for-bit the grid of one."""
+
+    @pytest.mark.parametrize("kind", ["admire", "metzler"])
+    def test_every_field_equals_grid_of_one(self, jet, kind):
+        sys = _grid_case(kind, jet)
+        bundles = build_bundles(sys, HORIZON_GRID)
+        assert [b.t_f for b in bundles] == HORIZON_GRID
+        for t_f, got in zip(HORIZON_GRID, bundles):
+            _assert_same_bundle(got, build_bundle(sys, t_f))
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("kind", ["admire", "metzler"])
+    def test_v_bar_unit_equals_depth_first(self, jet, monkeypatch, kind, block):
+        # a one-float block puts every Van Loan exponential, every Jacobi
+        # eigensolve and every node norm in a call of its own
+        sys = _grid_case(kind, jet)
+        grid = HORIZON_GRID[::3]
+        if block is not None:
+            monkeypatch.setattr(gramian, "_NODE_BLOCK", block)
+        for t_f, got in zip(grid, build_bundles(sys, grid)):
+            total, _, _, _ = depth_first_norm_integral(sys.A, t_f)
+            assert got.v_bar_unit == total
+
+    def test_one_float_blocks_give_the_same_bundles(self, jet, monkeypatch):
+        sys = _metzler_system(1)
+        whole = build_bundles(sys, HORIZON_GRID)
+        monkeypatch.setattr(gramian, "_NODE_BLOCK", 1)
+        for got, want in zip(build_bundles(sys, HORIZON_GRID), whole):
+            _assert_same_bundle(got, want)
+
+    def test_repeated_unsorted_and_single_grids(self, jet):
+        grid = [5.0, 0.5, 1.0, 0.5, 5.0, 0.1]
+        bundles = build_bundles(jet, grid)
+        assert [b.t_f for b in bundles] == grid
+        for t_f, got in zip(grid, bundles):
+            _assert_same_bundle(got, build_bundle(jet, t_f))
+        assert bundles[1] is bundles[3]
+        (single,) = build_bundles(jet, (2,))
+        assert single.t_f == 2.0
+        _assert_same_bundle(single, build_bundle(jet, 2.0))
+        assert build_bundles(jet, []) == []
+
+    def test_one_jacobi_call_per_grid(self, jet, monkeypatch):
+        calls = []
+        jacobi = _kernels.jacobi_core
+
+        def counting_jacobi(S, off_tol, max_sweeps):
+            calls.append(S.shape)
+            return jacobi(S, off_tol, max_sweeps)
+
+        monkeypatch.setattr(_kernels, "jacobi_core", counting_jacobi)
+        build_bundles(_metzler_system(0), HORIZON_GRID)
+        assert calls == [(12, 12, 12)]
+
+    def test_first_failing_horizon_raises(self):
+        # the overflow at 800 is found first, the singular W_B at 1e-8 in a
+        # later pass: the error raised is that of the earlier horizon
+        sys = _unstable_double_integrator()
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(IllConditionedError, match="singular at horizon t_f = 1e-08"):
+            build_bundles(sys, [1.0, 1e-8, 800.0])
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(IllConditionedError, match="overflows at horizon t_f = 800"):
+            build_bundles(sys, [800.0, 1e-8])
+
+    def test_invalid_horizon_raises_in_grid_order(self):
+        sys = _unstable_double_integrator()
+        with pytest.raises(IllConditionedError, match="singular"):
+            build_bundles(sys, [1.0, 1e-8, -1.0])
+        with pytest.raises(DomainError, match="horizon t_f"):
+            build_bundles(sys, [1.0, 0.0, 1e-8])
+
+    def test_overflowing_block_does_not_poison_the_stack(self, jet):
+        # M t_f non-finite at the last horizon: the horizons before it
+        # still get their own bits, and the overflow is what is raised
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(IllConditionedError, match="overflows"):
+            build_bundles(jet, [0.5, 1.0, 5e306])
+        with pytest.warns(RuntimeWarning):
+            W = gramian._gramians(jet, [0.5, 1.0, 5e306])
+        assert isinstance(W[-1], IllConditionedError)
+        for t_f, (got, _) in zip([0.5, 1.0], W[:-1]):
+            assert _same_bits(got, build_bundle(jet, t_f).W_B)

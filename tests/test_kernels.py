@@ -1,5 +1,6 @@
-"""Kernel-level checks against independent oracles, and of the
-whole-array Jacobi against its scalar-loop reference."""
+"""Kernel-level checks against independent oracles, of the whole-array
+Jacobi against its scalar-loop reference, and of every stacked kernel
+against the same kernel on one matrix at a time."""
 
 import numpy as np
 import pytest
@@ -7,13 +8,20 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distcost import _kernels
+from distcost import _kernels, linalg
+from distcost.errors import NumericalError
 
 rng = np.random.default_rng(42)
 
 
 def _random_matrix(n, scale=1.0):
     return scale * rng.standard_normal((n, n))
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: unlike array_equal, -0.0 != 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def jacobi_reference(S, off_tol, max_sweeps):
@@ -137,6 +145,17 @@ class TestJacobi:
         assert off == 0.0
         assert np.array_equal(np.sort(diag), np.array([-2.0, 1.0, 3.0]))
 
+    @pytest.mark.parametrize("apq", [-0.5, 0.5, -1e-300])
+    def test_equal_diagonal_pivot_matches_scalar_loop_reference(self, apq):
+        # equal diagonal entries give tau = 0, and a negative apq makes it
+        # -0.0, which takes the tau >= 0 branch: t = +1, not -1
+        S = np.array([[2.0, apq, 0.25], [apq, 2.0, -0.75], [0.25, -0.75, 2.0]])
+        diag, V, _, sweeps, _ = _kernels.jacobi_core(S.copy(), 1e-12, 100)
+        ref_diag, ref_V, ref_sweeps = jacobi_reference(S.copy(), 1e-12, 100)
+        assert sweeps == ref_sweeps
+        assert same_bits(diag, ref_diag)
+        assert same_bits(V, ref_V)
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 12), graded=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
@@ -155,6 +174,106 @@ class TestJacobi:
         assert sweeps == ref_sweeps
         assert np.array_equal(diag, ref_diag)
         assert np.array_equal(V, ref_V)
+
+
+def _graded_spd(gen, n):
+    X = gen.standard_normal((n, n))
+    d = 10.0 ** gen.uniform(-4.0, 4.0, n)
+    return d[:, None] * (X @ X.T + n * np.eye(n)) * d[None, :]
+
+
+def _with_zero_block(gen, n):
+    # block diagonal: every rotation between the blocks meets an exactly
+    # zero apq and is skipped, sweep after sweep
+    S = _graded_spd(gen, n)
+    h = n // 2
+    S[:h, h:] = 0.0
+    S[h:, :h] = 0.0
+    return S
+
+
+class TestJacobiStack:
+    """jacobi_core on a (k, n, n) stack gives each matrix the diag, V,
+    off, sweep count and threshold it gets alone, bit for bit."""
+
+    def _assert_per_matrix(self, stack, max_sweeps=100):
+        out = _kernels.jacobi_core(stack.copy(), 1e-12, max_sweeps)
+        assert [np.shape(o)[:1] for o in out] == [(len(stack),)] * 5
+        for i, S in enumerate(stack):
+            alone = _kernels.jacobi_core(S.copy(), 1e-12, max_sweeps)
+            for got, want in zip(out, alone):
+                assert same_bits(got[i], want)
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    def test_members_match_lone_calls(self, n):
+        gen = np.random.default_rng(n)
+        X = gen.standard_normal((n, n))
+        stack = np.stack([_graded_spd(gen, n), 0.5 * (X + X.T),
+                          np.diag(gen.standard_normal(n)), _graded_spd(gen, n)])
+        self._assert_per_matrix(stack)
+
+    def test_diagonal_member_takes_no_sweeps(self):
+        X = np.random.default_rng(5).standard_normal((12, 12))
+        stack = np.stack([np.diag(np.arange(12.0) - 4.5), 0.5 * (X + X.T)])
+        _, _, _, sweeps, _ = self._assert_per_matrix(stack)
+        assert sweeps[0] == 0 and sweeps[1] >= 3
+
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_skipped_rotation_is_per_matrix(self, n):
+        # the dense members rotate every (p, q); the block-diagonal one
+        # skips the pairs whose apq is exactly 0
+        gen = np.random.default_rng(n + 100)
+        stack = np.stack([_graded_spd(gen, n), _with_zero_block(gen, n),
+                          _graded_spd(gen, n)])
+        self._assert_per_matrix(stack)
+
+    def test_skipped_rotation_keeps_signed_zeros(self):
+        # coordinate 1 is decoupled and its diagonal entry is -0.0: both of
+        # its rotations are skipped, where a c = 1, s = 0 rotation would
+        # turn that entry into +0.0
+        S = np.array([[1.0, 0.0, 0.5], [0.0, -0.0, 0.0], [0.5, 0.0, 2.0]])
+        X = np.random.default_rng(3).standard_normal((3, 3))
+        diag = self._assert_per_matrix(np.stack([0.5 * (X + X.T), S]))[0]
+        assert np.signbit(diag[1, 1])
+
+    def test_sweep_budget_is_per_matrix(self):
+        gen = np.random.default_rng(7)
+        stack = np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), _graded_spd(gen, 4),
+                          _with_zero_block(gen, 4)])
+        _, _, off, sweeps, thresh = self._assert_per_matrix(stack, max_sweeps=1)
+        assert list(sweeps) == [0, 1, 1]
+        assert off[1] > thresh[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), kinds=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_stacks(self, n, kinds, seed):
+        gen = np.random.default_rng(seed)
+        makers = [_graded_spd, _with_zero_block,
+                  lambda g, n: np.diag(g.standard_normal(n)),
+                  lambda g, n: (lambda X: 0.5 * (X + X.T))(g.standard_normal((n, n)))]
+        self._assert_per_matrix(np.stack([makers[k](gen, n) for k in kinds]))
+
+    def test_non_converging_member_keeps_its_own_diagnostics(self, monkeypatch):
+        # one cyclic sweep cannot annihilate the off-diagonal mass of the
+        # dense member; its stacked neighbours still converge
+        G = np.array([[2.0, 1.0, 0.5, 0.2], [0.0, 1.5, 0.7, 0.3],
+                      [0.0, 0.0, 1.2, 0.9], [0.0, 0.0, 0.0, 1.0]])
+        dense = G @ G.T
+        diagonal = np.diag([4.0, 3.0, 2.0, 1.0])
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalError) as exc:
+            linalg.sym_eig(dense)
+        spec, err = linalg._sym_eigs(np.stack([diagonal, dense]))
+        assert isinstance(err, NumericalError)
+        assert str(err) == str(exc.value)
+        assert same_bits(err.estimate, exc.value.estimate)
+        assert same_bits(err.error_bound, exc.value.error_bound)
+        assert err.iterations == exc.value.iterations == 1
+        alone = linalg.sym_eig(diagonal)
+        assert same_bits(spec.lambdas, alone.lambdas)
+        assert same_bits(spec.U, alone.U)
 
 
 class TestSplitmix:
