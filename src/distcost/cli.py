@@ -14,9 +14,11 @@ or config JSON), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
+import pickle
 import sys
 
 from .energy import disturbed_energy_bound, disturbed_signal_energy
@@ -65,11 +67,21 @@ _FLAG_HELP = {
 }
 
 
+def _remove(paths) -> None:
+    for path in paths:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+
+
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        _remove([tmp])
+        raise
 
 
 def _write_json(path: str, obj) -> None:
@@ -241,27 +253,108 @@ def _resolve_runs(cfg: RunConfig, task: StabilizationTask, bundle) -> list:
     return runs
 
 
+def _fork(work, j: int):
+    """(pid, read end) of a forked child that sends pickle(work(j)) down
+    a pipe; the child leaves through os._exit, status 0 only once sent.
+
+    work must run no BLAS call and start no thread: the child has only
+    the forking thread, and a lock another thread held stays held.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as fh:
+                fh.write(pickle.dumps(work(j)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join(j: int, pid: int, read_fd: int):
+    # the child's result, or a failure of its slice's first file
+    with open(read_fd, "rb") as fh:
+        data = fh.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        return j, ChildProcessError(f"trajectory writer exited with status {status}")
+    return pickle.loads(data)
+
+
+def _write_trajectories(outdir: str, trajs) -> None:
+    """Write traj_<name>.csv for each (name, trajectory): all or none.
+
+    The files are formatted in up to one process per available CPU, so
+    k = min(CPUs, files): the parent forks a child for each slice
+    files[j::k], j >= 1, and writes slice 0 itself. Each process writes
+    temporaries, and only once every process has succeeded are they
+    renamed into place. On a failure every temporary is removed and the
+    error of the first failing file is raised, so neither the bytes nor
+    the error depend on k.
+    """
+    paths = [os.path.join(outdir, f"traj_{name}.csv") for name, _ in trajs]
+    tmps = [f"{path}.tmp{os.getpid()}" for path in paths]
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    k = min(cpus, len(trajs))
+
+    def write_slice(j):
+        # (index, error) of the slice's first failing file, else None
+        for i in range(j, len(trajs), k):
+            try:
+                with open(tmps[i], "w") as fh:
+                    fh.write(trajectory_to_csv(trajs[i][1]))
+            except Exception as exc:
+                return i, exc
+        return None
+
+    children, failures = [], []
+    try:
+        try:
+            for j in range(1, k):
+                children.append((j, *_fork(write_slice, j)))
+            failures.append(write_slice(0))
+        finally:
+            # every child is reaped, whatever stopped the parent
+            failures += [_join(*child) for child in children]
+        failures = [f for f in failures if f is not None]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        _remove(tmps)
+        raise
+
+
 def cmd_stabilize(cfg: RunConfig) -> int:
     """synthesize controls and write closed-loop trajectories"""
     task = StabilizationTask(x0=cfg.x0, t_f=cfg.tf, w_bar=cfg.wbar)
     bundle = build_bundle(cfg.load_system(), cfg.tf)
     bound = disturbed_energy_bound(task, bundle)
     resolved = _resolve_runs(cfg, task, bundle)
-    outdir = cfg.outdir()
 
-    runs = []
+    # every run is computed before the first file is written, so a
+    # failing run leaves no output
+    trajs, runs = [], []
     for name, w in [("nominal", None), *resolved]:
         control = disturbed_control(task, bundle, w)
         traj = simulate_closed_loop(task, control, w, cfg.steps)
-        _atomic_write(os.path.join(outdir, f"traj_{name}.csv"), trajectory_to_csv(traj))
         run = {"name": name, "kind": "zero" if w is None else w.kind,
                "terminal_residual": traj.terminal_residual,
                "energy_quadrature": traj.energy, "energy_closed_form": bound.E_N}
         if w is not None:
             e_d = disturbed_signal_energy(task, bundle, w)
             run.update(energy_closed_form=e_d, bound_ratio=e_d / bound.E_D_bound)
+        trajs.append((name, traj))
         runs.append(run)
 
+    outdir = cfg.outdir()
+    _write_trajectories(outdir, trajs)
     summary = {"command": "stabilize", "config": cfg.echo(),
                "E_N": bound.E_N, "E_D_bound": bound.E_D_bound, "runs": runs}
     _write_json(os.path.join(outdir, "summary.json"), summary)

@@ -64,10 +64,14 @@ def nominal_energy(task: StabilizationTask, bundle: GramianBundle) -> float:
 
 def disturbed_signal_energy(task: StabilizationTask, bundle: GramianBundle,
                             w: DisturbanceSignal) -> float:
-    """Energy of the stabilizing control when disturbance w is known a priori."""
+    """Energy of the stabilizing control when disturbance w is known a
+    priori. Raises NumericalError when it overflows."""
     _check_bundle(bundle, task)
-    return _response_energy(bundle, task,
-                            disturbance_response(bundle.system, w, task.t_f))
+    energy = _response_energy(bundle, task,
+                              disturbance_response(bundle.system, w, task.t_f))
+    if not np.isfinite(energy):
+        raise NumericalError(f"disturbed signal energy {energy!r} is not finite")
+    return energy
 
 
 def _response_energy(bundle: GramianBundle, task: StabilizationTask,

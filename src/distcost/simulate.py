@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, NumericalError
 from .linalg import as_whole, linear_scan
 from .signals import DisturbanceSignal
 from .synthesis import ControlSignal, _check_x0
@@ -126,7 +126,8 @@ def simulate_closed_loop(task: StabilizationTask, u: ControlSignal,
     -------
     Trajectory
         States and controls on the step grid, state norms, and the
-        running control energy (composite Simpson per step).
+        running control energy (composite Simpson per step). Raises
+        NumericalError when any of them is not finite.
     """
     steps = as_whole(steps, "steps", 100)
     sys = u.system
@@ -151,6 +152,10 @@ def simulate_closed_loop(task: StabilizationTask, u: ControlSignal,
     times = np.linspace(0.0, t_f, steps + 1)
     controls = np.ascontiguousarray(U_half[::2])
     norms = np.sqrt(np.sum(X * X, axis=1))
+    # finite norms mean finite states, a finite energy finite controls
+    if not (np.isfinite(norms).all() and np.isfinite(running[-1])):
+        raise NumericalError("closed-loop trajectory overflows: states, controls "
+                             "or their energy are not finite")
     for arr in (times, X, controls, norms, running):
         arr.setflags(write=False)
     return Trajectory(times=times, states=X, controls=controls,

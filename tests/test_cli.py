@@ -5,8 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from distcost import cli
 from distcost.cli import _COMMAND_OPTIONS, _KEYS, EXIT_CONFIG, EXIT_NUMERIC, EXIT_PARSE, entry
 from distcost.energy import disturbed_signal_energy
+from distcost.errors import NumericalError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
 from distcost.systems import StabilizationTask
@@ -132,6 +134,116 @@ class TestStabilize:
         rc, out = run(tmp_path, "stabilize", "--steps", "200", "--config", str(cfg))
         assert rc == EXIT_CONFIG
         assert os.listdir(out) == []
+
+    def test_failing_later_run_writes_nothing(self, tmp_path, monkeypatch):
+        # every run is computed before the first file is written
+        calls = []
+
+        def third_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NumericalError("third run fails")
+            return simulate(*args)
+
+        simulate = cli.simulate_closed_loop
+        monkeypatch.setattr(cli, "simulate_closed_loop", third_fails)
+        (tmp_path / "out").mkdir()
+        rc, out = run(tmp_path, "stabilize", "--steps", "200")
+        assert rc == EXIT_NUMERIC
+        assert len(calls) == 3
+        assert os.listdir(out) == []
+
+
+def _with_cpus(monkeypatch, cpus):
+    """Pretend this process may run on `cpus` CPUs; returns the list that
+    records each os.fork call."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(cpus) or fork())
+    return forks
+
+
+class TestTrajectoryWriters:
+    @pytest.mark.parametrize("disturbances", [None, []], ids=["four-files", "one-file"])
+    def test_bytes_do_not_depend_on_process_count(self, tmp_path, monkeypatch,
+                                                  disturbances):
+        args = ["stabilize", "--steps", "200"]
+        if disturbances is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"disturbances": disturbances}))
+            args += ["--config", str(cfg)]
+        files = 4 if disturbances is None else 1
+        parent, to_csv = os.getpid(), cli.trajectory_to_csv
+        outputs = []
+        for cpus in (1, 2, 8):
+            formatted = []
+            with monkeypatch.context() as m:
+                m.setattr(cli, "trajectory_to_csv",
+                          lambda traj: formatted.append(os.getpid()) or to_csv(traj))
+                forks = _with_cpus(m, cpus)
+                rc, out = run(tmp_path / str(cpus), *args)
+            assert rc == 0
+            # k processes, the parent formatting files 0, k, 2k, ...
+            k = min(cpus, files)
+            assert len(forks) == k - 1
+            assert formatted == [parent] * len(range(0, files, k))
+            names = sorted(os.listdir(out))
+            assert len(names) == files + 1
+            assert not any(".tmp" in name for name in names)
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("failing", [(0,), (3,), (1, 2)],
+                             ids=["parent-slice", "child-slice", "both-slices"])
+    def test_failing_file_commits_none(self, tmp_path, monkeypatch, capsys, cpus, failing):
+        # file 0 is always the parent's; with two or more CPUs file 3 is a
+        # child's, and files 1 and 2 are in different slices. Whatever
+        # the count, the first failing file's error is raised and every
+        # temporary is removed.
+        trajs = []
+
+        def record(*args):
+            trajs.append(simulate(*args))
+            return trajs[-1]
+
+        def fail_some(traj):
+            index = [t is traj for t in trajs].index(True)
+            if index in failing:
+                raise NumericalError(f"forced failure of file {index}")
+            return to_csv(traj)
+
+        simulate, to_csv = cli.simulate_closed_loop, cli.trajectory_to_csv
+        monkeypatch.setattr(cli, "simulate_closed_loop", record)
+        monkeypatch.setattr(cli, "trajectory_to_csv", fail_some)
+        _with_cpus(monkeypatch, cpus)
+        (tmp_path / "out").mkdir()
+        rc, out = run(tmp_path, "stabilize", "--steps", "200")
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == f"error: forced failure of file {failing[0]}\n"
+        assert os.listdir(out) == []
+
+    def test_crashed_child_commits_none(self, tmp_path, monkeypatch):
+        # a child that dies before it reports is an error of its own
+        def die(traj):
+            if os.getpid() != parent:
+                os._exit(3)
+            return to_csv(traj)
+
+        parent, to_csv = os.getpid(), cli.trajectory_to_csv
+        monkeypatch.setattr(cli, "trajectory_to_csv", die)
+        _with_cpus(monkeypatch, 2)
+        (tmp_path / "out").mkdir()
+        with pytest.raises(ChildProcessError, match="status 3"):
+            run(tmp_path, "stabilize", "--steps", "200")
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_failed_atomic_write_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "f.txt"
+        with pytest.raises(UnicodeEncodeError):
+            cli._atomic_write(str(path), "a\ud800")
+        assert os.listdir(tmp_path) == []
 
 
 class TestBoundAccuracy:
@@ -299,15 +411,23 @@ class TestExitCodes:
         assert rc == EXIT_NUMERIC
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["energy", "--x0", HUGE_X0],
-        ["stabilize", "--x0", HUGE_X0, "--steps", "200"],
-        ["bound-accuracy", "--x0", HUGE_X0, "--tf-grid", "1"],
-        ["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"],
-    ], ids=["energy", "stabilize", "bound-accuracy", "metrics-sweep-R-grid"])
-    def test_overflowing_energy_is_numeric(self, tmp_path, argv):
+    @pytest.mark.parametrize("argv,config", [
+        (["energy", "--x0", HUGE_X0], None),
+        (["stabilize", "--x0", HUGE_X0, "--steps", "200"], None),
+        (["bound-accuracy", "--x0", HUGE_X0, "--tf-grid", "1"], None),
+        (["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"], None),
+        (["stabilize", "--steps", "200"],
+         {"disturbances": [{"name": "big", "kind": "constant_sign",
+                            "sign_vector": [1, 1, 1], "wbar": 1e300}]}),
+    ], ids=["energy", "stabilize", "bound-accuracy", "metrics-sweep-R-grid",
+            "stabilize-run-wbar"])
+    def test_overflowing_energy_is_numeric(self, tmp_path, argv, config):
         # finite input whose energies overflow: no Infinity or nan reaches
         # a file, because the run stops before its first write
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
         with pytest.warns(RuntimeWarning):
             rc, out = run(tmp_path, *argv)
         assert rc == EXIT_NUMERIC

@@ -117,6 +117,12 @@ class TestBound:
         with pytest.raises(NumericalError, match="not finite"):
             disturbed_energy_bound(task, jet_bundle_5)
 
+    def test_overflowing_signal_energy_raises(self, jet_task_5, jet_bundle_5):
+        w = make_disturbance("constant_sign", 1e300, 3, sign_vector=np.ones(3))
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(NumericalError, match="not finite"):
+            disturbed_signal_energy(jet_task_5, jet_bundle_5, w)
+
     def test_witness_entries_are_signs(self, jet, jet_task_5, jet_bundle_5):
         rep = disturbed_energy_bound(jet_task_5, jet_bundle_5)
         assert np.all(np.isin(rep.witness_q, [-rep.q_bar, 0.0, rep.q_bar]))

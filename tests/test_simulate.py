@@ -5,7 +5,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distcost.errors import DimensionError, DomainError
+from distcost.errors import DimensionError, DomainError, NumericalError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
 from distcost.simulate import (Trajectory, _disturbance_stages, _rk4,
@@ -187,6 +187,18 @@ class TestValidation:
         task = StabilizationTask(x0=np.array(x0), t_f=1.0)
         w = make_disturbance("zero", 1.0, w_dim)
         with pytest.raises(DimensionError, match=what):
+            simulate_closed_loop(task, u, w, 100)
+
+    @pytest.mark.parametrize("x0,w_bar", [(1e200, 0.0), (1.0, 1e300)],
+                             ids=["state", "disturbance"])
+    def test_overflowing_trajectory_raises(self, scalar_run, x0, w_bar):
+        # finite inputs whose states or norms overflow: no inf or nan
+        # reaches a trajectory
+        _, _, u = scalar_run
+        task = StabilizationTask(x0=np.array([x0]), t_f=1.0)
+        w = make_disturbance("constant_sign", w_bar, 1, sign_vector=np.ones(1))
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(NumericalError, match="not finite"):
             simulate_closed_loop(task, u, w, 100)
 
     def test_outputs_readonly(self, scalar_run):
