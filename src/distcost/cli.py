@@ -20,6 +20,7 @@ import json
 import os
 import pickle
 import sys
+import warnings
 
 from .energy import disturbed_energy_bound, disturbed_signal_energy
 from .errors import (ConfigError, DimensionError, DomainError, ModelParseError,
@@ -253,6 +254,10 @@ def _resolve_runs(cfg: RunConfig, task: StabilizationTask, bundle) -> list:
     return runs
 
 
+# the start of the warning os.fork gives in a multi-threaded process
+_FORK_THREADS_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
+
+
 def _fork(work, j: int):
     """(pid, read end) of a forked child that sends pickle(work(j)) down
     a pipe; the child leaves through os._exit, status 0 only once sent.
@@ -261,7 +266,12 @@ def _fork(work, j: int):
     the forking thread, and a lock another thread held stays held.
     """
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns in the parent, once the child exists, when
+        # this process has other threads (BLAS's); the child runs none of
+        # their work, and as an error the warning would leave it unreaped
+        warnings.filterwarnings("ignore", _FORK_THREADS_WARNING, DeprecationWarning)
+        pid = os.fork()
     if pid == 0:
         status = 1
         try:

@@ -67,17 +67,11 @@ def disturbed_signal_energy(task: StabilizationTask, bundle: GramianBundle,
     """Energy of the stabilizing control when disturbance w is known a
     priori. Raises NumericalError when it overflows."""
     _check_bundle(bundle, task)
-    energy = _response_energy(bundle, task,
-                              disturbance_response(bundle.system, w, task.t_f))
+    R = disturbance_response(bundle.system, w, task.t_f)
+    energy = float(weighted_energies(bundle, bundle.state_transition @ task.x0 + R))
     if not np.isfinite(energy):
         raise NumericalError(f"disturbed signal energy {energy!r} is not finite")
     return energy
-
-
-def _response_energy(bundle: GramianBundle, task: StabilizationTask,
-                     R: np.ndarray) -> float:
-    # energy of the control compensating a known disturbance response R
-    return float(weighted_energies(bundle, bundle.state_transition @ task.x0 + R))
 
 
 def disturbance_terms(bundle: GramianBundle, w_bar: float):
@@ -96,10 +90,13 @@ def disturbed_energy_bound(task: StabilizationTask, bundle: GramianBundle) -> En
     """
     _check_bundle(bundle, task)
     q_bar, c_term = disturbance_terms(bundle, task.w_bar)
-    e_n, p, cross, bound = energy_bound_rows(bundle, bundle.state_transition @ task.x0,
-                                             q_bar, c_term)
+    # an overflow leaves the bound inf or nan, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_n, p, cross, bound = energy_bound_rows(
+            bundle, bundle.state_transition @ task.x0, q_bar, c_term)
     if not np.isfinite(bound):
-        raise NumericalError(f"disturbed energy bound E_D_bound = {bound!r} is not finite")
+        raise NumericalError(
+            f"disturbed energy bound E_D_bound = {float(bound)!r} is not finite")
     witness = q_bar * np.sign(p)
     witness.setflags(write=False)
     return EnergyReport(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import disturbance_terms
-from .errors import IllConditionedError
+from .errors import IllConditionedError, NumericalError
 from .gramian import GramianBundle
 from .linalg import as_scalar, norm, sym_eig
 
@@ -90,13 +90,22 @@ def _metric_reports(bundle: GramianBundle, w_bar: float, R_grid) -> list:
     # metric_report at every R of R_grid: gamma, c and l_min depend on the
     # bundle alone, so they (and l_min's eigensolve) are computed once
     Rs = [as_scalar(R, "radius R", positive=True) for R in R_grid]
-    r_A, gamma, c_term = _additive(bundle, w_bar, np.array(Rs))
-    l = _l_min(bundle)
+    # an overflow leaves a bound inf or nan, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_A, gamma, c_term = _additive(bundle, w_bar, np.array(Rs))
+        l = _l_min(bundle)
+        r_M = [l * R * R / (l * R * R + gamma * R * np.sqrt(bundle.system.n) + c_term)
+               for R in Rs]
+    for R, a, m in zip(Rs, r_A, r_M):
+        if not (np.isfinite(a) and np.isfinite(m)):
+            raise NumericalError(
+                f"metric bounds at R = {R:g}, t_f = {bundle.t_f:g} are not finite "
+                f"(r_A_bound = {float(a)!r}, r_M_bound = {float(m)!r})")
     return [MetricReport(
         R=R,
         t_f=bundle.t_f,
         r_A_bound=r_A[j],
-        r_M_bound=l * R * R / (l * R * R + gamma * R * np.sqrt(bundle.system.n) + c_term),
+        r_M_bound=r_M[j],
         hardness=hardness(R, bundle.t_f),
         gamma=float(gamma),
         c_term=float(c_term),

@@ -6,21 +6,27 @@ execution order. A grid point's sampled evidence calls the module that
 owns each formula over a leading sample axis: the energies and the
 E_D_bound assembly of ``energy``, the piecewise draws of ``signals`` and
 their responses from ``synthesis``.
+
+The bound-accuracy table is one pass over its horizon grid: after
+``build_bundles``, two stacked exponentials give every horizon's
+responses, the piecewise draws come from one vector of child seeds, and
+the sign search builds each block of patterns once for all horizons.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .energy import (_response_energy, disturbance_terms,
-                     disturbed_energy_bound, energy_bound_rows, weighted_energies)
+from .energy import (disturbance_terms, disturbed_energy_bound,
+                     energy_bound_rows, weighted_energies)
 from .errors import DomainError
 from .gramian import GramianBundle, build_bundles
-from .linalg import as_scalar, as_vector, as_whole
+from .linalg import as_scalar, as_vector, as_whole, block_expm
 from .metrics import MetricReport, _metric_reports
 from .signals import (derive_seed, derive_seeds, make_disturbance,
                       piecewise_cell_values, uniform_stream)
-from .synthesis import disturbance_response, piecewise_response
+from .synthesis import (_sinusoid_exosystem, cell_propagators, fold_cells,
+                        piecewise_response)
 from .systems import LtiSystem, StabilizationTask
 
 __all__ = ["sample_gaussians", "sample_sphere", "sample_ball",
@@ -92,6 +98,34 @@ def sample_ball(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
     return g * (scale / nrm)[:, None]
 
 
+def _require_sign_search(n: int):
+    if n > 20:
+        raise DomainError("exhaustive sign search is limited to n <= 20")
+
+
+def _worst_signs(w_bar: float, bundles, bases, Js) -> np.ndarray:
+    # the worst pattern of every horizon h, from its bundle, its e^{A t_f} x0
+    # (bases[h]) and its J(t_f) (Js[h]): each block of patterns is built
+    # once, and each horizon takes one matmul and one weighted_energies
+    # call on it. A (horizons, patterns, n) block would hold every
+    # horizon's responses at once, for more memory and no less time.
+    n = len(bases[0])
+    shifts = np.arange(n - 1, -1, -1)
+    total = 1 << n
+    best, best_k = [-np.inf] * len(bundles), [0] * len(bundles)
+    for start in range(0, total, _SIGN_BLOCK):
+        k = np.arange(start, min(start + _SIGN_BLOCK, total))
+        W = w_bar * (1.0 - 2.0 * ((k[:, None] >> shifts) & 1))
+        for h, (bundle, base, J) in enumerate(zip(bundles, bases, Js)):
+            # the direct sum of squares: the expanded quadratic in s cancels
+            # when ||x0|| is large
+            e = weighted_energies(bundle, base + W @ J.T)
+            i = int(np.argmax(e))
+            if e[i] > best[h]:
+                best[h], best_k[h] = e[i], start + i
+    return 1.0 - 2.0 * ((np.array(best_k)[:, None] >> shifts) & 1)
+
+
 def worst_constant_sign(task: StabilizationTask, bundle: GramianBundle) -> np.ndarray:
     """The sign pattern s maximizing the energy of compensating w = w_bar*s.
 
@@ -100,55 +134,67 @@ def worst_constant_sign(task: StabilizationTask, bundle: GramianBundle) -> np.nd
     amplitude box is attained at a vertex. Patterns are enumerated in
     ``itertools.product((1.0, -1.0), repeat=n)`` order, pattern k having
     s_j = 1 - 2 * bit (n-1-j) of k, in blocks of ``_SIGN_BLOCK`` rows:
-    each block's responses are one batched ``piecewise_response`` of
-    one-cell signals, and its energies one ``weighted_energies`` call.
-    Among equal energies the first pattern in that order wins.
+    each block's responses are one matmul with J(t_f) = int_0^tf e^{As} ds,
+    and its energies one ``weighted_energies`` call. Among equal energies
+    the first pattern in that order wins. This is the search of
+    ``bound_accuracy_rows`` on a grid of one horizon.
     """
-    n = bundle.system.n
-    if n > 20:
-        raise DomainError("exhaustive sign search is limited to n <= 20")
-    base = bundle.state_transition @ task.x0
-    shifts = np.arange(n - 1, -1, -1)
-    total = 1 << n
-    best, best_k = -np.inf, 0
-    for start in range(0, total, _SIGN_BLOCK):
-        k = np.arange(start, min(start + _SIGN_BLOCK, total))
-        S = 1.0 - 2.0 * ((k[:, None] >> shifts) & 1)
-        # the direct sum of squares: the expanded quadratic in s cancels
-        # when ||x0|| is large
-        R = piecewise_response(bundle.system, task.w_bar * S[:, None, :], task.t_f)
-        e = weighted_energies(bundle, base + R)
-        i = int(np.argmax(e))
-        if e[i] > best:
-            best, best_k = e[i], start + i
-    return 1.0 - 2.0 * ((best_k >> shifts) & 1)
+    sys = bundle.system
+    _require_sign_search(sys.n)
+    J = cell_propagators(sys, task.t_f)[1]
+    return _worst_signs(task.w_bar, [bundle], [bundle.state_transition @ task.x0], [J])[0]
 
 
 def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
                         tf_grid, seed: int = 0, cells: int = EVIDENCE_CELLS):
     """Ratio ||u_D||^2 / E_D_bound per horizon and disturbance class.
 
-    Returns a list of dict rows, one per t_f, with a ratio column for each
-    of the constant, sinusoid and piecewise classes. The piecewise class
-    gets a child seed per horizon index.
+    Returns a list of dict rows, one per t_f of ``tf_grid`` in grid order
+    (an empty grid gives none), with a ratio column for each of the
+    constant, sinusoid and piecewise classes. The piecewise class of
+    horizon i draws from the child seed ``derive_seed(seed, 1, i)``.
+
+    The grid is one pass after ``build_bundles``: one ``block_expm`` of
+    every horizon's t_f and t_f / cells gives J(t_f) for the sign search
+    and the constant class and the cell propagators of the piecewise
+    class, one more gives every sinusoid response, and the sign search
+    builds each block of patterns once for all horizons. Every ratio is
+    bit-for-bit what a horizon-by-horizon evaluation gives.
+
+    Errors, first one wins: a failing bundle (``build_bundles``); an
+    invalid x0 or w_bar; then, horizon by horizon, an x0 of the wrong
+    length (DimensionError) or an overflowing E_D_bound (NumericalError);
+    then an invalid seed or cell count; then n > 20 for the sign search.
+    Every bound is checked before anything is drawn or searched.
     """
+    bundles = build_bundles(sys, tf_grid)
+    if not bundles:
+        return []
+    tasks = [StabilizationTask(x0=x0, t_f=b.t_f, w_bar=w_bar) for b in bundles]
+    bounds = [disturbed_energy_bound(task, b).E_D_bound for task, b in zip(tasks, bundles)]
+    w_bar, n, H = tasks[0].w_bar, sys.n, len(bundles)
+    seeds = derive_seeds(seed, H, 1)
+    values = piecewise_cell_values(seeds, w_bar,
+                                   as_whole(cells, "piecewise_uniform cells", 1), n)
+    _require_sign_search(n)
+
+    ts = np.array([task.t_f for task in tasks])
+    Phi, J = cell_propagators(sys, np.concatenate([ts, ts / values.shape[-2]]))
+    bases = [b.state_transition @ task.x0 for task, b in zip(tasks, bundles)]
+    signs = _worst_signs(w_bar, bundles, bases, J[:H])
+    C, S, z0 = _sinusoid_exosystem(make_disturbance("sinusoid", w_bar, n))
+    sinusoid = block_expm(sys.A, C, S, ts)[1]
+
     rows = []
-    for i, bundle in enumerate(build_bundles(sys, tf_grid)):
-        task = StabilizationTask(x0=x0, t_f=bundle.t_f, w_bar=w_bar)
-        bound = disturbed_energy_bound(task, bundle).E_D_bound
-        piecewise = make_disturbance("piecewise_uniform", w_bar, sys.n,
-                                     seed=derive_seed(seed, 1, i), cells=cells,
-                                     horizon=task.t_f)
+    for h, (bundle, bound) in enumerate(zip(bundles, bounds)):
         responses = {
-            "constant": piecewise_response(
-                sys, task.w_bar * worst_constant_sign(task, bundle)[None], task.t_f),
-            "sinusoid": disturbance_response(
-                sys, make_disturbance("sinusoid", w_bar, sys.n), task.t_f),
-            "piecewise": disturbance_response(sys, piecewise, task.t_f),
+            "constant": fold_cells(w_bar * signs[h][None], Phi[h], J[h]),
+            "sinusoid": sinusoid[h] @ z0,
+            "piecewise": fold_cells(values[h], Phi[H + h], J[H + h]),
         }
-        row = {"t_f": task.t_f}
+        row = {"t_f": bundle.t_f}
         for kind, R in responses.items():
-            row[f"ratio_{kind}"] = float(_response_energy(bundle, task, R) / bound)
+            row[f"ratio_{kind}"] = float(weighted_energies(bundle, bases[h] + R) / bound)
         rows.append(row)
     return rows
 

@@ -157,13 +157,28 @@ def piecewise_response(sys: LtiSystem, values: np.ndarray, t_f: float) -> np.nda
     uniform cells spanning [0, t_f]; leading axes batch independent signals.
 
     R = sum_k e^{Ad(K-1-k)} J(d) v_k with d = t_f / K and J(d) =
-    int_0^d e^{As} ds, both from one ``block_expm``. A constant is a single
-    cell. Writing Y[k] = J v_k, the sum folds neighbours as
-    Phi Y[2i] + Y[2i+1] and squares Phi, halving it each pass, so the
-    powers of Phi are never formed one by one.
+    int_0^d e^{As} ds: ``fold_cells`` on the ``cell_propagators`` of d. A
+    constant is a single cell.
     """
+    return fold_cells(values, *cell_propagators(sys, t_f / values.shape[-2]))
+
+
+def cell_propagators(sys: LtiSystem, d):
+    """(e^{Ad}, J(d)) with J(d) = int_0^d e^{As} ds, from one ``block_expm``;
+    a 1-D array of cell widths d gives a stack of each."""
     n = sys.n
-    Phi, J = block_expm(sys.A, np.eye(n), np.zeros((n, n)), t_f / values.shape[-2])
+    return block_expm(sys.A, np.eye(n), np.zeros((n, n)), d)
+
+
+def fold_cells(values: np.ndarray, Phi: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """sum_k Phi^(K-1-k) J v_k over the K cells of values[..., k, :], with
+    (Phi, J) the ``cell_propagators`` of the cell width.
+
+    Writing Y[k] = J v_k, the sum folds neighbours as Phi Y[2i] + Y[2i+1]
+    and squares Phi, halving it each pass, so the powers of Phi are never
+    formed one by one.
+    """
+    n = J.shape[-1]
     # one 2-D product for all signals and cells: a stacked matmul would
     # take the leading axes one small product at a time
     Y = (values.reshape(-1, n) @ J.T).reshape(values.shape)

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from distcost.gramian import build_bundle
 from distcost.models import admire
-from distcost.systems import StabilizationTask
+from distcost.systems import LtiSystem, StabilizationTask
 
 
 def expm_nodes(A):
@@ -20,6 +20,15 @@ def expm_nodes(A):
         return lambda s: np.stack([scipy.linalg.expm(A * sk) for sk in s])
     V_inv = np.linalg.inv(V)
     return lambda s: ((V * np.exp(np.outer(s, lam))[:, None, :]) @ V_inv).real
+
+
+def metzler_system(seed, n=12, p=4):
+    """A seeded Metzler A (nonnegative off-diagonal) with a stable
+    diagonal, the shape of the horizons benchmark model, and a Gaussian B."""
+    rng = np.random.default_rng(seed)
+    A = np.abs(rng.standard_normal((n, n))) / np.sqrt(n)
+    A[np.diag_indices(n)] = -3.0 + 0.3 * rng.standard_normal(n)
+    return LtiSystem(A, rng.standard_normal((n, p)), name=f"metzler{seed}")
 
 
 @pytest.fixture(scope="session")

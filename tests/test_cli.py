@@ -1,5 +1,9 @@
+import contextlib
 import json
 import os
+import subprocess
+import sys
+import warnings
 from itertools import product
 
 import numpy as np
@@ -239,6 +243,40 @@ class TestTrajectoryWriters:
             run(tmp_path, "stabilize", "--steps", "200")
         assert os.listdir(tmp_path / "out") == []
 
+    def test_fork_warning_of_threaded_parent_is_ignored(self, tmp_path, monkeypatch):
+        # Python 3.12+ warns in the parent, after the child exists, when
+        # the process has other threads; as an error (filterwarnings =
+        # error here) it would stop the parent before it reaps the child
+        args = ["stabilize", "--steps", "200"]
+        rc_ref, ref = run(tmp_path / "ref", *args)
+        pids, fork = [], os.fork
+
+        def threaded_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
+                              "use of fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(os, "fork", threaded_fork)
+        unreaped = []
+        try:
+            rc, out = run(tmp_path, *args)
+        finally:
+            for pid in pids:
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+                    unreaped.append(pid)
+        assert rc == rc_ref == 0
+        assert len(pids) == 3 and unreaped == []
+        names = sorted(os.listdir(out))
+        assert names == sorted(os.listdir(ref))
+        assert all((out / name).read_bytes() == (ref / name).read_bytes()
+                   for name in names)
+
     def test_failed_atomic_write_leaves_no_temporary(self, tmp_path):
         path = tmp_path / "f.txt"
         with pytest.raises(UnicodeEncodeError):
@@ -411,27 +449,50 @@ class TestExitCodes:
         assert rc == EXIT_NUMERIC
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,config", [
-        (["energy", "--x0", HUGE_X0], None),
-        (["stabilize", "--x0", HUGE_X0, "--steps", "200"], None),
-        (["bound-accuracy", "--x0", HUGE_X0, "--tf-grid", "1"], None),
-        (["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"], None),
+    @pytest.mark.parametrize("argv,config,warns", [
+        (["energy", "--x0", HUGE_X0], None, False),
+        (["stabilize", "--x0", HUGE_X0, "--steps", "200"], None, False),
+        (["bound-accuracy", "--x0", HUGE_X0, "--tf-grid", "1"], None, False),
+        (["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"], None, False),
         (["stabilize", "--steps", "200"],
          {"disturbances": [{"name": "big", "kind": "constant_sign",
-                            "sign_vector": [1, 1, 1], "wbar": 1e300}]}),
+                            "sign_vector": [1, 1, 1], "wbar": 1e300}]}, True),
     ], ids=["energy", "stabilize", "bound-accuracy", "metrics-sweep-R-grid",
             "stabilize-run-wbar"])
-    def test_overflowing_energy_is_numeric(self, tmp_path, argv, config):
+    def test_overflowing_energy_is_numeric(self, tmp_path, argv, config, warns):
         # finite input whose energies overflow: no Infinity or nan reaches
-        # a file, because the run stops before its first write
+        # a file, because the run stops before its first write. Where the
+        # bounds overflow, the error alone reports it (any RuntimeWarning
+        # is an error here); the sign search at w_bar = 1e300 and the
+        # simulation still warn on their way to the error.
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             argv = [*argv, "--config", str(cfg)]
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
             rc, out = run(tmp_path, *argv)
         assert rc == EXIT_NUMERIC
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["energy", "--x0", HUGE_X0], "disturbed energy bound E_D_bound = inf"),
+        (["bound-accuracy", "--x0", HUGE_X0, "--tf-grid", "1"],
+         "disturbed energy bound E_D_bound = inf"),
+        (["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"],
+         "metric bounds at R = 1e+200, t_f = 1 are not finite"),
+    ], ids=["energy", "bound-accuracy", "metrics-sweep-R-grid"])
+    def test_overflow_prints_only_the_error(self, tmp_path, argv, message):
+        # a fresh interpreter with the default warning filters: stderr is
+        # the error line alone, with no RuntimeWarning before it
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+        proc = subprocess.run([sys.executable, "-m", "distcost", *argv,
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stderr.startswith(f"error: {message}")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("x0", [HUGE_X0, "1e-200,1e-200,1e-200"],
                              ids=["huge", "tiny"])

@@ -11,6 +11,8 @@ from distcost.gramian import (build_bundle, build_bundles, controllability_grami
 from distcost.linalg import expm
 from distcost.systems import LtiSystem
 
+from conftest import metzler_system
+
 
 def simpson_gramian(sys, t_f, panels=2048):
     """Fixed-grid composite Simpson oracle for int_0^tf e^{As} BB' e^{A's} ds."""
@@ -245,15 +247,6 @@ class TestLevelSynchronous:
         assert len(calls) < nodes / 4
 
 
-def _metzler_system(seed, n=12, p=4):
-    # Metzler A (nonnegative off-diagonal) with a stable diagonal, the
-    # shape of the horizons benchmark model
-    rng = np.random.default_rng(seed)
-    A = np.abs(rng.standard_normal((n, n))) / np.sqrt(n)
-    A[np.diag_indices(n)] = -3.0 + 0.3 * rng.standard_normal(n)
-    return LtiSystem(A, rng.standard_normal((n, p)), name=f"metzler{seed}")
-
-
 def _unstable_double_integrator():
     # a double integrator shifted by I: cond(W_B) ~ 1 / t_f^2 makes tiny
     # horizons singular and e^{t_f} overflows past t_f ~ 709
@@ -265,7 +258,7 @@ HORIZON_GRID = [float(t) for t in np.geomspace(0.25, 5.0, 12)]
 
 
 def _grid_case(kind, jet):
-    return jet if kind == "admire" else _metzler_system(0)
+    return jet if kind == "admire" else metzler_system(0)
 
 
 def _same_bits(a, b):
@@ -307,7 +300,7 @@ class TestBuildBundles:
             assert got.v_bar_unit == total
 
     def test_one_float_blocks_give_the_same_bundles(self, jet, monkeypatch):
-        sys = _metzler_system(1)
+        sys = metzler_system(1)
         whole = build_bundles(sys, HORIZON_GRID)
         monkeypatch.setattr(gramian, "_NODE_BLOCK", 1)
         for got, want in zip(build_bundles(sys, HORIZON_GRID), whole):
@@ -334,7 +327,7 @@ class TestBuildBundles:
             return jacobi(S, off_tol, max_sweeps)
 
         monkeypatch.setattr(_kernels, "jacobi_core", counting_jacobi)
-        build_bundles(_metzler_system(0), HORIZON_GRID)
+        build_bundles(metzler_system(0), HORIZON_GRID)
         assert calls == [(12, 12, 12)]
 
     def test_first_failing_horizon_raises(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from distcost.energy import disturbed_energy_bound, nominal_energy
-from distcost.errors import DomainError
+from distcost.errors import DomainError, NumericalError
 from distcost.gramian import build_bundle
 from distcost.linalg import norm
 from distcost.metrics import (additive_metric_bound, hardness, metric_report,
@@ -113,3 +113,10 @@ class TestDomainChecks:
     def test_negative_wbar_rejected(self, jet, jet_bundle_half):
         with pytest.raises(DomainError):
             additive_metric_bound(jet_bundle_half, -1.0, 1.0)
+
+    @pytest.mark.parametrize("R", [1e160, 1e200, 1e300])
+    def test_overflowing_bounds_raise(self, jet_bundle_half, R):
+        # l R^2 overflows and r_M_bound = inf / inf would be nan; no
+        # RuntimeWarning comes first (filterwarnings = error here)
+        with pytest.raises(NumericalError, match="metric bounds at R = .* not finite"):
+            metric_report(jet_bundle_half, 1.0, R)

@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distcost import sweeps
+from distcost import energy, sweeps, synthesis
 from distcost.energy import (disturbed_energy_bound, disturbed_signal_energy,
                              nominal_energy, weighted_energies)
-from distcost.errors import DomainError
-from distcost.gramian import build_bundle
+from distcost.errors import (DimensionError, DomainError, NumericalError,
+                             ValidationError)
+from distcost.gramian import build_bundle, build_bundles
 from distcost.metrics import _metric_reports
+from distcost.models import admire
 from distcost.signals import derive_seed, make_disturbance
 from distcost.synthesis import disturbance_response, piecewise_response
-from distcost.sweeps import (bound_accuracy_rows, metrics_sweep_rows,
+from distcost.sweeps import (DEFAULT_ACCURACY_TF_GRID, EVIDENCE_CELLS,
+                             bound_accuracy_rows, metrics_sweep_rows,
                              sample_ball, sample_gaussians, sample_sphere,
                              worst_constant_sign)
 from distcost.systems import LtiSystem, StabilizationTask
+
+from conftest import metzler_system
 
 
 def reference_worst_sign(task, bundle):
@@ -37,6 +42,54 @@ def reference_worst_sign(task, bundle):
         if e > best:
             best, best_s = e, s
     return best_s, np.array(energies)
+
+
+def reference_block_sign(task, bundle):
+    """The search of one horizon alone: each block of ``_SIGN_BLOCK``
+    patterns one ``piecewise_response`` of one-cell signals, with its own
+    J(t_f), and one ``weighted_energies`` call."""
+    n = bundle.system.n
+    if n > 20:
+        raise DomainError("exhaustive sign search is limited to n <= 20")
+    base = bundle.state_transition @ task.x0
+    shifts = np.arange(n - 1, -1, -1)
+    total = 1 << n
+    best, best_k = -np.inf, 0
+    for start in range(0, total, sweeps._SIGN_BLOCK):
+        k = np.arange(start, min(start + sweeps._SIGN_BLOCK, total))
+        S = 1.0 - 2.0 * ((k[:, None] >> shifts) & 1)
+        R = piecewise_response(bundle.system, task.w_bar * S[:, None, :], task.t_f)
+        e = weighted_energies(bundle, base + R)
+        i = int(np.argmax(e))
+        if e[i] > best:
+            best, best_k = e[i], start + i
+    return 1.0 - 2.0 * ((best_k >> shifts) & 1)
+
+
+def reference_bound_accuracy_rows(sys, x0, w_bar, tf_grid, seed=0,
+                                  cells=EVIDENCE_CELLS):
+    """The horizon-by-horizon loop: per horizon a task, two signals, four
+    exponentials and a search of its own."""
+    rows = []
+    for i, bundle in enumerate(build_bundles(sys, tf_grid)):
+        task = StabilizationTask(x0=x0, t_f=bundle.t_f, w_bar=w_bar)
+        bound = disturbed_energy_bound(task, bundle).E_D_bound
+        piecewise = make_disturbance("piecewise_uniform", w_bar, sys.n,
+                                     seed=derive_seed(seed, 1, i), cells=cells,
+                                     horizon=task.t_f)
+        responses = {
+            "constant": piecewise_response(
+                sys, task.w_bar * reference_block_sign(task, bundle)[None], task.t_f),
+            "sinusoid": disturbance_response(
+                sys, make_disturbance("sinusoid", w_bar, sys.n), task.t_f),
+            "piecewise": disturbance_response(sys, piecewise, task.t_f),
+        }
+        row = {"t_f": task.t_f}
+        for kind, R in responses.items():
+            row[f"ratio_{kind}"] = float(
+                weighted_energies(bundle, bundle.state_transition @ task.x0 + R) / bound)
+        rows.append(row)
+    return rows
 
 
 def reference_sweep_point(bundle, rep, w_bar, x0_dir, samples, seed, cells):
@@ -205,19 +258,26 @@ class TestBoundAccuracyRows:
 
     def test_constant_ratio_reuses_sign_search_integral(self, jet, jet_x0,
                                                        monkeypatch):
-        # the constant class takes its response from piecewise_response of
-        # w_bar * s, not from disturbance_response, with the same value as
-        # the signal path
-        kinds = []
-        response = sweeps.disturbance_response
+        # the grid takes every response from two stacked block_expm calls,
+        # one of t_f and t_f / cells per horizon and one of t_f for the
+        # sinusoid, never from disturbance_response; the constant class has
+        # the value of the signal path
+        times, responses = [], []
+        stacked = sweeps.block_expm
 
-        def recording(sys, w, t_f):
-            kinds.append(w.kind)
-            return response(sys, w, t_f)
+        def recording(A, C, S, t):
+            times.append(np.shape(t))
+            return stacked(A, C, S, t)
 
-        monkeypatch.setattr(sweeps, "disturbance_response", recording)
-        rows = bound_accuracy_rows(jet, jet_x0, 1.0, (0.5, 2.0), seed=0)
-        assert kinds == ["sinusoid", "piecewise_uniform"] * 2
+        with monkeypatch.context() as m:
+            for module in (sweeps, synthesis):
+                m.setattr(module, "block_expm", recording)
+            for module in (synthesis, energy):
+                m.setattr(module, "disturbance_response",
+                          lambda *args: responses.append(args))
+            rows = bound_accuracy_rows(jet, jet_x0, 1.0, (0.5, 2.0), seed=0)
+        assert times == [(4,), (2,)]
+        assert responses == []
         for row in rows:
             bundle = build_bundle(jet, row["t_f"])
             task = StabilizationTask(x0=jet_x0, t_f=row["t_f"], w_bar=1.0)
@@ -231,6 +291,121 @@ class TestBoundAccuracyRows:
         rows = bound_accuracy_rows(jet, jet_x0, 1.0, (0.1, 1.0, 5.0), seed=0)
         for row in rows:
             assert row["ratio_constant"] >= row["ratio_sinusoid"]
+
+
+def _accuracy_case(kind):
+    # (system, x0, grid) of ADMIRE or a seeded n = 12 Metzler model
+    if kind == "admire":
+        return admire(), np.array([5.0, -1.0, 3.0]), DEFAULT_ACCURACY_TF_GRID
+    seed = int(kind[-1])
+    x0 = np.random.default_rng(100 + seed).standard_normal(12)
+    return metzler_system(seed), x0, tuple(np.geomspace(0.25, 5.0, 12))
+
+
+def _spy_signs(monkeypatch):
+    # the list that records every pattern grid the search returns
+    signs, search = [], sweeps._worst_signs
+    monkeypatch.setattr(sweeps, "_worst_signs",
+                        lambda *args: signs.append(search(*args)) or signs[-1])
+    return signs
+
+
+class TestBoundAccuracyGrid:
+    """The one grid pass against the horizon-by-horizon loop, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["admire", "metzler0", "metzler1"])
+    def test_matches_horizon_loop(self, monkeypatch, kind):
+        sys, x0, grid = _accuracy_case(kind)
+        signs = _spy_signs(monkeypatch)
+        rows = bound_accuracy_rows(sys, x0, 1.0, grid, seed=7)
+        assert rows == reference_bound_accuracy_rows(sys, x0, 1.0, grid, seed=7)
+        tasks = [StabilizationTask(x0=x0, t_f=t, w_bar=1.0) for t in grid]
+        assert np.array_equal(signs[0], [reference_block_sign(task, b) for task, b
+                                         in zip(tasks, build_bundles(sys, grid))])
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_sign_block_sizes(self, monkeypatch, block, n):
+        # 7 leaves a short last block of 8 and of 64 patterns
+        sys, task, _ = random_sign_problem(n, 11, x0_scale=0.1, w_bar=3.0)
+        grid = (0.2, 0.7, 1.5)
+        full = bound_accuracy_rows(sys, task.x0, 3.0, grid, seed=2, cells=9)
+        monkeypatch.setattr(sweeps, "_SIGN_BLOCK", block)
+        rows = bound_accuracy_rows(sys, task.x0, 3.0, grid, seed=2, cells=9)
+        assert rows == full
+        assert rows == reference_bound_accuracy_rows(sys, task.x0, 3.0, grid,
+                                                     seed=2, cells=9)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_ties_keep_first_pattern_at_every_horizon(self, monkeypatch, block):
+        # at w_bar = 0 every pattern of every horizon has the same energy
+        sys, task, _ = random_sign_problem(5, 3, w_bar=0.0)
+        monkeypatch.setattr(sweeps, "_SIGN_BLOCK", block)
+        signs = _spy_signs(monkeypatch)
+        grid = (0.3, 0.3, 1.0, 0.1)
+        rows = bound_accuracy_rows(sys, task.x0, 0.0, grid, cells=4)
+        assert np.array_equal(signs[0], np.ones((4, 5)))
+        assert rows == reference_bound_accuracy_rows(sys, task.x0, 0.0, grid, cells=4)
+
+    @pytest.mark.parametrize("grid", [(1.0, 0.5, 1.0), (2.0, 0.1, 0.5), (0.5,), ()],
+                             ids=["repeated", "unsorted", "single", "empty"])
+    def test_grid_shapes(self, jet, jet_x0, grid):
+        rows = bound_accuracy_rows(jet, jet_x0, 1.0, grid, seed=4, cells=10)
+        assert rows == reference_bound_accuracy_rows(jet, jet_x0, 1.0, grid,
+                                                     seed=4, cells=10)
+        assert [row["t_f"] for row in rows] == list(grid)
+
+    def test_worst_constant_sign_is_grid_of_one(self, monkeypatch):
+        sys, x0, grid = _accuracy_case("metzler1")
+        signs = _spy_signs(monkeypatch)
+        bound_accuracy_rows(sys, x0, 1.0, grid)
+        for t_f, got in zip(grid, signs[0]):
+            task = StabilizationTask(x0=x0, t_f=t_f, w_bar=1.0)
+            assert np.array_equal(worst_constant_sign(task, build_bundle(sys, t_f)), got)
+
+
+class TestBoundAccuracyErrors:
+    """The grid raises what the horizon-by-horizon loop raises."""
+
+    @pytest.mark.parametrize("case,error,match", [
+        (dict(x0=np.ones(2)), DimensionError, "x0 dimension 2"),
+        (dict(tf_grid=(0.5, -1.0), cells=0), DomainError, "horizon t_f"),
+        (dict(cells=0), DomainError,
+         r"^piecewise_uniform cells must be at least 1, got 0$"),
+        (dict(cells=2.5), DomainError, "piecewise_uniform cells must be a whole"),
+        (dict(seed=0.5), DomainError, "seed must be a whole"),
+        (dict(x0=np.zeros(3)), ValidationError, "x0 must be nonzero"),
+        (dict(w_bar=-1.0), DomainError, "w_bar"),
+        (dict(sys="n21", x0=np.ones(21)), DomainError, "n <= 20"),
+        (dict(x0=np.full(3, 1e200), cells=0), NumericalError, "E_D_bound = inf"),
+    ], ids=["x0-length", "horizon-before-cells", "cells", "fractional-cells",
+            "seed", "zero-x0", "w_bar", "n21", "overflow-before-cells"])
+    def test_same_error_as_horizon_loop(self, jet, jet_x0, case, error, match):
+        args = {"sys": jet, "x0": jet_x0, "w_bar": 1.0, "tf_grid": (0.5,),
+                "seed": 0, "cells": 5, **case}
+        if args["sys"] == "n21":
+            args["sys"] = LtiSystem(-np.eye(21), np.eye(21), name="n21")
+        with pytest.raises(error, match=match) as got:
+            bound_accuracy_rows(**args)
+        with pytest.raises(error, match=match) as ref:
+            reference_bound_accuracy_rows(**args)
+        assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))
+
+    def test_overflowing_bound_raises_numerical_error(self, jet):
+        # under the suite's filterwarnings = error, an overflow warning
+        # raised on the way would replace the NumericalError
+        with pytest.raises(NumericalError, match="E_D_bound = inf is not finite"):
+            bound_accuracy_rows(jet, 1e200 * np.ones(3), 1.0, (0.5,))
+
+    def test_every_bound_is_checked_before_the_search(self, monkeypatch):
+        # an overflow at a later horizon stops the run before any pattern
+        # is searched or drawn
+        searched = _spy_signs(monkeypatch)
+        # E_N ~ x0^2 / t_f for xdot = -x + u: finite at 0.5, not at 1e-10
+        sys = LtiSystem(np.array([[-1.0]]), np.array([[1.0]]), name="stable")
+        with pytest.raises(NumericalError, match="E_D_bound = inf"):
+            bound_accuracy_rows(sys, np.array([1e150]), 1.0, (0.5, 1e-10))
+        assert searched == []
 
 
 class TestMetricsSweepRows:
