@@ -23,6 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalError
+from ._kernels import shortest_decimal
 from .linalg import as_whole, linear_scan
 from .signals import DisturbanceSignal
 from .synthesis import ControlSignal, _check_x0
@@ -145,13 +146,15 @@ def simulate_closed_loop(task: StabilizationTask, u: ControlSignal,
     w_stages = _disturbance_stages(w, t_f, steps, sys.n)
     X = _rk4(sys.A, sys.B, task.x0, h, U_half, w_stages)
 
-    g = np.sum(U_half * U_half, axis=1)
-    seg = (h / 6.0) * (g[0:-1:2] + 4.0 * g[1::2] + g[2::2])
-    running = np.concatenate(([0.0], np.cumsum(seg)))
+    # squares that overflow are caught by the finiteness check below
+    with np.errstate(over="ignore"):
+        g = np.sum(U_half * U_half, axis=1)
+        seg = (h / 6.0) * (g[0:-1:2] + 4.0 * g[1::2] + g[2::2])
+        running = np.concatenate(([0.0], np.cumsum(seg)))
+        norms = np.sqrt(np.sum(X * X, axis=1))
 
     times = np.linspace(0.0, t_f, steps + 1)
     controls = np.ascontiguousarray(U_half[::2])
-    norms = np.sqrt(np.sum(X * X, axis=1))
     # finite norms mean finite states, a finite energy finite controls
     if not (np.isfinite(norms).all() and np.isfinite(running[-1])):
         raise NumericalError("closed-loop trajectory overflows: states, controls "
@@ -179,10 +182,113 @@ def csv_text(header, table) -> str:
     """CSV text: the header line, one line per row of the float table, and
     a trailing newline.
 
-    Numbers are written as repr() of each float, the shortest decimal
-    that round-trips (<= 17 significant digits).
+    Every number is byte for byte repr() of the float: the shortest
+    decimal that rounds back to it (the closest of equally short ones,
+    <= 17 significant digits), written |x| = 0.d1d2... 10^p positionally
+    for -4 < p <= 16 and as d.ddde+XX otherwise, with ".0" after whole
+    numbers, and "-0.0", "inf", "-inf" and "nan" (for every NaN). The
+    digits come from Schubfach (``_kernels.shortest_decimal``), and the
+    text is laid out for ``_FORMAT_BLOCK`` values at a time.
     """
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row))
-              for row in np.asarray(table, dtype=np.float64).tolist()]
-    return "\n".join(lines) + "\n"
+    table = np.asarray(table, dtype=np.float64)
+    parts = [",".join(header), "\n"]
+    if not table.size:
+        return "".join(parts) + "\n" * (table.shape[0] if table.ndim == 2 else 0)
+    cols = table.shape[1]
+    flat = table.ravel()
+    scratch = _format_scratch(min(_FORMAT_BLOCK, flat.size))
+    for start in range(0, flat.size, _FORMAT_BLOCK):
+        x = flat[start:start + _FORMAT_BLOCK]
+        row_end = np.arange(start + 1, start + 1 + x.size) % cols == 0
+        parts.append(_format_block(x, row_end, *scratch).decode("ascii"))
+    return "".join(parts)
+
+
+# values per block of csv_text: about 4 MB of scratch arrays with the
+# kernel's temporaries
+_FORMAT_BLOCK = 1 << 13
+_POW10 = np.array([10 ** j for j in range(20)], dtype=np.uint64)
+_COLUMNS = np.arange(22)[:, None]
+_PLACES = np.arange(1, 22, dtype=np.uint8)[:, None]
+_INF_NAN = np.frombuffer(b"infnan", dtype=np.uint8).reshape(2, 3)
+
+
+def _format_scratch(block):
+    # a block's buffers, one column per value. Text rows: "-", the number
+    # (22), "e" and the exponent or inf/nan (5), the separator; the mask
+    # picks each column's characters. Digit rows: a pad, 21 digits, a "0"
+    # pad. Group rows: 4-digit groups (5), digit pairs (10), scratch (2).
+    text = np.empty((29, block), dtype=np.uint8)
+    text[0] = ord("-")
+    mask = np.empty((29, block), dtype=bool)
+    mask[28] = True
+    digits = np.full((23, block), ord("0"), dtype=np.uint8)
+    groups = np.empty((17, block), dtype=np.uint64)
+    return text, mask, digits, groups
+
+
+def _divmod(a, d, quotient, remainder):
+    # a // d and a % d into the two outputs: floor_divide by a scalar is
+    # vectorised, numpy's divmod and remainder are not
+    q = a // d
+    quotient[...] = q
+    np.subtract(a, q * d, out=remainder, casting="unsafe")
+
+
+def _format_block(x, row_end, text, mask, digits, groups) -> bytes:
+    # repr() of each float of x, followed by "," or, at a row end, "\n"
+    m, block = x.size, text.shape[1]
+    flat = text.reshape(-1)
+    text, mask, digits, groups = text[:, :m], mask[:, :m], digits[:, :m], groups[:, :m]
+    finite = np.isfinite(x)
+    f, e = shortest_decimal(np.where(finite, x, 0.0))
+    # |x| = 0.d1d2... 10^p; positional for -4 < p <= 16, where 0 < |x| < 1
+    # reads "0.", -p zeros and the digits
+    nd = np.searchsorted(_POW10, f, side="right")
+    p = e + nd
+    positional = (p > -4) & (p <= 16)
+    zeros = positional * np.maximum(1 - p, 0)
+    # 21 digits: those 1 - p zeros, the digits of f, trailing zeros; a
+    # 5-digit head and a 16-digit tail, in 4-digit groups, then in pairs
+    F = f * _POW10[17 - nd]
+    cut = _POW10[12 + zeros]
+    head = F // cut
+    _divmod(head, 10 ** 4, digits[1], groups[0])
+    _divmod((F - head * cut) * _POW10[4 - zeros], 10 ** 8, groups[15], groups[16])
+    _divmod(groups[15:17], 10 ** 4, groups[1:5:2], groups[2:5:2])
+    _divmod(groups[0:5], 100, groups[5:15:2], groups[6:15:2])
+    _divmod(groups[5:15], 10, digits[2:21:2], digits[3:22:2])
+    # the number: the digits up to the last nonzero one, with "." after
+    # the first `point` of them; positionally at least one digit on
+    # either side of it, in exponent notation no "." after a lone digit
+    end = ((digits[1:22] != 0) * _PLACES).max(axis=0)
+    digits[1:22] += ord("0")
+    point = np.where(positional & (p > 0), p, 1)
+    length = np.where(positional, np.maximum(end + 1, point + 2), end + (end > 1))
+    length *= finite
+    number = text[1:23]
+    np.subtract(digits[1:23], digits[0:22], out=number)
+    number *= _COLUMNS < point
+    number += digits[0:22]
+    flat[(point + 1) * block + np.arange(m)] = ord(".")
+    # "e", the sign and two or three digits of p - 1 (a two-digit one
+    # times 10, so that its digits come first), or inf and nan
+    exponent = np.abs(p - 1)
+    big = exponent >= 100
+    np.multiply(exponent, 10 - 9 * big, out=groups[15], casting="unsafe")
+    _divmod(groups[15], 100, text[25], groups[16])
+    _divmod(groups[16], 10, text[26], text[27])
+    text[25:28] += ord("0")
+    text[23] = ord("e")
+    np.add(2 * (p < 1), ord("+"), out=text[24], casting="unsafe")
+    suffix = ~positional * (4 + big)
+    special = np.flatnonzero(~finite)
+    if special.size:
+        nan = np.isnan(x[special])
+        text[23:26, special] = _INF_NAN[nan.astype(np.intp)].T
+        suffix[special] = 3
+    np.subtract(ord(","), (ord(",") - ord("\n")) * row_end, out=text[28], casting="unsafe")
+    np.logical_and(np.signbit(x), x == x, out=mask[0])
+    np.less(_COLUMNS, length, out=mask[1:23])
+    np.less(_COLUMNS[:5], suffix, out=mask[23:28])
+    return text.T[mask.T].tobytes()

@@ -19,14 +19,14 @@ import numpy as np
 
 from .energy import (disturbance_terms, disturbed_energy_bound,
                      energy_bound_rows, weighted_energies)
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .gramian import GramianBundle, build_bundles
 from .linalg import as_scalar, as_vector, as_whole, block_expm
 from .metrics import MetricReport, _metric_reports
 from .signals import (derive_seed, derive_seeds, make_disturbance,
                       piecewise_cell_values, uniform_stream)
-from .synthesis import (_sinusoid_exosystem, cell_propagators, fold_cells,
-                        piecewise_response)
+from .synthesis import (_check_bundle, _sinusoid_exosystem, cell_propagators,
+                        fold_cells, piecewise_response)
 from .systems import LtiSystem, StabilizationTask
 
 __all__ = ["sample_gaussians", "sample_sphere", "sample_ball",
@@ -108,7 +108,9 @@ def _worst_signs(w_bar: float, bundles, bases, Js) -> np.ndarray:
     # (bases[h]) and its J(t_f) (Js[h]): each block of patterns is built
     # once, and each horizon takes one matmul and one weighted_energies
     # call on it. A (horizons, patterns, n) block would hold every
-    # horizon's responses at once, for more memory and no less time.
+    # horizon's responses at once, for more memory and no less time. A
+    # worst energy that is not finite raises, as argmax would then pick
+    # the first pattern whatever the system.
     n = len(bases[0])
     shifts = np.arange(n - 1, -1, -1)
     total = 1 << n
@@ -119,10 +121,15 @@ def _worst_signs(w_bar: float, bundles, bases, Js) -> np.ndarray:
         for h, (bundle, base, J) in enumerate(zip(bundles, bases, Js)):
             # the direct sum of squares: the expanded quadratic in s cancels
             # when ||x0|| is large
-            e = weighted_energies(bundle, base + W @ J.T)
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = weighted_energies(bundle, base + W @ J.T)
             i = int(np.argmax(e))
             if e[i] > best[h]:
                 best[h], best_k[h] = e[i], start + i
+    for bundle, e in zip(bundles, best):
+        if not np.isfinite(e):
+            raise NumericalError(f"worst constant-sign disturbance energy at "
+                                 f"t_f = {bundle.t_f:g} is not finite")
     return 1.0 - 2.0 * ((np.array(best_k)[:, None] >> shifts) & 1)
 
 
@@ -138,7 +145,12 @@ def worst_constant_sign(task: StabilizationTask, bundle: GramianBundle) -> np.nd
     and its energies one ``weighted_energies`` call. Among equal energies
     the first pattern in that order wins. This is the search of
     ``bound_accuracy_rows`` on a grid of one horizon.
+
+    The task must match the bundle's dimension and horizon (else
+    DimensionError). Raises NumericalError when the worst energy is not
+    finite, as at a huge w_bar, where every pattern's energy overflows.
     """
+    _check_bundle(bundle, task)
     sys = bundle.system
     _require_sign_search(sys.n)
     J = cell_propagators(sys, task.t_f)[1]

@@ -456,15 +456,13 @@ class TestExitCodes:
         (["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"], None, False),
         (["stabilize", "--steps", "200"],
          {"disturbances": [{"name": "big", "kind": "constant_sign",
-                            "sign_vector": [1, 1, 1], "wbar": 1e300}]}, True),
+                            "sign_vector": [1, 1, 1], "wbar": 1e300}]}, False),
     ], ids=["energy", "stabilize", "bound-accuracy", "metrics-sweep-R-grid",
             "stabilize-run-wbar"])
     def test_overflowing_energy_is_numeric(self, tmp_path, argv, config, warns):
         # finite input whose energies overflow: no Infinity or nan reaches
-        # a file, because the run stops before its first write. Where the
-        # bounds overflow, the error alone reports it (any RuntimeWarning
-        # is an error here); the sign search at w_bar = 1e300 and the
-        # simulation still warn on their way to the error.
+        # a file, because the run stops before its first write, and the
+        # error alone reports it (any RuntimeWarning is an error here)
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
@@ -474,16 +472,28 @@ class TestExitCodes:
         assert rc == EXIT_NUMERIC
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,message", [
-        (["energy", "--x0", HUGE_X0], "disturbed energy bound E_D_bound = inf"),
-        (["bound-accuracy", "--x0", HUGE_X0, "--tf-grid", "1"],
+    @pytest.mark.parametrize("argv,config,message", [
+        (["energy", "--x0", HUGE_X0], None, "disturbed energy bound E_D_bound = inf"),
+        (["bound-accuracy", "--x0", HUGE_X0, "--tf-grid", "1"], None,
          "disturbed energy bound E_D_bound = inf"),
-        (["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"],
+        (["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"], None,
          "metric bounds at R = 1e+200, t_f = 1 are not finite"),
-    ], ids=["energy", "bound-accuracy", "metrics-sweep-R-grid"])
-    def test_overflow_prints_only_the_error(self, tmp_path, argv, message):
+        (["stabilize", "--steps", "200"],
+         {"disturbances": [{"name": "big", "kind": "constant_sign",
+                            "sign_vector": [1, 1, 1], "wbar": 1e300}]},
+         "closed-loop trajectory overflows"),
+        (["stabilize", "--steps", "200"],
+         {"disturbances": [{"name": "big", "kind": "constant_sign", "wbar": 1e300}]},
+         "worst constant-sign disturbance energy at t_f = 5 is not finite"),
+    ], ids=["energy", "bound-accuracy", "metrics-sweep-R-grid",
+            "stabilize-run-wbar", "stabilize-run-wbar-searched"])
+    def test_overflow_prints_only_the_error(self, tmp_path, argv, config, message):
         # a fresh interpreter with the default warning filters: stderr is
         # the error line alone, with no RuntimeWarning before it
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
         proc = subprocess.run([sys.executable, "-m", "distcost", *argv,

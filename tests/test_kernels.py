@@ -322,3 +322,37 @@ class TestSplitmix:
             u = _kernels.splitmix_fill(np.uint64(3), np.uint64(0), 10000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
         assert 0.45 < np.mean(u) < 0.55
+
+
+class TestShortestDecimal:
+    def test_table_entries_bracket_the_powers_of_ten(self):
+        # (g - 1) 2^r <= 10^-k < g 2^r with 2^125 <= g < 2^126, and h0 is
+        # Java's floor(log2 10^-k) + 2 formula, for every k of a double
+        for k in range(_kernels._K_MIN, _kernels._K_MAX + 1):
+            g, r = _kernels.schubfach_g(-k)
+            assert 1 << 125 <= g < 1 << 126
+            p, q = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
+            lo, hi = ((g - 1) << r, g << r) if r >= 0 else (g - 1, g)
+            if r < 0:
+                p <<= -r
+            assert lo * q <= p < hi * q
+            assert _kernels._g_column(k)[5] == ((-k * 913124641741) >> 38) + 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+    def test_digits_and_exponent_of_repr(self, bits):
+        from decimal import Decimal
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        x = x[np.isfinite(x)]
+        f, e = _kernels.shortest_decimal(x)
+        for v, fv, ev in zip(x.tolist(), f.tolist(), e.tolist()):
+            got = Decimal(fv).scaleb(ev).normalize()
+            assert got.as_tuple() == Decimal(repr(abs(v))).normalize().as_tuple()
+
+    def test_zero_and_signs(self):
+        # f may carry trailing zeros; the sign is dropped
+        f, e = _kernels.shortest_decimal(np.array([0.0, -0.0, 2.5, -2.5, 5e-324]))
+        assert f.tolist()[:2] == [0, 0] and e.tolist()[:2] == [0, 0]
+        assert f[2] == f[3] and e[2] == e[3]
+        assert f[2] * 10.0 ** e[2] == 2.5
+        assert (f[4], e[4]) == (5, -324)

@@ -39,3 +39,30 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_shortest_decimal_table_is_built_on_first_use():
+    # import leaves the Schubfach table unbuilt; the first csv_text call
+    # builds the entries of the exponents it meets, and a later call on
+    # the same values reuses them without building any
+    code = "\n".join([
+        "import numpy as np, distcost",
+        "from distcost import _kernels, simulate",
+        "print(_kernels._G_TABLE is None)",
+        "built = []",
+        "column = _kernels._g_column",
+        "_kernels._g_column = lambda j: built.append(j) or column(j)",
+        "table = np.array([[0.5, -3e-7, 1e300], [2.0, 7.0, 0.0]])",
+        "text = simulate.csv_text(['a', 'b', 'c'], table)",
+        "first, G = len(built), _kernels._G_TABLE",
+        "assert simulate.csv_text(['a', 'b', 'c'], table) == text",
+        "print(first, len(built), _kernels._G_TABLE is G, int(np.count_nonzero(G[4])))",
+    ])
+    src = os.path.dirname(os.path.dirname(distcost.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == "True"
+    first, total, same, entries = int(out[1]), int(out[2]), out[3], int(out[4])
+    assert 0 < first == total == entries and same == "True"

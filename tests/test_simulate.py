@@ -5,6 +5,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distcost import simulate
 from distcost.errors import DimensionError, DomainError, NumericalError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
@@ -40,6 +41,23 @@ def csv_reference(traj):
                traj.state_norms[j], traj.control_energy_running[j]]
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def trajectory_of(table):
+    """A Trajectory whose CSV rows are the rows of a (rows, w >= 5) table."""
+    table = np.asarray(table, dtype=np.float64)
+    return Trajectory(times=table[:, 0], states=table[:, 1:2], controls=table[:, 2:-2],
+                      state_norms=table[:, -2], control_energy_running=table[:, -1])
+
+
+def assert_formats_as_repr(values, width=5):
+    """trajectory_to_csv of the values, width per row (zero-padded), is
+    byte for byte the per-value formatter's text."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    table = np.zeros(-(-values.size // width) * width)
+    table[:values.size] = values
+    traj = trajectory_of(table.reshape(-1, width))
+    assert trajectory_to_csv(traj) == csv_reference(traj)
 
 
 @pytest.fixture(scope="module")
@@ -193,12 +211,12 @@ class TestValidation:
                              ids=["state", "disturbance"])
     def test_overflowing_trajectory_raises(self, scalar_run, x0, w_bar):
         # finite inputs whose states or norms overflow: no inf or nan
-        # reaches a trajectory
+        # reaches a trajectory, and the error alone reports it (any
+        # RuntimeWarning is an error here)
         _, _, u = scalar_run
         task = StabilizationTask(x0=np.array([x0]), t_f=1.0)
         w = make_disturbance("constant_sign", w_bar, 1, sign_vector=np.ones(1))
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(NumericalError, match="not finite"):
+        with pytest.raises(NumericalError, match="not finite"):
             simulate_closed_loop(task, u, w, 100)
 
     def test_outputs_readonly(self, scalar_run):
@@ -245,3 +263,61 @@ class TestCsv:
         assert text == csv_reference(traj)
         assert len(text.splitlines()) == m + 1
         assert "-0.0" in text and "5e-324" in text and "1e-05" in text and "1e+16" in text
+
+
+class TestShortestRepr:
+    """csv_text against repr() on the values where shortest round-trip
+    formatting goes wrong: subnormals, powers, notation switch points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
+    def test_random_bit_patterns(self, bits):
+        assert_formats_as_repr(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True), min_size=1, max_size=300))
+    def test_any_floats(self, values):
+        assert_formats_as_repr(values)
+
+    def test_every_small_subnormal(self):
+        # mantissas t < 2^16 at the bottom exponent: the one-digit-shorter
+        # candidate must be tried from two-digit s on (5e-324, not 4.9e-324)
+        assert_formats_as_repr(np.arange(2**16, dtype=np.uint64).view(np.float64), 11)
+
+    def test_powers_of_ten_and_neighbours(self):
+        p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        assert_formats_as_repr(np.concatenate([p, np.nextafter(p, 0.0),
+                                               np.nextafter(p, np.inf)]))
+
+    def test_powers_of_two(self):
+        assert_formats_as_repr(np.ldexp(1.0, np.arange(-1074, 1024)))
+
+    def test_notation_switch_points(self):
+        edges = np.array([1e-4, 1e-5, 1e16, 2.0**53 - 1, 2.0**53, 2.0**53 + 2,
+                          9999999999999998.0, 0.1, 1e22, 1e23,
+                          np.finfo(float).max, np.finfo(float).tiny])
+        with np.errstate(over="ignore"):
+            near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        assert_formats_as_repr(np.concatenate([near, -near]))
+        text = trajectory_to_csv(trajectory_of([[1e-4, 1e-5, 1e16, 2.0**53 - 1, 2.0**53 + 2]]))
+        assert text.splitlines()[1] == "0.0001,1e-05,1e+16,9007199254740991.0,9007199254740994.0"
+
+    def test_signed_zero_infinities_and_nans(self):
+        negative_nan = np.array([0xFFF8000000000000, 0xFFF0000000000001,
+                                 0x7FF4000000000000], dtype=np.uint64).view(np.float64)
+        row = np.concatenate([[-0.0, 0.0, np.inf, -np.inf], negative_nan, [-5e-324]])
+        assert_formats_as_repr(row, width=len(row))
+        line = trajectory_to_csv(trajectory_of([row])).splitlines()[1]
+        assert line == "-0.0,0.0,inf,-inf,nan,nan,nan,-5e-324"
+
+    @pytest.mark.parametrize("block", [1, 7, 10, 11, 12])
+    def test_rows_straddling_blocks(self, monkeypatch, block):
+        # 11 values per row: blocks of the row length +- 1 and of 1 and 7
+        # values end inside rows, which keep their "," and newline
+        rng = np.random.default_rng(block)
+        table = rng.standard_normal((20, 11)) * 10.0 ** rng.integers(-30, 30, (20, 11))
+        table[3, 4], table[7, 10] = np.nan, -np.inf
+        traj = trajectory_of(table)
+        monkeypatch.setattr(simulate, "_FORMAT_BLOCK", block)
+        assert trajectory_to_csv(traj) == csv_reference(traj)

@@ -247,6 +247,25 @@ class TestWorstConstantSign:
         with pytest.raises(DomainError):
             worst_constant_sign(task, build_bundle(sys, 1.0))
 
+    def test_task_of_another_dimension(self, jet_bundle_5):
+        # numpy's matmul ValueError before the bundle check
+        task = StabilizationTask(x0=np.ones(2), t_f=5.0, w_bar=1.0)
+        with pytest.raises(DimensionError):
+            worst_constant_sign(task, jet_bundle_5)
+
+    def test_task_of_another_horizon(self, jet_task_5, jet_bundle_half):
+        # a task at t_f = 5 against a bundle at 0.5 mixed both horizons
+        with pytest.raises(DimensionError, match="horizon"):
+            worst_constant_sign(jet_task_5, jet_bundle_half)
+
+    @pytest.mark.parametrize("w_bar", [1e160, 1e300])
+    def test_overflowing_energies_raise(self, jet_x0, jet_bundle_5, w_bar):
+        # every pattern's energy overflows, so argmax would return the
+        # first pattern; no RuntimeWarning either (an error in this suite)
+        task = StabilizationTask(x0=jet_x0, t_f=5.0, w_bar=w_bar)
+        with pytest.raises(NumericalError, match="t_f = 5 is not finite"):
+            worst_constant_sign(task, jet_bundle_5)
+
 
 class TestBoundAccuracyRows:
     def test_columns_and_ranges(self, jet, jet_x0):
