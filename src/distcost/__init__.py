@@ -12,11 +12,9 @@ from .energy import (EnergyReport, disturbed_energy_bound,
 from .errors import (ConfigError, DimensionError, DistcostError, DomainError,
                      IllConditionedError, ModelParseError, NumericalError,
                      ValidationError)
-from .gramian import (GramianBundle, build_bundle, build_bundles,
-                      controllability_gramian, norm_integral)
-from .linalg import SpectralDecomposition, expm, norm, sym_eig
-from .metrics import (MetricReport, additive_metric_bound, hardness,
-                      metric_report, multiplicative_metric_bound)
+from .gramian import GramianBundle, build_bundle, build_bundles
+from .linalg import SpectralDecomposition, expm
+from .metrics import MetricReport, hardness, metric_report
 from .models import admire, builtin_models, load_model, save_model
 from .signals import (DisturbanceSignal, derive_seed, make_disturbance,
                       uniform_stream)
@@ -31,12 +29,10 @@ __all__ = [
     "DisturbanceSignal", "DomainError", "EnergyReport", "GramianBundle",
     "IllConditionedError", "LtiSystem", "MetricReport", "ModelParseError",
     "NumericalError", "SpectralDecomposition", "StabilizationTask",
-    "Trajectory", "ValidationError", "additive_metric_bound", "admire",
-    "build_bundle", "build_bundles", "builtin_models", "controllability_gramian",
-    "controllability_rank", "derive_seed", "disturbance_response",
+    "Trajectory", "ValidationError", "admire", "build_bundle", "build_bundles",
+    "builtin_models", "controllability_rank", "derive_seed", "disturbance_response",
     "disturbed_control", "disturbed_energy_bound", "disturbed_signal_energy",
     "expm", "hardness", "load_model", "make_disturbance", "metric_report",
-    "multiplicative_metric_bound", "nominal_control", "nominal_energy", "norm",
-    "norm_integral", "save_model", "simulate_closed_loop", "sym_eig",
+    "nominal_control", "nominal_energy", "save_model", "simulate_closed_loop",
     "trajectory_to_csv", "uniform_stream", "__version__",
 ]

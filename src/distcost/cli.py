@@ -7,8 +7,9 @@ class), ``bound-accuracy`` (energy-ratio table over horizons),
 
 Configuration comes from flags plus an optional JSON config file; flags
 win. A command takes only the keys it reads (``_COMMAND_OPTIONS``).
-Exit codes: 0 success, 2 invalid configuration, 3 parse failure (model
-or config JSON), 4 numerical failure.
+Exit codes: 0 success, 2 invalid configuration or an output file that
+cannot be written, 3 parse failure (model or config JSON), 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -74,23 +75,12 @@ def _remove(paths) -> None:
             os.remove(path)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        _remove([tmp])
-        raise
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: str, header, rows) -> None:
-    _atomic_write(path, csv_text(header, [[row[k] for k in header] for row in rows]))
+def _table_text(header, rows) -> str:
+    return csv_text(header, [[row[k] for k in header] for row in rows])
 
 
 def _load_config(path: str) -> dict:
@@ -285,49 +275,64 @@ def _fork(work, j: int):
     return pid, read_fd
 
 
-def _join(j: int, pid: int, read_fd: int):
-    # the child's result, or a failure of its slice's first file
+def _join(i: int, pid: int, read_fd: int):
+    # the child's result, or a failure of its slice's first file, i
     with open(read_fd, "rb") as fh:
         data = fh.read()
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0:
-        return j, ChildProcessError(f"trajectory writer exited with status {status}")
+        return i, ChildProcessError(f"trajectory writer exited with status {status}")
     return pickle.loads(data)
 
 
-def _write_trajectories(outdir: str, trajs) -> None:
-    """Write traj_<name>.csv for each (name, trajectory): all or none.
+def _write_failure(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write output file {path}: {exc.strerror or exc}")
 
-    The files are formatted in up to one process per available CPU, so
-    k = min(CPUs, files): the parent forks a child for each slice
-    files[j::k], j >= 1, and writes slice 0 itself. Each process writes
-    temporaries, and only once every process has succeeded are they
-    renamed into place. On a failure every temporary is removed and the
-    error of the first failing file is raised, so neither the bytes nor
-    the error depend on k.
+
+def _commit(outdir: str, files) -> None:
+    """Write a run's files into outdir, all or none: each (name, content)
+    is a ready text or a Trajectory, formatted here.
+
+    The parent writes the texts. The trajectories are formatted in up to
+    one process per available CPU, so k = min(CPUs, trajectories): the
+    parent forks a child for each slice trajectories[j::k], j >= 1, and
+    writes slice 0 itself. Every file goes to a temporary, and only once
+    every temporary exists are they renamed into place. On a failure
+    every temporary and every file already renamed is removed, and the
+    error of the first failing file is raised, a failed write as
+    ConfigError, so neither the bytes nor the error depend on k.
     """
-    paths = [os.path.join(outdir, f"traj_{name}.csv") for name, _ in trajs]
+    paths = [os.path.join(outdir, name) for name, _ in files]
     tmps = [f"{path}.tmp{os.getpid()}" for path in paths]
+    texts = [i for i, (_, content) in enumerate(files) if isinstance(content, str)]
+    trajs = [i for i in range(len(files)) if i not in texts]
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
     k = min(cpus, len(trajs))
 
-    def write_slice(j):
-        # (index, error) of the slice's first failing file, else None
-        for i in range(j, len(trajs), k):
-            try:
-                with open(tmps[i], "w") as fh:
-                    fh.write(trajectory_to_csv(trajs[i][1]))
-            except Exception as exc:
-                return i, exc
+    def write(i):
+        # None, or (i, error) of file i
+        content = files[i][1]
+        try:
+            text = content if isinstance(content, str) else trajectory_to_csv(content)
+            with open(tmps[i], "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return i, _write_failure(paths[i], exc)
+        except Exception as exc:
+            return i, exc
         return None
 
-    children, failures = [], []
+    def write_slice(j):
+        # the failure of the slice's first failing file, else None
+        return next(filter(None, map(write, trajs[j::k])), None)
+
+    children, failures, renamed = [], [], []
     try:
         try:
             for j in range(1, k):
-                children.append((j, *_fork(write_slice, j)))
-            failures.append(write_slice(0))
+                children.append((trajs[j], *_fork(write_slice, j)))
+            failures += [write_slice(0) if k else None, *map(write, texts)]
         finally:
             # every child is reaped, whatever stopped the parent
             failures += [_join(*child) for child in children]
@@ -335,9 +340,13 @@ def _write_trajectories(outdir: str, trajs) -> None:
         if failures:
             raise min(failures, key=lambda f: f[0])[1]
         for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise _write_failure(path, exc) from exc
+            renamed.append(path)
     except BaseException:
-        _remove(tmps)
+        _remove(tmps + renamed)
         raise
 
 
@@ -363,11 +372,10 @@ def cmd_stabilize(cfg: RunConfig) -> int:
         trajs.append((name, traj))
         runs.append(run)
 
-    outdir = cfg.outdir()
-    _write_trajectories(outdir, trajs)
     summary = {"command": "stabilize", "config": cfg.echo(),
                "E_N": bound.E_N, "E_D_bound": bound.E_D_bound, "runs": runs}
-    _write_json(os.path.join(outdir, "summary.json"), summary)
+    _commit(cfg.outdir(), [*((f"traj_{name}.csv", traj) for name, traj in trajs),
+                           ("summary.json", _json_text(summary))])
     return 0
 
 
@@ -376,11 +384,10 @@ def cmd_bound_accuracy(cfg: RunConfig) -> int:
     sys_ = cfg.load_system()
     rows = bound_accuracy_rows(sys_, cfg.x0, cfg.wbar, cfg.tf_grid,
                                seed=cfg.seed, cells=cfg.cells)
-    outdir = cfg.outdir()
     header = ["t_f", "ratio_constant", "ratio_sinusoid", "ratio_piecewise"]
-    _write_csv(os.path.join(outdir, "bound_accuracy.csv"), header, rows)
     summary = {"command": "bound-accuracy", "config": cfg.echo(), "rows": len(rows)}
-    _write_json(os.path.join(outdir, "summary.json"), summary)
+    _commit(cfg.outdir(), [("bound_accuracy.csv", _table_text(header, rows)),
+                           ("summary.json", _json_text(summary))])
     return 0
 
 
@@ -390,14 +397,13 @@ def cmd_metrics_sweep(cfg: RunConfig) -> int:
     rows = metrics_sweep_rows(sys_, cfg.x0, cfg.wbar, cfg.R_grid, cfg.tf_grid,
                               samples=cfg.samples, seed=cfg.seed,
                               cells=cfg.cells)
-    outdir = cfg.outdir()
     header = ["R", "t_f", "H", "r_A_bound", "r_M_bound", "E_N", "E_D_bound",
               "diff_min", "diff_max", "ratio_min", "ratio_max"]
-    _write_csv(os.path.join(outdir, "metrics.csv"), header, rows)
     summary = {"command": "metrics-sweep", "config": cfg.echo(), "rows": len(rows),
                "containment": {"diff_le_r_A": all(r["diff_max"] <= r["r_A_bound"] for r in rows),
                                "ratio_ge_r_M": all(r["ratio_min"] >= r["r_M_bound"] for r in rows)}}
-    _write_json(os.path.join(outdir, "summary.json"), summary)
+    _commit(cfg.outdir(), [("metrics.csv", _table_text(header, rows)),
+                           ("summary.json", _json_text(summary))])
     return 0
 
 
@@ -410,8 +416,9 @@ def cmd_energy(cfg: RunConfig) -> int:
                "q_bar": report.q_bar, "cross_term": report.cross_term,
                "c_term": report.c_term,
                "witness_q": [float(v) for v in report.witness_q]}
-    _write_json(os.path.join(cfg.outdir(), "energy.json"), payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    text = _json_text(payload)
+    _commit(cfg.outdir(), [("energy.json", text)])
+    print(text, end="")
     return 0
 
 

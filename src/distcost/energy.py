@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .gramian import GramianBundle
-from .linalg import norm
 from .signals import DisturbanceSignal
 from .synthesis import _check_bundle, disturbance_response
 from .systems import StabilizationTask
@@ -77,7 +76,8 @@ def disturbed_signal_energy(task: StabilizationTask, bundle: GramianBundle,
 def disturbance_terms(bundle: GramianBundle, w_bar: float):
     """(q_bar, c_term) for disturbances bounded by w_bar: q_bar bounds each
     entry of U^T R(w, t_f), and c_term = q_bar^2 sum(lambda)."""
-    q_bar = w_bar * norm(bundle.spec.U, "one") * bundle.v_bar_unit
+    U_one = float(np.max(np.sum(np.abs(bundle.spec.U), axis=0)))  # ||U||_1
+    q_bar = w_bar * U_one * bundle.v_bar_unit
     return q_bar, q_bar * q_bar * float(np.sum(bundle.spec.lambdas))
 
 

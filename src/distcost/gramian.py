@@ -8,8 +8,8 @@ into n x n blocks E11, E12 (top row), W_B = E12 @ E11^T and E11 = e^{A tf}.
 A grid of horizons is built in three stacked passes (``build_bundles``):
 one expm over every horizon's augmented matrix, one Jacobi eigensolve
 over every W_B, and one level-by-level refinement of every horizon's norm
-integral. Each horizon gets the bits it gets alone, and ``build_bundle``,
-``controllability_gramian`` and ``norm_integral`` are grids of one.
+integral. Each horizon gets the bits it gets alone, and ``build_bundle``
+is a grid of one.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from .linalg import (SpectralDecomposition, _sym_eigs, as_scalar, block_expm,
                      expm)
 from .systems import LtiSystem
 
-__all__ = ["GramianBundle", "controllability_gramian", "norm_integral", "build_bundle",
-           "build_bundles"]
+__all__ = ["GramianBundle", "build_bundle", "build_bundles"]
 
-# lambda_max / lambda_min of W_B above this leaves W_B_inv with at most
+# lambda_max / lambda_min of W_B above this leaves W_B^{-1} with at most
 # two correct digits in double precision, so the horizon is rejected
 _CONDITION_LIMIT = 1e14
 # adaptive Simpson on the norm integral: absolute tolerance is this times
@@ -44,7 +43,7 @@ _NODE_BLOCK = 1 << 18
 class GramianBundle:
     """Everything the energy and metric formulas need for one horizon.
 
-    ``spec`` factors W_B_inv (eigenvalues descending), ``state_transition``
+    ``spec`` factors W_B^{-1} (eigenvalues descending), ``state_transition``
     is e^{A t_f}, and ``v_bar_unit`` is the unit-amplitude value of the
     disturbance norm integral int_0^tf ||e^{A(tf-t)}||_inf dt. ``system``
     is the pair the bundle was built from: every consumer reads (A, B)
@@ -52,7 +51,6 @@ class GramianBundle:
     """
 
     W_B: np.ndarray
-    W_B_inv: np.ndarray
     spec: SpectralDecomposition
     t_f: float
     v_bar_unit: float
@@ -77,24 +75,26 @@ def _gramians(sys: LtiSystem, hs: list) -> list:
     # (W_B, e^{A t_f}) per horizon, up to and including the first whose
     # exponential overflows, which gets its IllConditionedError. The Van
     # Loan exponentials of a block of horizons are one stacked expm.
+    # Overflow is found by the finiteness checks, not reported by numpy.
     n = sys.n
-    BBt = sys.B @ sys.B.T
-    # M t_f has a non-finite entry exactly when its largest one overflows,
-    # and such a horizon must not reach the stacked expm
-    peak = max(np.max(np.abs(sys.A)), np.max(np.abs(BBt)))
-    finite = np.isfinite(peak * np.array(hs))
-    last = len(hs) if finite.all() else int(np.argmin(finite))
     block = max(1, _NODE_BLOCK // (2 * n) ** 2)
     out = []
-    for i in range(0, last, block):
-        ts = hs[i:min(i + block, last)]
-        trans, E12 = block_expm(sys.A, BBt, -sys.A.T, np.array(ts))
-        for t_f, T, E in zip(ts, trans, E12):
-            W = E @ T.T
-            W = 0.5 * (W + W.T)
-            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(T))):
-                return out + [_overflow(t_f)]
-            out.append((W, T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        BBt = sys.B @ sys.B.T
+        # M t_f has a non-finite entry exactly when its largest one
+        # overflows, and such a horizon must not reach the stacked expm
+        peak = max(np.max(np.abs(sys.A)), np.max(np.abs(BBt)))
+        finite = np.isfinite(peak * np.array(hs))
+        last = len(hs) if finite.all() else int(np.argmin(finite))
+        for i in range(0, last, block):
+            ts = hs[i:min(i + block, last)]
+            trans, E12 = block_expm(sys.A, BBt, -sys.A.T, np.array(ts))
+            for t_f, T, E in zip(ts, trans, E12):
+                W = E @ T.T
+                W = 0.5 * (W + W.T)
+                if not (np.all(np.isfinite(W)) and np.all(np.isfinite(T))):
+                    return out + [_overflow(t_f)]
+                out.append((W, T))
     return out + [_overflow(t_f) for t_f in hs[last:last + 1]]
 
 
@@ -131,21 +131,6 @@ def _condition_checked(spec: SpectralDecomposition, t_f: float):
     return spec
 
 
-def controllability_gramian(sys: LtiSystem, t_f) -> np.ndarray:
-    """Finite-horizon controllability Gramian of (A, B) over [0, t_f].
-
-    Returns the symmetrized W_B; raises IllConditionedError when the
-    eigenvalue spread says the horizon is too short for the pair to be
-    usefully controllable in double precision.
-    """
-    t_f = as_scalar(t_f, "horizon t_f", positive=True)
-    gram, failure = _cut(_gramians(sys, [t_f]), None)
-    _, failure = _cut(_checked_eigs([W for W, _ in gram], [t_f]), failure)
-    if failure is not None:
-        raise failure
-    return gram[0][0]
-
-
 def _node_norms(A: np.ndarray, s: np.ndarray) -> np.ndarray:
     # ||e^{A s_k}||_inf at every node s_k, one stacked expm per block
     block = max(1, _NODE_BLOCK // A.size)
@@ -157,8 +142,18 @@ def _node_norms(A: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _norm_integrals(A: np.ndarray, hs: list) -> list:
-    # the norm integral of every horizon of hs, or the NumericalError of
-    # one that misses its tolerance; see norm_integral
+    # v_bar_unit = int_0^tf ||e^{A(tf-t)}||_inf dt = int_0^tf ||e^{As}||_inf ds
+    # for every horizon of hs by adaptive composite Simpson, or the
+    # NumericalError, carrying estimate and error bound, of one whose
+    # error estimate misses its tolerance. The absolute tolerance is
+    # _NORM_INTEGRAL_TOL * t_f, halved with each halving of a panel; a
+    # panel still short of its share after _ADAPTIVE_DEPTH halvings, as at
+    # a kink of the integrand, adds a pessimistic 15 |err| to the estimate
+    # instead of failing on its own. Whether a panel is split depends on
+    # that panel alone, so refining every tree one level at a time (all
+    # new midpoints of a level in one stacked expm) gives the panels of a
+    # depth-first refinement; summed in depth-first order, the result and
+    # the error estimate are bit-for-bit those of the depth-first loop.
     if not hs:
         return []
     t_f = np.array(hs)
@@ -217,32 +212,6 @@ def _norm_integrals(A: np.ndarray, hs: list) -> list:
     return out
 
 
-def norm_integral(sys: LtiSystem, t_f) -> float:
-    """int_0^tf ||e^{A(tf-t)}||_inf dt by adaptive composite Simpson.
-
-    By the substitution s = tf - t this equals int_0^tf ||e^{As}||_inf ds,
-    which is the form actually integrated. Absolute tolerance is
-    ``_NORM_INTEGRAL_TOL * t_f``, halved with each halving of a panel. A
-    subinterval still short of its share after ``_ADAPTIVE_DEPTH``
-    halvings, as at a kink of the integrand, adds a pessimistic 15 |err|
-    to the error estimate; NumericalError, carrying the estimate and
-    error bound, is raised only when that total misses the tolerance.
-
-    The panel tree is refined one level at a time, and all new midpoints
-    of a level share one stacked ``expm`` call; ``build_bundles`` refines
-    the trees of all its horizons together this way. Whether a panel is
-    split depends on that panel alone, so the panels are those of a
-    depth-first refinement; the accepted ones are summed in depth-first
-    order (descending left end), which keeps the result and the error
-    estimate bit-for-bit those of the depth-first loop.
-    """
-    t_f = as_scalar(t_f, "horizon t_f", positive=True)
-    (v,) = _norm_integrals(sys.A, [t_f])
-    if isinstance(v, NumericalError):
-        raise v
-    return v
-
-
 def build_bundles(sys: LtiSystem, tf_grid) -> list:
     """The GramianBundle of (sys, t_f) for every t_f of ``tf_grid``, in
     the grid's order, each bit-for-bit what ``build_bundle`` gives.
@@ -278,22 +247,15 @@ def build_bundles(sys: LtiSystem, tf_grid) -> list:
 def _assemble(sys: LtiSystem, t_f: float, W: np.ndarray, trans: np.ndarray,
               spec_w: SpectralDecomposition, v_unit: float) -> GramianBundle:
     # W_B is inverted through its own spectral factors (eigenvalues
-    # inverted, eigenvectors shared), which keeps W_B_inv exactly symmetric
-    # and hands the factors of W_B_inv to the worst-case energy bound
+    # inverted, eigenvectors shared), which hands the factors of W_B^{-1}
+    # to the energies, the worst-case energy bound and the metrics
     inv_lam = 1.0 / spec_w.lambdas[::-1]
     inv_U = np.ascontiguousarray(spec_w.U[:, ::-1])
-    inv_lam.setflags(write=False)
-    inv_U.setflags(write=False)
-    spec_inv = SpectralDecomposition(U=inv_U, lambdas=inv_lam)
-    W_inv = spec_inv.reconstruct()
-    W_inv = 0.5 * (W_inv + W_inv.T)
-
-    for arr in (W, W_inv, trans):
+    for arr in (inv_lam, inv_U, W, trans):
         arr.setflags(write=False)
     return GramianBundle(
         W_B=W,
-        W_B_inv=W_inv,
-        spec=spec_inv,
+        spec=SpectralDecomposition(U=inv_U, lambdas=inv_lam),
         t_f=t_f,
         v_bar_unit=v_unit,
         state_transition=trans,

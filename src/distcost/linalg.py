@@ -1,6 +1,6 @@
-"""Dense linear-algebra primitives: matrix exponential, symmetric
-eigendecomposition, and the vector/matrix norms the rest of the toolkit
-is written against.
+"""Dense linear-algebra primitives: the matrix exponential, the stacked
+symmetric eigensolve and the linear recurrence scan the rest of the
+toolkit is written against.
 
 Matrices and vectors are plain float64 ndarrays. Inputs are validated
 once at this boundary (shape, finiteness) and the numerical work is done
@@ -17,15 +17,13 @@ from . import _kernels as _k
 from .errors import DimensionError, DomainError, NumericalError
 
 __all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "as_scalar", "as_whole",
-           "expm", "block_expm", "linear_scan", "sym_eig", "norm"]
+           "expm", "block_expm", "linear_scan"]
 
 # Jacobi stops when off(M) <= _JACOBI_OFF_TOL * ||M||_F, which leaves the
 # eigenvalues accurate to about that relative level
 _JACOBI_OFF_TOL = 1e-12
 # cyclic Jacobi converges quadratically, so only a broken input hits this
 _JACOBI_MAX_SWEEPS = 100
-# ||M - M^T||_inf above this times max|M| is rejected as not symmetric
-_SYMMETRY_TOL = 1e-10
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -151,48 +149,11 @@ def linear_scan(X: np.ndarray, D_pow) -> np.ndarray:
     return X
 
 
-def sym_eig(M) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations:
-    the stacked Jacobi kernel on a stack of one.
-
-    Parameters
-    ----------
-    M : array_like
-        Symmetric matrix; asymmetry beyond ``_SYMMETRY_TOL`` (relative,
-        infinity norm) is rejected.
-
-    Returns
-    -------
-    SpectralDecomposition
-        Eigenvalues descending; ties keep the order the sweep produced.
-
-    Raises
-    ------
-    DomainError
-        If the input is not symmetric within tolerance.
-    NumericalError
-        If the sweep budget is exhausted before the off-diagonal mass
-        drops below threshold; carries the iteration count and the best
-        eigenvalue estimate.
-    """
-    A = as_matrix(M, "sym_eig operand")
-    n = A.shape[0]
-    if n != A.shape[1]:
-        raise DimensionError(f"sym_eig operand must be square, got shape {A.shape}")
-    scale = np.max(np.abs(A)) if n else 0.0
-    if scale > 0.0 and np.max(np.abs(A - A.T)) > _SYMMETRY_TOL * scale:
-        raise DomainError("sym_eig operand is not symmetric within tolerance")
-
-    out = _sym_eigs(A[None])[0]
-    if isinstance(out, NumericalError):
-        raise out
-    return out
-
-
 def _sym_eigs(A: np.ndarray) -> list:
-    """sym_eig on each matrix of a checked (k, n, n) stack, all in one
-    ``jacobi_core`` call: per matrix, the SpectralDecomposition or the
-    NumericalError that matrix gives alone."""
+    """Cyclic Jacobi on each matrix of a symmetric (k, n, n) stack, all in
+    one ``jacobi_core`` call: per matrix, the SpectralDecomposition
+    (eigenvalues descending) or the NumericalError, with sweep count and
+    best estimate, that matrix gives alone."""
     n = A.shape[-1]
     work = 0.5 * (A + np.swapaxes(A, -1, -2))
     diag, V, off, sweeps, thresh = _k.jacobi_core(work, _JACOBI_OFF_TOL,
@@ -220,32 +181,3 @@ def _sym_eigs(A: np.ndarray) -> list:
         U.setflags(write=False)
         out.append(SpectralDecomposition(U=U, lambdas=lam))
     return out
-
-
-def norm(a, kind: str = "two") -> float:
-    """Vector p-norm or induced matrix norm.
-
-    ``kind`` is one of ``one``, ``two``, ``inf``. For matrices, the
-    one-norm is the max column absolute sum and the inf-norm the max row
-    absolute sum; the induced two-norm is not provided.
-    """
-    A = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(A)):
-        raise DomainError("norm operand contains non-finite entries")
-    if A.ndim == 1:
-        if kind == "one":
-            return float(np.sum(np.abs(A)))
-        if kind == "two":
-            return float(np.sqrt(np.sum(A * A)))
-        if kind == "inf":
-            return float(np.max(np.abs(A))) if A.size else 0.0
-    elif A.ndim == 2:
-        if kind == "one":
-            return float(np.max(np.sum(np.abs(A), axis=0)))
-        if kind == "inf":
-            return float(np.max(np.sum(np.abs(A), axis=1)))
-        if kind == "two":
-            raise DomainError("induced matrix two-norm is not supported")
-    else:
-        raise DimensionError(f"norm operand must be 1- or 2-dimensional, got {A.ndim}")
-    raise DomainError(f"unknown norm kind {kind!r}")

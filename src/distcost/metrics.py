@@ -21,10 +21,9 @@ import numpy as np
 from .energy import disturbance_terms
 from .errors import IllConditionedError, NumericalError
 from .gramian import GramianBundle
-from .linalg import as_scalar, norm, sym_eig
+from .linalg import _sym_eigs, as_scalar
 
-__all__ = ["MetricReport", "additive_metric_bound", "multiplicative_metric_bound",
-           "hardness", "metric_report"]
+__all__ = ["MetricReport", "hardness", "metric_report"]
 
 
 @dataclass(frozen=True)
@@ -46,13 +45,17 @@ def _additive(bundle: GramianBundle, w_bar, R):
     # an array of them
     q_bar, c_term = disturbance_terms(bundle, as_scalar(w_bar, "w_bar"))
     weighted = (bundle.spec.lambdas[:, None] * bundle.spec.U.T) @ bundle.state_transition
-    gamma = 2.0 * q_bar * norm(weighted, "one")
+    gamma = 2.0 * q_bar * float(np.max(np.sum(np.abs(weighted), axis=0)))
     return c_term + gamma * R * np.sqrt(bundle.system.n), gamma, c_term
 
 
 def _l_min(bundle: GramianBundle) -> float:
-    M = bundle.state_transition.T @ bundle.W_B_inv @ bundle.state_transition
-    spec = sym_eig(0.5 * (M + M.T))
+    W_inv = bundle.spec.reconstruct()
+    W_inv = 0.5 * (W_inv + W_inv.T)
+    M = bundle.state_transition.T @ W_inv @ bundle.state_transition
+    spec = _sym_eigs((0.5 * (M + M.T))[None])[0]
+    if isinstance(spec, NumericalError):
+        raise spec
     l = float(spec.lambdas[-1])
     if l <= 0.0:
         raise IllConditionedError(
@@ -61,19 +64,6 @@ def _l_min(bundle: GramianBundle) -> float:
             estimate=spec.lambdas,
         )
     return l
-
-
-def additive_metric_bound(bundle: GramianBundle, w_bar: float, R: float) -> float:
-    """Upper bound on the worst extra disturbed energy over ||x0||_2 <= R."""
-    return _additive(bundle, w_bar, as_scalar(R, "radius R"))[0]
-
-
-def multiplicative_metric_bound(bundle: GramianBundle, w_bar: float, R: float) -> float:
-    """Lower bound on the nominal/disturbed energy ratio over ||x0||_2 >= R.
-
-    Always in (0, 1]; equal to 1 when w_bar = 0 and nondecreasing in R.
-    """
-    return metric_report(bundle, w_bar, R).r_M_bound
 
 
 def hardness(R: float, t_f: float) -> float:

@@ -16,8 +16,8 @@ import scipy.integrate
 from distcost.cli import entry
 from distcost.energy import (disturbed_energy_bound, disturbed_signal_energy,
                              nominal_energy, weighted_energies)
-from distcost.gramian import build_bundle, controllability_gramian
-from distcost.metrics import multiplicative_metric_bound
+from distcost.gramian import build_bundle
+from distcost.metrics import metric_report
 from distcost.signals import derive_seed, make_disturbance
 from distcost.simulate import simulate_closed_loop
 from distcost.sweeps import (DEFAULT_R_GRID, DEFAULT_TF_GRID,
@@ -81,7 +81,7 @@ def test_criterion_2_scalar_exactness():
     rep = disturbed_energy_bound(task, bundle)
     w = make_disturbance("constant_sign", 1.0, 1, sign_vector=[1])
     e_attained = disturbed_signal_energy(task, bundle, w)
-    r_M = multiplicative_metric_bound(bundle, 1.0, 1.0)
+    r_M = metric_report(bundle, 1.0, 1.0).r_M_bound
 
     assert abs(rep.E_N - 1.0) <= 1e-12
     assert abs(rep.E_D_bound - 4.0) <= 1e-12
@@ -137,7 +137,7 @@ def test_criterion_5_paper_point_value(jet):
     sampled energy ratios all within [0.85, 1.0]."""
     t_f, R = 0.5, 100.0
     bundle = build_bundle(jet, t_f)
-    r_M = multiplicative_metric_bound(bundle, W_BAR, R)
+    r_M = metric_report(bundle, W_BAR, R).r_M_bound
     assert abs(r_M - 0.45) <= 0.02, f"r_M = {r_M}"
 
     ratios = []
@@ -173,7 +173,8 @@ def test_criterion_7_oracle_equivalence(jet):
     """Augmented-exponential Gramian within 1e-7 of a 2048-panel Simpson
     oracle; closed-form energies within 1e-5 of trajectory quadrature."""
     t_f = 5.0
-    W = controllability_gramian(jet, t_f)
+    bundle = build_bundle(jet, t_f)
+    W = bundle.W_B
     expm_at = expm_nodes(jet.A)
     taus = np.linspace(0.0, t_f, 2 * 2048 + 1)
     E = expm_at(taus)
@@ -184,7 +185,6 @@ def test_criterion_7_oracle_equivalence(jet):
     gram_err = np.max(np.abs(W - ref)) / np.max(np.abs(ref))
     assert gram_err < 1e-7, f"gramian error {gram_err:.2e}"
 
-    bundle = build_bundle(jet, t_f)
     task = StabilizationTask(x0=X0, t_f=t_f, w_bar=W_BAR)
     w = make_disturbance("sinusoid", W_BAR, jet.n)
     errs = {}

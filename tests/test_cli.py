@@ -278,9 +278,9 @@ class TestTrajectoryWriters:
                    for name in names)
 
     def test_failed_atomic_write_leaves_no_temporary(self, tmp_path):
-        path = tmp_path / "f.txt"
+        # one text that cannot be encoded fails the whole commit
         with pytest.raises(UnicodeEncodeError):
-            cli._atomic_write(str(path), "a\ud800")
+            cli._commit(str(tmp_path), [("a.txt", "a"), ("f.txt", "a\ud800")])
         assert os.listdir(tmp_path) == []
 
 
@@ -444,22 +444,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("tf", ["800", "1e300", "5e306", "1e307"])
     def test_overflowing_gramian_is_numeric(self, tmp_path, tf):
-        with pytest.warns(RuntimeWarning):
-            rc, out = run(tmp_path, "energy", "--tf", tf)
+        # no RuntimeWarning comes first (filterwarnings = error here)
+        rc, out = run(tmp_path, "energy", "--tf", tf)
         assert rc == EXIT_NUMERIC
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,config,warns", [
-        (["energy", "--x0", HUGE_X0], None, False),
-        (["stabilize", "--x0", HUGE_X0, "--steps", "200"], None, False),
-        (["bound-accuracy", "--x0", HUGE_X0, "--tf-grid", "1"], None, False),
-        (["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"], None, False),
+    @pytest.mark.parametrize("argv,config", [
+        (["energy", "--x0", HUGE_X0], None),
+        (["stabilize", "--x0", HUGE_X0, "--steps", "200"], None),
+        (["bound-accuracy", "--x0", HUGE_X0, "--tf-grid", "1"], None),
+        (["metrics-sweep", "--R-grid", "1e200", "--tf-grid", "1"], None),
         (["stabilize", "--steps", "200"],
          {"disturbances": [{"name": "big", "kind": "constant_sign",
-                            "sign_vector": [1, 1, 1], "wbar": 1e300}]}, False),
+                            "sign_vector": [1, 1, 1], "wbar": 1e300}]}),
     ], ids=["energy", "stabilize", "bound-accuracy", "metrics-sweep-R-grid",
             "stabilize-run-wbar"])
-    def test_overflowing_energy_is_numeric(self, tmp_path, argv, config, warns):
+    def test_overflowing_energy_is_numeric(self, tmp_path, argv, config):
         # finite input whose energies overflow: no Infinity or nan reaches
         # a file, because the run stops before its first write, and the
         # error alone reports it (any RuntimeWarning is an error here)
@@ -467,8 +467,7 @@ class TestExitCodes:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             argv = [*argv, "--config", str(cfg)]
-        with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
-            rc, out = run(tmp_path, *argv)
+        rc, out = run(tmp_path, *argv)
         assert rc == EXIT_NUMERIC
         assert not out.exists()
 
@@ -485,8 +484,12 @@ class TestExitCodes:
         (["stabilize", "--steps", "200"],
          {"disturbances": [{"name": "big", "kind": "constant_sign", "wbar": 1e300}]},
          "worst constant-sign disturbance energy at t_f = 5 is not finite"),
+        (["energy", "--tf", "800"], None, "Gramian exponential overflows at horizon t_f = 800"),
+        (["bound-accuracy", "--tf-grid", "800"], None,
+         "Gramian exponential overflows at horizon t_f = 800"),
     ], ids=["energy", "bound-accuracy", "metrics-sweep-R-grid",
-            "stabilize-run-wbar", "stabilize-run-wbar-searched"])
+            "stabilize-run-wbar", "stabilize-run-wbar-searched", "energy-tf",
+            "bound-accuracy-tf-grid"])
     def test_overflow_prints_only_the_error(self, tmp_path, argv, config, message):
         # a fresh interpreter with the default warning filters: stderr is
         # the error line alone, with no RuntimeWarning before it
@@ -503,6 +506,25 @@ class TestExitCodes:
         assert proc.stderr.startswith(f"error: {message}")
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,blocked", [
+        (["energy"], "energy.json"),
+        (["bound-accuracy", "--tf-grid", "0.5,1"], "summary.json"),
+        (["metrics-sweep", "--tf-grid", "0.5", "--R-grid", "10"], "summary.json"),
+        (["stabilize", "--steps", "200"], "summary.json"),
+    ], ids=["energy", "bound-accuracy", "metrics-sweep", "stabilize"])
+    def test_unwritable_output_file_is_config(self, tmp_path, capsys, argv, blocked):
+        # a directory where the last output file belongs: the files
+        # renamed into place before it are removed again, no temporary
+        # is left, and the error line is all that is printed
+        (tmp_path / "out" / blocked).mkdir(parents=True)
+        rc, out = run(tmp_path, *argv)
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write output file {out / blocked}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert os.listdir(out) == [blocked]
+        assert os.listdir(out / blocked) == []
 
     @pytest.mark.parametrize("x0", [HUGE_X0, "1e-200,1e-200,1e-200"],
                              ids=["huge", "tiny"])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from distcost.errors import DomainError
-from distcost.gramian import build_bundle, controllability_gramian, norm_integral
-from distcost.metrics import additive_metric_bound, hardness, multiplicative_metric_bound
+from distcost.gramian import build_bundle
+from distcost.metrics import hardness, metric_report
 from distcost.signals import derive_seeds, make_disturbance, uniform_stream
 from distcost.sweeps import sample_ball, sample_sphere
 from distcost.synthesis import disturbance_response
@@ -17,24 +17,24 @@ from distcost.systems import StabilizationTask
 _X0 = np.array([5.0, -1.0, 3.0])
 
 # (id, call with the value under test, whether zero is out of the domain);
-# w_bar and the radius of the additive bound, of hardness and of the
-# samplers may be zero.
+# w_bar and the radius of hardness and of the samplers may be zero.
 # Each call takes the value, the ADMIRE system and its t_f = 0.5 bundle.
+# The rows named after the Gramian, the norm integral and the two metric
+# bounds read the bundle or MetricReport field that carries them.
 ENTRY_POINTS = [
     ("task-t_f", lambda x, s, b: StabilizationTask(x0=_X0, t_f=x, w_bar=1.0), True),
     ("task-w_bar", lambda x, s, b: StabilizationTask(x0=_X0, t_f=1.0, w_bar=x), False),
     ("build_bundle", lambda x, s, b: build_bundle(s, x), True),
-    ("controllability_gramian", lambda x, s, b: controllability_gramian(s, x), True),
-    ("norm_integral", lambda x, s, b: norm_integral(s, x), True),
+    ("controllability_gramian", lambda x, s, b: build_bundle(s, x).W_B, True),
+    ("norm_integral", lambda x, s, b: build_bundle(s, x).v_bar_unit, True),
     ("disturbance_response",
      lambda x, s, b: disturbance_response(s, make_disturbance("zero", 1.0, 3), x), True),
     ("hardness-t_f", lambda x, s, b: hardness(10.0, x), True),
     ("hardness-R", lambda x, s, b: hardness(x, 1.0), False),
-    ("additive-R", lambda x, s, b: additive_metric_bound(b, 1.0, x), False),
-    ("additive-w_bar", lambda x, s, b: additive_metric_bound(b, x, 10.0), False),
-    ("multiplicative-R", lambda x, s, b: multiplicative_metric_bound(b, 1.0, x), True),
-    ("multiplicative-w_bar",
-     lambda x, s, b: multiplicative_metric_bound(b, x, 10.0), False),
+    ("additive-R", lambda x, s, b: metric_report(b, 1.0, x).r_A_bound, True),
+    ("additive-w_bar", lambda x, s, b: metric_report(b, x, 10.0).r_A_bound, False),
+    ("multiplicative-R", lambda x, s, b: metric_report(b, 1.0, x).r_M_bound, True),
+    ("multiplicative-w_bar", lambda x, s, b: metric_report(b, x, 10.0).r_M_bound, False),
     ("make_disturbance-w_bar", lambda x, s, b: make_disturbance("zero", x, 3), False),
     ("make_disturbance-horizon",
      lambda x, s, b: make_disturbance("piecewise_uniform", 1.0, 3, cells=4, horizon=x),

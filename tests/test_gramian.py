@@ -6,8 +6,7 @@ import scipy.linalg
 from distcost import gramian
 from distcost import _kernels
 from distcost.errors import DomainError, IllConditionedError, NumericalError
-from distcost.gramian import (build_bundle, build_bundles, controllability_gramian,
-                              norm_integral)
+from distcost.gramian import build_bundle, build_bundles
 from distcost.linalg import expm
 from distcost.systems import LtiSystem
 
@@ -27,9 +26,17 @@ def simpson_gramian(sys, t_f, panels=2048):
     return (h / 6.0) * acc
 
 
+def norm_integral(A, t_f):
+    """v_bar_unit at one horizon as build_bundles computes it, or the
+    NumericalError of a norm integral that misses its tolerance."""
+    (v,) = gramian._norm_integrals(A, [t_f])
+    return v
+
+
 def depth_first_norm_integral(A, t_f):
-    """The depth-first adaptive Simpson norm_integral replaced, kept as the
-    reference: one expm per node, panels popped off a stack.
+    """The depth-first adaptive Simpson loop the level-by-level refinement
+    replaced, kept as the reference: one expm per node, panels popped off
+    a stack.
 
     Returns (total, err_total, nodes, depth): the integral, its error
     estimate, the number of integrand evaluations and the deepest panel
@@ -102,30 +109,30 @@ def oscillator():
 class TestGramian:
     @pytest.mark.parametrize("t_f", [0.1, 0.5, 5.0])
     def test_matches_simpson_oracle(self, jet, t_f):
-        W = controllability_gramian(jet, t_f)
+        W = build_bundle(jet, t_f).W_B
         ref = simpson_gramian(jet, t_f)
         assert np.max(np.abs(W - ref)) / np.max(np.abs(ref)) < 1e-7
 
     def test_matches_oracle_oscillator(self, oscillator):
-        W = controllability_gramian(oscillator, 2.0)
+        W = build_bundle(oscillator, 2.0).W_B
         ref = simpson_gramian(oscillator, 2.0)
         assert np.max(np.abs(W - ref)) / np.max(np.abs(ref)) < 1e-7
 
     def test_symmetric_psd(self, jet):
-        W = controllability_gramian(jet, 1.0)
+        W = build_bundle(jet, 1.0).W_B
         assert np.array_equal(W, W.T)
         assert np.min(np.linalg.eigvalsh(W)) > 0.0
 
     def test_monotone_in_horizon(self, jet):
         # W(t') - W(t) integrates a PSD integrand, so it is PSD
-        W1 = controllability_gramian(jet, 1.0)
-        W2 = controllability_gramian(jet, 2.0)
+        W1 = build_bundle(jet, 1.0).W_B
+        W2 = build_bundle(jet, 2.0).W_B
         assert np.min(np.linalg.eigvalsh(W2 - W1)) > -1e-12
 
     def test_scalar_integrator_closed_form(self):
         # A = 0, B = 1: W(t) = t
         sys = LtiSystem(np.zeros((1, 1)), np.ones((1, 1)), name="int1")
-        W = controllability_gramian(sys, 3.0)
+        W = build_bundle(sys, 3.0).W_B
         assert abs(W[0, 0] - 3.0) < 1e-13
 
 
@@ -136,12 +143,14 @@ class TestBundle:
 
     def test_inverse_consistency(self, jet_bundle_5):
         n = jet_bundle_5.W_B.shape[0]
-        P = jet_bundle_5.W_B @ jet_bundle_5.W_B_inv
+        P = jet_bundle_5.W_B @ jet_bundle_5.spec.reconstruct()
         assert np.max(np.abs(P - np.eye(n))) < 1e-12
 
     def test_spectral_factors_invert_gramian(self, jet_bundle_5):
-        spec = jet_bundle_5.spec
-        assert np.max(np.abs(spec.reconstruct() - jet_bundle_5.W_B_inv)) < 1e-12
+        # W_B^{-1} applied through the factors to each column of W_B
+        spec, W = jet_bundle_5.spec, jet_bundle_5.W_B
+        P = np.column_stack([spec.apply(w) for w in W.T])
+        assert np.max(np.abs(P - np.eye(len(W)))) < 1e-12
 
     def test_ill_conditioned_raises(self):
         # double integrator at a tiny horizon: cond(W) ~ 1/t^2 blows past
@@ -153,16 +162,18 @@ class TestBundle:
             build_bundle(sys, 1e-8)
 
     @pytest.mark.parametrize("t_f", [800.0, 1e300, 5e306, 1e307])
-    @pytest.mark.parametrize("call", [build_bundle, controllability_gramian])
+    # the controllability_gramian row reads W_B, the field that replaced it
+    @pytest.mark.parametrize("call", [build_bundle, lambda s, t_f: build_bundle(s, t_f).W_B],
+                             ids=["build_bundle", "controllability_gramian"])
     def test_overflowing_exponential_raises(self, jet, call, t_f):
         # the jet model's unstable mode: e^{A t_f} overflows past t_f ~ 700,
-        # and from t_f ~ 4e306 on the Van Loan block M t_f itself does
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(IllConditionedError, match="overflows"):
+        # and from t_f ~ 4e306 on the Van Loan block M t_f itself does; no
+        # RuntimeWarning comes first (filterwarnings = error here)
+        with pytest.raises(IllConditionedError, match="overflows"):
             call(jet, t_f)
 
     def test_v_bar_unit_matches_norm_integral(self, jet, jet_bundle_5):
-        assert jet_bundle_5.v_bar_unit == pytest.approx(norm_integral(jet, 5.0), rel=1e-12)
+        assert jet_bundle_5.v_bar_unit == norm_integral(jet.A, 5.0)
 
 
 class TestNormIntegral:
@@ -170,18 +181,18 @@ class TestNormIntegral:
         # A = -a: integral of e^{-a s} on [0, t] = (1 - e^{-a t}) / a
         a = 0.7
         sys = LtiSystem(np.array([[-a]]), np.ones((1, 1)), name="s")
-        got = norm_integral(sys, 2.0)
+        got = build_bundle(sys, 2.0).v_bar_unit
         assert got == pytest.approx((1.0 - np.exp(-2.0 * a)) / a, rel=1e-9)
 
     def test_zero_matrix_closed_form(self):
         sys = LtiSystem(np.zeros((1, 1)), np.ones((1, 1)), name="z")
-        assert norm_integral(sys, 4.0) == pytest.approx(4.0, rel=1e-12)
+        assert build_bundle(sys, 4.0).v_bar_unit == pytest.approx(4.0, rel=1e-12)
 
     def test_matches_dense_quadrature(self, jet):
         taus = np.linspace(0.0, 5.0, 8193)
         vals = [np.linalg.norm(scipy.linalg.expm(jet.A * s), np.inf) for s in taus]
         ref = scipy.integrate.simpson(vals, x=taus)
-        assert norm_integral(jet, 5.0) == pytest.approx(ref, rel=1e-6)
+        assert build_bundle(jet, 5.0).v_bar_unit == pytest.approx(ref, rel=1e-6)
 
     @pytest.mark.parametrize("seed", [13, 34])
     def test_kinked_integrand_meets_tolerance(self, seed):
@@ -193,17 +204,17 @@ class TestNormIntegral:
         ref, _ = scipy.integrate.quad(
             lambda s: np.linalg.norm(scipy.linalg.expm(A * s), np.inf), 0.0, 5.0,
             epsabs=1e-12, epsrel=1e-13, limit=500)
-        assert abs(norm_integral(sys, 5.0) - ref) <= gramian._NORM_INTEGRAL_TOL * 5.0
+        assert abs(norm_integral(A, 5.0) - ref) <= gramian._NORM_INTEGRAL_TOL * 5.0
 
     def test_budget_exhaustion_raises_with_estimate(self, jet, monkeypatch):
         monkeypatch.setattr(gramian, "_ADAPTIVE_DEPTH", 2)
         monkeypatch.setattr(gramian, "_NORM_INTEGRAL_TOL", 1e-14)
-        with pytest.raises(NumericalError) as exc:
-            norm_integral(jet, 5.0)
+        err = norm_integral(jet.A, 5.0)
+        assert isinstance(err, NumericalError)
         total, err_total, _, _ = depth_first_norm_integral(jet.A, 5.0)
-        assert exc.value.estimate == total
-        assert exc.value.error_bound == err_total
-        assert exc.value.iterations == 2
+        assert err.estimate == total
+        assert err.error_bound == err_total
+        assert err.iterations == 2
 
 
 def _reference_case(kind, seed, jet):
@@ -213,21 +224,21 @@ def _reference_case(kind, seed, jet):
 
 
 class TestLevelSynchronous:
-    """norm_integral refines level by level; the depth-first loop it
+    """The norm integral refines level by level; the depth-first loop it
     replaced must give the same bits."""
 
     @pytest.mark.parametrize("kind,seed,t_f", REFERENCE_CASES)
     def test_bitwise_equal_to_depth_first(self, jet, kind, seed, t_f):
         sys = _reference_case(kind, seed, jet)
         total, _, _, _ = depth_first_norm_integral(sys.A, t_f)
-        assert norm_integral(sys, t_f) == total
+        assert norm_integral(sys.A, t_f) == total
 
     @pytest.mark.parametrize("kind,seed,t_f", [("admire", None, 5.0), ("kink", 34, 5.0)])
     def test_one_node_blocks_are_bitwise_equal(self, jet, monkeypatch, kind, seed, t_f):
         sys = _reference_case(kind, seed, jet)
         total, _, _, _ = depth_first_norm_integral(sys.A, t_f)
         monkeypatch.setattr(gramian, "_NODE_BLOCK", 1)
-        assert norm_integral(sys, t_f) == total
+        assert norm_integral(sys.A, t_f) == total
 
     @pytest.mark.parametrize("kind,seed,t_f", [("admire", None, 5.0), ("random", 0, 5.0)])
     def test_one_expm_call_per_level(self, jet, monkeypatch, kind, seed, t_f):
@@ -240,7 +251,7 @@ class TestLevelSynchronous:
             return expm(M)
 
         monkeypatch.setattr(gramian, "expm", counting_expm)
-        norm_integral(sys, t_f)
+        norm_integral(sys.A, t_f)
         # the three end and middle nodes, then one call per panel level
         assert len(calls) == depth + 2
         assert sum(calls) == nodes
@@ -267,7 +278,7 @@ def _same_bits(a, b):
 
 
 def _assert_same_bundle(got, want):
-    for field in ("W_B", "W_B_inv", "state_transition", "v_bar_unit", "t_f"):
+    for field in ("W_B", "state_transition", "v_bar_unit", "t_f"):
         assert _same_bits(getattr(got, field), getattr(want, field)), field
     assert _same_bits(got.spec.U, want.spec.U)
     assert _same_bits(got.spec.lambdas, want.spec.lambdas)
@@ -334,11 +345,9 @@ class TestBuildBundles:
         # the overflow at 800 is found first, the singular W_B at 1e-8 in a
         # later pass: the error raised is that of the earlier horizon
         sys = _unstable_double_integrator()
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(IllConditionedError, match="singular at horizon t_f = 1e-08"):
+        with pytest.raises(IllConditionedError, match="singular at horizon t_f = 1e-08"):
             build_bundles(sys, [1.0, 1e-8, 800.0])
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(IllConditionedError, match="overflows at horizon t_f = 800"):
+        with pytest.raises(IllConditionedError, match="overflows at horizon t_f = 800"):
             build_bundles(sys, [800.0, 1e-8])
 
     def test_invalid_horizon_raises_in_grid_order(self):
@@ -351,11 +360,9 @@ class TestBuildBundles:
     def test_overflowing_block_does_not_poison_the_stack(self, jet):
         # M t_f non-finite at the last horizon: the horizons before it
         # still get their own bits, and the overflow is what is raised
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(IllConditionedError, match="overflows"):
+        with pytest.raises(IllConditionedError, match="overflows"):
             build_bundles(jet, [0.5, 1.0, 5e306])
-        with pytest.warns(RuntimeWarning):
-            W = gramian._gramians(jet, [0.5, 1.0, 5e306])
+        W = gramian._gramians(jet, [0.5, 1.0, 5e306])
         assert isinstance(W[-1], IllConditionedError)
         for t_f, (got, _) in zip([0.5, 1.0], W[:-1]):
             assert _same_bits(got, build_bundle(jet, t_f).W_B)

@@ -4,9 +4,7 @@ import pytest
 from distcost.energy import disturbed_energy_bound, nominal_energy
 from distcost.errors import DomainError, NumericalError
 from distcost.gramian import build_bundle
-from distcost.linalg import norm
-from distcost.metrics import (additive_metric_bound, hardness, metric_report,
-                              multiplicative_metric_bound)
+from distcost.metrics import hardness, metric_report
 from distcost.systems import LtiSystem, StabilizationTask
 
 
@@ -23,12 +21,12 @@ def scalar_bundle(scalar_sys):
 class TestScalarValues:
     def test_multiplicative_quarter(self, scalar_sys, scalar_bundle):
         # l = 1, gamma = 2, c = 1, R = 1: 1 / (1 + 2 + 1) = 0.25
-        r_M = multiplicative_metric_bound(scalar_bundle, 1.0, 1.0)
+        r_M = metric_report(scalar_bundle, 1.0, 1.0).r_M_bound
         assert r_M == pytest.approx(0.25, abs=1e-12)
 
     def test_additive_matches_parts(self, scalar_sys, scalar_bundle):
         # c + gamma R sqrt(n) = 1 + 2 = 3 at R = 1
-        r_A = additive_metric_bound(scalar_bundle, 1.0, 1.0)
+        r_A = metric_report(scalar_bundle, 1.0, 1.0).r_A_bound
         assert r_A == pytest.approx(3.0, abs=1e-12)
 
     def test_report_consistency(self, scalar_sys, scalar_bundle):
@@ -45,7 +43,7 @@ class TestBoundStructure:
     def test_additive_dominates_bound_gap(self, jet, jet_bundle_half):
         # r_A bounds E_D_bound - E_N over the whole ball ||x0|| <= R
         R = 20.0
-        r_A = additive_metric_bound(jet_bundle_half, 1.0, R)
+        r_A = metric_report(jet_bundle_half, 1.0, R).r_A_bound
         rng = np.random.default_rng(5)
         for _ in range(100):
             x0 = rng.standard_normal(3)
@@ -56,7 +54,7 @@ class TestBoundStructure:
 
     def test_multiplicative_bounds_ratio_on_sphere(self, jet, jet_bundle_half):
         R = 100.0
-        r_M = multiplicative_metric_bound(jet_bundle_half, 1.0, R)
+        r_M = metric_report(jet_bundle_half, 1.0, R).r_M_bound
         rng = np.random.default_rng(6)
         for _ in range(100):
             x0 = rng.standard_normal(3)
@@ -66,24 +64,25 @@ class TestBoundStructure:
             assert rep.E_N / rep.E_D_bound >= r_M * (1.0 - 1e-12)
 
     def test_multiplicative_monotone_in_R(self, jet, jet_bundle_half):
-        vals = [multiplicative_metric_bound(jet_bundle_half, 1.0, R)
+        vals = [metric_report(jet_bundle_half, 1.0, R).r_M_bound
                 for R in (1.0, 10.0, 100.0, 1000.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_multiplicative_in_unit_interval(self, jet, jet_bundle_half):
         for R in (0.5, 5.0, 500.0):
-            r_M = multiplicative_metric_bound(jet_bundle_half, 1.0, R)
+            r_M = metric_report(jet_bundle_half, 1.0, R).r_M_bound
             assert 0.0 < r_M <= 1.0
 
     def test_zero_disturbance_limits(self, jet, jet_bundle_half):
-        assert multiplicative_metric_bound(jet_bundle_half, 0.0, 10.0) == 1.0
-        assert additive_metric_bound(jet_bundle_half, 0.0, 10.0) == 0.0
+        rep = metric_report(jet_bundle_half, 0.0, 10.0)
+        assert rep.r_M_bound == 1.0
+        assert rep.r_A_bound == 0.0
 
     def test_additive_affine_in_R(self, jet, jet_bundle_half):
         # r_A(R) = c + gamma sqrt(n) R: check affinity via three points
-        r1 = additive_metric_bound(jet_bundle_half, 1.0, 1.0)
-        r2 = additive_metric_bound(jet_bundle_half, 1.0, 2.0)
-        r3 = additive_metric_bound(jet_bundle_half, 1.0, 3.0)
+        r1 = metric_report(jet_bundle_half, 1.0, 1.0).r_A_bound
+        r2 = metric_report(jet_bundle_half, 1.0, 2.0).r_A_bound
+        r3 = metric_report(jet_bundle_half, 1.0, 3.0).r_A_bound
         assert r3 - r2 == pytest.approx(r2 - r1, rel=1e-12)
 
 
@@ -103,16 +102,11 @@ class TestHardness:
 class TestDomainChecks:
     def test_multiplicative_rejects_zero_radius(self, jet, jet_bundle_half):
         with pytest.raises(DomainError):
-            multiplicative_metric_bound(jet_bundle_half, 1.0, 0.0)
-
-    def test_additive_accepts_zero_radius(self, jet, jet_bundle_half):
-        r_A = additive_metric_bound(jet_bundle_half, 1.0, 0.0)
-        rep = metric_report(jet_bundle_half, 1.0, 1.0)
-        assert r_A == pytest.approx(rep.c_term, rel=1e-14)
+            metric_report(jet_bundle_half, 1.0, 0.0)
 
     def test_negative_wbar_rejected(self, jet, jet_bundle_half):
         with pytest.raises(DomainError):
-            additive_metric_bound(jet_bundle_half, -1.0, 1.0)
+            metric_report(jet_bundle_half, -1.0, 1.0)
 
     @pytest.mark.parametrize("R", [1e160, 1e200, 1e300])
     def test_overflowing_bounds_raise(self, jet_bundle_half, R):

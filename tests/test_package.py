@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -13,6 +14,47 @@ def test_every_exported_name_resolves():
     missing = [name for name in distcost.__all__ if not hasattr(distcost, name)]
     assert missing == []
     assert len(set(distcost.__all__)) == len(distcost.__all__)
+
+
+PUBLIC_API = [
+    "ConfigError", "ControlSignal", "DimensionError", "DistcostError",
+    "DisturbanceSignal", "DomainError", "EnergyReport", "GramianBundle",
+    "IllConditionedError", "LtiSystem", "MetricReport", "ModelParseError",
+    "NumericalError", "SpectralDecomposition", "StabilizationTask", "Trajectory",
+    "ValidationError", "__version__", "admire", "build_bundle", "build_bundles",
+    "builtin_models", "controllability_rank", "derive_seed", "disturbance_response",
+    "disturbed_control", "disturbed_energy_bound", "disturbed_signal_energy", "expm",
+    "hardness", "load_model", "make_disturbance", "metric_report", "nominal_control",
+    "nominal_energy", "save_model", "simulate_closed_loop", "trajectory_to_csv",
+    "uniform_stream",
+]
+
+# single-stage twins of the bundle and the metric report, and helpers no
+# caller needs, by the module that held them
+REMOVED = {
+    "gramian": ["controllability_gramian", "norm_integral"],
+    "linalg": ["_SYMMETRY_TOL", "norm", "sym_eig"],
+    "metrics": ["additive_metric_bound", "multiplicative_metric_bound"],
+}
+
+
+def test_public_api_is_pinned():
+    assert sorted(distcost.__all__) == PUBLIC_API
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_are_gone(module):
+    mod = importlib.import_module(f"distcost.{module}")
+    for name in REMOVED[module]:
+        assert not hasattr(distcost, name), name
+        assert not hasattr(mod, name), name
+        assert name not in mod.__all__, name
+
+
+def test_bundle_has_no_inverse_field():
+    # the energies and metrics read W_B^{-1} through its factors, spec
+    fields = [f.name for f in dataclasses.fields(distcost.GramianBundle)]
+    assert fields == ["W_B", "spec", "t_f", "v_bar_unit", "state_transition", "system"]
 
 
 # __main__ is left out: importing it runs the argument parser
