@@ -297,10 +297,12 @@ def _commit(outdir: str, files) -> None:
     one process per available CPU, so k = min(CPUs, trajectories): the
     parent forks a child for each slice trajectories[j::k], j >= 1, and
     writes slice 0 itself. Every file goes to a temporary, and only once
-    every temporary exists are they renamed into place. On a failure
-    every temporary and every file already renamed is removed, and the
-    error of the first failing file is raised, a failed write as
-    ConfigError, so neither the bytes nor the error depend on k.
+    every temporary exists are they renamed into place. An earlier run's
+    file of the same name is first moved aside, and deleted only once
+    every rename has succeeded. On a failure every temporary and every
+    file already renamed is removed, the files moved aside are put back,
+    and the error of the first failing file is raised, a failed write or
+    rename as ConfigError, so neither the bytes nor the error depend on k.
     """
     paths = [os.path.join(outdir, name) for name, _ in files]
     tmps = [f"{path}.tmp{os.getpid()}" for path in paths]
@@ -327,7 +329,7 @@ def _commit(outdir: str, files) -> None:
         # the failure of the slice's first failing file, else None
         return next(filter(None, map(write, trajs[j::k])), None)
 
-    children, failures, renamed = [], [], []
+    children, failures, renamed, kept = [], [], [], []
     try:
         try:
             for j in range(1, k):
@@ -339,6 +341,19 @@ def _commit(outdir: str, files) -> None:
         failures = [f for f in failures if f is not None]
         if failures:
             raise min(failures, key=lambda f: f[0])[1]
+        # (aside, path) of every earlier file moved aside; a directory
+        # stays where it is, and the rename onto it fails below
+        for path in paths:
+            if os.path.isdir(path) and not os.path.islink(path):
+                continue
+            aside = f"{path}.old{os.getpid()}"
+            try:
+                os.replace(path, aside)
+            except FileNotFoundError:
+                continue
+            except OSError as exc:
+                raise _write_failure(path, exc) from exc
+            kept.append((aside, path))
         for tmp, path in zip(tmps, paths):
             try:
                 os.replace(tmp, path)
@@ -347,7 +362,11 @@ def _commit(outdir: str, files) -> None:
             renamed.append(path)
     except BaseException:
         _remove(tmps + renamed)
+        for aside, path in kept:
+            with contextlib.suppress(OSError):
+                os.replace(aside, path)
         raise
+    _remove(aside for aside, _ in kept)
 
 
 def cmd_stabilize(cfg: RunConfig) -> int:

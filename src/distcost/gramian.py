@@ -7,9 +7,12 @@ into n x n blocks E11, E12 (top row), W_B = E12 @ E11^T and E11 = e^{A tf}.
 
 A grid of horizons is built in three stacked passes (``build_bundles``):
 one expm over every horizon's augmented matrix, one Jacobi eigensolve
-over every W_B, and one level-by-level refinement of every horizon's norm
-integral. Each horizon gets the bits it gets alone, and ``build_bundle``
-is a grid of one.
+over every W_B, and one level-by-level adaptive Simpson refinement of
+every horizon's norm integral. The refinement's nodes are propagated
+(e^{A(a+h)} = e^{Aa} e^{Ah}): each new node is one matrix product of a
+panel's carried exponential with its level's step, and each level takes
+one stacked expm of those steps. Each horizon gets the bits it gets
+alone, and ``build_bundle`` is a grid of one.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ _CONDITION_LIMIT = 1e14
 # t_f, with at most _ADAPTIVE_DEPTH halvings of any subinterval
 _NORM_INTEGRAL_TOL = 1e-9
 _ADAPTIVE_DEPTH = 24
-# a stacked call (the expm of one refinement level's nodes or of the
-# augmented matrices of a horizon grid, the Jacobi eigensolve of its W_B)
-# takes at most this many floats per stacked temporary, 2 MiB, with at
-# least one matrix
+# a stacked call (the expm of a horizon grid's augmented matrices, of its
+# root nodes or of one refinement level's steps, one level's node
+# products, the Jacobi eigensolve of its W_B) takes at most this many
+# floats per stacked temporary, 2 MiB, with at least one matrix; the
+# exponentials the open panels carry, 2 n^2 floats each, are not blocked
 _NODE_BLOCK = 1 << 18
 
 
@@ -118,27 +122,34 @@ def _checked_eigs(Ws: list, hs: list) -> list:
 
 
 def _condition_checked(spec: SpectralDecomposition, t_f: float):
+    # a W_B whose eigenvalue ratio passes _CONDITION_LIMIT, or whose
+    # smallest eigenvalue (a subnormal one) has no finite reciprocal for
+    # W_B^{-1}, is rejected; neither test lets numpy warn
     lam_max = spec.lambdas[0]
     lam_min = spec.lambdas[-1]
-    if lam_min <= 0.0 or lam_max / lam_min > _CONDITION_LIMIT:
-        cond = np.inf if lam_min <= 0.0 else lam_max / lam_min
+    with np.errstate(over="ignore"):
+        cond = lam_max / lam_min if lam_min > 0.0 else np.inf
+        inverse = 1.0 / lam_min if lam_min > 0.0 else np.inf
+    if cond > _CONDITION_LIMIT or np.isinf(inverse):
+        reason = (f"condition estimate {cond:.3e}" if cond > _CONDITION_LIMIT
+                  else f"smallest eigenvalue {lam_min:.3e} has no finite reciprocal")
         return IllConditionedError(
-            f"Gramian is numerically singular at horizon t_f = {t_f:g} "
-            f"(condition estimate {cond:.3e})",
+            f"Gramian is numerically singular at horizon t_f = {t_f:g} ({reason})",
             estimate=spec.lambdas,
             error_bound=cond,
         )
     return spec
 
 
-def _node_norms(A: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # ||e^{A s_k}||_inf at every node s_k, one stacked expm per block
+def _expms(A: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # e^{A s_k} for every s_k, one stacked expm per block
     block = max(1, _NODE_BLOCK // A.size)
-    out = np.empty(len(s))
-    for i in range(0, len(s), block):
-        E = expm(A * s[i:i + block, None, None])
-        out[i:i + block] = np.max(np.sum(np.abs(E), axis=-1), axis=-1)
-    return out
+    return np.concatenate([expm(A * s[i:i + block, None, None])
+                           for i in range(0, len(s), block)])
+
+
+def _inf_norms(E: np.ndarray) -> np.ndarray:
+    return np.max(np.sum(np.abs(E), axis=-1), axis=-1)
 
 
 def _norm_integrals(A: np.ndarray, hs: list) -> list:
@@ -150,10 +161,20 @@ def _norm_integrals(A: np.ndarray, hs: list) -> list:
     # panel still short of its share after _ADAPTIVE_DEPTH halvings, as at
     # a kink of the integrand, adds a pessimistic 15 |err| to the estimate
     # instead of failing on its own. Whether a panel is split depends on
-    # that panel alone, so refining every tree one level at a time (all
-    # new midpoints of a level in one stacked expm) gives the panels of a
-    # depth-first refinement; summed in depth-first order, the result and
-    # the error estimate are bit-for-bit those of the depth-first loop.
+    # that panel alone, so refining every tree one level at a time gives
+    # the panels of a depth-first refinement; summed in depth-first
+    # order, the result and the error estimate are bit-for-bit those of
+    # the depth-first loop with the same node rule.
+    #
+    # The node rule is propagation (e^{A(a + h)} = e^{Aa} e^{Ah}): every
+    # open panel [a, b] of width w carries e^{Aa} and e^{Am} at its
+    # midpoint m, and the level's new midpoints a + w/4 and m + w/4 are
+    # one stacked product with the horizon's step e^{A t_f / 2^(d+2)} at
+    # level d. The root nodes e^{A t_f/2} and e^{A t_f} are one stacked
+    # expm, and each level's steps one more, over the horizons that still
+    # have open panels. A node at level d is a product of at most d + 2
+    # factors, so its rounding stays bounded by the depth budget, and
+    # each horizon's steps depend on its own t_f alone.
     if not hs:
         return []
     t_f = np.array(hs)
@@ -161,17 +182,35 @@ def _norm_integrals(A: np.ndarray, hs: list) -> list:
 
     # one level of every horizon's panel tree, one column per panel: the
     # owning horizon, ends a and b, midpoint m, the integrand at all
-    # three and the panel's Simpson value
-    own = np.arange(len(hs))
-    a, m, b = np.zeros(len(hs)), 0.5 * t_f, t_f
-    fa, fm, fb = np.split(_node_norms(A, np.concatenate([a, m, b])), 3)
+    # three and the panel's Simpson value; Ea and Em are e^{Aa} and e^{Am}
+    H = len(hs)
+    own = np.arange(H)
+    a, m, b = np.zeros(H), 0.5 * t_f, t_f
+    roots = _expms(A, np.concatenate([m, b]))
+    Ea, Em = np.broadcast_to(np.eye(A.shape[0]), (H,) + A.shape), roots[:H]
+    fa, fm, fb = np.ones(H), _inf_norms(Em), _inf_norms(roots[H:])
     S = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     tol_d = tol
+    block = max(1, _NODE_BLOCK // A.size)
     accepted = []  # (owners, left ends, values, error shares) per level
     for d in range(_ADAPTIVE_DEPTH + 1):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        flm, frm = np.split(_node_norms(A, np.concatenate([lm, rm])), 2)
+        live = np.zeros(H, dtype=bool)
+        live[own] = True
+        steps = np.empty((H,) + A.shape)
+        steps[live] = _expms(A, np.ldexp(t_f[live], -(d + 2)))
+        # E holds e^{A lm} and e^{A rm}, the products of F = (e^{Aa},
+        # e^{Am}) with their steps, formed a block of at most _NODE_BLOCK
+        # floats at a time
+        F = np.concatenate([Ea, Em])
+        E = np.empty_like(F)
+        f = np.empty(len(F))
+        which = np.concatenate([own, own])
+        for i in range(0, len(F), block):
+            E[i:i + block] = F[i:i + block] @ steps[which[i:i + block]]
+            f[i:i + block] = _inf_norms(E[i:i + block])
+        flm, frm = f[:len(own)], f[len(own):]
         Sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         Sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (Sl + Sr - S) / 15.0
@@ -182,11 +221,13 @@ def _norm_integrals(A: np.ndarray, hs: list) -> list:
                          np.where(ok, np.abs(err), np.abs(err) * 15.0)[keep]))
         if not split.any():
             break
-        # the two halves of each panel that is split
+        # the two halves of each panel that is split: [a, m] carries
+        # (e^{Aa}, e^{A lm}) and [m, b] carries (e^{Am}, e^{A rm})
         both = np.concatenate([split, split])
         halves = np.concatenate([np.stack([a, lm, m, fa, flm, fm, Sl]),
                                  np.stack([m, rm, b, fm, frm, fb, Sr])], axis=1)
         a, m, b, fa, fm, fb, S = halves[:, both]
+        Ea, Em = F[both], E[both]
         own = np.concatenate([own, own])[both]
         tol_d = 0.5 * tol_d
 
@@ -194,7 +235,7 @@ def _norm_integrals(A: np.ndarray, hs: list) -> list:
     # by horizon, and within one in the depth-first order (descending left
     # end); cumsum adds one term at a time, as the depth-first loop did
     order = np.lexsort((-left, owner))
-    ends = np.searchsorted(owner[order], np.arange(1, len(hs) + 1))
+    ends = np.searchsorted(owner[order], np.arange(1, H + 1))
     out = []
     for h, panels in enumerate(np.split(order, ends[:-1])):
         total = float(np.cumsum(value[panels])[-1])
@@ -218,10 +259,10 @@ def build_bundles(sys: LtiSystem, tf_grid) -> list:
 
     The work is three stacked passes over the distinct horizons: one
     ``expm`` of all Van Loan blocks, one Jacobi eigensolve of all W_B
-    and one level-by-level refinement of all norm integrals, the first
-    two in blocks of at most ``_NODE_BLOCK`` floats. A horizon that fails
-    a pass is left out of the later ones. The error raised is that of the
-    first failing horizon in grid order, which is the error
+    and one level-by-level refinement of all norm integrals, every
+    stacked call in blocks of at most ``_NODE_BLOCK`` floats. A horizon
+    that fails a pass is left out of the later ones. The error raised is
+    that of the first failing horizon in grid order, which is the error
     ``build_bundle`` raises on it: an invalid horizon, then an overflowing
     exponential, a failed eigensolve or a singular W_B, then a norm
     integral that misses its tolerance. Repeated horizons share a bundle.

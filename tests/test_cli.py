@@ -507,6 +507,27 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_subnormal_gramian_prints_only_the_error(self, tmp_path):
+        # W_B ~ 1e-310: its eigenvalue ratio is fine, but the reciprocal of
+        # its smallest eigenvalue overflows, so the Gramian stage rejects it
+        # (in a fresh interpreter with the default warning filters)
+        model = tmp_path / "subnormal.json"
+        model.write_text(json.dumps({"name": "subnormal", "n": 2, "p": 1,
+                                     "A": [[-1.0, 1.0], [0.0, -2.0]],
+                                     "B": [[0.0], [1e-155]]}))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+        proc = subprocess.run([sys.executable, "-m", "distcost", "energy", "--model",
+                               str(model), "--x0", "1,1", "--tf", "1",
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stderr.startswith("error: Gramian is numerically singular at "
+                                      "horizon t_f = 1 (smallest eigenvalue ")
+        assert proc.stderr.endswith(" has no finite reciprocal)\n")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out" / "energy.json").exists()
+
     @pytest.mark.parametrize("argv,blocked", [
         (["energy"], "energy.json"),
         (["bound-accuracy", "--tf-grid", "0.5,1"], "summary.json"),
@@ -525,6 +546,32 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert os.listdir(out) == [blocked]
         assert os.listdir(out / blocked) == []
+
+    @pytest.mark.parametrize("first,second", [
+        (["bound-accuracy", "--tf-grid", "0.5"], ["bound-accuracy", "--tf-grid", "1"]),
+        (["stabilize", "--steps", "100"], ["stabilize", "--steps", "200"]),
+    ], ids=["bound-accuracy", "stabilize"])
+    def test_failed_commit_keeps_the_earlier_files(self, tmp_path, capsys, first, second):
+        # a later run whose last file cannot be written leaves the earlier
+        # run's files with their bytes, and a run that succeeds replaces
+        # them with nothing left aside
+        rc, out = run(tmp_path, *first)
+        assert rc == 0
+        (out / "summary.json").unlink()
+        (out / "summary.json").mkdir()
+        earlier = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert earlier
+        rc, _ = run(tmp_path, *second)
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write output file {out / 'summary.json'}: ")
+        assert sorted(os.listdir(out)) == sorted([*earlier, "summary.json"])
+        assert {name: (out / name).read_bytes() for name in earlier} == earlier
+        (out / "summary.json").rmdir()
+        rc, _ = run(tmp_path, *second)
+        assert rc == 0
+        assert sorted(os.listdir(out)) == sorted([*earlier, "summary.json"])
+        assert all((out / name).read_bytes() != data for name, data in earlier.items())
 
     @pytest.mark.parametrize("x0", [HUGE_X0, "1e-200,1e-200,1e-200"],
                              ids=["huge", "tiny"])

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distcost import gramian
 from distcost import _kernels
@@ -33,37 +35,54 @@ def norm_integral(A, t_f):
     return v
 
 
-def depth_first_norm_integral(A, t_f):
+def depth_first_norm_integral(A, t_f, per_node=False):
     """The depth-first adaptive Simpson loop the level-by-level refinement
-    replaced, kept as the reference: one expm per node, panels popped off
-    a stack.
+    replaced, kept as the reference: panels popped off a stack, every
+    exponential formed alone.
+
+    By default the nodes follow the propagated rule of the refinement: a
+    panel [a, b] of width w at depth d carries e^{Aa} and e^{Am} at its
+    midpoint m, and its new nodes a + w/4 and m + w/4 are those times the
+    step e^{A t_f / 2^(d+2)}. With ``per_node`` every node is its own expm
+    instead, an oracle independent of the propagation.
 
     Returns (total, err_total, nodes, depth): the integral, its error
     estimate, the number of integrand evaluations and the deepest panel
     level visited. Reads the module's tolerance and depth limit at call
     time, so a monkeypatched limit applies to both implementations.
     """
-    def f(s):
-        return float(np.max(np.sum(np.abs(expm(A * s)), axis=1)))
+    def f(E):
+        return float(np.max(np.sum(np.abs(E), axis=1)))
+
+    steps = {}
+
+    def step(d):
+        if d not in steps:
+            steps[d] = expm(A * (t_f * 2.0 ** -(d + 2)))
+        return steps[d]
 
     tol = gramian._NORM_INTEGRAL_TOL * t_f
     depth_limit = gramian._ADAPTIVE_DEPTH
     a, b = 0.0, t_f
-    fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
-    fm = f(m)
+    Ea, Em, Eb = np.eye(len(A)), expm(A * m), expm(A * b)
+    fa, fm, fb = f(Ea), f(Em), f(Eb)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     total = 0.0
     err_total = 0.0
     nodes, depth = 3, 0
-    stack = [(a, m, b, fa, fm, fb, whole, tol, 0)]
+    stack = [(a, m, b, Ea, Em, fa, fm, fb, whole, tol, 0)]
     while stack:
-        a0, m0, b0, f0, f1, f2, S0, tol0, d = stack.pop()
+        a0, m0, b0, E0, E1, f0, f1, f2, S0, tol0, d = stack.pop()
         depth = max(depth, d)
         lm = 0.5 * (a0 + m0)
         rm = 0.5 * (m0 + b0)
-        flm = f(lm)
-        frm = f(rm)
+        if per_node:
+            Elm, Erm = expm(A * lm), expm(A * rm)
+        else:
+            Elm, Erm = E0 @ step(d), E1 @ step(d)
+        flm = f(Elm)
+        frm = f(Erm)
         nodes += 2
         Sl = (m0 - a0) / 6.0 * (f0 + 4.0 * flm + f1)
         Sr = (b0 - m0) / 6.0 * (f1 + 4.0 * frm + f2)
@@ -75,8 +94,8 @@ def depth_first_norm_integral(A, t_f):
             total += Sl + Sr + err
             err_total += abs(err) * 15.0
         else:
-            stack.append((a0, lm, m0, f0, flm, f1, Sl, 0.5 * tol0, d + 1))
-            stack.append((m0, rm, b0, f1, frm, f2, Sr, 0.5 * tol0, d + 1))
+            stack.append((a0, lm, m0, E0, Elm, f0, flm, f1, Sl, 0.5 * tol0, d + 1))
+            stack.append((m0, rm, b0, E1, Erm, f1, frm, f2, Sr, 0.5 * tol0, d + 1))
     return total, err_total, nodes, depth
 
 
@@ -161,6 +180,17 @@ class TestBundle:
         with pytest.raises(IllConditionedError):
             build_bundle(sys, 1e-8)
 
+    def test_subnormal_smallest_eigenvalue_raises(self):
+        # W_B ~ 1e-310 is well conditioned, but 1 / lambda_min overflows;
+        # no RuntimeWarning comes first (filterwarnings = error here)
+        sys = LtiSystem(np.array([[-1.0, 1.0], [0.0, -2.0]]), np.array([[0.0], [1e-155]]),
+                        name="subnormal")
+        with pytest.raises(IllConditionedError,
+                           match=r"singular at horizon t_f = 1 .*no finite reciprocal") as info:
+            build_bundle(sys, 1.0)
+        assert 0.0 < info.value.estimate[-1] < np.finfo(float).tiny
+        assert info.value.error_bound <= gramian._CONDITION_LIMIT
+
     @pytest.mark.parametrize("t_f", [800.0, 1e300, 5e306, 1e307])
     # the controllability_gramian row reads W_B, the field that replaced it
     @pytest.mark.parametrize("call", [build_bundle, lambda s, t_f: build_bundle(s, t_f).W_B],
@@ -224,14 +254,42 @@ def _reference_case(kind, seed, jet):
 
 
 class TestLevelSynchronous:
-    """The norm integral refines level by level; the depth-first loop it
-    replaced must give the same bits."""
+    """The norm integral refines level by level and propagates its nodes;
+    the depth-first loop with the same node rule must give the same bits,
+    and the per-node oracle the same value within the tolerance."""
 
     @pytest.mark.parametrize("kind,seed,t_f", REFERENCE_CASES)
     def test_bitwise_equal_to_depth_first(self, jet, kind, seed, t_f):
         sys = _reference_case(kind, seed, jet)
         total, _, _, _ = depth_first_norm_integral(sys.A, t_f)
         assert norm_integral(sys.A, t_f) == total
+
+    @pytest.mark.parametrize("kind,seed,t_f", REFERENCE_CASES)
+    def test_within_tolerance_of_per_node_oracle(self, jet, kind, seed, t_f):
+        sys = _reference_case(kind, seed, jet)
+        total, _, _, _ = depth_first_norm_integral(sys.A, t_f, per_node=True)
+        assert abs(norm_integral(sys.A, t_f) - total) <= gramian._NORM_INTEGRAL_TOL * t_f
+
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["gaussian", "oscillatory", "unstable"]),
+           t_f=st.floats(0.05, 5.0))
+    @settings(max_examples=30, deadline=None)
+    def test_random_matrices_within_tolerance_of_per_node_oracle(self, n, seed, kind, t_f):
+        # oscillatory: a dominant skew part, eigenvalues near the imaginary
+        # axis; unstable: spectral abscissa up to about 1.5. A kink's panels
+        # reach the depth limit, and a missed tolerance is compared through
+        # its estimate
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        if kind == "oscillatory":
+            G = rng.standard_normal((n, n))
+            A = 0.2 * A + 1.5 * (G - G.T) / np.sqrt(n)
+        elif kind == "unstable":
+            A = A + 0.5 * np.eye(n)
+        got = norm_integral(A, t_f)
+        got = got.estimate if isinstance(got, NumericalError) else got
+        total, _, _, _ = depth_first_norm_integral(A, t_f, per_node=True)
+        assert abs(got - total) <= gramian._NORM_INTEGRAL_TOL * t_f
 
     @pytest.mark.parametrize("kind,seed,t_f", [("admire", None, 5.0), ("kink", 34, 5.0)])
     def test_one_node_blocks_are_bitwise_equal(self, jet, monkeypatch, kind, seed, t_f):
@@ -244,18 +302,34 @@ class TestLevelSynchronous:
     def test_one_expm_call_per_level(self, jet, monkeypatch, kind, seed, t_f):
         sys = _reference_case(kind, seed, jet)
         _, _, nodes, depth = depth_first_norm_integral(sys.A, t_f)
-        calls = []
-
-        def counting_expm(M):
-            calls.append(len(M))
-            return expm(M)
-
-        monkeypatch.setattr(gramian, "expm", counting_expm)
+        calls = _counted_expm_calls(monkeypatch)
         norm_integral(sys.A, t_f)
-        # the three end and middle nodes, then one call per panel level
-        assert len(calls) == depth + 2
-        assert sum(calls) == nodes
-        assert len(calls) < nodes / 4
+        # the middle and end nodes, then one step per panel level: 2 plus
+        # the number of levels exponentials, where there were one per node
+        assert calls == [2] + [1] * (depth + 1)
+        assert sum(calls) < nodes / 10
+
+    def test_grid_steps_only_for_open_horizons(self, monkeypatch):
+        sys = metzler_system(0)
+        depths = [depth_first_norm_integral(sys.A, t_f)[3] for t_f in HORIZON_GRID]
+        calls = _counted_expm_calls(monkeypatch)
+        gramian._norm_integrals(sys.A, HORIZON_GRID)
+        # each horizon: its two root nodes, then one step per level it reaches
+        assert calls == [2 * len(HORIZON_GRID)] + [
+            sum(d >= level for d in depths) for level in range(max(depths) + 1)]
+        assert min(depths) < max(depths)
+
+
+def _counted_expm_calls(monkeypatch):
+    # the stack height of every expm call the gramian module makes
+    calls = []
+
+    def counting_expm(M):
+        calls.append(len(M))
+        return expm(M)
+
+    monkeypatch.setattr(gramian, "expm", counting_expm)
+    return calls
 
 
 def _unstable_double_integrator():
