@@ -78,9 +78,6 @@ class SpectralDecomposition:
     U: np.ndarray
     lambdas: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.lambdas) @ self.U.T
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Evaluate M @ v through the factors."""
         return self.U @ (self.lambdas * (self.U.T @ v))

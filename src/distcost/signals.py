@@ -23,14 +23,9 @@ from .errors import DomainError
 from .linalg import as_scalar, as_whole
 
 __all__ = ["DisturbanceSignal", "KIND_PARAMETERS", "make_disturbance", "uniform_stream",
-           "derive_seed", "derive_seeds", "piecewise_cell_values", "as_seed"]
+           "derive_seed", "derive_seeds", "piecewise_cell_values"]
 
 _MASK64 = (1 << 64) - 1
-
-
-def as_seed(seed) -> int:
-    """The integer a seed names, by the whole-number rule of ``as_whole``."""
-    return as_whole(seed, "seed")
 
 
 def uniform_stream(seed, start: int, count: int) -> np.ndarray:
@@ -44,7 +39,7 @@ def uniform_stream(seed, start: int, count: int) -> np.ndarray:
     """
     start, count = as_whole(start, "start", 0), as_whole(count, "count", 0)
     if not isinstance(seed, np.ndarray):
-        seed = np.uint64(as_seed(seed) & _MASK64)
+        seed = np.uint64(as_whole(seed, "seed") & _MASK64)
     return _k.splitmix_fill(seed, start, count)
 
 
@@ -55,7 +50,7 @@ def derive_seed(master: int, *indices: int) -> int:
     evaluated in 64-bit wrapping arithmetic.
     """
     # a one-element array: uint64 array arithmetic wraps without warning
-    z = np.array([as_seed(master) & _MASK64], dtype=np.uint64)
+    z = np.array([as_whole(master, "seed") & _MASK64], dtype=np.uint64)
     for idx in indices:
         idx = as_whole(idx, "seed index")
         z = _k.mix64(z ^ _k.mix64(z + np.uint64((idx + 1) & _MASK64)))
@@ -189,7 +184,7 @@ def make_disturbance(kind: str, w_bar: float, dim: int, **params) -> Disturbance
     if kind == "piecewise_uniform":
         cells = as_whole(p["cells"], "piecewise_uniform cells", 1)
         horizon = as_scalar(p["horizon"], "piecewise_uniform horizon", positive=True)
-        values = piecewise_cell_values(as_seed(p["seed"]), w_bar, cells, dim)
+        values = piecewise_cell_values(as_whole(p["seed"], "seed"), w_bar, cells, dim)
     else:
         s = p.get("sign_vector", np.zeros(dim))
         if not np.all(np.isin(s, (-1.0, 0.0, 1.0))):

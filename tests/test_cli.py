@@ -528,6 +528,26 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "out" / "energy.json").exists()
 
+    def test_lost_energy_form_prints_only_the_error(self, tmp_path):
+        # W_B is well conditioned, but e^{A t_f} ~ e^-500 makes the smallest
+        # eigenvalue l of e^{A^T t_f} W_B^{-1} e^{A t_f} underflow to 0, so
+        # r_M_bound has no positive l (in a fresh interpreter with the
+        # default warning filters)
+        model = tmp_path / "fast.json"
+        model.write_text(json.dumps({"name": "fast", "n": 2, "p": 2,
+                                     "A": [[-100.0, 0.0], [0.0, -100.0]],
+                                     "B": [[1.0, 0.0], [0.0, 1.0]]}))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+        proc = subprocess.run([sys.executable, "-m", "distcost", "metrics-sweep",
+                               "--model", str(model), "--x0", "1,1", "--tf-grid", "5",
+                               "--R-grid", "10", "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stderr == ("error: energy quadratic form lost positive definiteness "
+                               "at t_f = 5 (min eigenvalue 0.000e+00)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv,blocked", [
         (["energy"], "energy.json"),
         (["bound-accuracy", "--tf-grid", "0.5,1"], "summary.json"),

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, reject, settings, target
+from hypothesis import strategies as st
 
+import mp_oracle
 from distcost.energy import disturbed_energy_bound, nominal_energy
 from distcost.errors import DomainError, NumericalError
 from distcost.gramian import build_bundle
 from distcost.metrics import hardness, metric_report
+from distcost.sweeps import DEFAULT_TF_GRID
 from distcost.systems import LtiSystem, StabilizationTask
+from test_benchmark_reference import workloads
+
+# l_min's relative error, in units of eps sqrt(cond(W_B)) cond(e^{A t_f}):
+# one SVD of sqrt(Lambda) U^T e^{A t_f} loses at most a small multiple of
+# that, while forming e^{A^T t_f} W_B^{-1} e^{A t_f} squares it
+KAPPA = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +94,51 @@ class TestBoundStructure:
         r2 = metric_report(jet_bundle_half, 1.0, 2.0).r_A_bound
         r3 = metric_report(jet_bundle_half, 1.0, 3.0).r_A_bound
         assert r3 - r2 == pytest.approx(r2 - r1, rel=1e-12)
+
+
+class TestLMinOracle:
+    """l_min against 50-digit mpmath (``tests/mp_oracle.py``)."""
+
+    @pytest.mark.parametrize("t_f", DEFAULT_TF_GRID)
+    def test_admire(self, jet, t_f):
+        got = metric_report(build_bundle(jet, t_f), 1.0, 1.0).l_min
+        assert got == pytest.approx(mp_oracle.l_min(jet.A, jet.B, t_f), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t_f,rel", [(0.25, 1e-12), (1.0, 1e-12), (5.0, 1e-9)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_horizons_models(self, seed, t_f, rel):
+        # the n = 12 benchmark models; at t_f = 5 the limit is W_B's own
+        # error, as the Van Loan block holds e^{-A^T t_f} (about 4e8 here)
+        A, B = workloads.horizons_model(
+            workloads._rng(workloads.WORKLOADS["horizons"].index, seed))
+        got = metric_report(build_bundle(LtiSystem(A, B), t_f), 1.0, 1.0).l_min
+        assert got == pytest.approx(mp_oracle.l_min(A, B, t_f), rel=rel, abs=0.0)
+
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), t_f=st.floats(0.1, 3.0))
+    @example(n=3, seed=697661756, t_f=0.41)
+    @example(n=4, seed=1823889140, t_f=1.48)
+    @settings(max_examples=60, deadline=None)
+    def test_error_within_kappa_budget(self, n, seed, t_f):
+        # against the value the bundle's own factors determine, at 40
+        # digits: the factors carry W_B's and the eigensolve's errors,
+        # which are not l_min's
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, n + 1))
+        A = 2.0 * rng.standard_normal((n, n)) / np.sqrt(n)
+        B = rng.standard_normal((n, p))
+        try:
+            bundle = build_bundle(LtiSystem(A, B), t_f)
+        except NumericalError:
+            reject()
+        spec = bundle.spec
+        cond_W = spec.lambdas[0] / spec.lambdas[-1]
+        assume(cond_W <= 1e8)
+        truth = mp_oracle.l_min_from_factors(spec.U, spec.lambdas, bundle.state_transition)
+        got = metric_report(bundle, 1.0, 1.0).l_min
+        budget = (np.sqrt(cond_W) * np.linalg.cond(bundle.state_transition)
+                  * np.finfo(float).eps * truth)
+        target(abs(got - truth) / budget)
+        assert abs(got - truth) <= KAPPA * budget
 
 
 class TestHardness:

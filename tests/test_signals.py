@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distcost.errors import DomainError, ValidationError
-from distcost.signals import (KIND_PARAMETERS, as_seed, derive_seed, derive_seeds,
-                              make_disturbance, uniform_stream)
+from distcost.signals import (KIND_PARAMETERS, derive_seed, derive_seeds, make_disturbance,
+                              uniform_stream)
 
 
 class TestUniformStream:
@@ -180,7 +180,10 @@ class TestSignals:
         w2 = make_disturbance("piecewise_uniform", 1.0, 2, seed=7, cells=8)
         assert np.array_equal(w1.cell_values, w2.cell_values)
         assert derive_seed(1.0, 2) == derive_seed(1, 2)
-        assert as_seed(np.int64(-3)) == -3 and as_seed(2**64 - 1) == 2**64 - 1
+        # a numpy integer and a seed past int64 name their value mod 2^64
+        assert np.array_equal(uniform_stream(np.int64(-3), 0, 4),
+                              uniform_stream(2**64 - 3, 0, 4))
+        assert derive_seed(2**64 - 1, 2) == derive_seed(-1, 2)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 40), st.floats(0.1, 10.0))
