@@ -13,8 +13,9 @@ ill-conditioned Gramians it is less accurate than numpy.linalg.eigh: at
 cond(W_B) 3.4e9 it left E_N 6.0e-5 off a 60-digit truth, where eigh was
 2.4e-7 off.
 
-Kernels take C-contiguous float64 arrays and do no validation; the
-wrappers in linalg/gramian/signals own the error checking.
+Kernels take C-contiguous float64 arrays and do no validation; their
+callers linalg.expm, gramian._inverse_factors (Jacobi's one caller) and
+signals own the error checking.
 """
 
 import numpy as np

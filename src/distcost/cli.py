@@ -113,6 +113,19 @@ def _float_tuple(values, key: str) -> tuple:
     return vals
 
 
+def _whole(key: str):
+    # a flag's text names the integer its JSON value would: "5000.0" and
+    # "1e3" read as floats, while integer text stays an exact int
+    def resolve(value):
+        if isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                value = float(value)
+        return as_whole(value, key)
+    return resolve
+
+
 def _of_type(kind: type, what: str):
     # a JSON value used as is: str() would let "model": 5 through as a path
     def check(value):
@@ -133,11 +146,11 @@ _KEYS = {
     "wbar": (1.0, _number),
     "R_grid": (DEFAULT_R_GRID, lambda v: _float_tuple(v, "R_grid")),
     "tf_grid": (DEFAULT_TF_GRID, lambda v: _float_tuple(v, "tf_grid")),
-    "steps": (5000, lambda v: as_whole(v, "steps")),
-    "seed": (0, lambda v: as_whole(v, "seed")),
+    "steps": (5000, _whole("steps")),
+    "seed": (0, _whole("seed")),
     "out": (".", str),
-    "samples": (500, lambda v: as_whole(v, "samples")),
-    "cells": (EVIDENCE_CELLS, lambda v: as_whole(v, "cells")),
+    "samples": (500, _whole("samples")),
+    "cells": (EVIDENCE_CELLS, _whole("cells")),
     "disturbances": ([{"name": "constant", "kind": "constant_sign"},
                       {"name": "sinusoid", "kind": "sinusoid"},
                       {"name": "piecewise", "kind": "piecewise_uniform"}],

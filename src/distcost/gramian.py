@@ -5,14 +5,14 @@ the exponential of the augmented block matrix [[A, BB^T], [0, -A^T]]*tf,
 which reduces the integral to one expm call: with the result partitioned
 into n x n blocks E11, E12 (top row), W_B = E12 @ E11^T and E11 = e^{A tf}.
 
-A grid of horizons is built in three stacked passes (``build_bundles``):
-one expm over every horizon's augmented matrix, one Jacobi eigensolve
-over every W_B, and one level-by-level adaptive Simpson refinement of
-every horizon's norm integral. The refinement's nodes are propagated
-(e^{A(a+h)} = e^{Aa} e^{Ah}): each new node is one matrix product of a
-panel's carried exponential with its level's step, and each level takes
-one stacked expm of those steps. Each horizon gets the bits it gets
-alone, and ``build_bundle`` is a grid of one.
+A grid of horizons is built in three stacked stages (``build_bundles``):
+one expm over every horizon's augmented matrix, one Jacobi call over
+every W_B for W_B^{-1}'s factors, and one level-by-level adaptive Simpson
+refinement of every horizon's norm integral. The refinement's nodes are
+propagated (e^{A(a+h)} = e^{Aa} e^{Ah}): each new node is one product of
+a panel's carried exponential with its level's step, and each level
+takes one stacked expm of those steps. Each horizon gets the bits it
+gets alone, and ``build_bundle`` is a grid of one.
 """
 
 from __future__ import annotations
@@ -21,13 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels as _k
 from .errors import DomainError, IllConditionedError, NumericalError
-from .linalg import (SpectralDecomposition, _sym_eigs, as_scalar, block_expm,
-                     expm)
+from .linalg import SpectralDecomposition, as_scalar, block_expm, expm
 from .systems import LtiSystem
 
 __all__ = ["GramianBundle", "build_bundle", "build_bundles"]
 
+# Jacobi stops when off(W) <= _JACOBI_OFF_TOL * ||W||_F, which leaves the
+# eigenvalues accurate to about that relative level
+_JACOBI_OFF_TOL = 1e-12
+# cyclic Jacobi converges quadratically, so only a broken input hits this
+_JACOBI_MAX_SWEEPS = 100
 # lambda_max / lambda_min of W_B above this leaves W_B^{-1} with at most
 # two correct digits in double precision, so the horizon is rejected
 _CONDITION_LIMIT = 1e14
@@ -35,12 +40,6 @@ _CONDITION_LIMIT = 1e14
 # t_f, with at most _ADAPTIVE_DEPTH halvings of any subinterval
 _NORM_INTEGRAL_TOL = 1e-9
 _ADAPTIVE_DEPTH = 24
-# a stacked call (the expm of a horizon grid's augmented matrices, of its
-# root nodes or of one refinement level's steps, one level's node
-# products, the Jacobi eigensolve of its W_B) takes at most this many
-# floats per stacked temporary, 2 MiB, with at least one matrix; the
-# exponentials the open panels carry, 2 n^2 floats each, are not blocked
-_NODE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,10 @@ def _cut(results: list, failure):
 
 
 def _gramians(sys: LtiSystem, hs: list) -> list:
-    # (W_B, e^{A t_f}) per horizon, up to and including the first whose
-    # exponential overflows, which gets its IllConditionedError. The Van
-    # Loan exponentials of a block of horizons are one stacked expm.
-    # Overflow is found by the finiteness checks, not reported by numpy.
-    n = sys.n
-    block = max(1, _NODE_BLOCK // (2 * n) ** 2)
+    # read-only (W_B, e^{A t_f}) per horizon from one stacked Van Loan
+    # expm, up to and including the first whose exponential overflows,
+    # which gets its IllConditionedError. Overflow is found by the
+    # finiteness checks, not reported by numpy.
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         BBt = sys.B @ sys.B.T
@@ -90,62 +87,64 @@ def _gramians(sys: LtiSystem, hs: list) -> list:
         peak = max(np.max(np.abs(sys.A)), np.max(np.abs(BBt)))
         finite = np.isfinite(peak * np.array(hs))
         last = len(hs) if finite.all() else int(np.argmin(finite))
-        for i in range(0, last, block):
-            ts = hs[i:min(i + block, last)]
-            trans, E12 = block_expm(sys.A, BBt, -sys.A.T, np.array(ts))
-            for t_f, T, E in zip(ts, trans, E12):
-                W = E @ T.T
-                W = 0.5 * (W + W.T)
-                if not (np.all(np.isfinite(W)) and np.all(np.isfinite(T))):
-                    return out + [_overflow(t_f)]
-                out.append((W, T))
+        trans, E12 = block_expm(sys.A, BBt, -sys.A.T, np.array(hs[:last]))
+        trans.setflags(write=False)
+        for t_f, T, E in zip(hs, trans, E12):
+            W = E @ T.T
+            W = 0.5 * (W + W.T)
+            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(T))):
+                return out + [_overflow(t_f)]
+            W.setflags(write=False)
+            out.append((W, T))
     return out + [_overflow(t_f) for t_f in hs[last:last + 1]]
 
 
-def _checked_eigs(Ws: list, hs: list) -> list:
-    # the spectral factors of each W_B, up to and including the first
-    # horizon whose eigensolve fails or whose W_B is numerically singular;
-    # one stacked Jacobi call per block of horizons
+def _inverse_factors(Ws: list, hs: list) -> list:
+    # W_B^{-1}'s factors (eigenvalues descending: W_B's eigenvectors, its
+    # eigenvalues ascending and inverted) from one Jacobi call on the stack
+    # of W_B, up to and including the first horizon whose eigensolve does
+    # not converge or loses orthogonality, or whose W_B is singular: an
+    # eigenvalue ratio past _CONDITION_LIMIT, or a smallest eigenvalue (a
+    # subnormal one) with no finite reciprocal. Tied eigenvalues go last
+    # index first, the reverse of a stable descending sort. No test warns.
     if not Ws:
         return []
-    n = Ws[0].shape[0]
-    block = max(1, _NODE_BLOCK // (2 * n * n))
+    diag, V, off, sweeps, thresh = _k.jacobi_core(np.stack(Ws), _JACOBI_OFF_TOL,
+                                                  _JACOBI_MAX_SWEEPS)
+    n = diag.shape[-1]
     out = []
-    for i in range(0, len(Ws), block):
-        for spec, t_f in zip(_sym_eigs(np.stack(Ws[i:i + block])), hs[i:i + block]):
-            if not isinstance(spec, NumericalError):
-                spec = _condition_checked(spec, t_f)
-            out.append(spec)
-            if isinstance(spec, NumericalError):
-                return out
+    for t_f, d, Vi, off_i, sweeps_i, thresh_i in zip(hs, diag, V, off, sweeps.tolist(),
+                                                      thresh):
+        if off_i > thresh_i:
+            return out + [NumericalError(
+                f"Jacobi iteration did not converge in {sweeps_i} sweeps "
+                f"(off-diagonal norm {off_i:.3e}, threshold {thresh_i:.3e})",
+                estimate=d,
+                error_bound=off_i,
+                iterations=sweeps_i,
+            )]
+        order = np.lexsort((-np.arange(n), d))
+        lam = d[order]
+        U = np.ascontiguousarray(Vi[:, order])
+        if np.max(np.abs(U.T @ U - np.eye(n))) > 1e-10 * n:
+            return out + [NumericalError(
+                "eigenvector matrix lost orthogonality", estimate=lam[::-1],
+                iterations=sweeps_i)]
+        with np.errstate(over="ignore", divide="ignore"):
+            inv_lam = 1.0 / lam
+            cond = lam[-1] / lam[0] if lam[0] > 0.0 else np.inf
+        if cond > _CONDITION_LIMIT or np.isinf(inv_lam[0]):
+            reason = (f"condition estimate {cond:.3e}" if cond > _CONDITION_LIMIT
+                      else f"smallest eigenvalue {lam[0]:.3e} has no finite reciprocal")
+            return out + [IllConditionedError(
+                f"Gramian is numerically singular at horizon t_f = {t_f:g} ({reason})",
+                estimate=lam[::-1],
+                error_bound=cond,
+            )]
+        inv_lam.setflags(write=False)
+        U.setflags(write=False)
+        out.append(SpectralDecomposition(U=U, lambdas=inv_lam))
     return out
-
-
-def _condition_checked(spec: SpectralDecomposition, t_f: float):
-    # a W_B whose eigenvalue ratio passes _CONDITION_LIMIT, or whose
-    # smallest eigenvalue (a subnormal one) has no finite reciprocal for
-    # W_B^{-1}, is rejected; neither test lets numpy warn
-    lam_max = spec.lambdas[0]
-    lam_min = spec.lambdas[-1]
-    with np.errstate(over="ignore"):
-        cond = lam_max / lam_min if lam_min > 0.0 else np.inf
-        inverse = 1.0 / lam_min if lam_min > 0.0 else np.inf
-    if cond > _CONDITION_LIMIT or np.isinf(inverse):
-        reason = (f"condition estimate {cond:.3e}" if cond > _CONDITION_LIMIT
-                  else f"smallest eigenvalue {lam_min:.3e} has no finite reciprocal")
-        return IllConditionedError(
-            f"Gramian is numerically singular at horizon t_f = {t_f:g} ({reason})",
-            estimate=spec.lambdas,
-            error_bound=cond,
-        )
-    return spec
-
-
-def _expms(A: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # e^{A s_k} for every s_k, one stacked expm per block
-    block = max(1, _NODE_BLOCK // A.size)
-    return np.concatenate([expm(A * s[i:i + block, None, None])
-                           for i in range(0, len(s), block)])
 
 
 def _inf_norms(E: np.ndarray) -> np.ndarray:
@@ -186,12 +185,11 @@ def _norm_integrals(A: np.ndarray, hs: list) -> list:
     H = len(hs)
     own = np.arange(H)
     a, m, b = np.zeros(H), 0.5 * t_f, t_f
-    roots = _expms(A, np.concatenate([m, b]))
+    roots = expm(A * np.concatenate([m, b])[:, None, None])
     Ea, Em = np.broadcast_to(np.eye(A.shape[0]), (H,) + A.shape), roots[:H]
     fa, fm, fb = np.ones(H), _inf_norms(Em), _inf_norms(roots[H:])
     S = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     tol_d = tol
-    block = max(1, _NODE_BLOCK // A.size)
     accepted = []  # (owners, left ends, values, error shares) per level
     for d in range(_ADAPTIVE_DEPTH + 1):
         lm = 0.5 * (a + m)
@@ -199,18 +197,12 @@ def _norm_integrals(A: np.ndarray, hs: list) -> list:
         live = np.zeros(H, dtype=bool)
         live[own] = True
         steps = np.empty((H,) + A.shape)
-        steps[live] = _expms(A, np.ldexp(t_f[live], -(d + 2)))
+        steps[live] = expm(A * np.ldexp(t_f[live], -(d + 2))[:, None, None])
         # E holds e^{A lm} and e^{A rm}, the products of F = (e^{Aa},
-        # e^{Am}) with their steps, formed a block of at most _NODE_BLOCK
-        # floats at a time
+        # e^{Am}) with their steps
         F = np.concatenate([Ea, Em])
-        E = np.empty_like(F)
-        f = np.empty(len(F))
-        which = np.concatenate([own, own])
-        for i in range(0, len(F), block):
-            E[i:i + block] = F[i:i + block] @ steps[which[i:i + block]]
-            f[i:i + block] = _inf_norms(E[i:i + block])
-        flm, frm = f[:len(own)], f[len(own):]
+        E = F @ steps[np.concatenate([own, own])]
+        flm, frm = np.split(_inf_norms(E), 2)
         Sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         Sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (Sl + Sr - S) / 15.0
@@ -257,15 +249,15 @@ def build_bundles(sys: LtiSystem, tf_grid) -> list:
     """The GramianBundle of (sys, t_f) for every t_f of ``tf_grid``, in
     the grid's order, each bit-for-bit what ``build_bundle`` gives.
 
-    The work is three stacked passes over the distinct horizons: one
-    ``expm`` of all Van Loan blocks, one Jacobi eigensolve of all W_B
-    and one level-by-level refinement of all norm integrals, every
-    stacked call in blocks of at most ``_NODE_BLOCK`` floats. A horizon
-    that fails a pass is left out of the later ones. The error raised is
-    that of the first failing horizon in grid order, which is the error
-    ``build_bundle`` raises on it: an invalid horizon, then an overflowing
-    exponential, a failed eigensolve or a singular W_B, then a norm
-    integral that misses its tolerance. Repeated horizons share a bundle.
+    The work is three stacked stages over the distinct horizons: one
+    ``expm`` of all Van Loan blocks, one Jacobi call on all W_B for the
+    factors of W_B^{-1} and one level-by-level refinement of all norm
+    integrals. A horizon that fails a stage is left out of the later ones.
+    The error raised is that of the first failing horizon in grid order,
+    which is the error ``build_bundle`` raises on it: an invalid horizon,
+    then an overflowing exponential, a failed eigensolve or a singular
+    W_B, then a norm integral that misses its tolerance. Repeated
+    horizons share a bundle.
     """
     hs, failure = [], None
     for t_f in tf_grid:
@@ -276,32 +268,14 @@ def build_bundles(sys: LtiSystem, tf_grid) -> list:
             break
     uniq = list(dict.fromkeys(hs))
     gram, failure = _cut(_gramians(sys, uniq), failure)
-    specs, failure = _cut(_checked_eigs([W for W, _ in gram], uniq), failure)
+    specs, failure = _cut(_inverse_factors([W for W, _ in gram], uniq), failure)
     v_units, failure = _cut(_norm_integrals(sys.A, uniq[:len(specs)]), failure)
     if failure is not None:
         raise failure
-    bundles = {t_f: _assemble(sys, t_f, W, trans, spec, v_unit)
+    bundles = {t_f: GramianBundle(W_B=W, spec=spec, t_f=t_f, v_bar_unit=v_unit,
+                                  state_transition=trans, system=sys)
                for t_f, (W, trans), spec, v_unit in zip(uniq, gram, specs, v_units)}
     return [bundles[t_f] for t_f in hs]
-
-
-def _assemble(sys: LtiSystem, t_f: float, W: np.ndarray, trans: np.ndarray,
-              spec_w: SpectralDecomposition, v_unit: float) -> GramianBundle:
-    # W_B is inverted through its own spectral factors (eigenvalues
-    # inverted, eigenvectors shared), which hands the factors of W_B^{-1}
-    # to the energies, the worst-case energy bound and the metrics
-    inv_lam = 1.0 / spec_w.lambdas[::-1]
-    inv_U = np.ascontiguousarray(spec_w.U[:, ::-1])
-    for arr in (inv_lam, inv_U, W, trans):
-        arr.setflags(write=False)
-    return GramianBundle(
-        W_B=W,
-        spec=SpectralDecomposition(U=inv_U, lambdas=inv_lam),
-        t_f=t_f,
-        v_bar_unit=v_unit,
-        state_transition=trans,
-        system=sys,
-    )
 
 
 def build_bundle(sys: LtiSystem, t_f) -> GramianBundle:

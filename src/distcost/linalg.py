@@ -1,6 +1,6 @@
-"""Dense linear-algebra primitives: the matrix exponential, the stacked
-symmetric eigensolve and the linear recurrence scan the rest of the
-toolkit is written against.
+"""Dense linear-algebra primitives: the matrix exponential, the Van Loan
+block exponential and the linear recurrence scan the rest of the toolkit
+is written against, and the factors type SpectralDecomposition.
 
 Matrices and vectors are plain float64 ndarrays. Inputs are validated
 once at this boundary (shape, finiteness) and the numerical work is done
@@ -14,16 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .errors import DimensionError, DomainError, NumericalError
+from .errors import DimensionError, DomainError
 
 __all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "as_scalar", "as_whole",
            "expm", "block_expm", "linear_scan"]
-
-# Jacobi stops when off(M) <= _JACOBI_OFF_TOL * ||M||_F, which leaves the
-# eigenvalues accurate to about that relative level
-_JACOBI_OFF_TOL = 1e-12
-# cyclic Jacobi converges quadratically, so only a broken input hits this
-_JACOBI_MAX_SWEEPS = 100
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -145,36 +139,3 @@ def linear_scan(X: np.ndarray, D_pow) -> np.ndarray:
         X[s:] = X[s:] + X[:-s] + X[:-s] @ D_pow[j].T
     return X
 
-
-def _sym_eigs(A: np.ndarray) -> list:
-    """Cyclic Jacobi on each matrix of a symmetric (k, n, n) stack, all in
-    one ``jacobi_core`` call: per matrix, the SpectralDecomposition
-    (eigenvalues descending) or the NumericalError, with sweep count and
-    best estimate, that matrix gives alone."""
-    n = A.shape[-1]
-    work = 0.5 * (A + np.swapaxes(A, -1, -2))
-    diag, V, off, sweeps, thresh = _k.jacobi_core(work, _JACOBI_OFF_TOL,
-                                                  _JACOBI_MAX_SWEEPS)
-    out = []
-    for d, Vi, off_i, sweeps_i, thresh_i in zip(diag, V, off, sweeps.tolist(), thresh):
-        if off_i > thresh_i:
-            out.append(NumericalError(
-                f"Jacobi iteration did not converge in {sweeps_i} sweeps "
-                f"(off-diagonal norm {off_i:.3e}, threshold {thresh_i:.3e})",
-                estimate=d,
-                error_bound=off_i,
-                iterations=sweeps_i,
-            ))
-            continue
-        order = np.argsort(-d, kind="stable")
-        lam = d[order]
-        U = np.ascontiguousarray(Vi[:, order])
-        if n and np.max(np.abs(U.T @ U - np.eye(n))) > 1e-10 * n:
-            out.append(NumericalError(
-                "eigenvector matrix lost orthogonality", estimate=lam,
-                iterations=sweeps_i))
-            continue
-        lam.setflags(write=False)
-        U.setflags(write=False)
-        out.append(SpectralDecomposition(U=U, lambdas=lam))
-    return out

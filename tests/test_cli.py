@@ -388,7 +388,9 @@ class TestOptions:
         (["metrics-sweep", "--R-grid", "10", "--tf-grid", "0.5"], {"samples": 5},
          {"R_grid": [10.0], "tf_grid": [0.5], "samples": 5, "cells": 100}),
         (["energy", "--tf", "1"], {"x0": [1, 2, 3]}, {"tf": 1.0, "x0": [1.0, 2.0, 3.0]}),
-    ], ids=["stabilize", "bound-accuracy", "metrics-sweep", "energy"])
+        (["stabilize", "--steps", "200.0", "--seed", "1e3"], {"disturbances": []},
+         {"steps": 200, "seed": 1000}),
+    ], ids=["stabilize", "bound-accuracy", "metrics-sweep", "energy", "whole-float-flags"])
     def test_config_echo_is_the_values_read(self, tmp_path, argv, doc, read):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -399,6 +401,16 @@ class TestOptions:
         assert set(summary["config"]) == set(_COMMAND_OPTIONS[argv[0]]) - {"out"}
         assert {k: summary["config"][k] for k in read} == read
         assert summary["config"]["model"] == "admire"
+
+    @pytest.mark.parametrize("key,text,value", [
+        ("steps", "5000.0", 5000.0), ("seed", "1e3", 1e3), ("samples", "5.0", 5.0),
+        ("cells", "1e1", 10.0), ("seed", "18446744073709551615", 2**64 - 1)])
+    def test_whole_flag_text_resolves_as_its_config_value(self, key, text, value):
+        # "5.0" names 5 as a flag as it does as a JSON value; integer text
+        # past a double's 53 bits stays exact
+        resolve = _KEYS[key][1]
+        got = resolve(text)
+        assert type(got) is int and got == resolve(value) == int(value)
 
 
 class TestExitCodes:
@@ -679,6 +691,14 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"steps": 200.5}))
         rc, out = run(tmp_path, "stabilize", "--config", str(cfg))
         assert rc == EXIT_CONFIG
+        assert not out.exists() or not os.listdir(out)
+
+    @pytest.mark.parametrize("flag,text", [("--steps", "5.9"), ("--seed", "1.5e0"),
+                                           ("--steps", "nan"), ("--seed", "1e400")])
+    def test_fractional_flag_text_is_config(self, tmp_path, capsys, flag, text):
+        rc, out = run(tmp_path, "stabilize", flag, text)
+        assert rc == EXIT_CONFIG
+        assert "must be a whole number" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
 
     def test_workers_flag_is_usage_error(self, tmp_path):

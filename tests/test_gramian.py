@@ -292,13 +292,6 @@ class TestLevelSynchronous:
         total, _, _, _ = depth_first_norm_integral(A, t_f, per_node=True)
         assert abs(got - total) <= gramian._NORM_INTEGRAL_TOL * t_f
 
-    @pytest.mark.parametrize("kind,seed,t_f", [("admire", None, 5.0), ("kink", 34, 5.0)])
-    def test_one_node_blocks_are_bitwise_equal(self, jet, monkeypatch, kind, seed, t_f):
-        sys = _reference_case(kind, seed, jet)
-        total, _, _, _ = depth_first_norm_integral(sys.A, t_f)
-        monkeypatch.setattr(gramian, "_NODE_BLOCK", 1)
-        assert norm_integral(sys.A, t_f) == total
-
     @pytest.mark.parametrize("kind,seed,t_f", [("admire", None, 5.0), ("random", 0, 5.0)])
     def test_one_expm_call_per_level(self, jet, monkeypatch, kind, seed, t_f):
         sys = _reference_case(kind, seed, jet)
@@ -372,25 +365,13 @@ class TestBuildBundles:
         for t_f, got in zip(HORIZON_GRID, bundles):
             _assert_same_bundle(got, build_bundle(sys, t_f))
 
-    @pytest.mark.parametrize("block", [None, 1])
     @pytest.mark.parametrize("kind", ["admire", "metzler"])
-    def test_v_bar_unit_equals_depth_first(self, jet, monkeypatch, kind, block):
-        # a one-float block puts every Van Loan exponential, every Jacobi
-        # eigensolve and every node norm in a call of its own
+    def test_v_bar_unit_equals_depth_first(self, jet, kind):
         sys = _grid_case(kind, jet)
         grid = HORIZON_GRID[::3]
-        if block is not None:
-            monkeypatch.setattr(gramian, "_NODE_BLOCK", block)
         for t_f, got in zip(grid, build_bundles(sys, grid)):
             total, _, _, _ = depth_first_norm_integral(sys.A, t_f)
             assert got.v_bar_unit == total
-
-    def test_one_float_blocks_give_the_same_bundles(self, jet, monkeypatch):
-        sys = metzler_system(1)
-        whole = build_bundles(sys, HORIZON_GRID)
-        monkeypatch.setattr(gramian, "_NODE_BLOCK", 1)
-        for got, want in zip(build_bundles(sys, HORIZON_GRID), whole):
-            _assert_same_bundle(got, want)
 
     def test_repeated_unsorted_and_single_grids(self, jet):
         grid = [5.0, 0.5, 1.0, 0.5, 5.0, 0.1]
@@ -415,6 +396,29 @@ class TestBuildBundles:
         monkeypatch.setattr(_kernels, "jacobi_core", counting_jacobi)
         build_bundles(metzler_system(0), HORIZON_GRID)
         assert calls == [(12, 12, 12)]
+
+    def test_long_grid_is_one_call_per_stage(self, monkeypatch):
+        # 456 horizons at n = 12: every Van Loan exponential is one
+        # block_expm call and every W_B one Jacobi call, however long the
+        # grid
+        sys = metzler_system(0)
+        grid = [float(t) for t in np.geomspace(0.25, 5.0, 456)]
+        van_loan, jacobi_stacks = [], []
+        block_expm, jacobi = gramian.block_expm, _kernels.jacobi_core
+
+        def counting_block_expm(A, C, S, t):
+            van_loan.append(len(t))
+            return block_expm(A, C, S, t)
+
+        def counting_jacobi(S, off_tol, max_sweeps):
+            jacobi_stacks.append(len(S))
+            return jacobi(S, off_tol, max_sweeps)
+
+        monkeypatch.setattr(gramian, "block_expm", counting_block_expm)
+        monkeypatch.setattr(_kernels, "jacobi_core", counting_jacobi)
+        bundles = build_bundles(sys, grid)
+        assert van_loan == jacobi_stacks == [456]
+        assert [b.t_f for b in bundles] == grid
 
     def test_first_failing_horizon_raises(self):
         # the overflow at 800 is found first, the singular W_B at 1e-8 in a

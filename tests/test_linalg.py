@@ -4,16 +4,22 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distcost import linalg
+from distcost import _kernels, gramian
 from distcost.errors import DimensionError, DomainError, NumericalError
 from distcost.linalg import as_matrix, as_scalar, as_vector, expm, linear_scan
 
 rng = np.random.default_rng(7)
 
 
-def sym_eig(S):
-    """The stacked Jacobi eigensolve on a stack of one."""
-    return linalg._sym_eigs(S[None])[0]
+def inverse_factors(W):
+    """W^{-1}'s factors, or the stage's error, from the eigen stage of
+    build_bundles on a stack of one."""
+    return gramian._inverse_factors([W], [1.0])[0]
+
+
+def random_spd(n):
+    X = rng.standard_normal((n, n))
+    return X @ X.T + n * np.eye(n)
 
 
 class TestConversions:
@@ -143,18 +149,23 @@ class TestLinearScan:
 
 
 class TestSymEig:
+    """The symmetric eigensolve: jacobi_core bare, and W^{-1}'s factors
+    as the eigen stage of build_bundles hands them over."""
+
     def test_descending_order_and_reconstruction(self):
         S = rng.standard_normal((7, 7))
         S = 0.5 * (S + S.T)
-        spec = sym_eig(S)
+        diag, V, _, _, _ = _kernels.jacobi_core(S.copy(), gramian._JACOBI_OFF_TOL,
+                                                gramian._JACOBI_MAX_SWEEPS)
+        assert np.max(np.abs((V * diag) @ V.T - S)) < 1e-13 * max(1.0, np.max(np.abs(S)))
+        W = random_spd(7)
+        spec = inverse_factors(W)
         assert np.all(np.diff(spec.lambdas) <= 0.0)
         M = (spec.U * spec.lambdas) @ spec.U.T
-        assert np.max(np.abs(M - S)) < 1e-13 * max(1.0, np.max(np.abs(S)))
+        assert np.max(np.abs(M @ W - np.eye(7))) < 1e-13
 
     def test_apply_equals_reconstruct_matvec(self):
-        S = rng.standard_normal((5, 5))
-        S = 0.5 * (S + S.T)
-        spec = sym_eig(S)
+        spec = inverse_factors(random_spd(5))
         v = rng.standard_normal(5)
         M = (spec.U * spec.lambdas) @ spec.U.T
         assert np.max(np.abs(spec.apply(v) - M @ v)) < 1e-13
@@ -162,15 +173,20 @@ class TestSymEig:
     def test_eigenvalues_match_numpy(self):
         S = rng.standard_normal((9, 9))
         S = 0.5 * (S + S.T)
-        spec = sym_eig(S)
-        ref = np.linalg.eigvalsh(S)[::-1]
-        assert np.max(np.abs(spec.lambdas - ref)) < 1e-13 * max(1.0, np.max(np.abs(ref)))
+        diag, _, _, _, _ = _kernels.jacobi_core(S.copy(), gramian._JACOBI_OFF_TOL,
+                                                gramian._JACOBI_MAX_SWEEPS)
+        ref = np.linalg.eigvalsh(S)
+        assert np.max(np.abs(np.sort(diag) - ref)) < 1e-13 * max(1.0, np.max(np.abs(ref)))
+        W = random_spd(9)
+        inv = 1.0 / np.linalg.eigvalsh(W)
+        assert np.max(np.abs(inverse_factors(W).lambdas - inv)) < 1e-13 * np.max(inv)
 
     def test_outputs_readonly(self):
-        S = np.eye(3)
-        spec = sym_eig(S)
+        spec = inverse_factors(np.eye(3))
         with pytest.raises(ValueError):
             spec.U[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            spec.lambdas[0] = 5.0
 
     def test_sweep_budget_exhaustion_raises_with_estimate(self, monkeypatch):
         # one cyclic sweep cannot annihilate the off-diagonal mass of a
@@ -178,8 +194,8 @@ class TestSymEig:
         G = np.array([[2.0, 1.0, 0.5, 0.2], [0.0, 1.5, 0.7, 0.3],
                       [0.0, 0.0, 1.2, 0.9], [0.0, 0.0, 0.0, 1.0]])
         S = G @ G.T
-        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
-        err = sym_eig(S)
+        monkeypatch.setattr(gramian, "_JACOBI_MAX_SWEEPS", 1)
+        err = inverse_factors(S)
         assert isinstance(err, NumericalError)
         assert err.iterations == 1
         assert err.estimate is not None and err.estimate.shape == (4,)

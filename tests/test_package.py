@@ -29,11 +29,14 @@ PUBLIC_API = [
     "uniform_stream",
 ]
 
-# single-stage twins of the bundle and the metric report, and helpers no
-# caller needs, by the module that held them
+# single-stage twins of the bundle and the metric report, helpers no
+# caller needs, and the blocked, two-module eigen stage that
+# _inverse_factors replaced, by the module that held them
 REMOVED = {
-    "gramian": ["controllability_gramian", "norm_integral"],
-    "linalg": ["_SYMMETRY_TOL", "norm", "sym_eig"],
+    "gramian": ["controllability_gramian", "norm_integral", "_NODE_BLOCK", "_expms",
+                "_checked_eigs", "_condition_checked", "_assemble"],
+    "linalg": ["_SYMMETRY_TOL", "norm", "sym_eig", "_sym_eigs", "_JACOBI_OFF_TOL",
+               "_JACOBI_MAX_SWEEPS"],
     "metrics": ["additive_metric_bound", "multiplicative_metric_bound"],
 }
 
