@@ -127,7 +127,9 @@ def linear_scan(X: np.ndarray, D_pow) -> np.ndarray:
 
     An inclusive prefix scan (Hillis & Steele, CACM 1986): pass j adds to
     each row the row 2^j before it, carried by P^(2^j), so
-    (len(X) - 1).bit_length() batched passes reach every row.
+    (len(X) - 1).bit_length() batched passes reach every row. Each pass
+    forms its carry product first and then adds in place, in the order
+    (x_i + x_{i-2^j}) + (P^(2^j) - I) x_{i-2^j}.
     ``D_pow[j]`` is P^(2^j) - I, not P^(2^j): for a near-identity P,
     forming P in floating point would round away the low bits of the
     small difference, and the scan would repeat that error at every
@@ -136,6 +138,8 @@ def linear_scan(X: np.ndarray, D_pow) -> np.ndarray:
     X = np.array(X, dtype=np.float64)
     for j in range((len(X) - 1).bit_length()):
         s = 1 << j
-        X[s:] = X[s:] + X[:-s] + X[:-s] @ D_pow[j].T
+        carry = X[:-s] @ D_pow[j].T
+        # numpy reads the overlapping X[:-s] as it was before the add
+        np.add(X[s:], X[:-s], out=X[s:])
+        X[s:] += carry
     return X
-

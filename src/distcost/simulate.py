@@ -12,7 +12,13 @@ One RK4 step on xdot = A x + f(t) is exactly affine, x_{k+1} = T x_k + F_k:
 with f = B u + w at the left, mid and right stages. T is RK4's degree-4
 polynomial, not e^{hA}, so this is still RK4 with its O(h^4) error and
 an independent check of the closed-form energies. The recurrence runs as
-one prefix scan (``linalg.linear_scan``) in log2(steps) batched passes.
+one prefix scan (``linalg.linear_scan``) in log2(steps) batched passes,
+each adding in place. The controls come from
+``ControlSignal.sample_half_grid``, whose input-free recurrence doubles
+its states instead.
+
+``csv_text`` writes a trajectory as repr() text: Schubfach's shortest
+digits, split into four-digit groups that a table turns into characters.
 """
 
 from __future__ import annotations
@@ -211,19 +217,23 @@ _POW10 = np.array([10 ** j for j in range(20)], dtype=np.uint64)
 _COLUMNS = np.arange(22)[:, None]
 _PLACES = np.arange(1, 22, dtype=np.uint8)[:, None]
 _INF_NAN = np.frombuffer(b"infnan", dtype=np.uint8).reshape(2, 3)
+# row i: the four decimal digits of i, most significant first
+_GROUP_DIGITS = np.stack(
+    np.meshgrid(*[np.arange(10, dtype=np.uint8)] * 4, indexing="ij", copy=False),
+    axis=-1).reshape(10 ** 4, 4)
 
 
 def _format_scratch(block):
     # a block's buffers, one column per value. Text rows: "-", the number
     # (22), "e" and the exponent or inf/nan (5), the separator; the mask
     # picks each column's characters. Digit rows: a pad, 21 digits, a "0"
-    # pad. Group rows: 4-digit groups (5), digit pairs (10), scratch (2).
+    # pad. Group rows: 4-digit groups (5), scratch (2).
     text = np.empty((29, block), dtype=np.uint8)
     text[0] = ord("-")
     mask = np.empty((29, block), dtype=bool)
     mask[28] = True
     digits = np.full((23, block), ord("0"), dtype=np.uint8)
-    groups = np.empty((17, block), dtype=np.uint64)
+    groups = np.empty((7, block), dtype=np.uint64)
     return text, mask, digits, groups
 
 
@@ -249,15 +259,16 @@ def _format_block(x, row_end, text, mask, digits, groups) -> bytes:
     positional = (p > -4) & (p <= 16)
     zeros = positional * np.maximum(1 - p, 0)
     # 21 digits: those 1 - p zeros, the digits of f, trailing zeros; a
-    # 5-digit head and a 16-digit tail, in 4-digit groups, then in pairs
+    # 5-digit head and a 16-digit tail, in 4-digit groups, each read from
+    # the table as its four digits
     F = f * _POW10[17 - nd]
     cut = _POW10[12 + zeros]
     head = F // cut
     _divmod(head, 10 ** 4, digits[1], groups[0])
-    _divmod((F - head * cut) * _POW10[4 - zeros], 10 ** 8, groups[15], groups[16])
-    _divmod(groups[15:17], 10 ** 4, groups[1:5:2], groups[2:5:2])
-    _divmod(groups[0:5], 100, groups[5:15:2], groups[6:15:2])
-    _divmod(groups[5:15], 10, digits[2:21:2], digits[3:22:2])
+    _divmod((F - head * cut) * _POW10[4 - zeros], 10 ** 8, groups[5], groups[6])
+    _divmod(groups[5:7], 10 ** 4, groups[1:5:2], groups[2:5:2])
+    digits[2:22].reshape(5, 4, m)[...] = np.take(
+        _GROUP_DIGITS, groups[0:5], axis=0).transpose(0, 2, 1)
     # the number: the digits up to the last nonzero one, with "." after
     # the first `point` of them; positionally at least one digit on
     # either side of it, in exponent notation no "." after a lone digit
@@ -275,9 +286,9 @@ def _format_block(x, row_end, text, mask, digits, groups) -> bytes:
     # times 10, so that its digits come first), or inf and nan
     exponent = np.abs(p - 1)
     big = exponent >= 100
-    np.multiply(exponent, 10 - 9 * big, out=groups[15], casting="unsafe")
-    _divmod(groups[15], 100, text[25], groups[16])
-    _divmod(groups[16], 10, text[26], text[27])
+    np.multiply(exponent, 10 - 9 * big, out=groups[5], casting="unsafe")
+    _divmod(groups[5], 100, text[25], groups[6])
+    _divmod(groups[6], 10, text[26], text[27])
     text[25:28] += ord("0")
     text[23] = ord("e")
     np.add(2 * (p < 1), ord("+"), out=text[24], casting="unsafe")

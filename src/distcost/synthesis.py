@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .gramian import GramianBundle
-from .linalg import as_scalar, as_whole, block_expm, expm, linear_scan
+from .linalg import as_scalar, as_whole, block_expm, expm
 from .signals import DisturbanceSignal
 from .systems import LtiSystem, StabilizationTask
 
@@ -60,22 +60,32 @@ class ControlSignal:
         Row 2k is the value at step boundary k, row 2k+1 the midpoint
         value the RK4 stages need; shape (2*steps + 1, p). Values match
         pointwise evaluation to ~1e-13 relative.
+
+        Node 2*steps - k needs e^{A^T k delta} g, delta = t_f / (2*steps):
+        the k-th state of the input-free y_{k+1} = e^{A^T delta} y_k from
+        y_0 = g. The states double: pass j carries the first 2^j of them
+        2^j nodes on with P_j = e^{A^T 2^j delta}, in linear work overall.
         """
         steps = as_whole(steps, "steps", 1)
         passes = (2 * steps).bit_length()
         delta = self.t_f / (2 * steps)
         At = self.system.A.T
         g = self.gain_vector
-        # node 2*steps - k needs e^{A^T k delta} g, the k-th state of
-        # y_{k+1} = e^{A^T delta} y_k from y_0 = g. Each power comes from a
-        # fresh exponential, all in one stacked call: doubling the first one
-        # would compound its rounding at every pass.
+        # each power from a fresh exponential, all in one stacked call:
+        # squaring the first one pass by pass would compound its rounding.
+        # As in linalg.linear_scan, P_j - I keeps the small increments at
+        # full precision.
         scales = delta * 2.0 ** np.arange(passes)
         D_pow = expm(At * scales[:, None, None]) - np.eye(len(g))
-        X = np.zeros((2 * steps + 1, g.shape[0]))
-        X[0] = g
-        Y = linear_scan(X, D_pow)[::-1]
-        return -(Y @ self.system.B)
+        Y = np.empty((2 * steps + 1, len(g)))
+        Y[0] = g
+        for j, D in enumerate(D_pow):
+            s = 1 << j
+            m = min(s, len(Y) - s)
+            # 0.0 + turns a -0.0 state into the +0.0 that a prefix scan's
+            # zero-initialised rows would give
+            Y[s:s + m] = (0.0 + Y[:m]) + Y[:m] @ D.T
+        return -(Y[::-1] @ self.system.B)
 
 
 def _check_x0(task: StabilizationTask, n: int):

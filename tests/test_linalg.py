@@ -115,6 +115,15 @@ def doubled_powers(D, count):
     return D_pow[:count]
 
 
+def reference_scan(X, D_pow):
+    # each pass as one expression, allocating its sums afresh
+    X = np.array(X, dtype=np.float64)
+    for j in range((len(X) - 1).bit_length()):
+        s = 1 << j
+        X[s:] = X[s:] + X[:-s] + X[:-s] @ D_pow[j].T
+    return X
+
+
 class TestLinearScan:
     # lengths cover no pass (1); len(X) - 1 at a power of two (2, 3, 257),
     # where the last pass shifts by all of it; and len(X) - 1 just below
@@ -133,6 +142,20 @@ class TestLinearScan:
         got = linear_scan(X, doubled_powers(D, (length - 1).bit_length()))
         assert got.shape == X.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 17, 255, 256, 257, 10001])
+    def test_in_place_passes_equal_one_expression_passes(self, length):
+        # bit for bit, signed zeros included: a quarter of the entries and
+        # the second row are -0.0
+        rng_ = np.random.default_rng(length)
+        for n in range(1, 13):
+            D = 0.01 * rng_.standard_normal((n, n))
+            X = rng_.standard_normal((length, n))
+            X[rng_.random((length, n)) < 0.25] = -0.0
+            X[1:2] = -0.0
+            D_pow = doubled_powers(D, (length - 1).bit_length())
+            got, ref = linear_scan(X, D_pow), reference_scan(X, D_pow)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), n
 
     def test_leaves_input_unchanged(self):
         X = rng.standard_normal((9, 2))

@@ -321,3 +321,11 @@ class TestShortestRepr:
         traj = trajectory_of(table)
         monkeypatch.setattr(simulate, "_FORMAT_BLOCK", block)
         assert trajectory_to_csv(traj) == csv_reference(traj)
+
+    def test_group_digit_table(self):
+        # row i holds the four digits of i, most significant first
+        table = simulate._GROUP_DIGITS
+        assert table.shape == (10 ** 4, 4) and table.dtype == np.uint8
+        assert table.flags.c_contiguous
+        text = (table + ord("0")).tobytes().decode("ascii")
+        assert text == "".join(f"{i:04d}" for i in range(10 ** 4))

@@ -7,8 +7,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distcost import linalg, synthesis
 from distcost.errors import DimensionError, DomainError
 from distcost.gramian import build_bundle
+from distcost.linalg import expm
 from distcost.signals import make_disturbance
 from distcost.synthesis import (ControlSignal, disturbance_response,
                                 disturbed_control, nominal_control)
@@ -100,6 +102,26 @@ class TestNominalControl:
         assert np.max(np.abs(U - ref)) < 1e-10
 
 
+def reference_half_grid(u, steps):
+    """The half grid as an inclusive prefix scan over all 2*steps + 1
+    nodes, each pass one expression over every row, zero ones included."""
+    passes = (2 * steps).bit_length()
+    delta = u.t_f / (2 * steps)
+    g = u.gain_vector
+    D_pow = expm(u.system.A.T * (delta * 2.0 ** np.arange(passes))[:, None, None])
+    D_pow = D_pow - np.eye(len(g))
+    X = np.zeros((2 * steps + 1, len(g)))
+    X[0] = g
+    for j in range(passes):
+        s = 1 << j
+        X[s:] = X[s:] + X[:-s] + X[:-s] @ D_pow[j].T
+    return -(X[::-1] @ u.system.B)
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestHalfGrid:
     # the scan walks 2*steps nodes back from t_f: 512 is a power of two,
     # so its last pass shifts by all of them, while 200 and 600 end on a
@@ -129,6 +151,38 @@ class TestHalfGrid:
         back = 5.0 - np.linspace(0.0, 5.0, 2 * steps + 1)
         ref = -(expm_nodes(jet.A.T)(back) @ u.gain_vector) @ jet.B
         assert np.max(np.abs(U - ref)) <= 5e-14 * np.max(np.abs(ref))
+
+    # 2*steps at, just below and just above a power of two, and the
+    # workload's 10 000 steps
+    @pytest.mark.parametrize("steps", [1, 2, 3, 100, 255, 256, 257, 5000, 10000])
+    def test_doubling_equals_scan_on_jet(self, jet_task_5, jet_bundle_5, steps):
+        u = nominal_control(jet_task_5, jet_bundle_5)
+        assert bitwise_equal(u.sample_half_grid(steps), reference_half_grid(u, steps))
+
+    def test_zero_gain_equals_scan(self, jet):
+        u = ControlSignal(t_f=5.0, gain_vector=np.array([0.0, -0.0, -0.0]), system=jet)
+        assert bitwise_equal(u.sample_half_grid(300), reference_half_grid(u, 300))
+
+    # the passes multiply fewer rows than the scan's, and BLAS may take
+    # another kernel for a few rows, so only the n = 3 jet is bitwise
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 600),
+           st.floats(0.1, 5.0), st.integers(0, 2**32 - 1))
+    def test_doubling_matches_scan(self, n, p, steps, t_f, seed):
+        rng = np.random.default_rng(seed)
+        sys = LtiSystem(rng.standard_normal((n, n)) / np.sqrt(n),
+                        rng.standard_normal((n, p)), name="random")
+        u = ControlSignal(t_f=t_f, gain_vector=rng.standard_normal(n), system=sys)
+        U, ref = u.sample_half_grid(steps), reference_half_grid(u, steps)
+        assert U.shape == ref.shape
+        assert np.max(np.abs(U - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_does_not_call_linear_scan(self, monkeypatch, jet_task_5, jet_bundle_5):
+        def spy(*args):
+            raise AssertionError("sample_half_grid called linear_scan")
+        monkeypatch.setattr(linalg, "linear_scan", spy)
+        assert not hasattr(synthesis, "linear_scan")
+        nominal_control(jet_task_5, jet_bundle_5).sample_half_grid(100)
 
 
 class TestDisturbedControl:
