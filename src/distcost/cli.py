@@ -6,7 +6,8 @@ class), ``bound-accuracy`` (energy-ratio table over horizons),
 ``energy`` (one-shot report), ``model`` (inspect/validate a model file).
 
 Configuration comes from flags plus an optional JSON config file; flags
-win. A command takes only the keys it reads (``_COMMAND_OPTIONS``).
+win. A command takes only the keys it reads: ``_KEYS`` declares each
+key's resolver, flag help and per-command defaults.
 Exit codes: 0 success, 2 invalid configuration or an output file that
 cannot be written, 3 parse failure (model or config JSON), 4 numerical
 failure.
@@ -24,8 +25,7 @@ import sys
 import warnings
 
 from .energy import disturbed_energy_bound, disturbed_signal_energy
-from .errors import (ConfigError, DimensionError, DomainError, ModelParseError,
-                     NumericalError, ValidationError)
+from .errors import ConfigError, DistcostError, ModelParseError, NumericalError
 from .gramian import build_bundle
 from .linalg import as_whole
 from .models import builtin_models, load_model
@@ -40,34 +40,6 @@ from .systems import LtiSystem, StabilizationTask
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
-
-# the keys each command reads, as flags or config-file keys; any other
-# exits 2, so no value a run ignores can be set
-_COMMAND_OPTIONS = {
-    "stabilize": ("model", "x0", "tf", "wbar", "steps", "seed", "out", "cells",
-                  "disturbances"),
-    "bound-accuracy": ("model", "x0", "wbar", "tf_grid", "seed", "out", "cells"),
-    "metrics-sweep": ("model", "x0", "wbar", "R_grid", "tf_grid", "seed", "out",
-                      "samples", "cells"),
-    "energy": ("model", "x0", "tf", "wbar", "out"),
-    "model": ("model",),
-}
-
-# the help of each key a flag can set, the flag being --key with "_" as
-# "-"; samples, cells and disturbances are config-only. A flag's text
-# goes through the same resolver as a config value (see _KEYS).
-_FLAG_HELP = {
-    "model": "builtin model name or model JSON path",
-    "x0": "initial state, comma-separated",
-    "tf": "final time",
-    "wbar": "disturbance amplitude bound",
-    "R_grid": "initial-radius grid, comma-separated",
-    "tf_grid": "final-time grid, comma-separated",
-    "steps": "integrator step count",
-    "seed": "master seed for all draws",
-    "out": "output directory",
-}
-
 
 def _remove(paths) -> None:
     for path in paths:
@@ -135,39 +107,46 @@ def _of_type(kind: type, what: str):
     return check
 
 
-# key: (default, resolver). A resolver turns a flag's text or a config
-# file's JSON value into the value the command reads; ValueError,
-# TypeError and OverflowError mark a malformed one. bound-accuracy's
-# tf_grid and stabilize's cells default differently (see _default).
+def _on(commands: str, default) -> dict:
+    return dict.fromkeys(commands.split(), default)
+
+
+# key: (resolver, flag help or None, {command: default}), one row per key
+# and the one declaration of it. A command reads the keys it has a
+# default for, in table order (_COMMAND_OPTIONS); any other exits 2, so
+# no value a run ignores can be set. A key with help is also the flag
+# --key with "_" as "-"; samples, cells and disturbances are config-only.
+# A resolver turns a flag's text or a config file's JSON value into the
+# value the command reads; ValueError, TypeError and OverflowError mark a
+# malformed one. A callable default takes the values resolved before it.
 _KEYS = {
-    "model": ("admire", _of_type(str, "a model name or path")),
-    "x0": ((5.0, -1.0, 3.0), lambda v: _float_tuple(v, "x0")),
-    "tf": (5.0, _number),
-    "wbar": (1.0, _number),
-    "R_grid": (DEFAULT_R_GRID, lambda v: _float_tuple(v, "R_grid")),
-    "tf_grid": (DEFAULT_TF_GRID, lambda v: _float_tuple(v, "tf_grid")),
-    "steps": (5000, _whole("steps")),
-    "seed": (0, _whole("seed")),
-    "out": (".", str),
-    "samples": (500, _whole("samples")),
-    "cells": (EVIDENCE_CELLS, _whole("cells")),
-    "disturbances": ([{"name": "constant", "kind": "constant_sign"},
-                      {"name": "sinusoid", "kind": "sinusoid"},
-                      {"name": "piecewise", "kind": "piecewise_uniform"}],
-                     _of_type(list, "a list of disturbance objects")),
+    "model": (_of_type(str, "a model name or path"), "builtin model name or model JSON path",
+              _on("stabilize bound-accuracy metrics-sweep energy model", "admire")),
+    "x0": (lambda v: _float_tuple(v, "x0"), "initial state, comma-separated",
+           _on("stabilize bound-accuracy metrics-sweep energy", (5.0, -1.0, 3.0))),
+    "tf": (_number, "final time", _on("stabilize energy", 5.0)),
+    "wbar": (_number, "disturbance amplitude bound",
+             _on("stabilize bound-accuracy metrics-sweep energy", 1.0)),
+    "R_grid": (lambda v: _float_tuple(v, "R_grid"), "initial-radius grid, comma-separated",
+               {"metrics-sweep": DEFAULT_R_GRID}),
+    "tf_grid": (lambda v: _float_tuple(v, "tf_grid"), "final-time grid, comma-separated",
+                {"bound-accuracy": DEFAULT_ACCURACY_TF_GRID,
+                 "metrics-sweep": DEFAULT_TF_GRID}),
+    "steps": (_whole("steps"), "integrator step count", {"stabilize": 5000}),
+    "seed": (_whole("seed"), "master seed for all draws",
+             _on("stabilize bound-accuracy metrics-sweep", 0)),
+    "out": (str, "output directory", _on("stabilize bound-accuracy metrics-sweep energy", ".")),
+    "samples": (_whole("samples"), None, {"metrics-sweep": 500}),
+    # stabilize's piecewise cells default to an even divisor of the step
+    # count, so the integrator sees cell-constant stage values
+    "cells": (_whole("cells"), None,
+              {"stabilize": lambda r: 1000 if r["steps"] % 1000 == 0 else r["steps"],
+               **_on("bound-accuracy metrics-sweep", EVIDENCE_CELLS)}),
+    "disturbances": (_of_type(list, "a list of disturbance objects"), None,
+                     {"stabilize": [{"name": "constant", "kind": "constant_sign"},
+                                    {"name": "sinusoid", "kind": "sinusoid"},
+                                    {"name": "piecewise", "kind": "piecewise_uniform"}]}),
 }
-
-
-def _default(command: str, key: str, resolved: dict):
-    if command == "bound-accuracy" and key == "tf_grid":
-        return DEFAULT_ACCURACY_TF_GRID
-    if command == "stabilize" and key == "cells":
-        # piecewise cells default to an even divisor of the step count
-        # (resolved first: it comes before cells in the command's keys),
-        # so the integrator sees cell-constant stage values
-        steps = resolved["steps"]
-        return 1000 if steps % 1000 == 0 else steps
-    return _KEYS[key][0]
 
 
 class RunConfig:
@@ -183,10 +162,12 @@ class RunConfig:
         resolved = {}
         try:
             for key in keys:
+                resolve, _, defaults = _KEYS[key]
                 value = getattr(args, key, None)
                 if value is None:
-                    value = cfg.get(key, _default(args.command, key, resolved))
-                resolved[key] = _KEYS[key][1](value)
+                    default = defaults[args.command]
+                    value = cfg.get(key, default(resolved) if callable(default) else default)
+                resolved[key] = resolve(value)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"malformed {key} value: {exc}") from exc
         vars(self).update(resolved)
@@ -475,9 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(command, help=_COMMANDS[command].__doc__,
                              allow_abbrev=False)
         for key in keys:
-            if key in _FLAG_HELP:
+            if _KEYS[key][1] is not None:
                 cmd.add_argument("--" + key.replace("_", "-"), dest=key,
-                                 help=_FLAG_HELP[key])
+                                 help=_KEYS[key][1])
         cmd.add_argument("--config", help="JSON config file (flags win)")
     return parser
 
@@ -485,6 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {"stabilize": cmd_stabilize, "bound-accuracy": cmd_bound_accuracy,
              "metrics-sweep": cmd_metrics_sweep, "energy": cmd_energy,
              "model": cmd_model}
+
+# the keys each command reads, as flags or config-file keys
+_COMMAND_OPTIONS = {command: tuple(key for key, (_, _, defaults) in _KEYS.items()
+                                   if command in defaults)
+                    for command in _COMMANDS}
 
 
 def main(argv=None) -> int:
@@ -496,15 +482,10 @@ def main(argv=None) -> int:
 def entry(argv=None) -> int:
     try:
         return main(argv)
-    except (ConfigError, ValidationError, DomainError, DimensionError) as exc:
+    except DistcostError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ModelParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return (EXIT_PARSE if isinstance(exc, ModelParseError)
+                else EXIT_NUMERIC if isinstance(exc, NumericalError) else EXIT_CONFIG)
 
 
 if __name__ == "__main__":

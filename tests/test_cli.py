@@ -376,7 +376,7 @@ class TestOptions:
             entry([command, "--" + key.replace("_", "-"), "1"])
         assert exc.value.code == EXIT_CONFIG
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: _KEYS[key][0]}))
+        cfg.write_text(json.dumps({key: [v for v in _KEYS[key][2].values() if not callable(v)][-1]}))
         assert entry([command, "--config", str(cfg)]) == EXIT_CONFIG
         assert os.listdir(out) == []
 
@@ -408,7 +408,7 @@ class TestOptions:
     def test_whole_flag_text_resolves_as_its_config_value(self, key, text, value):
         # "5.0" names 5 as a flag as it does as a JSON value; integer text
         # past a double's 53 bits stays exact
-        resolve = _KEYS[key][1]
+        resolve = _KEYS[key][0]
         got = resolve(text)
         assert type(got) is int and got == resolve(value) == int(value)
 
