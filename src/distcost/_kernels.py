@@ -97,10 +97,7 @@ def expm_core(M):
     E = np.ascontiguousarray(np.linalg.solve(V - U, V + U))
     for j in range(1, int(s.max(initial=0)) + 1):
         sq = s >= j
-        if sq.all():
-            E = E @ E
-        else:
-            E[sq] = E[sq] @ E[sq]
+        E[sq] = E[sq] @ E[sq]
     return E.reshape(M.shape)
 
 

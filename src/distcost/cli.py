@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import dataclasses
 import json
 import os
@@ -28,7 +29,7 @@ from .energy import disturbed_energy_bound, disturbed_signal_energy
 from .errors import ConfigError, DistcostError, ModelParseError, NumericalError
 from .gramian import build_bundle
 from .linalg import as_whole
-from .models import builtin_models, load_model
+from .models import _model_text, builtin_models, load_model
 from .signals import KIND_PARAMETERS, derive_seed, make_disturbance
 from .simulate import csv_text, simulate_closed_loop, trajectory_to_csv
 from .sweeps import (DEFAULT_ACCURACY_TF_GRID, DEFAULT_R_GRID, DEFAULT_TF_GRID,
@@ -51,7 +52,9 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _table_text(header, rows) -> str:
+def _table_text(rows) -> str:
+    # the columns are the rows' keys, declared once by the row builder
+    header = list(rows[0])
     return csv_text(header, [[row[k] for k in header] for row in rows])
 
 
@@ -170,7 +173,8 @@ class RunConfig:
                 resolved[key] = resolve(value)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"malformed {key} value: {exc}") from exc
-        vars(self).update(resolved)
+        # a copy down to the run dicts, so no edit reaches the next default
+        vars(self).update(copy.deepcopy(resolved))
 
     def load_system(self) -> LtiSystem:
         builtins = builtin_models()
@@ -397,9 +401,8 @@ def cmd_bound_accuracy(cfg: RunConfig) -> int:
     sys_ = cfg.load_system()
     rows = bound_accuracy_rows(sys_, cfg.x0, cfg.wbar, cfg.tf_grid,
                                seed=cfg.seed, cells=cfg.cells)
-    header = ["t_f", "ratio_constant", "ratio_sinusoid", "ratio_piecewise"]
     summary = {"command": "bound-accuracy", "config": cfg.echo(), "rows": len(rows)}
-    _commit(cfg.outdir(), [("bound_accuracy.csv", _table_text(header, rows)),
+    _commit(cfg.outdir(), [("bound_accuracy.csv", _table_text(rows)),
                            ("summary.json", _json_text(summary))])
     return 0
 
@@ -410,12 +413,10 @@ def cmd_metrics_sweep(cfg: RunConfig) -> int:
     rows = metrics_sweep_rows(sys_, cfg.x0, cfg.wbar, cfg.R_grid, cfg.tf_grid,
                               samples=cfg.samples, seed=cfg.seed,
                               cells=cfg.cells)
-    header = ["R", "t_f", "H", "r_A_bound", "r_M_bound", "E_N", "E_D_bound",
-              "diff_min", "diff_max", "ratio_min", "ratio_max"]
     summary = {"command": "metrics-sweep", "config": cfg.echo(), "rows": len(rows),
                "containment": {"diff_le_r_A": all(r["diff_max"] <= r["r_A_bound"] for r in rows),
                                "ratio_ge_r_M": all(r["ratio_min"] >= r["r_M_bound"] for r in rows)}}
-    _commit(cfg.outdir(), [("metrics.csv", _table_text(header, rows)),
+    _commit(cfg.outdir(), [("metrics.csv", _table_text(rows)),
                            ("summary.json", _json_text(summary))])
     return 0
 
@@ -425,10 +426,7 @@ def cmd_energy(cfg: RunConfig) -> int:
     task = StabilizationTask(x0=cfg.x0, t_f=cfg.tf, w_bar=cfg.wbar)
     report = disturbed_energy_bound(task, build_bundle(cfg.load_system(), cfg.tf))
     payload = {"command": "energy", "config": cfg.echo(),
-               "E_N": report.E_N, "E_D_bound": report.E_D_bound,
-               "q_bar": report.q_bar, "cross_term": report.cross_term,
-               "c_term": report.c_term,
-               "witness_q": [float(v) for v in report.witness_q]}
+               **vars(report), "witness_q": report.witness_q.tolist()}
     text = _json_text(payload)
     _commit(cfg.outdir(), [("energy.json", text)])
     print(text, end="")
@@ -437,11 +435,7 @@ def cmd_energy(cfg: RunConfig) -> int:
 
 def cmd_model(cfg: RunConfig) -> int:
     """validate a model and print its normalized JSON"""
-    sys_ = cfg.load_system()
-    payload = {"name": sys_.name, "n": sys_.n, "p": sys_.p,
-               "A": [[float(v) for v in row] for row in sys_.A],
-               "B": [[float(v) for v in row] for row in sys_.B]}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_model_text(cfg.load_system()), end="")
     return 0
 
 

@@ -20,23 +20,23 @@ __all__ = ["SpectralDecomposition", "as_matrix", "as_vector", "as_scalar", "as_w
            "expm", "block_expm", "linear_scan"]
 
 
-def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array, rejecting non-finite entries."""
-    A = np.ascontiguousarray(np.asarray(M, dtype=np.float64))
-    if A.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got shape {A.shape}")
+def _checked(x, name: str, ndims: tuple, shape: str) -> np.ndarray:
+    # the operand check of as_matrix, as_vector and expm
+    A = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    if A.ndim not in ndims:
+        raise DimensionError(f"{name} must be {shape}, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise DomainError(f"{name} contains non-finite entries")
     return A
+
+
+def as_matrix(M, name: str = "matrix") -> np.ndarray:
+    """Coerce to a C-contiguous float64 2-D array, rejecting non-finite entries."""
+    return _checked(M, name, (2,), "2-dimensional")
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
-    A = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-    if A.ndim != 1:
-        raise DimensionError(f"{name} must be 1-dimensional, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DomainError(f"{name} contains non-finite entries")
-    return A
+    return _checked(x, name, (1,), "1-dimensional")
 
 
 def as_scalar(x, name: str, positive: bool = False) -> float:
@@ -93,12 +93,7 @@ def expm(M) -> np.ndarray:
         gives alone; relative accuracy around 1e-12 in the infinity norm
         for well-conditioned inputs.
     """
-    A = np.ascontiguousarray(np.asarray(M, dtype=np.float64))
-    if A.ndim not in (2, 3):
-        raise DimensionError(
-            f"expm operand must be a matrix or a stack of matrices, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DomainError("expm operand contains non-finite entries")
+    A = _checked(M, "expm operand", (2, 3), "a matrix or a stack of matrices")
     if A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"expm operand must be square, got shape {A.shape}")
     return _k.expm_core(A)

@@ -98,8 +98,8 @@ def load_model(path) -> LtiSystem:
     return LtiSystem(A=A, B=B, name=name)
 
 
-def save_model(sys: LtiSystem, path) -> None:
-    """Write a system as a JSON model file (nested row-major matrices)."""
+def _model_text(sys: LtiSystem) -> str:
+    # the model document: save_model's file and `distcost model`'s stdout
     doc = {
         "name": sys.name,
         "n": sys.n,
@@ -107,6 +107,10 @@ def save_model(sys: LtiSystem, path) -> None:
         "A": [[float(v) for v in row] for row in sys.A],
         "B": [[float(v) for v in row] for row in sys.B],
     }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def save_model(sys: LtiSystem, path) -> None:
+    """Write a system as a JSON model file (nested row-major matrices)."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_model_text(sys))

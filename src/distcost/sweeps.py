@@ -53,15 +53,22 @@ _SIGN_BLOCK = 1 << 14
 _SAMPLE_BLOCK = 1 << 18
 
 
-def _box_muller(u: np.ndarray, dim: int) -> np.ndarray:
-    # (count, dim) standard normals, one (radius, angle) pair per two
-    # columns (u[:, 2i], u[:, 2i+1]) of the uniforms
-    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
-    th = 2.0 * np.pi * u[:, 1::2]
-    g = np.empty(u.shape)
+def _normals(seed: int, count: int, dim: int, extra: int = 0):
+    # (count, dim) standard normals, their row norms (0 read as 1) and the
+    # extra draws that follow each sample's: one (radius, angle) pair of
+    # uniforms per two normals, 2*ceil(dim/2) + extra draws per sample
+    count, dim = as_whole(count, "count", 0), as_whole(dim, "dim", 1)
+    D = 2 * ((dim + 1) // 2)
+    u = uniform_stream(seed, 0, count * (D + extra)).reshape(count, D + extra)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0:D:2]))
+    th = 2.0 * np.pi * u[:, 1:D:2]
+    g = np.empty((count, D))
     g[:, 0::2] = r * np.cos(th)
     g[:, 1::2] = r * np.sin(th)
-    return g[:, :dim]
+    g = g[:, :dim]
+    nrm = np.sqrt(np.sum(g * g, axis=1))
+    nrm[nrm == 0.0] = 1.0
+    return g, nrm, u[:, D:]
 
 
 def sample_gaussians(seed: int, count: int, dim: int) -> np.ndarray:
@@ -70,17 +77,13 @@ def sample_gaussians(seed: int, count: int, dim: int) -> np.ndarray:
     Sample i consumes draws [i*D, (i+1)*D) with D = 2*ceil(dim/2), so any
     sample can be regenerated in isolation.
     """
-    count, dim = as_whole(count, "count", 0), as_whole(dim, "dim", 1)
-    D = 2 * ((dim + 1) // 2)
-    return _box_muller(uniform_stream(seed, 0, count * D).reshape(count, D), dim)
+    return _normals(seed, count, dim)[0]
 
 
 def sample_sphere(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
     """(count, dim) points uniform on the sphere of the given radius."""
     radius = as_scalar(radius, "radius")
-    g = sample_gaussians(seed, count, dim)
-    nrm = np.sqrt(np.sum(g * g, axis=1))
-    nrm[nrm == 0.0] = 1.0
+    g, nrm, _ = _normals(seed, count, dim)
     return radius * g / nrm[:, None]
 
 
@@ -88,13 +91,8 @@ def sample_ball(seed: int, count: int, dim: int, radius: float) -> np.ndarray:
     """(count, dim) points uniform in the ball; one extra draw per sample
     sets the radius as radius * u^(1/dim)."""
     radius = as_scalar(radius, "radius")
-    count, dim = as_whole(count, "count", 0), as_whole(dim, "dim", 1)
-    D = 2 * ((dim + 1) // 2) + 1
-    u = uniform_stream(seed, 0, count * D).reshape(count, D)
-    g = _box_muller(u[:, :-1], dim)
-    nrm = np.sqrt(np.sum(g * g, axis=1))
-    nrm[nrm == 0.0] = 1.0
-    scale = radius * u[:, -1] ** (1.0 / dim)
+    g, nrm, u = _normals(seed, count, dim, extra=1)
+    scale = radius * u[:, 0] ** (1.0 / g.shape[1])
     return g * (scale / nrm)[:, None]
 
 
@@ -282,10 +280,10 @@ def metrics_sweep_rows(sys: LtiSystem, x0_dir: np.ndarray, w_bar: float,
         nrm = float(np.sqrt(np.sum(x0_dir * x0_dir)))
     x0_dir = x0_dir / nrm
 
-    bundles = dict(zip(map(float, tf_grid), build_bundles(sys, tf_grid)))
-    reports = {t_f: _metric_reports(bundle, w_bar, R_grid)
-               for t_f, bundle in bundles.items()}
-    return [_sweep_point(bundles[float(t_f)], rep, float(w_bar), x0_dir,
+    # every report before any evidence: a failing bound raises first
+    bundles = build_bundles(sys, tf_grid)
+    reports = [_metric_reports(bundle, w_bar, R_grid) for bundle in bundles]
+    return [_sweep_point(bundle, rep, float(w_bar), x0_dir,
                          samples, derive_seed(seed, i, j), cells)
-            for i, t_f in enumerate(tf_grid)
-            for j, rep in enumerate(reports[float(t_f)])]
+            for i, (bundle, reps) in enumerate(zip(bundles, reports))
+            for j, rep in enumerate(reps)]

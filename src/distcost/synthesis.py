@@ -104,21 +104,9 @@ def _check_bundle(bundle: GramianBundle, task: StabilizationTask):
         )
 
 
-def _control(task: StabilizationTask, bundle: GramianBundle,
-             w: DisturbanceSignal | None) -> ControlSignal:
-    # the gain W_B^{-1}[e^{A t_f} x0 + R(w, t_f)], with R = 0 when w is None
-    _check_bundle(bundle, task)
-    rhs = bundle.state_transition @ task.x0
-    if w is not None:
-        rhs = rhs + disturbance_response(bundle.system, w, task.t_f)
-    gain = np.ascontiguousarray(bundle.spec.apply(rhs))
-    gain.setflags(write=False)
-    return ControlSignal(t_f=task.t_f, gain_vector=gain, system=bundle.system)
-
-
 def nominal_control(task: StabilizationTask, bundle: GramianBundle) -> ControlSignal:
     """Minimum-energy control stabilizing the disturbance-free system at t_f."""
-    return _control(task, bundle, None)
+    return disturbed_control(task, bundle, None)
 
 
 def disturbed_control(task: StabilizationTask, bundle: GramianBundle,
@@ -127,7 +115,14 @@ def disturbed_control(task: StabilizationTask, bundle: GramianBundle,
 
     w = None gives the nominal control.
     """
-    return _control(task, bundle, w)
+    # the gain W_B^{-1}[e^{A t_f} x0 + R(w, t_f)], with R = 0 when w is None
+    _check_bundle(bundle, task)
+    rhs = bundle.state_transition @ task.x0
+    if w is not None:
+        rhs = rhs + disturbance_response(bundle.system, w, task.t_f)
+    gain = np.ascontiguousarray(bundle.spec.apply(rhs))
+    gain.setflags(write=False)
+    return ControlSignal(t_f=task.t_f, gain_vector=gain, system=bundle.system)
 
 
 def disturbance_response(sys: LtiSystem, w: DisturbanceSignal, t_f) -> np.ndarray:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,11 +12,14 @@ import pytest
 
 from distcost import cli
 from distcost.cli import _COMMAND_OPTIONS, _KEYS, EXIT_CONFIG, EXIT_NUMERIC, EXIT_PARSE, entry
-from distcost.energy import disturbed_signal_energy
+from distcost.energy import EnergyReport, disturbed_signal_energy
 from distcost.errors import NumericalError
 from distcost.gramian import build_bundle
+from distcost.models import admire, load_model, save_model
 from distcost.signals import make_disturbance
 from distcost.systems import StabilizationTask
+
+from conftest import metzler_system
 
 
 # a finite initial state whose energies overflow a double
@@ -358,12 +362,49 @@ class TestEnergyAndModel:
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == doc
 
+    def test_energy_json_is_the_report(self, tmp_path, capsys):
+        # the report's fields, each once, plus the run's command and config
+        rc, out = run(tmp_path, "energy", "--tf", "1")
+        assert rc == 0
+        doc = json.loads((out / "energy.json").read_text())
+        fields = {f.name for f in dataclasses.fields(EnergyReport)}
+        assert set(doc) == fields | {"command", "config"}
+        assert doc["command"] == "energy"
+
+    @pytest.mark.parametrize("name", ["admire", "metzler"])
+    def test_model_prints_the_saved_file(self, tmp_path, capsys, name):
+        # stdout is byte for byte the file save_model writes, for the
+        # builtin model and for an n = 12 model loaded from its file
+        if name == "admire":
+            model, sys_ = "admire", admire()
+        else:
+            m = metzler_system(0)
+            model = tmp_path / "in.json"
+            model.write_text(json.dumps({"name": m.name, "n": m.n, "p": m.p,
+                                         "A": m.A.tolist(), "B": m.B.tolist()}))
+            sys_ = load_model(model)
+        assert entry(["model", "--model", str(model)]) == 0
+        save_model(sys_, tmp_path / "saved.json")
+        assert capsys.readouterr().out.encode() == (tmp_path / "saved.json").read_bytes()
+
 
 FOREIGN = [(command, key) for command, keys in _COMMAND_OPTIONS.items()
            for key in _KEYS if key not in keys]
 
 
 class TestOptions:
+    def test_default_runs_are_each_configs_own(self):
+        # an in-place edit of one run's disturbances, down to a run dict,
+        # leaves the declared default and the next run's value as they were
+        default = json.loads(json.dumps(_KEYS["disturbances"][2]["stabilize"]))
+        args = cli.build_parser().parse_args(["stabilize"])
+        first = cli.RunConfig(args)
+        assert first.disturbances == default
+        first.disturbances[0]["kind"] = "zero"
+        first.disturbances.append({"name": "extra", "kind": "zero"})
+        assert _KEYS["disturbances"][2]["stabilize"] == default
+        assert cli.RunConfig(args).disturbances == default
+
     @pytest.mark.parametrize("command,key", FOREIGN,
                              ids=[f"{c}-{k}" for c, k in FOREIGN])
     def test_unread_key_is_rejected(self, tmp_path, monkeypatch, command, key):

@@ -8,6 +8,7 @@ from distcost.energy import (disturbed_energy_bound, disturbed_signal_energy,
 from distcost.errors import NumericalError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
+from distcost.sweeps import worst_constant_sign
 from distcost.synthesis import disturbance_response
 from distcost.systems import LtiSystem, StabilizationTask
 
@@ -185,3 +186,42 @@ class TestEnergyPair:
             R = disturbance_response(jet, w, 5.0)
             e_plus, e_minus = energy_pair(jet_bundle_5, jet_task_5, R)
             assert max(e_plus, e_minus) >= e_n * (1.0 - 1e-12)
+
+
+@st.composite
+def controllable_systems(draw):
+    """A seeded random (A, B) with n in 2..4 and p <= n, a horizon, an
+    amplitude bound and an initial state."""
+    n = draw(st.integers(2, 4))
+    p = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys = LtiSystem(rng.standard_normal((n, n)) / np.sqrt(n),
+                    rng.standard_normal((n, p)), name="random")
+    task = StabilizationTask(x0=rng.standard_normal(n), t_f=draw(st.floats(0.2, 3.0)),
+                             w_bar=draw(st.floats(0.1, 2.0)))
+    return sys, task, rng
+
+
+class TestContainmentProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(controllable_systems())
+    def test_bound_contains_every_class(self, case):
+        # the worst constant-sign disturbance, and the energy-increasing
+        # member of (w, -w) for a random sinusoid and a piecewise draw,
+        # stay under E_D_bound on a random multi-input system
+        sys, task, rng = case
+        n, w_bar, t_f = sys.n, task.w_bar, task.t_f
+        bundle = build_bundle(sys, t_f)
+        bound = disturbed_energy_bound(task, bundle).E_D_bound
+        signals = [
+            make_disturbance("constant_sign", w_bar, n,
+                             sign_vector=worst_constant_sign(task, bundle)),
+            make_disturbance("sinusoid", w_bar, n, amplitudes=w_bar * rng.uniform(0, 1, n),
+                             frequencies=rng.uniform(0.0, 40.0, n),
+                             phases=rng.uniform(0.0, 2.0 * np.pi, n)),
+            make_disturbance("piecewise_uniform", w_bar, n, seed=int(rng.integers(2**32)),
+                             cells=16, horizon=t_f),
+        ]
+        for w in signals:
+            e = max(energy_pair(bundle, task, disturbance_response(sys, w, t_f)))
+            assert e <= bound * (1.0 + 1e-12), w.kind
