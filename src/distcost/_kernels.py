@@ -3,7 +3,7 @@
 expm_core is degree-13 Pade scaling and squaring and jacobi_core the
 cyclic Jacobi eigensolve, each on one (n, n) matrix or a (k, n, n) stack,
 every matrix of a stack getting the bits it gets alone; splitmix_fill is
-the counter-based splitmix64 stream; shortest_decimal is Schubfach's
+the counter-based splitmix64 stream; shortest_decimal is Dragonbox's
 shortest round-trip decimal of each float of an array, the digits behind
 the CSV writer. RK4 and the control half-grid need no kernel: they are
 batched numpy in simulate.py and synthesis.py.
@@ -51,30 +51,27 @@ _SM_INV53 = 2.0 ** -53
 # the signs of the sine in the p and q halves of a Jacobi rotation
 _SIGNS = np.array([1.0, -1.0])
 
-# Schubfach: the decimal exponents k of the doubles, and a table of
-# g(k) = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1 split as
-# g = g1 2^63 + g0, in rows (g0 lo, g1 lo, g0 hi, g1 hi, g1, h0): the
-# 32-bit limbs, g1 itself and h0 = floor(log2 10^-k) + 2 in two's
-# complement. g1 >= 2^62, so a zero g1 marks an entry not yet built;
-# entries are built from Python ints on first use of their k, never at
-# import.
-_K_MIN = -324
-_K_MAX = 292
-_G_TABLE = None
+# Dragonbox: per exponent field bq of a double, a table column holding
+# the 128-bit power of ten phi = H 2^64 + L (10^k rounded up, for the k
+# that scales x's rounding interval to a width of 100 to 1000) as (H lo,
+# H hi, H, beta, delta, the digits' exponent k', L 2^-66 as float64 bits,
+# L lo, L hi, L), then the shortest decimal (f, k') of the double with
+# field bq and a zero fraction where the kernel needs it: 0 for bq = 0,
+# and 2^(bq - 1023) for bq > 1, whose interval is asymmetric. H >= 2^63,
+# so a zero H marks an entry not yet built; entries are built from Python
+# ints on first use of their bq, never at import.
+_TABLE = np.zeros((12, 2048), dtype=np.uint64)
 _U1 = np.uint64(1)
 _U2 = np.uint64(2)
-_U10 = np.uint64(10)
 _U32 = np.uint64(32)
 _U52 = np.uint64(52)
-_U63 = np.uint64(63)
+_U64 = np.uint64(64)
 _HIDDEN = np.uint64(1 << 52)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK52 = np.uint64((1 << 52) - 1)
-_MASK63 = np.uint64((1 << 63) - 1)
-# the steps from s to s + 1 and from sp10 to sp10 + 10, and the offsets
-# of the regular interval's ends and of x from 4c (2^64 - 2 is -2)
-_STEPS = np.array([[1], [10]], dtype=np.uint64)
-_ENDS = np.array([[(1 << 64) - 2], [0], [2]], dtype=np.uint64)
+# the float estimate of the high word of u L is within 2^13 of it, so the
+# carry it gives is exact unless the low word ends up within 2^14 of 0
+_NEAR = np.uint64(1 << 14)
 
 
 def expm_core(M):
@@ -202,105 +199,151 @@ def splitmix_fill(seed, start, count):
     return (mix64(z) >> _SM_S11).astype(np.float64) * _SM_INV53
 
 
-def schubfach_g(e):
-    # (g, r) for an int e, the g of k = -e: g = floor(10^e 2^-r) + 1 with
-    # r = floor(log2 10^e) - 125, so 2^125 <= g < 2^126 and
-    # (g - 1) 2^r <= 10^e < g 2^r
-    p = 10 ** abs(e)
-    if e >= 0:
-        r = p.bit_length() - 126
-        return (p >> r if r >= 0 else p << -r) + 1, r
-    r = -p.bit_length() - 125
-    return (1 << -r) // p + 1, r
+def dragonbox_phi(k):
+    # (phi, E) for an int k: E = floor(log2 10^k) and phi =
+    # ceil(10^k 2^(127 - E)), so 2^127 <= phi < 2^128
+    E = (10 ** k).bit_length() - 1 if k >= 0 else -(10 ** -k - 1).bit_length()
+    num = 10 ** max(k, 0) << max(127 - E, 0)
+    den = 10 ** max(-k, 0) << max(E - 127, 0)
+    return -(-num // den), E
 
 
-def _g_column(k):
-    # the table column of k
-    g, r = schubfach_g(-k)
-    g0, g1 = g & ((1 << 63) - 1), g >> 63
-    return g0 & 0xFFFFFFFF, g1 & 0xFFFFFFFF, g0 >> 32, g1 >> 32, g1, r + 127
+def _table_column(bq):
+    # the table column of bq, from Dragonbox's formulas for binary64
+    # (kappa = 2); e is the binary exponent of the significand's last bit
+    e = max(bq, 1) - 1075
+    minus_k = ((e * 315653) >> 20) - 2
+    phi, E = dragonbox_phi(-minus_k)
+    beta = e + E
+    H, L = phi >> 64, phi & ((1 << 64) - 1)
+    # 2^(bq - 1023): the interval below it is half as wide as above, and
+    # its ends are included (the significand 2^52 is even)
+    mk = (e * 631305 - 261663) >> 21
+    Hs, Es = dragonbox_phi(-mk)
+    Hs, b = Hs >> 64, e + Es
+    left = ((Hs - (Hs >> 54)) >> (11 - b)) + (not 2 <= e <= 3)
+    f, k = ((Hs + (Hs >> 53)) >> (11 - b)) // 10, mk + 1
+    if f * 10 < left:
+        f, k = ((Hs >> (10 - b)) + 1) // 2, mk
+        f += -1 if f % 2 and e == -77 else f < left
+    while f % 10 == 0:
+        f, k = f // 10, k + 1
+    if bq == 0:
+        f, k = 0, 0
+    Lf = int(np.float64(L / 2 ** 66).view(np.uint64))
+    column = (H & 0xFFFFFFFF, H >> 32, H, beta, H >> (63 - beta), minus_k + 2, Lf,
+              L & 0xFFFFFFFF, L >> 32, L, f, k)
+    return [c & ((1 << 64) - 1) for c in column]
 
 
-def _g_columns(k):
-    # the table columns of the k values, building the missing entries;
-    # k's entry is column k mod 617, so negative k index from the end
-    global _G_TABLE
-    if _G_TABLE is None:
-        _G_TABLE = np.zeros((6, _K_MAX - _K_MIN + 1), dtype=np.uint64)
-    G = _G_TABLE.take(k, axis=1, mode="wrap")
-    if np.count_nonzero(G[4]) < k.size:
-        built = _G_TABLE[4].tolist()
-        new = sorted(j for j in set(k.tolist()) if not built[j])
-        cols = np.array([_g_column(j) for j in new], dtype=np.int64)
-        _G_TABLE[:, new] = cols.T.view(np.uint64)
-        G = _G_TABLE.take(k, axis=1, mode="wrap")
-    return G
+def _table_columns(bq):
+    # the first seven table rows at the bq values, building missing entries
+    T = _TABLE[:7].take(bq, axis=1, mode="wrap")
+    if np.count_nonzero(T[2]) < bq.size:
+        built = _TABLE[2].tolist()
+        new = sorted(j for j in set(bq.tolist()) if not built[j])
+        _TABLE[:, new] = np.array([_table_column(j) for j in new], dtype=np.uint64).T
+        T = _TABLE[:7].take(bq, axis=1, mode="wrap")
+    return T
 
 
-def _rop(G, cp):
-    # Schubfach's rop(g cp 2^-127), g cp / 2^127 rounded to odd, for each
-    # (3, m) cp against its column of G, as Java's DoubleToDecimal forms
-    # it from g = g1 2^63 + g0. The high 64 bits of g0 cp and g1 cp come
-    # from 32-bit limbs at once; for g0, g1 < 2^63 and cp < 2^59 the
-    # middle sum stays below 2^32 + 2^59 + 2^63.
-    lo, hi = G[0:2, None], G[2:4, None]
-    cp_lo, cp_hi = cp & _MASK32, cp >> _U32
-    x = lo * cp_lo
-    x >>= _U32
-    x += lo * cp_hi
-    x += hi * cp_lo
-    x >>= _U32
-    x += hi * cp_hi
-    z = G[4] * cp
-    z >>= _U1
-    z += x[0]
-    vbp = x[1]
-    vbp += z >> _U63
-    vbp |= (z & _MASK63) != 0
-    return vbp
+def _umul_hi(a, b0, b1):
+    # the high 64 bits of a b for uint64 a and b = b1 2^32 + b0, from
+    # 32-bit limbs; no partial sum exceeds 2^64 - 1
+    a0, a1 = a & _MASK32, a >> _U32
+    mid = a1 * b0 + (a0 * b0 >> _U32)
+    hi = a0 * b1 + (mid & _MASK32)
+    return a1 * b1 + (mid >> _U32) + (hi >> _U32)
+
+
+def _parity(two_f, bq, beta):
+    # Dragonbox's compute_mul_parity: of two_f phi 2^beta / 2^128, the
+    # parity of the integer part and whether the fraction is zero
+    _, _, H, _, _, _, _, l0, l1, L, _, _ = _TABLE[:, bq]
+    lo = two_f * L
+    hi = two_f * H + _umul_hi(two_f, l0, l1)
+    return (hi >> (_U64 - beta)) & _U1, ((hi << beta) | (lo >> (_U64 - beta))) == 0
 
 
 def shortest_decimal(x):
-    # Schubfach (R. Giulietti, "The Schubfach way to render doubles",
-    # 2020): (f, e) with |x| = f 10^e for a finite 1-D float64 array x,
-    # where the digits of f, trailing zeros dropped, are the shortest
+    # Dragonbox (J. Jeon, "Dragonbox: a new floating-point binary-to-
+    # decimal conversion algorithm", 2020), for round-to-nearest-even
+    # reading: (f, k) with |x| = f 10^k for a finite 1-D float64 array x,
+    # where f has no trailing zeros and its digits are the shortest
     # decimal that rounds back to x and, among equally short ones, the
     # closest, ties to even: the digits of repr(x). Zero gives (0, 0);
-    # inf and NaN give unspecified values. Unlike Java's version, a
-    # subnormal is not scaled by 10 and the one-digit-shorter test runs
-    # from s >= 10, which gives repr's 5e-324 where Java prints 4.9e-324.
+    # inf and NaN give unspecified values. One 64 x 128-bit product per
+    # value, z below, decides all but one or two in a hundred; those take
+    # a second product, on their own.
     bits = x.view(np.uint64)
-    t = bits & _MASK52
-    bq = (bits >> _U52).astype(np.int64) & 0x7FF
-    c = t + (bq != 0) * _HIDDEN
-    q = np.maximum(bq, 1) - 1075
-    # c = 2^52 above the subnormals: the gap below x is half the gap above
-    irregular = (t == 0) & (bq > 1)
-    k = (q * 661971961083 - irregular * 274743187321) >> 41
-    # the rounding interval's lower end, x and its upper end, in quarters
-    # of the spacing, scaled by 2^h and then by g(k) 2^-127
-    G = _g_columns(k)
-    cp = (c << _U2) + _ENDS
-    cp[0] += irregular
-    cp <<= q.astype(np.uint64) + G[5]
-    vbl, vb, vbr = _rop(G, cp)
-    # the ends of the interval round to x only when c is even
-    odd = c & _U1
-    vbl += odd
-    vbr -= odd
-    # s 10^k and (s + 1) 10^k bracket x, and so do sp10 10^k and
-    # (sp10 + 10) 10^k, one digit shorter: a candidate wins when it is
-    # the only one of its pair inside the interval
-    s = vb >> _U2
-    lower = s // _STEPS * _STEPS
-    upper = lower + _STEPS
-    uin = vbl <= lower << _U2
-    alone = uin != (upper << _U2 <= vbr)
-    pick = np.where(uin, lower, upper)
-    # both s and s + 1 inside: the closer one, ties to even s
-    closer = np.where(vb + (s & _U1) <= (s << _U2) + _U2, s, upper[0])
-    f = np.where(alone[1] & (s >= _U10), pick[1], np.where(alone[0], pick[0], closer))
-    zero = c == 0
-    f[zero] = 0
-    k[zero] = 0
+    fc = bits & _MASK52
+    bq = (bits >> _U52).astype(np.intp) & 0x7FF
+    # zeros and powers of two, whose (f, k) the table holds
+    bare = np.flatnonzero(fc == 0)
+    fc |= (bq != 0) * _HIDDEN
+    T = _table_columns(bq)
+    beta, delta = T[3], T[4]
+    # x's rounding interval scaled by 10^(2 - k') is about delta wide;
+    # its upper end z = floor(u phi / 2^128), u = (2 fc + 1) 2^beta, is
+    # the high word of u H plus the carry of its low word and the high
+    # word of u L, the latter estimated in floating point and computed
+    # exactly where the estimate could move the carry
+    two_fc = fc << _U1
+    u = (two_fc | _U1) << beta
+    lo = u * T[2]
+    low = (u.astype(np.float64) * T[6].view(np.float64)).astype(np.uint64)
+    low <<= _U2
+    low += lo
+    i = np.flatnonzero(low + _NEAR < _NEAR << _U1)
+    if i.size:
+        low[i] = lo[i] + _umul_hi(u[i], _TABLE[7, bq[i]], _TABLE[8, bq[i]])
+    z = _umul_hi(u, T[0], T[1]) + (low < lo)
+    # 1000 s, the multiple of 1000 at or below z, is the answer (f = s,
+    # one digit short) when it lies in the interval (z - delta, z], whose
+    # ends belong to it only when fc is even
+    s = z // 1000
+    r = z - s * np.uint64(1000)
+    big = r < delta
+    odd = fc & _U1
+    # 1000 s = z: the upper end when z is exact (low = 0)
+    i = np.flatnonzero(big & (r == 0))
+    i = i[(low[i] == 0) & (odd[i] == 1)]
+    s[i] -= _U1
+    r[i] = 1000
+    big[i] = False
+    # else f = 10 s + q, the multiple of 100 nearest x's scaled value,
+    # about z - delta / 2: q counts the 100s above 1000 s, rounded half up
+    dist = r - (delta >> _U1) + np.uint64(50)
+    q = dist // 100
+    f = s * np.uint64(10) + q
+    # what z alone leaves open, settled by a product of the table's phi
+    # with 2 fc - 1 or 2 fc: 1000 s at the lower end's integer part, inside
+    # when the lower end's fraction is below delta's or equal with fc
+    # even; and x's scaled value halfway between two multiples of 100 by
+    # the estimate, rounded down when below it, or exactly on it onto an
+    # odd f
+    lower = np.flatnonzero(r == delta)
+    half = np.flatnonzero((q * np.uint64(100) == dist) & ~big)
+    if lower.size or half.size:
+        i = np.concatenate([lower, half])
+        par, exact = _parity(two_fc[i] - (np.arange(i.size) < lower.size), bq[i], beta[i])
+        n = lower.size
+        big[lower] = (par[:n] == 1) | (exact[:n] & (odd[lower] == 0))
+        f[half] -= ((par[n:] != (dist[half] ^ np.uint64(50)) & _U1)
+                    | (exact[n:] & (f[half] & _U1 == 1)))
+    f = np.where(big, s, f)
+    k = T[5].view(np.int64) + big
+    # f = s can end in zeros: strip them, eight, four, two and one at a time
+    i = np.flatnonzero(big & (s // 10 * np.uint64(10) == s))
+    if i.size:
+        fi, ki = f[i], k[i]
+        for j in (8, 4, 2, 1):
+            q = fi // 10 ** j
+            hit = q * np.uint64(10 ** j) == fi
+            fi = np.where(hit, q, fi)
+            ki += j * hit
+        f[i], k[i] = fi, ki
+    i = bare[bq[bare] != 1]
+    f[i] = _TABLE[10, bq[i]]
+    k[i] = _TABLE[11, bq[i]].view(np.int64)
     return f, k

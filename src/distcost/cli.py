@@ -21,9 +21,7 @@ import copy
 import dataclasses
 import json
 import os
-import pickle
 import sys
-import warnings
 
 from .energy import disturbed_energy_bound, disturbed_signal_energy
 from .errors import ConfigError, DistcostError, ModelParseError, NumericalError
@@ -242,47 +240,6 @@ def _resolve_runs(cfg: RunConfig, task: StabilizationTask, bundle) -> list:
     return runs
 
 
-# the start of the warning os.fork gives in a multi-threaded process
-_FORK_THREADS_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
-
-
-def _fork(work, j: int):
-    """(pid, read end) of a forked child that sends pickle(work(j)) down
-    a pipe; the child leaves through os._exit, status 0 only once sent.
-
-    work must run no BLAS call and start no thread: the child has only
-    the forking thread, and a lock another thread held stays held.
-    """
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns in the parent, once the child exists, when
-        # this process has other threads (BLAS's); the child runs none of
-        # their work, and as an error the warning would leave it unreaped
-        warnings.filterwarnings("ignore", _FORK_THREADS_WARNING, DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as fh:
-                fh.write(pickle.dumps(work(j)))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _join(i: int, pid: int, read_fd: int):
-    # the child's result, or a failure of its slice's first file, i
-    with open(read_fd, "rb") as fh:
-        data = fh.read()
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        return i, ChildProcessError(f"trajectory writer exited with status {status}")
-    return pickle.loads(data)
-
-
 def _write_failure(path: str, exc: OSError) -> ConfigError:
     return ConfigError(f"cannot write output file {path}: {exc.strerror or exc}")
 
@@ -291,54 +248,26 @@ def _commit(outdir: str, files) -> None:
     """Write a run's files into outdir, all or none: each (name, content)
     is a ready text or a Trajectory, formatted here.
 
-    The parent writes the texts. The trajectories are formatted in up to
-    one process per available CPU, so k = min(CPUs, trajectories): the
-    parent forks a child for each slice trajectories[j::k], j >= 1, and
-    writes slice 0 itself. Every file goes to a temporary, and only once
-    every temporary exists are they renamed into place. An earlier run's
-    file of the same name is first moved aside, and deleted only once
-    every rename has succeeded. On a failure every temporary and every
-    file already renamed is removed, the files moved aside are put back,
-    and the error of the first failing file is raised, a failed write or
-    rename as ConfigError, so neither the bytes nor the error depend on k.
+    Every file goes to a temporary, and only once every temporary exists
+    are they renamed into place. An earlier run's file of the same name is
+    first moved aside, and deleted only once every rename has succeeded.
+    On a failure every temporary and every file already renamed is
+    removed, the files moved aside are put back, and the error of the
+    first failing file is raised, a failed write or rename as ConfigError.
     """
     paths = [os.path.join(outdir, name) for name, _ in files]
     tmps = [f"{path}.tmp{os.getpid()}" for path in paths]
-    texts = [i for i, (_, content) in enumerate(files) if isinstance(content, str)]
-    trajs = [i for i in range(len(files)) if i not in texts]
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
-    k = min(cpus, len(trajs))
-
-    def write(i):
-        # None, or (i, error) of file i
-        content = files[i][1]
-        try:
-            text = content if isinstance(content, str) else trajectory_to_csv(content)
-            with open(tmps[i], "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return i, _write_failure(paths[i], exc)
-        except Exception as exc:
-            return i, exc
-        return None
-
-    def write_slice(j):
-        # the failure of the slice's first failing file, else None
-        return next(filter(None, map(write, trajs[j::k])), None)
-
-    children, failures, renamed, kept = [], [], [], []
+    renamed, kept = [], []
     try:
-        try:
-            for j in range(1, k):
-                children.append((trajs[j], *_fork(write_slice, j)))
-            failures += [write_slice(0) if k else None, *map(write, texts)]
-        finally:
-            # every child is reaped, whatever stopped the parent
-            failures += [_join(*child) for child in children]
-        failures = [f for f in failures if f is not None]
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
+        for (_, content), tmp, path in zip(files, tmps, paths):
+            # the loop drops each text before it formats the next
+            if not isinstance(content, str):
+                content = trajectory_to_csv(content)
+            try:
+                with open(tmp, "w") as fh:
+                    fh.write(content)
+            except OSError as exc:
+                raise _write_failure(path, exc) from exc
         # (aside, path) of every earlier file moved aside; a directory
         # stays where it is, and the rename onto it fails below
         for path in paths:

@@ -17,12 +17,14 @@ each adding in place. The controls come from
 ``ControlSignal.sample_half_grid``, whose input-free recurrence doubles
 its states instead.
 
-``csv_text`` writes a trajectory as repr() text: Schubfach's shortest
-digits, split into four-digit groups that a table turns into characters.
+``csv_text`` writes a trajectory as repr() text: Dragonbox's shortest
+digits, with the point inserted as a digit, in four-digit groups that a
+table turns into words of characters, one 32-byte record per value.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -109,6 +111,16 @@ def _rk4(A, B, x0, h, U_half, w_stages):
     return linear_scan(np.vstack([x0, F]), D_pow)
 
 
+def _square_sums(A):
+    # the squared norm of each row, its squares added left to right: the
+    # bits of np.sum(A * A, axis=1) for rows of fewer than 8 entries, which
+    # numpy adds in that order (it splits longer rows pairwise)
+    out = A[:, 0] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        out += A[:, j] * A[:, j]
+    return out
+
+
 def simulate_closed_loop(task: StabilizationTask, u: ControlSignal,
                          w: DisturbanceSignal | None, steps: int) -> Trajectory:
     """Integrate xdot = A x + B u(t) + w(t) from x0 over [0, t_f], with
@@ -154,10 +166,10 @@ def simulate_closed_loop(task: StabilizationTask, u: ControlSignal,
 
     # squares that overflow are caught by the finiteness check below
     with np.errstate(over="ignore"):
-        g = np.sum(U_half * U_half, axis=1)
+        g = _square_sums(U_half)
         seg = (h / 6.0) * (g[0:-1:2] + 4.0 * g[1::2] + g[2::2])
         running = np.concatenate(([0.0], np.cumsum(seg)))
-        norms = np.sqrt(np.sum(X * X, axis=1))
+        norms = np.sqrt(_square_sums(X))
 
     times = np.linspace(0.0, t_f, steps + 1)
     controls = np.ascontiguousarray(U_half[::2])
@@ -193,7 +205,7 @@ def csv_text(header, table) -> str:
     <= 17 significant digits), written |x| = 0.d1d2... 10^p positionally
     for -4 < p <= 16 and as d.ddde+XX otherwise, with ".0" after whole
     numbers, and "-0.0", "inf", "-inf" and "nan" (for every NaN). The
-    digits come from Schubfach (``_kernels.shortest_decimal``), and the
+    digits come from Dragonbox (``_kernels.shortest_decimal``), and the
     text is laid out for ``_FORMAT_BLOCK`` values at a time.
     """
     table = np.asarray(table, dtype=np.float64)
@@ -202,104 +214,119 @@ def csv_text(header, table) -> str:
         return "".join(parts) + "\n" * (table.shape[0] if table.ndim == 2 else 0)
     cols = table.shape[1]
     flat = table.ravel()
-    scratch = _format_scratch(min(_FORMAT_BLOCK, flat.size))
     for start in range(0, flat.size, _FORMAT_BLOCK):
         x = flat[start:start + _FORMAT_BLOCK]
         row_end = np.arange(start + 1, start + 1 + x.size) % cols == 0
-        parts.append(_format_block(x, row_end, *scratch).decode("ascii"))
+        parts.append(_format_block(x, row_end).decode("ascii"))
     return "".join(parts)
 
 
-# values per block of csv_text: about 4 MB of scratch arrays with the
-# kernel's temporaries
+# values per block of csv_text: about 3 MB of temporaries
 _FORMAT_BLOCK = 1 << 13
 _POW10 = np.array([10 ** j for j in range(20)], dtype=np.uint64)
-_COLUMNS = np.arange(22)[:, None]
-_PLACES = np.arange(1, 22, dtype=np.uint8)[:, None]
-_INF_NAN = np.frombuffer(b"infnan", dtype=np.uint8).reshape(2, 3)
-# row i: the four decimal digits of i, most significant first
-_GROUP_DIGITS = np.stack(
-    np.meshgrid(*[np.arange(10, dtype=np.uint8)] * 4, indexing="ij", copy=False),
-    axis=-1).reshape(10 ** 4, 4)
+_INF_NAN = np.array([int.from_bytes(text.rjust(8, b"\0"), "little")
+                     for text in (b"inf", b"nan", b"-inf")], dtype=np.uint64)
 
 
-def _format_scratch(block):
-    # a block's buffers, one column per value. Text rows: "-", the number
-    # (22), "e" and the exponent or inf/nan (5), the separator; the mask
-    # picks each column's characters. Digit rows: a pad, 21 digits, a "0"
-    # pad. Group rows: 4-digit groups (5), scratch (2).
-    text = np.empty((29, block), dtype=np.uint8)
-    text[0] = ord("-")
-    mask = np.empty((29, block), dtype=bool)
-    mask[28] = True
-    digits = np.full((23, block), ord("0"), dtype=np.uint8)
-    groups = np.empty((7, block), dtype=np.uint64)
-    return text, mask, digits, groups
+@functools.cache
+def _layout_tables():
+    """The read-only tables of ``_format_block``, built on its first use.
 
+    digits: the ASCII of the four decimal digits of 0..9999, the first in
+    the low byte (row 0), or in the high half after "0000" (row 1; "0" OR
+    a digit is the digit).
 
-def _divmod(a, d, quotient, remainder):
-    # a // d and a % d into the two outputs: floor_divide by a scalar is
-    # vectorised, numpy's divmod and remainder are not
-    q = a // d
-    quotient[...] = q
-    np.subtract(a, q * d, out=remainder, casting="unsafe")
+    At j = (k + 350) * 18 + nd, for |x| = f 10^k and f of nd digits:
+    modulus and scale, such that R = (10 f - 9 (f mod modulus)) scale is
+    f's digits with a 0 where the point goes, and a 0 after the point of a
+    whole number; mark and suffix, the columns of ``marks`` and
+    ``suffixes`` for x.
 
+    marks: three words to XOR into R's 24 characters, right-aligned and
+    led by "0"s, that turn the "0"s before the number into NUL, the one
+    just before it into "-" for a negative x, and the point's into ".".
 
-def _format_block(x, row_end, text, mask, digits, groups) -> bytes:
-    # repr() of each float of x, followed by "," or, at a row end, "\n"
-    m, block = x.size, text.shape[1]
-    flat = text.reshape(-1)
-    text, mask, digits, groups = text[:, :m], mask[:, :m], digits[:, :m], groups[:, :m]
-    finite = np.isfinite(x)
-    f, e = shortest_decimal(np.where(finite, x, 0.0))
-    # |x| = 0.d1d2... 10^p; positional for -4 < p <= 16, where 0 < |x| < 1
-    # reads "0.", -p zeros and the digits
-    nd = np.searchsorted(_POW10, f, side="right")
-    p = e + nd
+    suffixes: the exponent ("e-05" for p = -4, none for -4 < p <= 16) and
+    the separator, "," or "\n".
+    """
+    d = np.meshgrid(*[np.arange(ord("0"), ord("0") + 10, dtype=np.uint8)] * 4, indexing="ij")
+    digits = np.stack(d, axis=-1).reshape(-1, 4).view("<u4").ravel().astype(np.uint64)
+    digits = np.stack([digits, digits << np.uint64(32) | digits[0]])
+
+    k, nd = np.arange(-350, 330)[:, None], np.arange(18)
+    p = np.clip(k + nd, -330, 329)
     positional = (p > -4) & (p <= 16)
-    zeros = positional * np.maximum(1 - p, 0)
-    # 21 digits: those 1 - p zeros, the digits of f, trailing zeros; a
-    # 5-digit head and a 16-digit tail, in 4-digit groups, each read from
-    # the table as its four digits
-    F = f * _POW10[17 - nd]
-    cut = _POW10[12 + zeros]
-    head = F // cut
-    _divmod(head, 10 ** 4, digits[1], groups[0])
-    _divmod((F - head * cut) * _POW10[4 - zeros], 10 ** 8, groups[5], groups[6])
-    _divmod(groups[5:7], 10 ** 4, groups[1:5:2], groups[2:5:2])
-    digits[2:22].reshape(5, 4, m)[...] = np.take(
-        _GROUP_DIGITS, groups[0:5], axis=0).transpose(0, 2, 1)
-    # the number: the digits up to the last nonzero one, with "." after
-    # the first `point` of them; positionally at least one digit on
-    # either side of it, in exponent notation no "." after a lone digit
-    end = ((digits[1:22] != 0) * _PLACES).max(axis=0)
-    digits[1:22] += ord("0")
-    point = np.where(positional & (p > 0), p, 1)
-    length = np.where(positional, np.maximum(end + 1, point + 2), end + (end > 1))
-    length *= finite
-    number = text[1:23]
-    np.subtract(digits[1:23], digits[0:22], out=number)
-    number *= _COLUMNS < point
-    number += digits[0:22]
-    flat[(point + 1) * block + np.arange(m)] = ord(".")
-    # "e", the sign and two or three digits of p - 1 (a two-digit one
-    # times 10, so that its digits come first), or inf and nan
-    exponent = np.abs(p - 1)
-    big = exponent >= 100
-    np.multiply(exponent, 10 - 9 * big, out=groups[5], casting="unsafe")
-    _divmod(groups[5], 100, text[25], groups[6])
-    _divmod(groups[6], 10, text[26], text[27])
-    text[25:28] += ord("0")
-    text[23] = ord("e")
-    np.add(2 * (p < 1), ord("+"), out=text[24], casting="unsafe")
-    suffix = ~positional * (4 + big)
-    special = np.flatnonzero(~finite)
-    if special.size:
-        nan = np.isnan(x[special])
-        text[23:26, special] = _INF_NAN[nan.astype(np.intp)].T
-        suffix[special] = 3
-    np.subtract(ord(","), (ord(",") - ord("\n")) * row_end, out=text[28], casting="unsafe")
-    np.logical_and(np.signbit(x), x == x, out=mask[0])
-    np.less(_COLUMNS, length, out=mask[1:23])
-    np.less(_COLUMNS[:5], suffix, out=mask[23:28])
-    return text.T[mask.T].tobytes()
+    # P digits before the point and r after it; exponent notation puts the
+    # point after the first digit, and none after a lone digit
+    P = np.where(positional, p, 1)
+    r = nd - P
+    lone = ~positional & (r == 0)
+    modulus = _POW10[np.where(lone, 17, np.clip(r, 0, 17))].ravel()
+    scale = _POW10[positional * np.clip(1 - r, 0, 17)].ravel()
+    # the point's character and the number's first, "0" when P <= 0
+    point = 23 - np.maximum(r, 1) + 2 * lone
+    first = np.clip(point - np.maximum(P, 1), 0, 23)
+    mark = ((first * 25 + point) * 2).astype(np.int16).ravel()
+    suffix = ((p + 330) * 2).astype(np.int16).ravel()
+
+    # column (first * 25 + point) * 2 + negative
+    first, point, neg, col = np.ogrid[:24, :25, :2, :24]
+    marks = np.where(col < first, ord("0"), 0)
+    marks = np.where((col == first - 1) & (neg == 1), ord("0") ^ ord("-"), marks)
+    marks = np.where(col == point, ord("0") ^ ord("."), marks).astype(np.uint8)
+    marks = marks.reshape(-1, 24).view("<u8").T.copy()
+
+    # column (p + 330) * 2 + row end: "e", the sign and the two or three
+    # digits of |p - 1| (from its four), then the separator
+    p = np.arange(-330, 330)
+    e = np.abs(p - 1)
+    length = np.where((p > -4) & (p <= 16), 0, 4 + (e >= 100)).astype(np.uint64)
+    exponent = (((ord("e") | np.where(p > 0, ord("+"), ord("-")) << 8) * (length > 0))
+                .astype(np.uint64) | digits[0, e] >> np.uint64(8) * (6 - length) << np.uint64(16))
+    sep = np.array([ord(","), ord("\n")], dtype=np.uint64)
+    suffixes = (exponent[:, None] | sep << np.uint64(8) * length[:, None]).ravel()
+
+    tables = (digits, modulus, scale, mark, suffix, marks, suffixes)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _format_block(x, row_end) -> bytes:
+    # repr() of each float of x, followed by "," or, at a row end, "\n".
+    # Each value has a record of four little-endian words: R's 24
+    # characters, then the suffix; marks turn every byte outside the text
+    # into NUL, so the records' nonzero bytes are the text
+    digits, modulus, scale, mark, suffix, marks, suffixes = _layout_tables()
+    m = x.size
+    words = np.empty((m, 4), dtype="<u8").T
+    finite = np.isfinite(x)
+    special = None if finite.all() else np.flatnonzero(~finite)
+    f, k = shortest_decimal(x if special is None else np.where(finite, x, 0.0))
+    # nd digits: t = floor(bit_length(f) log10 2) is nd or nd - 1, and
+    # f as a float has f's bit length or, rounded up, one more
+    t = ((((f | np.uint64(1)).astype(np.float64).view(np.int64) >> 52) - 1022) * 1233) >> 12
+    j = (k + 350) * 18 + t + (f >= _POW10[t])
+    R = f * np.uint64(10) - np.uint64(9) * (f % modulus[j])
+    # R < 10^18 in groups: g0 of two digits (characters 6-7 of the field,
+    # after "000000"), g1..g4 of four, in rows g0 g1 g3 g2 g4
+    R = (R * scale[j]).view(np.int64)
+    groups = np.empty((5, m), dtype=np.int64)
+    halves = np.empty((2, m), dtype=np.int64)
+    q = R // 10 ** 8
+    np.subtract(R, q * 10 ** 8, out=halves[1])
+    np.floor_divide(q, 10 ** 8, out=groups[0])
+    np.subtract(q, groups[0] * 10 ** 8, out=halves[0])
+    np.floor_divide(halves, 10 ** 4, out=groups[1:3])
+    np.subtract(halves, groups[1:3] * 10 ** 4, out=groups[3:5])
+    low, high = digits
+    high.take(groups[0], out=words[0])
+    np.bitwise_or(low[groups[1:3]], high[groups[3:5]], out=words[1:3])
+    words[:3] ^= marks.take(mark[j] + np.signbit(x), axis=1)
+    suffixes.take(suffix[j] + row_end, out=words[3])
+    if special is not None:
+        # x = 0 gave "0.0" and the separator
+        words[:2, special] = 0
+        words[2, special] = _INF_NAN[np.where(np.isnan(x[special]), 1, 2 * np.signbit(x[special]))]
+    text = words.T.view(np.uint8).reshape(-1)
+    return text[text != 0].tobytes()

@@ -1,10 +1,8 @@
-import contextlib
 import dataclasses
 import json
 import os
 import subprocess
 import sys
-import warnings
 from itertools import product
 
 import numpy as np
@@ -162,53 +160,36 @@ class TestStabilize:
         assert os.listdir(out) == []
 
 
-def _with_cpus(monkeypatch, cpus):
-    """Pretend this process may run on `cpus` CPUs; returns the list that
-    records each os.fork call."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(os, "fork", lambda: forks.append(cpus) or fork())
-    return forks
-
-
 class TestTrajectoryWriters:
     @pytest.mark.parametrize("disturbances", [None, []], ids=["four-files", "one-file"])
     def test_bytes_do_not_depend_on_process_count(self, tmp_path, monkeypatch,
                                                   disturbances):
+        # every trajectory is formatted once, in the calling process, and
+        # its file holds those bytes
         args = ["stabilize", "--steps", "200"]
         if disturbances is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"disturbances": disturbances}))
             args += ["--config", str(cfg)]
         files = 4 if disturbances is None else 1
-        parent, to_csv = os.getpid(), cli.trajectory_to_csv
-        outputs = []
-        for cpus in (1, 2, 8):
-            formatted = []
-            with monkeypatch.context() as m:
-                m.setattr(cli, "trajectory_to_csv",
-                          lambda traj: formatted.append(os.getpid()) or to_csv(traj))
-                forks = _with_cpus(m, cpus)
-                rc, out = run(tmp_path / str(cpus), *args)
-            assert rc == 0
-            # k processes, the parent formatting files 0, k, 2k, ...
-            k = min(cpus, files)
-            assert len(forks) == k - 1
-            assert formatted == [parent] * len(range(0, files, k))
-            names = sorted(os.listdir(out))
-            assert len(names) == files + 1
-            assert not any(".tmp" in name for name in names)
-            outputs.append({name: (out / name).read_bytes() for name in names})
-        assert outputs[0] == outputs[1] == outputs[2]
+        formatted, to_csv = [], cli.trajectory_to_csv
+        monkeypatch.setattr(cli, "trajectory_to_csv",
+                            lambda traj: formatted.append((os.getpid(), to_csv(traj)))
+                            or formatted[-1][1])
+        rc, out = run(tmp_path, *args)
+        assert rc == 0
+        assert [pid for pid, _ in formatted] == [os.getpid()] * files
+        names = sorted(os.listdir(out))
+        assert len(names) == files + 1
+        assert not any(".tmp" in name for name in names)
+        texts = {(out / name).read_text() for name in names if name.startswith("traj_")}
+        assert texts == {text for _, text in formatted}
 
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("failing", [(0,), (3,), (1, 2)],
-                             ids=["parent-slice", "child-slice", "both-slices"])
-    def test_failing_file_commits_none(self, tmp_path, monkeypatch, capsys, cpus, failing):
-        # file 0 is always the parent's; with two or more CPUs file 3 is a
-        # child's, and files 1 and 2 are in different slices. Whatever
-        # the count, the first failing file's error is raised and every
-        # temporary is removed.
+                             ids=["first", "last", "second-and-third"])
+    def test_failing_file_commits_none(self, tmp_path, monkeypatch, capsys, failing):
+        # whichever trajectories fail, the first failing file's error is
+        # raised and every temporary is removed
         trajs = []
 
         def record(*args):
@@ -224,62 +205,12 @@ class TestTrajectoryWriters:
         simulate, to_csv = cli.simulate_closed_loop, cli.trajectory_to_csv
         monkeypatch.setattr(cli, "simulate_closed_loop", record)
         monkeypatch.setattr(cli, "trajectory_to_csv", fail_some)
-        _with_cpus(monkeypatch, cpus)
         (tmp_path / "out").mkdir()
         rc, out = run(tmp_path, "stabilize", "--steps", "200")
         assert rc == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err == f"error: forced failure of file {failing[0]}\n"
         assert os.listdir(out) == []
-
-    def test_crashed_child_commits_none(self, tmp_path, monkeypatch):
-        # a child that dies before it reports is an error of its own
-        def die(traj):
-            if os.getpid() != parent:
-                os._exit(3)
-            return to_csv(traj)
-
-        parent, to_csv = os.getpid(), cli.trajectory_to_csv
-        monkeypatch.setattr(cli, "trajectory_to_csv", die)
-        _with_cpus(monkeypatch, 2)
-        (tmp_path / "out").mkdir()
-        with pytest.raises(ChildProcessError, match="status 3"):
-            run(tmp_path, "stabilize", "--steps", "200")
-        assert os.listdir(tmp_path / "out") == []
-
-    def test_fork_warning_of_threaded_parent_is_ignored(self, tmp_path, monkeypatch):
-        # Python 3.12+ warns in the parent, after the child exists, when
-        # the process has other threads; as an error (filterwarnings =
-        # error here) it would stop the parent before it reaps the child
-        args = ["stabilize", "--steps", "200"]
-        rc_ref, ref = run(tmp_path / "ref", *args)
-        pids, fork = [], os.fork
-
-        def threaded_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
-                              "use of fork() may lead to deadlocks in the child.",
-                              DeprecationWarning, stacklevel=2)
-            return pid
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        monkeypatch.setattr(os, "fork", threaded_fork)
-        unreaped = []
-        try:
-            rc, out = run(tmp_path, *args)
-        finally:
-            for pid in pids:
-                with contextlib.suppress(ChildProcessError):
-                    os.waitpid(pid, 0)
-                    unreaped.append(pid)
-        assert rc == rc_ref == 0
-        assert len(pids) == 3 and unreaped == []
-        names = sorted(os.listdir(out))
-        assert names == sorted(os.listdir(ref))
-        assert all((out / name).read_bytes() == (ref / name).read_bytes()
-                   for name in names)
 
     def test_failed_atomic_write_leaves_no_temporary(self, tmp_path):
         # one text that cannot be encoded fails the whole commit

@@ -327,17 +327,21 @@ class TestSplitmix:
 
 class TestShortestDecimal:
     def test_table_entries_bracket_the_powers_of_ten(self):
-        # (g - 1) 2^r <= 10^-k < g 2^r with 2^125 <= g < 2^126, and h0 is
-        # Java's floor(log2 10^-k) + 2 formula, for every k of a double
-        for k in range(_kernels._K_MIN, _kernels._K_MAX + 1):
-            g, r = _kernels.schubfach_g(-k)
-            assert 1 << 125 <= g < 1 << 126
-            p, q = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
-            lo, hi = ((g - 1) << r, g << r) if r >= 0 else (g - 1, g)
-            if r < 0:
-                p <<= -r
-            assert lo * q <= p < hi * q
-            assert _kernels._g_column(k)[5] == ((-k * 913124641741) >> 38) + 2
+        # every column's phi = H 2^64 + L is 10^k rounded up to 128 bits,
+        # (phi - 1) 2^(E - 127) < 10^k <= phi 2^(E - 127) with
+        # 2^127 <= phi < 2^128, and its delta, the interval's width 2^e 10^k
+        # scaled to an integer, lies in [100, 1000): for every exponent
+        # field of a finite double
+        for bq in range(2047):
+            H, L, delta, k = (_kernels._table_column(bq)[i] for i in (2, 9, 4, 5))
+            k = 2 - (k - (1 << 64) if k >> 63 else k)
+            phi, E = _kernels.dragonbox_phi(k)
+            assert phi == H << 64 | L and 1 << 127 <= phi < 1 << 128
+            # 10^k = p / q and 2^(E - 127) = a / b
+            p, q = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+            a, b = (1 << max(E - 127, 0), 1 << max(127 - E, 0))
+            assert (phi - 1) * a * q < p * b <= phi * a * q
+            assert 100 <= delta < 1000
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
@@ -351,9 +355,7 @@ class TestShortestDecimal:
             assert got.as_tuple() == Decimal(repr(abs(v))).normalize().as_tuple()
 
     def test_zero_and_signs(self):
-        # f may carry trailing zeros; the sign is dropped
-        f, e = _kernels.shortest_decimal(np.array([0.0, -0.0, 2.5, -2.5, 5e-324]))
-        assert f.tolist()[:2] == [0, 0] and e.tolist()[:2] == [0, 0]
-        assert f[2] == f[3] and e[2] == e[3]
-        assert f[2] * 10.0 ** e[2] == 2.5
-        assert (f[4], e[4]) == (5, -324)
+        # f has no trailing zeros; the sign is dropped
+        f, e = _kernels.shortest_decimal(np.array([0.0, -0.0, 2.5, -2.5, 5e-324, 1e22, 100.0]))
+        assert f.tolist() == [0, 0, 25, 25, 5, 1, 1]
+        assert e.tolist() == [0, 0, -1, -1, -324, 22, 2]

@@ -74,7 +74,7 @@ def test_submodule_exports_resolve(name):
 
 
 def test_cli_import_loads_no_process_pool():
-    # the trajectory writers fork by hand: multiprocessing and
+    # the writers run in the calling process: multiprocessing and
     # concurrent.futures would add tens of milliseconds to every start
     code = ("import sys, distcost.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
@@ -87,27 +87,28 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_shortest_decimal_table_is_built_on_first_use():
-    # import leaves the Schubfach table unbuilt; the first csv_text call
-    # builds the entries of the exponents it meets, and a later call on
-    # the same values reuses them without building any
+    # import leaves the Dragonbox table and the layout tables unbuilt;
+    # the first csv_text call builds the entries of the exponent fields it
+    # meets, and a later call on the same values reuses them without
+    # building any
     code = "\n".join([
         "import numpy as np, distcost",
         "from distcost import _kernels, simulate",
-        "print(_kernels._G_TABLE is None)",
+        "print(np.count_nonzero(_kernels._TABLE), simulate._layout_tables.cache_info().currsize)",
         "built = []",
-        "column = _kernels._g_column",
-        "_kernels._g_column = lambda j: built.append(j) or column(j)",
+        "column = _kernels._table_column",
+        "_kernels._table_column = lambda j: built.append(j) or column(j)",
         "table = np.array([[0.5, -3e-7, 1e300], [2.0, 7.0, 0.0]])",
         "text = simulate.csv_text(['a', 'b', 'c'], table)",
-        "first, G = len(built), _kernels._G_TABLE",
+        "first, G = len(built), _kernels._TABLE",
         "assert simulate.csv_text(['a', 'b', 'c'], table) == text",
-        "print(first, len(built), _kernels._G_TABLE is G, int(np.count_nonzero(G[4])))",
+        "print(first, len(built), _kernels._TABLE is G, int(np.count_nonzero(G[2])))",
     ])
     src = os.path.dirname(os.path.dirname(distcost.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert out[0] == "True"
-    first, total, same, entries = int(out[1]), int(out[2]), out[3], int(out[4])
+    assert out[:2] == ["0", "0"]
+    first, total, same, entries = int(out[2]), int(out[3]), out[4], int(out[5])
     assert 0 < first == total == entries and same == "True"

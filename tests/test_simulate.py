@@ -9,7 +9,7 @@ from distcost import simulate
 from distcost.errors import DimensionError, DomainError, NumericalError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
-from distcost.simulate import (Trajectory, _disturbance_stages, _rk4,
+from distcost.simulate import (_POW10, Trajectory, _disturbance_stages, _rk4, _square_sums,
                                simulate_closed_loop, trajectory_to_csv)
 from distcost.synthesis import ControlSignal, disturbed_control, nominal_control
 from distcost.systems import LtiSystem, StabilizationTask
@@ -87,6 +87,26 @@ class TestClosedForm:
         for idx in (0, 100, 400):
             ref = scipy.linalg.expm(A * traj.times[idx]) @ task.x0
             assert np.max(np.abs(traj.states[idx] - ref)) < 1e-10
+
+
+class TestSquareSums:
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_bits_of_numpy_sum_below_eight_columns(self, width):
+        # numpy adds rows of fewer than 8 entries left to right, as
+        # _square_sums does
+        rng = np.random.default_rng(width)
+        A = rng.standard_normal((5000, width)) * 10.0 ** rng.integers(-150, 150, (5000, width))
+        got, want = _square_sums(A), np.sum(A * A, axis=1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("width", [8, 12])
+    def test_rounding_of_wider_rows(self, width):
+        # from 8 entries numpy splits a row pairwise, so the bits may
+        # differ; each sum of w nonnegative terms is within (w - 1) eps
+        rng = np.random.default_rng(width)
+        A = rng.standard_normal((5000, width))
+        np.testing.assert_allclose(_square_sums(A), np.sum(A * A, axis=1),
+                                   rtol=2 * (width - 1) * np.finfo(float).eps, atol=0)
 
 
 class TestAffineRk4:
@@ -280,6 +300,35 @@ class TestShortestRepr:
     def test_any_floats(self, values):
         assert_formats_as_repr(values)
 
+    def test_short_decimals_and_neighbours(self):
+        # random bits almost always need 16-17 digits; values parsed from
+        # 1- to 17-digit decimals over the whole exponent range, and their
+        # neighbours, reach the interval-end, tie and shorter-candidate
+        # cases of the digit kernel in bulk
+        rng = np.random.default_rng(20)
+        n = 100_000
+        digits = rng.integers(1, 18, n)
+        mantissa = rng.integers(0, 10 ** 17, n, dtype=np.uint64) // _POW10[17 - digits]
+        exponent = rng.integers(-323, 310, n) - digits
+        x = np.array([float(f"{m}e{e}") for m, e in zip(mantissa.tolist(), exponent.tolist())])
+        x = x[np.isfinite(x)] * rng.choice([-1.0, 1.0], x.size)[np.isfinite(x)]
+        with np.errstate(over="ignore"):
+            values = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+        values = values[np.isfinite(values)]
+        table = values[:values.size // 10 * 10].reshape(-1, 10)
+        header = [f"c{i}" for i in range(10)]
+        reference = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
+        # lines, so that a failure names its first differing row quickly
+        assert simulate.csv_text(header, table).split("\n") == reference + [""]
+
+    def test_digit_counts_near_powers_of_two(self):
+        # a significand's digit count is read from its bit length as a
+        # float, which rounds up to the next power of two just below 2^54,
+        # 2^55, 2^56 and 2^57 (17-digit significands)
+        values = [float(f"{(1 << b) + j}e{e}") for b in range(50, 58)
+                  for j in (-2, -1, 0, 1) for e in (-320, -20, 0, 20, 280)]
+        assert_formats_as_repr(values)
+
     def test_every_small_subnormal(self):
         # mantissas t < 2^16 at the bottom exponent: the one-digit-shorter
         # candidate must be tried from two-digit s on (5e-324, not 4.9e-324)
@@ -323,9 +372,12 @@ class TestShortestRepr:
         assert trajectory_to_csv(traj) == csv_reference(traj)
 
     def test_group_digit_table(self):
-        # row i holds the four digits of i, most significant first
-        table = simulate._GROUP_DIGITS
-        assert table.shape == (10 ** 4, 4) and table.dtype == np.uint8
-        assert table.flags.c_contiguous
-        text = (table + ord("0")).tobytes().decode("ascii")
-        assert text == "".join(f"{i:04d}" for i in range(10 ** 4))
+        # word i holds the four digits of i, most significant first, in its
+        # four low bytes, and in the second row in its four high ones,
+        # after "0000"
+        table = simulate._layout_tables()[0]
+        assert table.shape == (2, 10 ** 4) and table.dtype == np.uint64
+        low, high = table.astype("<u8").view(np.uint8).reshape(2, -1, 8)
+        want = "".join(f"{i:04d}" for i in range(10 ** 4))
+        assert not low[:, 4:].any() and low[:, :4].tobytes().decode("ascii") == want
+        assert high.tobytes().decode("ascii") == "".join(f"0000{i:04d}" for i in range(10 ** 4))
