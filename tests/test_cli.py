@@ -185,12 +185,16 @@ class TestTrajectoryWriters:
         texts = {(out / name).read_text() for name in names if name.startswith("traj_")}
         assert texts == {text for _, text in formatted}
 
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("failing", [(0,), (3,), (1, 2)],
-                             ids=["first", "last", "second-and-third"])
-    def test_failing_file_commits_none(self, tmp_path, monkeypatch, capsys, failing):
-        # whichever trajectories fail, the first failing file's error is
-        # raised and every temporary is removed
-        trajs = []
+                             ids=["parent-slice", "child-slice", "both-slices"])
+    def test_failing_file_commits_none(self, tmp_path, monkeypatch, capsys, cpus, failing):
+        # file 0, file 3, or files 1 and 2 fail. Whatever the CPU count,
+        # no process is forked, the first failing file's error is raised
+        # and every temporary is removed
+        trajs, forks, fork = [], [], os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(cpus) or fork())
 
         def record(*args):
             trajs.append(simulate(*args))
@@ -211,6 +215,7 @@ class TestTrajectoryWriters:
         err = capsys.readouterr().err
         assert err == f"error: forced failure of file {failing[0]}\n"
         assert os.listdir(out) == []
+        assert forks == []
 
     def test_failed_atomic_write_leaves_no_temporary(self, tmp_path):
         # one text that cannot be encoded fails the whole commit
