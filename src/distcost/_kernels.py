@@ -5,7 +5,9 @@ cyclic Jacobi eigensolve, each on one (n, n) matrix or a (k, n, n) stack,
 every matrix of a stack getting the bits it gets alone; splitmix_fill is
 the counter-based splitmix64 stream; shortest_decimal is Dragonbox's
 shortest round-trip decimal of each float of an array, the digits behind
-the CSV writer. RK4 and the control half-grid need no kernel: they are
+the CSV writer: one exact 64 x 128-bit product per value with a table of
+phi, beta and k' per exponent field, and a power of two's digits read
+from repr. RK4 and the control half-grid need no kernel: they are
 batched numpy in simulate.py and synthesis.py.
 
 Jacobi stops on the absolute test off(S) <= tol * ||S||_F, so on
@@ -53,25 +55,19 @@ _SIGNS = np.array([1.0, -1.0])
 
 # Dragonbox: per exponent field bq of a double, a table column holding
 # the 128-bit power of ten phi = H 2^64 + L (10^k rounded up, for the k
-# that scales x's rounding interval to a width of 100 to 1000) as (H lo,
-# H hi, H, beta, delta, the digits' exponent k', L 2^-66 as float64 bits,
-# L lo, L hi, L), then the shortest decimal (f, k') of the double with
-# field bq and a zero fraction where the kernel needs it: 0 for bq = 0,
-# and 2^(bq - 1023) for bq > 1, whose interval is asymmetric. H >= 2^63,
-# so a zero H marks an entry not yet built; entries are built from Python
-# ints on first use of their bq, never at import.
-_TABLE = np.zeros((12, 2048), dtype=np.uint64)
+# that scales x's rounding interval to a width of 100 to 1000) as (H, L,
+# beta, the digits' exponent k'), then the power of two 2^(bq - 1023),
+# whose interval is asymmetric, as repr's digits (f, k): (0, 0) for bq = 0
+# and 2047. H >= 2^63, so a zero H marks an entry not yet built; entries
+# are built from Python ints on first use of their bq, never at import.
+_TABLE = np.zeros((6, 2048), dtype=np.uint64)
 _U1 = np.uint64(1)
-_U2 = np.uint64(2)
 _U32 = np.uint64(32)
 _U52 = np.uint64(52)
 _U64 = np.uint64(64)
 _HIDDEN = np.uint64(1 << 52)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK52 = np.uint64((1 << 52) - 1)
-# the float estimate of the high word of u L is within 2^13 of it, so the
-# carry it gives is exact unless the low word ends up within 2^14 of 0
-_NEAR = np.uint64(1 << 14)
 
 
 def expm_core(M):
@@ -214,43 +210,32 @@ def _table_column(bq):
     e = max(bq, 1) - 1075
     minus_k = ((e * 315653) >> 20) - 2
     phi, E = dragonbox_phi(-minus_k)
-    beta = e + E
-    H, L = phi >> 64, phi & ((1 << 64) - 1)
-    # 2^(bq - 1023): the interval below it is half as wide as above, and
-    # its ends are included (the significand 2^52 is even)
-    mk = (e * 631305 - 261663) >> 21
-    Hs, Es = dragonbox_phi(-mk)
-    Hs, b = Hs >> 64, e + Es
-    left = ((Hs - (Hs >> 54)) >> (11 - b)) + (not 2 <= e <= 3)
-    f, k = ((Hs + (Hs >> 53)) >> (11 - b)) // 10, mk + 1
-    if f * 10 < left:
-        f, k = ((Hs >> (10 - b)) + 1) // 2, mk
-        f += -1 if f % 2 and e == -77 else f < left
-    while f % 10 == 0:
-        f, k = f // 10, k + 1
-    if bq == 0:
-        f, k = 0, 0
-    Lf = int(np.float64(L / 2 ** 66).view(np.uint64))
-    column = (H & 0xFFFFFFFF, H >> 32, H, beta, H >> (63 - beta), minus_k + 2, Lf,
-              L & 0xFFFFFFFF, L >> 32, L, f, k)
+    # repr(2^(bq - 1023)), positional or with an exponent, as (f, k)
+    f, k = 0, 0
+    if 0 < bq < 2047:
+        digits, _, exp = repr(2.0 ** (bq - 1023)).partition("e")
+        whole, _, frac = digits.partition(".")
+        f = (whole + frac).rstrip("0")
+        f, k = int(f), int(exp or 0) + len(whole) - len(f)
+    column = (phi >> 64, phi & ((1 << 64) - 1), e + E, minus_k + 2, f, k)
     return [c & ((1 << 64) - 1) for c in column]
 
 
 def _table_columns(bq):
-    # the first seven table rows at the bq values, building missing entries
-    T = _TABLE[:7].take(bq, axis=1, mode="wrap")
-    if np.count_nonzero(T[2]) < bq.size:
-        built = _TABLE[2].tolist()
-        new = sorted(j for j in set(bq.tolist()) if not built[j])
+    # the first four table rows at the bq values, building missing entries
+    T = _TABLE[:4].take(bq, axis=1, mode="wrap")
+    if not T[0].all():
+        new = sorted(set(bq[T[0] == 0].tolist()))
         _TABLE[:, new] = np.array([_table_column(j) for j in new], dtype=np.uint64).T
-        T = _TABLE[:7].take(bq, axis=1, mode="wrap")
+        T = _TABLE[:4].take(bq, axis=1, mode="wrap")
     return T
 
 
-def _umul_hi(a, b0, b1):
-    # the high 64 bits of a b for uint64 a and b = b1 2^32 + b0, from
-    # 32-bit limbs; no partial sum exceeds 2^64 - 1
+def _umul_hi(a, b):
+    # the high 64 bits of a b for uint64 a and b, from 32-bit limbs; no
+    # partial sum exceeds 2^64 - 1
     a0, a1 = a & _MASK32, a >> _U32
+    b0, b1 = b & _MASK32, b >> _U32
     mid = a1 * b0 + (a0 * b0 >> _U32)
     hi = a0 * b1 + (mid & _MASK32)
     return a1 * b1 + (mid >> _U32) + (hi >> _U32)
@@ -259,9 +244,9 @@ def _umul_hi(a, b0, b1):
 def _parity(two_f, bq, beta):
     # Dragonbox's compute_mul_parity: of two_f phi 2^beta / 2^128, the
     # parity of the integer part and whether the fraction is zero
-    _, _, H, _, _, _, _, l0, l1, L, _, _ = _TABLE[:, bq]
+    H, L = _TABLE[0, bq], _TABLE[1, bq]
     lo = two_f * L
-    hi = two_f * H + _umul_hi(two_f, l0, l1)
+    hi = two_f * H + _umul_hi(two_f, L)
     return (hi >> (_U64 - beta)) & _U1, ((hi << beta) | (lo >> (_U64 - beta))) == 0
 
 
@@ -281,23 +266,17 @@ def shortest_decimal(x):
     # zeros and powers of two, whose (f, k) the table holds
     bare = np.flatnonzero(fc == 0)
     fc |= (bq != 0) * _HIDDEN
-    T = _table_columns(bq)
-    beta, delta = T[3], T[4]
+    H, L, beta, k = _table_columns(bq)
     # x's rounding interval scaled by 10^(2 - k') is about delta wide;
     # its upper end z = floor(u phi / 2^128), u = (2 fc + 1) 2^beta, is
     # the high word of u H plus the carry of its low word and the high
-    # word of u L, the latter estimated in floating point and computed
-    # exactly where the estimate could move the carry
+    # word of u L
+    delta = H >> (np.uint64(63) - beta)
     two_fc = fc << _U1
     u = (two_fc | _U1) << beta
-    lo = u * T[2]
-    low = (u.astype(np.float64) * T[6].view(np.float64)).astype(np.uint64)
-    low <<= _U2
-    low += lo
-    i = np.flatnonzero(low + _NEAR < _NEAR << _U1)
-    if i.size:
-        low[i] = lo[i] + _umul_hi(u[i], _TABLE[7, bq[i]], _TABLE[8, bq[i]])
-    z = _umul_hi(u, T[0], T[1]) + (low < lo)
+    lo = u * H
+    low = lo + _umul_hi(u, L)
+    z = _umul_hi(u, H) + (low < lo)
     # 1000 s, the multiple of 1000 at or below z, is the answer (f = s,
     # one digit short) when it lies in the interval (z - delta, z], whose
     # ends belong to it only when fc is even
@@ -306,8 +285,7 @@ def shortest_decimal(x):
     big = r < delta
     odd = fc & _U1
     # 1000 s = z: the upper end when z is exact (low = 0)
-    i = np.flatnonzero(big & (r == 0))
-    i = i[(low[i] == 0) & (odd[i] == 1)]
+    i = np.flatnonzero(big & (r == 0) & (low == 0) & (odd == 1))
     s[i] -= _U1
     r[i] = 1000
     big[i] = False
@@ -332,7 +310,7 @@ def shortest_decimal(x):
         f[half] -= ((par[n:] != (dist[half] ^ np.uint64(50)) & _U1)
                     | (exact[n:] & (f[half] & _U1 == 1)))
     f = np.where(big, s, f)
-    k = T[5].view(np.int64) + big
+    k = k.view(np.int64) + big
     # f = s can end in zeros: strip them, eight, four, two and one at a time
     i = np.flatnonzero(big & (s // 10 * np.uint64(10) == s))
     if i.size:
@@ -344,6 +322,6 @@ def shortest_decimal(x):
             ki += j * hit
         f[i], k[i] = fi, ki
     i = bare[bq[bare] != 1]
-    f[i] = _TABLE[10, bq[i]]
-    k[i] = _TABLE[11, bq[i]].view(np.int64)
+    f[i] = _TABLE[4, bq[i]]
+    k[i] = _TABLE[5, bq[i]].view(np.int64)
     return f, k

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import dataclasses
 import json
 import os
@@ -112,6 +111,13 @@ def _on(commands: str, default) -> dict:
     return dict.fromkeys(commands.split(), default)
 
 
+class _PerRun(list):
+    # a list default that is also a callable one: each run gets its own
+    # copy, down to the run dicts, so no edit reaches the next run
+    def __call__(self, resolved):
+        return [dict(run) for run in self]
+
+
 # key: (resolver, flag help or None, {command: default}), one row per key
 # and the one declaration of it. A command reads the keys it has a
 # default for, in table order (_COMMAND_OPTIONS); any other exits 2, so
@@ -144,9 +150,9 @@ _KEYS = {
               {"stabilize": lambda r: 1000 if r["steps"] % 1000 == 0 else r["steps"],
                **_on("bound-accuracy metrics-sweep", EVIDENCE_CELLS)}),
     "disturbances": (_of_type(list, "a list of disturbance objects"), None,
-                     {"stabilize": [{"name": "constant", "kind": "constant_sign"},
-                                    {"name": "sinusoid", "kind": "sinusoid"},
-                                    {"name": "piecewise", "kind": "piecewise_uniform"}]}),
+                     {"stabilize": _PerRun([{"name": "constant", "kind": "constant_sign"},
+                                            {"name": "sinusoid", "kind": "sinusoid"},
+                                            {"name": "piecewise", "kind": "piecewise_uniform"}])}),
 }
 
 
@@ -171,8 +177,7 @@ class RunConfig:
                 resolved[key] = resolve(value)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"malformed {key} value: {exc}") from exc
-        # a copy down to the run dicts, so no edit reaches the next default
-        vars(self).update(copy.deepcopy(resolved))
+        vars(self).update(resolved)
 
     def load_system(self) -> LtiSystem:
         builtins = builtin_models()

@@ -12,7 +12,8 @@ refinement of every horizon's norm integral. The refinement's nodes are
 propagated (e^{A(a+h)} = e^{Aa} e^{Ah}): each new node is one product of
 a panel's carried exponential with its level's step, and each level
 takes one stacked expm of those steps. Each horizon gets the bits it
-gets alone, and ``build_bundle`` is a grid of one.
+gets alone, and fails alone as in the grid, which a failed grid replays
+one horizon at a time. ``build_bundle`` is a grid of one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .errors import DomainError, IllConditionedError, NumericalError
+from .errors import DistcostError, IllConditionedError, NumericalError
 from .linalg import SpectralDecomposition, as_scalar, block_expm, expm
 from .systems import LtiSystem
 
@@ -65,20 +66,11 @@ def _overflow(t_f: float) -> IllConditionedError:
     return IllConditionedError(f"Gramian exponential overflows at horizon t_f = {t_f:g}")
 
 
-def _cut(results: list, failure):
-    # the results before the first exception, and that exception (or the
-    # earlier stage's failure, which belongs to a later horizon)
-    for i, r in enumerate(results):
-        if isinstance(r, Exception):
-            return results[:i], r
-    return results, failure
-
-
 def _gramians(sys: LtiSystem, hs: list) -> list:
     # read-only (W_B, e^{A t_f}) per horizon from one stacked Van Loan
-    # expm, up to and including the first whose exponential overflows,
-    # which gets its IllConditionedError. Overflow is found by the
-    # finiteness checks, not reported by numpy.
+    # expm, or the IllConditionedError of the first horizon whose
+    # exponential overflows. Overflow is found by the finiteness checks,
+    # not reported by numpy.
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         BBt = sys.B @ sys.B.T
@@ -86,29 +78,28 @@ def _gramians(sys: LtiSystem, hs: list) -> list:
         # overflows, and such a horizon must not reach the stacked expm
         peak = max(np.max(np.abs(sys.A)), np.max(np.abs(BBt)))
         finite = np.isfinite(peak * np.array(hs))
-        last = len(hs) if finite.all() else int(np.argmin(finite))
-        trans, E12 = block_expm(sys.A, BBt, -sys.A.T, np.array(hs[:last]))
+        if not finite.all():
+            raise _overflow(hs[int(np.argmin(finite))])
+        trans, E12 = block_expm(sys.A, BBt, -sys.A.T, np.array(hs))
         trans.setflags(write=False)
         for t_f, T, E in zip(hs, trans, E12):
             W = E @ T.T
             W = 0.5 * (W + W.T)
             if not (np.all(np.isfinite(W)) and np.all(np.isfinite(T))):
-                return out + [_overflow(t_f)]
+                raise _overflow(t_f)
             W.setflags(write=False)
             out.append((W, T))
-    return out + [_overflow(t_f) for t_f in hs[last:last + 1]]
+    return out
 
 
 def _inverse_factors(Ws: list, hs: list) -> list:
     # W_B^{-1}'s factors (eigenvalues descending: W_B's eigenvectors, its
     # eigenvalues ascending and inverted) from one Jacobi call on the stack
-    # of W_B, up to and including the first horizon whose eigensolve does
-    # not converge or loses orthogonality, or whose W_B is singular: an
+    # of W_B, or the error of the first horizon whose eigensolve does not
+    # converge or loses orthogonality, or whose W_B is singular: an
     # eigenvalue ratio past _CONDITION_LIMIT, or a smallest eigenvalue (a
     # subnormal one) with no finite reciprocal. Tied eigenvalues go last
     # index first, the reverse of a stable descending sort. No test warns.
-    if not Ws:
-        return []
     diag, V, off, sweeps, thresh = _k.jacobi_core(np.stack(Ws), _JACOBI_OFF_TOL,
                                                   _JACOBI_MAX_SWEEPS)
     n = diag.shape[-1]
@@ -116,31 +107,31 @@ def _inverse_factors(Ws: list, hs: list) -> list:
     for t_f, d, Vi, off_i, sweeps_i, thresh_i in zip(hs, diag, V, off, sweeps.tolist(),
                                                       thresh):
         if off_i > thresh_i:
-            return out + [NumericalError(
+            raise NumericalError(
                 f"Jacobi iteration did not converge in {sweeps_i} sweeps "
                 f"(off-diagonal norm {off_i:.3e}, threshold {thresh_i:.3e})",
                 estimate=d,
                 error_bound=off_i,
                 iterations=sweeps_i,
-            )]
+            )
         order = np.lexsort((-np.arange(n), d))
         lam = d[order]
         U = np.ascontiguousarray(Vi[:, order])
         if np.max(np.abs(U.T @ U - np.eye(n))) > 1e-10 * n:
-            return out + [NumericalError(
+            raise NumericalError(
                 "eigenvector matrix lost orthogonality", estimate=lam[::-1],
-                iterations=sweeps_i)]
+                iterations=sweeps_i)
         with np.errstate(over="ignore", divide="ignore"):
             inv_lam = 1.0 / lam
             cond = lam[-1] / lam[0] if lam[0] > 0.0 else np.inf
         if cond > _CONDITION_LIMIT or np.isinf(inv_lam[0]):
             reason = (f"condition estimate {cond:.3e}" if cond > _CONDITION_LIMIT
                       else f"smallest eigenvalue {lam[0]:.3e} has no finite reciprocal")
-            return out + [IllConditionedError(
+            raise IllConditionedError(
                 f"Gramian is numerically singular at horizon t_f = {t_f:g} ({reason})",
                 estimate=lam[::-1],
                 error_bound=cond,
-            )]
+            )
         inv_lam.setflags(write=False)
         U.setflags(write=False)
         out.append(SpectralDecomposition(U=U, lambdas=inv_lam))
@@ -154,7 +145,7 @@ def _inf_norms(E: np.ndarray) -> np.ndarray:
 def _norm_integrals(A: np.ndarray, hs: list) -> list:
     # v_bar_unit = int_0^tf ||e^{A(tf-t)}||_inf dt = int_0^tf ||e^{As}||_inf ds
     # for every horizon of hs by adaptive composite Simpson, or the
-    # NumericalError, carrying estimate and error bound, of one whose
+    # NumericalError, carrying estimate and error bound, of the first whose
     # error estimate misses its tolerance. The absolute tolerance is
     # _NORM_INTEGRAL_TOL * t_f, halved with each halving of a panel; a
     # panel still short of its share after _ADAPTIVE_DEPTH halvings, as at
@@ -174,8 +165,6 @@ def _norm_integrals(A: np.ndarray, hs: list) -> list:
     # have open panels. A node at level d is a product of at most d + 2
     # factors, so its rounding stays bounded by the depth budget, and
     # each horizon's steps depend on its own t_f alone.
-    if not hs:
-        return []
     t_f = np.array(hs)
     tol = _NORM_INTEGRAL_TOL * t_f
 
@@ -233,15 +222,14 @@ def _norm_integrals(A: np.ndarray, hs: list) -> list:
         total = float(np.cumsum(value[panels])[-1])
         err_total = float(np.cumsum(share[panels])[-1])
         if err_total > tol[h]:
-            out.append(NumericalError(
+            raise NumericalError(
                 f"norm integral error estimate {err_total:.3e} misses tolerance "
                 f"{tol[h]:.3e} within depth {_ADAPTIVE_DEPTH}",
                 estimate=total,
                 error_bound=err_total,
                 iterations=_ADAPTIVE_DEPTH,
-            ))
-        else:
-            out.append(total)
+            )
+        out.append(total)
     return out
 
 
@@ -252,26 +240,27 @@ def build_bundles(sys: LtiSystem, tf_grid) -> list:
     The work is three stacked stages over the distinct horizons: one
     ``expm`` of all Van Loan blocks, one Jacobi call on all W_B for the
     factors of W_B^{-1} and one level-by-level refinement of all norm
-    integrals. A horizon that fails a stage is left out of the later ones.
-    The error raised is that of the first failing horizon in grid order,
-    which is the error ``build_bundle`` raises on it: an invalid horizon,
-    then an overflowing exponential, a failed eigensolve or a singular
-    W_B, then a norm integral that misses its tolerance. Repeated
-    horizons share a bundle.
+    integrals. The error raised is the one ``build_bundle`` raises on the
+    first failing horizon in grid order: an invalid horizon, an
+    overflowing exponential, a failed eigensolve or a singular W_B, or a
+    norm integral that misses its tolerance. A grid that fails is built
+    again one horizon at a time until one fails. Repeated horizons share
+    a bundle.
     """
-    hs, failure = [], None
-    for t_f in tf_grid:
-        try:
-            hs.append(as_scalar(t_f, "horizon t_f", positive=True))
-        except DomainError as exc:
-            failure = exc
-            break
-    uniq = list(dict.fromkeys(hs))
-    gram, failure = _cut(_gramians(sys, uniq), failure)
-    specs, failure = _cut(_inverse_factors([W for W, _ in gram], uniq), failure)
-    v_units, failure = _cut(_norm_integrals(sys.A, uniq[:len(specs)]), failure)
-    if failure is not None:
-        raise failure
+    grid = list(tf_grid)
+    if not grid:
+        return []
+    try:
+        hs = [as_scalar(t_f, "horizon t_f", positive=True) for t_f in grid]
+        uniq = list(dict.fromkeys(hs))
+        gram = _gramians(sys, uniq)
+        specs = _inverse_factors([W for W, _ in gram], uniq)
+        v_units = _norm_integrals(sys.A, uniq)
+    except DistcostError:
+        if len(grid) > 1:
+            for t_f in grid:
+                build_bundles(sys, [t_f])
+        raise
     bundles = {t_f: GramianBundle(W_B=W, spec=spec, t_f=t_f, v_bar_unit=v_unit,
                                   state_transition=trans, system=sys)
                for t_f, (W, trans), spec, v_unit in zip(uniq, gram, specs, v_units)}

@@ -12,6 +12,7 @@ and n*p.
 from __future__ import annotations
 
 import json
+from sys import float_info
 
 import numpy as np
 
@@ -60,9 +61,11 @@ def _parse_matrix(obj, rows: int, cols: int, field: str) -> np.ndarray:
             f"field {field!r} has {len(obj)} entries, expected {rows}x{cols}"
         )
     for k, v in enumerate(obj):
+        entry = f"entry ({k // cols}, {k % cols}) of {field!r}"
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ModelParseError(
-                f"entry ({k // cols}, {k % cols}) of {field!r} is not a number")
+            raise ModelParseError(f"{entry} is not a number")
+        if not abs(v) <= float_info.max:  # nan, inf or an int past the floats
+            raise ModelParseError(f"{entry} is not a finite float")
     return np.asarray(obj, dtype=np.float64).reshape(rows, cols)
 
 

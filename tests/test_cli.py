@@ -353,7 +353,10 @@ class TestOptions:
             entry([command, "--" + key.replace("_", "-"), "1"])
         assert exc.value.code == EXIT_CONFIG
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: [v for v in _KEYS[key][2].values() if not callable(v)][-1]}))
+        # a valid value: the last default that is data, not a function of
+        # the values resolved before it (a list default is both)
+        value = [v for v in _KEYS[key][2].values() if isinstance(v, list) or not callable(v)][-1]
+        cfg.write_text(json.dumps({key: value}))
         assert entry([command, "--config", str(cfg)]) == EXIT_CONFIG
         assert os.listdir(out) == []
 
@@ -421,6 +424,20 @@ class TestExitCodes:
         bad.write_text(json.dumps({"name": "x"}))
         rc = entry(["model", "--model", str(bad)])
         assert rc == EXIT_PARSE
+
+    @pytest.mark.parametrize("literal", ["NaN", "1e400", "1" + "0" * 400],
+                             ids=["NaN", "1e400", "400-digit-int"])
+    def test_non_finite_model_entry_is_parse(self, tmp_path, capsys, literal):
+        # the model file is malformed: exit 3 naming the entry, nothing written
+        model = tmp_path / "model.json"
+        model.write_text('{"name": "dblint", "n": 2, "p": 1, "A": [[0.0, %s], [0.0, 0.0]], '
+                         '"B": [[0.0], [1.0]]}' % literal)
+        assert entry(["model", "--model", str(model)]) == EXIT_PARSE
+        rc, out = run(tmp_path, "energy", "--model", str(model), "--x0", "1,1")
+        assert rc == EXIT_PARSE and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("entry (0, 1) of 'A' is not a finite float") == 2
 
     def test_singular_gramian_is_numeric(self, tmp_path):
         model = tmp_path / "dblint.json"

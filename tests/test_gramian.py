@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from distcost import gramian
 from distcost import _kernels
-from distcost.errors import DomainError, IllConditionedError, NumericalError
+from distcost.errors import DistcostError, DomainError, IllConditionedError, NumericalError
 from distcost.gramian import build_bundle, build_bundles
 from distcost.linalg import expm
 from distcost.systems import LtiSystem
@@ -31,7 +31,10 @@ def simpson_gramian(sys, t_f, panels=2048):
 def norm_integral(A, t_f):
     """v_bar_unit at one horizon as build_bundles computes it, or the
     NumericalError of a norm integral that misses its tolerance."""
-    (v,) = gramian._norm_integrals(A, [t_f])
+    try:
+        (v,) = gramian._norm_integrals(A, [t_f])
+    except NumericalError as exc:
+        return exc
     return v
 
 
@@ -326,14 +329,26 @@ def _counted_expm_calls(monkeypatch):
     return calls
 
 
-def _unstable_double_integrator():
+def _unstable_double_integrator(b=1.0):
     # a double integrator shifted by I: cond(W_B) ~ 1 / t_f^2 makes tiny
     # horizons singular and e^{t_f} overflows past t_f ~ 709
-    return LtiSystem(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [1.0]]),
+    return LtiSystem(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [b]]),
                      name="dblint+")
 
 
 HORIZON_GRID = [float(t) for t in np.geomspace(0.25, 5.0, 12)]
+
+# horizons of _unstable_double_integrator(2.0), whose peak |BB^T|
+# of 4 makes M t_f non-finite at 1e308, and a norm integral depth of 6:
+# valid ones, then failing ones of each kind
+FAILING_GRID_DEPTH = 6
+VALID_HORIZONS = [0.5, 1.0, 2.0]
+FAILING_HORIZONS = {
+    "invalid": [-1.0, 0.0, float("nan")],
+    "overflowing": [800.0, 1e308],  # W_B non-finite, M t_f non-finite
+    "singular": [1e-8],
+    "norm integral": [5.0],
+}
 
 
 def _grid_case(kind, jet):
@@ -429,6 +444,41 @@ class TestBuildBundles:
         with pytest.raises(IllConditionedError, match="overflows at horizon t_f = 800"):
             build_bundles(sys, [800.0, 1e-8])
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(VALID_HORIZONS + sum(FAILING_HORIZONS.values(), [])),
+                    min_size=1, max_size=6))
+    def test_first_failing_horizon_raises_its_own_error(self, grid):
+        # the error of a grid is the one build_bundle raises on its first
+        # failing horizon in grid order, whichever stage finds it
+        sys = _unstable_double_integrator(2.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gramian, "_ADAPTIVE_DEPTH", FAILING_GRID_DEPTH)
+            want = None
+            for t_f in grid:
+                try:
+                    build_bundle(sys, t_f)
+                except DistcostError as exc:
+                    want = exc
+                    break
+            if want is None:
+                assert [b.t_f for b in build_bundles(sys, grid)] == grid
+                return
+            with pytest.raises(DistcostError) as got:
+                build_bundles(sys, grid)
+        assert type(got.value) is type(want) and str(got.value) == str(want)
+
+    def test_failing_horizons_fail_alone_as_their_kind(self):
+        sys = _unstable_double_integrator(2.0)
+        kinds = {"invalid": "must be positive", "overflowing": "overflows",
+                 "singular": "singular", "norm integral": "norm integral"}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gramian, "_ADAPTIVE_DEPTH", FAILING_GRID_DEPTH)
+            for kind, horizons in FAILING_HORIZONS.items():
+                for t_f in horizons:
+                    with pytest.raises(DistcostError, match=kinds[kind]):
+                        build_bundle(sys, t_f)
+            build_bundles(sys, VALID_HORIZONS)
+
     def test_invalid_horizon_raises_in_grid_order(self):
         sys = _unstable_double_integrator()
         with pytest.raises(IllConditionedError, match="singular"):
@@ -436,12 +486,23 @@ class TestBuildBundles:
         with pytest.raises(DomainError, match="horizon t_f"):
             build_bundles(sys, [1.0, 0.0, 1e-8])
 
-    def test_overflowing_block_does_not_poison_the_stack(self, jet):
-        # M t_f non-finite at the last horizon: the horizons before it
-        # still get their own bits, and the overflow is what is raised
+    def test_overflowing_block_does_not_poison_the_stack(self, jet, monkeypatch):
+        # M t_f non-finite at the last horizon: the stacked block_expm
+        # never receives it, the horizons before it still get their own
+        # bits, and the overflow is what is raised
+        seen = []
+        block_expm = gramian.block_expm
+
+        def spying_block_expm(A, C, S, t):
+            seen.extend(np.asarray(t).tolist())
+            return block_expm(A, C, S, t)
+
+        monkeypatch.setattr(gramian, "block_expm", spying_block_expm)
         with pytest.raises(IllConditionedError, match="overflows"):
             build_bundles(jet, [0.5, 1.0, 5e306])
-        W = gramian._gramians(jet, [0.5, 1.0, 5e306])
-        assert isinstance(W[-1], IllConditionedError)
-        for t_f, (got, _) in zip([0.5, 1.0], W[:-1]):
+        with pytest.raises(IllConditionedError, match="overflows at horizon t_f = 5e"):
+            gramian._gramians(jet, [0.5, 1.0, 5e306])
+        assert seen and 5e306 not in seen
+        W = gramian._gramians(jet, [0.5, 1.0])
+        for t_f, (got, _) in zip([0.5, 1.0], W):
             assert _same_bits(got, build_bundle(jet, t_f).W_B)

@@ -265,16 +265,31 @@ class TestJacobiStack:
         dense = G @ G.T
         diagonal = np.diag([4.0, 3.0, 2.0, 1.0])
         monkeypatch.setattr(gramian, "_JACOBI_MAX_SWEEPS", 1)
-        (lone,) = gramian._inverse_factors([dense], [2.0])
-        spec, err = gramian._inverse_factors([diagonal, dense], [1.0, 2.0])
-        assert isinstance(err, NumericalError)
+        stacks = []
+        jacobi = _kernels.jacobi_core
+
+        def recording_jacobi(S, off_tol, max_sweeps):
+            stacks.append(jacobi(S, off_tol, max_sweeps))
+            return stacks[-1]
+
+        monkeypatch.setattr(_kernels, "jacobi_core", recording_jacobi)
+        with pytest.raises(NumericalError) as lone:
+            gramian._inverse_factors([dense], [2.0])
+        with pytest.raises(NumericalError) as err:
+            gramian._inverse_factors([diagonal, dense], [1.0, 2.0])
+        lone, err = lone.value, err.value
         assert str(err) == str(lone)
         assert same_bits(err.estimate, lone.estimate)
         assert same_bits(err.error_bound, lone.error_bound)
         assert err.iterations == lone.iterations == 1
+        # the diagonal member of the failed stack converged, with the bits
+        # of the stack of it alone, whose factors the stage returns
         (alone,) = gramian._inverse_factors([diagonal], [1.0])
-        assert same_bits(spec.lambdas, alone.lambdas)
-        assert same_bits(spec.U, alone.U)
+        diag, _, off, _, thresh = stacks[1]
+        assert off[0] <= thresh[0]
+        for got, own in zip(stacks[1], stacks[2]):
+            assert same_bits(got[0], own[0])
+        assert same_bits(alone.lambdas, 1.0 / np.sort(diag[0]))
 
 
 class TestSplitmix:
@@ -329,11 +344,12 @@ class TestShortestDecimal:
     def test_table_entries_bracket_the_powers_of_ten(self):
         # every column's phi = H 2^64 + L is 10^k rounded up to 128 bits,
         # (phi - 1) 2^(E - 127) < 10^k <= phi 2^(E - 127) with
-        # 2^127 <= phi < 2^128, and its delta, the interval's width 2^e 10^k
-        # scaled to an integer, lies in [100, 1000): for every exponent
-        # field of a finite double
+        # 2^127 <= phi < 2^128, and its delta = H >> (63 - beta), the
+        # interval's width 2^e 10^k scaled to an integer, lies in
+        # [100, 1000): for every exponent field of a finite double
         for bq in range(2047):
-            H, L, delta, k = (_kernels._table_column(bq)[i] for i in (2, 9, 4, 5))
+            H, L, beta, k = _kernels._table_column(bq)[:4]
+            delta = H >> (63 - beta)
             k = 2 - (k - (1 << 64) if k >> 63 else k)
             phi, E = _kernels.dragonbox_phi(k)
             assert phi == H << 64 | L and 1 << 127 <= phi < 1 << 128
@@ -342,6 +358,19 @@ class TestShortestDecimal:
             a, b = (1 << max(E - 127, 0), 1 << max(127 - E, 0))
             assert (phi - 1) * a * q < p * b <= phi * a * q
             assert 100 <= delta < 1000
+
+    def test_every_exponent_field_builds_its_column(self):
+        # zero and subnormals (bq = 0) and inf and NaN (bq = 2047) too,
+        # whose power-of-two digits are (0, 0); between them, the digits
+        # (f, k) of 2^(bq - 1023) are repr's, with no trailing zeros
+        from decimal import Decimal
+        for bq in range(2048):
+            column = _kernels._table_column(bq)
+            assert len(column) == 6 and all(0 <= c < 1 << 64 for c in column)
+            f, k = column[4], column[5] - (column[5] >> 63 << 64)
+            if 0 < bq < 2047:
+                assert f % 10 and Decimal(f).scaleb(k) == Decimal(repr(2.0 ** (bq - 1023)))
+        assert _kernels._table_column(0)[4:] == _kernels._table_column(2047)[4:] == [0, 0]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))

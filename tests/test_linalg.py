@@ -12,9 +12,10 @@ rng = np.random.default_rng(7)
 
 
 def inverse_factors(W):
-    """W^{-1}'s factors, or the stage's error, from the eigen stage of
-    build_bundles on a stack of one."""
-    return gramian._inverse_factors([W], [1.0])[0]
+    """W^{-1}'s factors from the eigen stage of build_bundles on a stack
+    of one, which raises the stage's error."""
+    (spec,) = gramian._inverse_factors([W], [1.0])
+    return spec
 
 
 def random_spd(n):
@@ -218,8 +219,9 @@ class TestSymEig:
                       [0.0, 0.0, 1.2, 0.9], [0.0, 0.0, 0.0, 1.0]])
         S = G @ G.T
         monkeypatch.setattr(gramian, "_JACOBI_MAX_SWEEPS", 1)
-        err = inverse_factors(S)
-        assert isinstance(err, NumericalError)
+        with pytest.raises(NumericalError, match="did not converge in 1 sweeps") as info:
+            inverse_factors(S)
+        err = info.value
         assert err.iterations == 1
         assert err.estimate is not None and err.estimate.shape == (4,)
         assert err.error_bound > 0.0

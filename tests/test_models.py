@@ -86,6 +86,22 @@ class TestParse:
         with pytest.raises(ModelParseError):
             load_model(self._write(tmp_path, doc))
 
+    # JSON's non-finite and overflowing numbers, which json.load reads as
+    # nan, inf or an int no float can hold
+    NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400]
+
+    @pytest.mark.parametrize("literal", NON_FINITE, ids=[v[:9] for v in NON_FINITE])
+    def test_non_finite_entry_names_its_position(self, tmp_path, literal):
+        path = tmp_path / "m.json"
+        path.write_text('{"name": "dblint", "n": 2, "p": 1, "A": [0.0, 1.0, 0.0, %s], '
+                        '"B": [[0.0], [1.0]]}' % literal)
+        with pytest.raises(ModelParseError, match=r"entry \(1, 1\) of 'A' is not a finite"):
+            load_model(path)
+        path.write_text('{"name": "dblint", "n": 2, "p": 1, "A": [[0.0, 1.0], [0.0, 0.0]], '
+                        '"B": [[0.0], [%s]]}' % literal)
+        with pytest.raises(ModelParseError, match=r"entry \(1, 0\) of 'B' is not a finite"):
+            load_model(path)
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

@@ -86,6 +86,25 @@ def test_cli_import_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
+def test_first_csv_text_loads_no_module():
+    # building the writer's tables on first use imports nothing: numpy's
+    # lazily loaded submodules, such as numpy.ma behind np.unique, cost a
+    # fresh process about 15 ms and 1 MB
+    code = "\n".join([
+        "import sys, numpy as np, distcost.cli",
+        "from distcost import simulate",
+        "loaded = set(sys.modules)",
+        "simulate.csv_text(['a', 'b'], np.array([[0.5, -3e-7], [2.0 ** -30, 1e300]]))",
+        "print(sorted(set(sys.modules) - loaded))",
+    ])
+    src = os.path.dirname(os.path.dirname(distcost.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_shortest_decimal_table_is_built_on_first_use():
     # import leaves the Dragonbox table and the layout tables unbuilt;
     # the first csv_text call builds the entries of the exponent fields it

@@ -321,6 +321,13 @@ class TestShortestRepr:
         # lines, so that a failure names its first differing row quickly
         assert simulate.csv_text(header, table).split("\n") == reference + [""]
 
+    def test_every_power_of_two_and_its_neighbours(self):
+        # 2^(bq - 1023) for every exponent field bq of 1-2046, whose
+        # digits the kernel's table reads off repr, and both neighbours
+        x = np.ldexp(1.0, np.arange(-1022, 1024))
+        assert_formats_as_repr(np.concatenate([x, np.nextafter(x, 0.0),
+                                               np.nextafter(x, np.inf)]))
+
     def test_digit_counts_near_powers_of_two(self):
         # a significand's digit count is read from its bit length as a
         # float, which rounds up to the next power of two just below 2^54,
