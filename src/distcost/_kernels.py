@@ -20,25 +20,16 @@ callers linalg.expm, gramian._inverse_factors (Jacobi's one caller) and
 signals own the error checking.
 """
 
+import math
+
 import numpy as np
 
-# degree-13 Pade coefficients for expm, scaling threshold from the
-# standard scaling-and-squaring error analysis
+# degree-13 Pade coefficients for expm, b_j = (26 - j)! / (j! (13 - j)!),
+# each exact as a double; scaling threshold from the standard
+# scaling-and-squaring error analysis
 _PADE_THETA = 5.371920351148152
-_B0 = 64764752532480000.0
-_B1 = 32382376266240000.0
-_B2 = 7771770303897600.0
-_B3 = 1187353796428800.0
-_B4 = 129060195264000.0
-_B5 = 10559470521600.0
-_B6 = 670442572800.0
-_B7 = 33522128640.0
-_B8 = 1323241920.0
-_B9 = 40840800.0
-_B10 = 960960.0
-_B11 = 16380.0
-_B12 = 182.0
-_B13 = 1.0
+_B = tuple(float(math.factorial(26 - j) // (math.factorial(j) * math.factorial(13 - j)))
+           for j in range(14))
 
 # splitmix64 mixing constants
 _SM_GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -83,10 +74,10 @@ def expm_core(M):
     M2 = Ms @ Ms
     M4 = M2 @ M2
     M6 = M4 @ M2
-    U = Ms @ (M6 @ (_B13 * M6 + _B11 * M4 + _B9 * M2)
-              + _B7 * M6 + _B5 * M4 + _B3 * M2 + _B1 * I)
-    V = (M6 @ (_B12 * M6 + _B10 * M4 + _B8 * M2)
-         + _B6 * M6 + _B4 * M4 + _B2 * M2 + _B0 * I)
+    U = Ms @ (M6 @ (_B[13] * M6 + _B[11] * M4 + _B[9] * M2)
+              + _B[7] * M6 + _B[5] * M4 + _B[3] * M2 + _B[1] * I)
+    V = (M6 @ (_B[12] * M6 + _B[10] * M4 + _B[8] * M2)
+         + _B[6] * M6 + _B[4] * M4 + _B[2] * M2 + _B[0] * I)
     E = np.ascontiguousarray(np.linalg.solve(V - U, V + U))
     for j in range(1, int(s.max(initial=0)) + 1):
         sq = s >= j

@@ -313,7 +313,7 @@ def cmd_stabilize(cfg: RunConfig) -> int:
     trajs, runs = [], []
     for name, w in [("nominal", None), *resolved]:
         control = disturbed_control(task, bundle, w)
-        traj = simulate_closed_loop(task, control, w, cfg.steps)
+        traj = simulate_closed_loop(control, w, cfg.steps)
         run = {"name": name, "kind": "zero" if w is None else w.kind,
                "terminal_residual": traj.terminal_residual,
                "energy_quadrature": traj.energy, "energy_closed_form": bound.E_N}

@@ -214,23 +214,21 @@ def _norm_integrals(A: np.ndarray, hs: list) -> list:
 
     owner, left, value, share = (np.concatenate(c) for c in zip(*accepted))
     # by horizon, and within one in the depth-first order (descending left
-    # end); cumsum adds one term at a time, as the depth-first loop did
+    # end); bincount adds its weights one at a time in that order, as the
+    # depth-first loop did
     order = np.lexsort((-left, owner))
-    ends = np.searchsorted(owner[order], np.arange(1, H + 1))
-    out = []
-    for h, panels in enumerate(np.split(order, ends[:-1])):
-        total = float(np.cumsum(value[panels])[-1])
-        err_total = float(np.cumsum(share[panels])[-1])
-        if err_total > tol[h]:
+    totals, err_totals = (np.bincount(owner[order], weights=x[order], minlength=H)
+                          for x in (value, share))
+    for h in range(H):
+        if err_totals[h] > tol[h]:
             raise NumericalError(
-                f"norm integral error estimate {err_total:.3e} misses tolerance "
+                f"norm integral error estimate {err_totals[h]:.3e} misses tolerance "
                 f"{tol[h]:.3e} within depth {_ADAPTIVE_DEPTH}",
-                estimate=total,
-                error_bound=err_total,
+                estimate=float(totals[h]),
+                error_bound=float(err_totals[h]),
                 iterations=_ADAPTIVE_DEPTH,
             )
-        out.append(total)
-    return out
+    return totals.tolist()
 
 
 def build_bundles(sys: LtiSystem, tf_grid) -> list:

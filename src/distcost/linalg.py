@@ -52,13 +52,18 @@ def as_scalar(x, name: str, positive: bool = False) -> float:
 def as_whole(x, name: str, minimum: int | None = None) -> int:
     """The integer a count, dimension or seed names. A float must be a
     whole number: 5.0 names 5, while 5.9, nan and inf raise DomainError,
-    as do a boolean and a value below ``minimum``."""
+    as do a boolean and a value below ``minimum``. A count (any value
+    with a ``minimum``) must also lie in numpy's index range; a seed has
+    no minimum, and its callers wrap it to 64 bits."""
     if isinstance(x, (bool, np.bool_)) or (
             isinstance(x, (float, np.floating)) and not float(x).is_integer()):
         raise DomainError(f"{name} must be a whole number, got {x!r}")
     n = int(x)
     if minimum is not None and n < minimum:
         raise DomainError(f"{name} must be at least {minimum}, got {n}")
+    top = np.iinfo(np.intp).max
+    if minimum is not None and n > top:
+        raise DomainError(f"{name} must be at most {top}, numpy's index range")
     return n
 
 

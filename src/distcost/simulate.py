@@ -30,12 +30,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError
+from .errors import DimensionError, NumericalError
 from ._kernels import shortest_decimal
 from .linalg import as_whole, linear_scan
 from .signals import DisturbanceSignal
-from .synthesis import ControlSignal, _check_x0
-from .systems import StabilizationTask
+from .synthesis import ControlSignal
 
 __all__ = ["Trajectory", "simulate_closed_loop", "trajectory_to_csv", "csv_text"]
 
@@ -121,19 +120,16 @@ def _square_sums(A):
     return out
 
 
-def simulate_closed_loop(task: StabilizationTask, u: ControlSignal,
-                         w: DisturbanceSignal | None, steps: int) -> Trajectory:
+def simulate_closed_loop(u: ControlSignal, w: DisturbanceSignal | None,
+                         steps: int) -> Trajectory:
     """Integrate xdot = A x + B u(t) + w(t) from x0 over [0, t_f], with
-    (A, B) the control's own ``u.system``.
+    x0 and t_f the control's own ``u.task`` and (A, B) its ``u.system``.
 
     Parameters
     ----------
-    task : StabilizationTask
-        x0 must have the system's dimension n (else DimensionError).
     u : ControlSignal
-        Sampled on the half-step grid by its ``sample_half_grid``. It must
-        be built for the task's horizon (else DomainError); a zero gain
-        vector gives zero control.
+        Sampled on the half-step grid by its ``sample_half_grid``; a zero
+        gain vector gives zero control.
     w : DisturbanceSignal or None
         None means no disturbance; else of dimension n (else
         DimensionError).
@@ -149,20 +145,14 @@ def simulate_closed_loop(task: StabilizationTask, u: ControlSignal,
         NumericalError when any of them is not finite.
     """
     steps = as_whole(steps, "steps", 100)
-    sys = u.system
-    _check_x0(task, sys.n)
+    sys, x0, t_f = u.system, u.task.x0, u.task.t_f
     if w is not None and w.dim != sys.n:
         raise DimensionError(f"disturbance dim {w.dim} does not match n = {sys.n}")
-    t_f = task.t_f
     h = t_f / steps
 
-    if abs(u.t_f - t_f) > 1e-12 * max(1.0, t_f):
-        raise DomainError(
-            f"control defined on [0, {u.t_f:g}] does not match horizon {t_f:g}"
-        )
     U_half = u.sample_half_grid(steps)
     w_stages = _disturbance_stages(w, t_f, steps, sys.n)
-    X = _rk4(sys.A, sys.B, task.x0, h, U_half, w_stages)
+    X = _rk4(sys.A, sys.B, x0, h, U_half, w_stages)
 
     # squares that overflow are caught by the finiteness check below
     with np.errstate(over="ignore"):

@@ -35,23 +35,24 @@ class ControlSignal:
     """A synthesized control u(t) = -B^T e^{A^T(t_f - t)} g, defined
     exactly on [0, t_f].
 
+    ``task`` is the StabilizationTask the control was planned for, whose
+    x0 and t_f ``simulate_closed_loop`` starts from and ends at;
     ``gain_vector`` is the constant g = W_B^{-1}[e^{A t_f} x0 + R(w, t_f)]
-    the signal encodes, and ``system`` the (A, B) of its bundle, the one
-    ``simulate_closed_loop`` integrates. Calling the signal outside
-    [0, t_f] raises.
+    the signal encodes, and ``system`` the (A, B) of its bundle. Calling
+    the signal outside [0, t_f] raises.
     """
 
-    t_f: float
+    task: StabilizationTask
     gain_vector: np.ndarray
     system: LtiSystem
 
     def __call__(self, t: float) -> np.ndarray:
-        t = float(t)
-        if not np.isfinite(t) or t < 0.0 or t > self.t_f:
+        t, t_f = float(t), self.task.t_f
+        if not np.isfinite(t) or t < 0.0 or t > t_f:
             raise DomainError(
-                f"control signal is defined on [0, {self.t_f:g}], got t = {t:g}"
+                f"control signal is defined on [0, {t_f:g}], got t = {t:g}"
             )
-        Phi = expm(self.system.A.T * (self.t_f - t))
+        Phi = expm(self.system.A.T * (t_f - t))
         return -(self.system.B.T @ (Phi @ self.gain_vector))
 
     def sample_half_grid(self, steps: int) -> np.ndarray:
@@ -68,7 +69,7 @@ class ControlSignal:
         """
         steps = as_whole(steps, "steps", 1)
         passes = (2 * steps).bit_length()
-        delta = self.t_f / (2 * steps)
+        delta = self.task.t_f / (2 * steps)
         At = self.system.A.T
         g = self.gain_vector
         # each power from a fresh exponential, all in one stacked call:
@@ -88,16 +89,13 @@ class ControlSignal:
         return -(Y[::-1] @ self.system.B)
 
 
-def _check_x0(task: StabilizationTask, n: int):
+def _check_bundle(bundle: GramianBundle, task: StabilizationTask):
+    # a bundle serves only a task of its own state dimension and horizon
+    n = bundle.system.n
     if task.x0.shape != (n,):
         raise DimensionError(
             f"x0 dimension {task.x0.shape[0]} does not match system n = {n}"
         )
-
-
-def _check_bundle(bundle: GramianBundle, task: StabilizationTask):
-    # a bundle serves only a task of its own state dimension and horizon
-    _check_x0(task, bundle.system.n)
     if abs(bundle.t_f - task.t_f) > 1e-12 * max(1.0, task.t_f):
         raise DimensionError(
             f"bundle horizon {bundle.t_f:g} does not match task horizon {task.t_f:g}"
@@ -122,7 +120,7 @@ def disturbed_control(task: StabilizationTask, bundle: GramianBundle,
         rhs = rhs + disturbance_response(bundle.system, w, task.t_f)
     gain = np.ascontiguousarray(bundle.spec.apply(rhs))
     gain.setflags(write=False)
-    return ControlSignal(t_f=task.t_f, gain_vector=gain, system=bundle.system)
+    return ControlSignal(task=task, gain_vector=gain, system=bundle.system)
 
 
 def disturbance_response(sys: LtiSystem, w: DisturbanceSignal, t_f) -> np.ndarray:

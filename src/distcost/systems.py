@@ -9,22 +9,31 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .linalg import as_matrix, as_scalar, as_vector
 
-# singular values of the controllability matrix below this times the
-# largest count as zero
+# singular values of a staircase block below this, relative to B's or
+# A's largest, count as zero
 _CONTROLLABILITY_TOL = 1e-10
 
 
 def controllability_rank(A: np.ndarray, B: np.ndarray, rel_tol: float) -> int:
-    """Rank of [B, AB, ..., A^(n-1)B] by singular values above rel_tol * sigma_max."""
-    n = A.shape[0]
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    C = np.hstack(blocks)
-    sv = np.linalg.svd(C, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    """Dimension of the controllable subspace of (A, B), the rank of
+    [B, AB, ..., A^(n-1)B], by the orthogonal staircase form (Van Dooren,
+    IEEE TAC 1981): each step counts the singular values of the current
+    input block above rel_tol times B's largest (first step) or A's (later
+    ones), and rotates the rest of A into their basis for the next block.
+    The blocks keep the scale of A and B, where the columns A^k B grow
+    like ||A||^k and blur that matrix's numerical rank.
+    """
+    rank, block, rest = 0, B, A
+    tol, tol_A = rel_tol * np.linalg.norm(B, 2), rel_tol * np.linalg.norm(A, 2)
+    while rest.size:
+        U, sv, _ = np.linalg.svd(block)
+        r = int(np.sum(sv > tol))
+        if r == 0:
+            break
+        rank += r
+        rotated = U.T @ rest @ U
+        block, rest, tol = rotated[r:, :r], rotated[r:, r:], tol_A
+    return rank
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ def test_criterion_1_admire_stabilization(jet):
 
     residuals = {}
     u_n = nominal_control(task, bundle)
-    residuals["nominal"] = simulate_closed_loop(task, u_n, None, steps).terminal_residual
+    residuals["nominal"] = simulate_closed_loop(u_n, None, steps).terminal_residual
 
     classes = {
         "constant": make_disturbance("constant_sign", W_BAR, jet.n,
@@ -61,7 +61,7 @@ def test_criterion_1_admire_stabilization(jet):
     }
     for name, w in classes.items():
         u_d = disturbed_control(task, bundle, w)
-        traj = simulate_closed_loop(task, u_d, w, steps)
+        traj = simulate_closed_loop(u_d, w, steps)
         residuals[name] = traj.terminal_residual
     elapsed = time.perf_counter() - t0
 

@@ -282,6 +282,16 @@ class TestEnergyAndModel:
         echoed = json.loads(capsys.readouterr().out)
         assert echoed == doc
 
+    def test_energy_on_an_n24_model(self, tmp_path, capsys):
+        # a controllable pair whose Kalman matrix reads as rank deficient
+        # loads from its file and gets its report
+        save_model(metzler_system(0, n=24, p=12), tmp_path / "m24.json")
+        rc, out = run(tmp_path, "energy", "--model", str(tmp_path / "m24.json"),
+                      "--x0", ",".join(["1"] * 24), "--tf", "1")
+        assert rc == 0
+        doc = json.loads((out / "energy.json").read_text())
+        assert doc["E_D_bound"] >= doc["E_N"] > 0.0
+
     def test_model_prints_normalized_json(self, capsys):
         rc = entry(["model", "--model", "admire"])
         assert rc == 0
@@ -671,6 +681,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot create output directory")
         assert "Traceback" not in err
+
+    def test_uncontrollable_model_is_config(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"name": "u", "n": 2, "p": 1, "A": [[1.0, 0.0], [0.0, 2.0]],
+                                    "B": [[0.0], [1.0]]}))
+        rc, out = run(tmp_path, "energy", "--model", str(path), "--x0", "1,1")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == ("error: (A, B) is not controllable: "
+                                           "controllability matrix rank 1 < 2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,argv,doc,key", [
+        ("stabilize", ["--steps", str(10**30)], {}, "steps"),
+        ("metrics-sweep", [], {"samples": 10**23}, "samples"),
+        ("metrics-sweep", [], {"cells": 10**23}, "cells"),
+        ("bound-accuracy", [], {"cells": 10**23}, "cells"),
+        ("stabilize", ["--steps", "200"], {"cells": 10**23}, "cells"),
+    ], ids=["steps", "samples", "cells", "bound-accuracy-cells", "stabilize-cells"])
+    def test_count_past_index_range_is_config(self, tmp_path, capsys, command, argv, doc,
+                                              key):
+        # a count numpy cannot index exits 2 naming its key, with no
+        # traceback and no file written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc, out = run(tmp_path, command, *argv, "--config", str(cfg))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} must be at most" in err
+        assert not out.exists() or not os.listdir(out)
 
     def test_infinite_steps_is_config(self, tmp_path):
         # steps comes from the config only when no --steps flag is given

@@ -55,8 +55,8 @@ def test_out_of_domain_scalar_is_domain_error(jet, jet_bundle_half, call, positi
         call(value, jet, jet_bundle_half)
 
 
-# (id, call with a count, dimension or stream offset that is fractional
-# or below its minimum)
+# (id, call with a count, dimension or stream offset that is fractional,
+# below its minimum or past numpy's index range)
 BAD_COUNTS = [
     ("derive_seeds-negative-count", lambda: derive_seeds(0, -1)),
     ("uniform_stream-negative-start", lambda: uniform_stream(0, -5, 2)),
@@ -66,6 +66,10 @@ BAD_COUNTS = [
     ("make_disturbance-fractional-dim", lambda: make_disturbance("zero", 1.0, 2.5)),
     ("make_disturbance-boolean-seed",
      lambda: make_disturbance("piecewise_uniform", 1.0, 2, seed=True, cells=4, horizon=1.0)),
+    ("uniform_stream-huge-count", lambda: uniform_stream(0, 0, 10**23)),
+    ("derive_seeds-huge-count", lambda: derive_seeds(0, 2**63)),
+    ("make_disturbance-huge-cells",
+     lambda: make_disturbance("piecewise_uniform", 1.0, 2, seed=0, cells=10**23, horizon=1.0)),
 ]
 
 

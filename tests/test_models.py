@@ -2,10 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distcost.errors import ModelParseError, ValidationError
 from distcost.models import admire, builtin_models, load_model, save_model
-from distcost.systems import LtiSystem
+from distcost.systems import _CONTROLLABILITY_TOL, LtiSystem, controllability_rank
+
+from conftest import metzler_system
 
 
 class TestAdmire:
@@ -139,3 +143,63 @@ class TestSystemValidation:
     def test_matrices_readonly(self, jet):
         with pytest.raises(ValueError):
             jet.A[0, 0] = 0.0
+
+
+def kalman_rank(A, B, rel_tol=_CONTROLLABILITY_TOL):
+    """The numerical rank of [B, AB, ..., A^(n-1)B] by its singular values."""
+    blocks = [B]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(A @ blocks[-1])
+    sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    return int(np.sum(sv > rel_tol * sv[0]))
+
+
+class TestControllabilityRank:
+    def test_horizons_recipe_at_n24_is_controllable(self):
+        # the pair constructs, where the numerical rank of the Kalman
+        # matrix, whose columns A^k B grow like ||A||^k, is one short
+        sys_ = metzler_system(0, n=24, p=12)
+        assert kalman_rank(sys_.A, sys_.B) == 23
+        assert controllability_rank(sys_.A, sys_.B, _CONTROLLABILITY_TOL) == 24
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 4), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_known_controllable_dimension(self, n, k, p, decoupled, seed):
+        # A = Q [[Ac, A12], [0, Au]] Q^T and B = Q [Bc; 0] with (Ac, Bc) a
+        # random k-state pair and Q = diag(Qc, Qu) random orthogonal: the
+        # controllable subspace has dimension k, also past a decoupled
+        # stable mode and under scaling of A or B. Q keeps the zero blocks
+        # exact. A rotation that mixes the two subspaces rounds the zero
+        # coupling to about eps, which a long single-input chain
+        # amplifies: in one such draw (n = 29, k = 16, p = 1) the block
+        # after the chain is 1.0e-10 at 40 digits against a tolerance of
+        # 1.8e-10, so the rounded pair has no clear numerical dimension
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        A[k:, :k] = 0.0
+        B = np.zeros((n, p))
+        B[:k] = rng.standard_normal((k, p))
+        Q = np.zeros((n, n))
+        for block in (slice(0, k), slice(k, n)):
+            m = block.stop - block.start
+            Q[block, block] = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        A, B = Q @ A @ Q.T, Q @ B
+        if decoupled:
+            A = np.block([[A, np.zeros((n, 1))], [np.zeros((1, n)), -np.ones((1, 1))]])
+            B = np.vstack([B, np.zeros((1, p))])
+        for scale_A, scale_B in [(1.0, 1.0), (2.0 ** 40, 1.0), (1.0, 2.0 ** -40)]:
+            assert controllability_rank(scale_A * A, scale_B * B, _CONTROLLABILITY_TOL) == k
+        if k < A.shape[0]:
+            with pytest.raises(ValidationError, match=f"rank {k} <"):
+                LtiSystem(A, B)
+        else:
+            assert LtiSystem(A, B).n == k
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 32])
+    def test_integrator_chain_is_full_rank(self, n):
+        A = np.eye(n, k=1)
+        B = np.eye(n)[:, -1:]
+        assert controllability_rank(A, B, _CONTROLLABILITY_TOL) == n
+        assert LtiSystem(A, B).n == n

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -73,7 +75,7 @@ class TestClosedForm:
     def test_scalar_integrator_linear_decay(self, scalar_run):
         # A = 0, W = t_f: u = -x0 / t_f constant, so x(t) = x0 (1 - t / t_f)
         sys, task, u = scalar_run
-        traj = simulate_closed_loop(task, u, None, 200)
+        traj = simulate_closed_loop(u, None, 200)
         expected = 1.0 - traj.times
         assert np.max(np.abs(traj.states[:, 0] - expected)) < 1e-13
         assert abs(traj.energy - 1.0) < 1e-13
@@ -82,8 +84,8 @@ class TestClosedForm:
         A = np.array([[-0.6, 0.2], [0.0, -1.1]])
         sys = LtiSystem(A, np.eye(2), name="a")
         task = StabilizationTask(x0=np.array([1.0, -2.0]), t_f=2.0)
-        zero_u = ControlSignal(t_f=2.0, gain_vector=np.zeros(2), system=sys)
-        traj = simulate_closed_loop(task, zero_u, None, 400)
+        zero_u = ControlSignal(task=task, gain_vector=np.zeros(2), system=sys)
+        traj = simulate_closed_loop(zero_u, None, 400)
         for idx in (0, 100, 400):
             ref = scipy.linalg.expm(A * traj.times[idx]) @ task.x0
             assert np.max(np.abs(traj.states[idx] - ref)) < 1e-10
@@ -164,8 +166,8 @@ class TestConvergenceOrder:
         u = disturbed_control(task, bundle, w)
 
         def endpoint_error(steps):
-            traj = simulate_closed_loop(task, u, w, steps)
-            fine = simulate_closed_loop(task, u, w, 4 * steps)
+            traj = simulate_closed_loop(u, w, steps)
+            fine = simulate_closed_loop(u, w, 4 * steps)
             return np.linalg.norm(traj.states[-1] - fine.states[-1])
 
         e400, e800 = endpoint_error(400), endpoint_error(800)
@@ -180,14 +182,14 @@ class TestResiduals:
             w = make_disturbance("piecewise_uniform", 1.0, jet.n, seed=seed,
                                  cells=1000, horizon=5.0)
             u = disturbed_control(task, bundle, w)
-            traj = simulate_closed_loop(task, u, w, 5000)
+            traj = simulate_closed_loop(u, w, 5000)
             assert traj.terminal_residual < 1e-9
 
 
 class TestEnergyAccumulation:
     def test_running_energy_monotone_and_matches_quadrature(self, jet, jet_task_5, jet_bundle_5):
         u = nominal_control(jet_task_5, jet_bundle_5)
-        traj = simulate_closed_loop(jet_task_5, u, None, 2000)
+        traj = simulate_closed_loop(u, None, 2000)
         running = traj.control_energy_running
         assert np.all(np.diff(running) >= -1e-15)
         # oracle: Simpson over the sampled ||u||^2 on the same grid
@@ -200,48 +202,46 @@ class TestValidation:
     def test_too_few_steps(self, scalar_run):
         sys, task, u = scalar_run
         with pytest.raises(DomainError):
-            simulate_closed_loop(task, u, None, 99)
+            simulate_closed_loop(u, None, 99)
 
     def test_fractional_steps(self, scalar_run):
         sys, task, u = scalar_run
         with pytest.raises(DomainError, match="steps"):
-            simulate_closed_loop(task, u, None, 100.5)
+            simulate_closed_loop(u, None, 100.5)
         with pytest.raises(DomainError, match="steps"):
             u.sample_half_grid(2.5)
 
-    def test_control_for_another_horizon(self, scalar_run):
-        sys, _, u = scalar_run
-        task = StabilizationTask(x0=np.array([1.0]), t_f=2.0)
-        with pytest.raises(DomainError, match="horizon"):
-            simulate_closed_loop(task, u, None, 100)
-
-    @pytest.mark.parametrize("x0,w_dim,what", [
-        ([1.0, 2.0], 1, "x0 dimension"),
-        ([1.0], 2, "disturbance dim"),
-    ], ids=["x0", "disturbance"])
-    def test_state_of_another_dimension(self, scalar_run, x0, w_dim, what):
-        # the control's 1-state system sets n for the task and the signal
+    def test_steps_past_index_range(self, scalar_run):
         _, _, u = scalar_run
-        task = StabilizationTask(x0=np.array(x0), t_f=1.0)
+        with pytest.raises(DomainError, match="steps must be at most"):
+            simulate_closed_loop(u, None, 10**30)
+        with pytest.raises(DomainError, match="steps must be at most"):
+            u.sample_half_grid(10**30)
+
+    @pytest.mark.parametrize("w_dim", [2], ids=["disturbance"])
+    def test_state_of_another_dimension(self, scalar_run, w_dim):
+        # the control's 1-state system sets n for the signal
+        _, _, u = scalar_run
         w = make_disturbance("zero", 1.0, w_dim)
-        with pytest.raises(DimensionError, match=what):
-            simulate_closed_loop(task, u, w, 100)
+        with pytest.raises(DimensionError, match="disturbance dim"):
+            simulate_closed_loop(u, w, 100)
 
     @pytest.mark.parametrize("x0,w_bar", [(1e200, 0.0), (1.0, 1e300)],
                              ids=["state", "disturbance"])
     def test_overflowing_trajectory_raises(self, scalar_run, x0, w_bar):
-        # finite inputs whose states or norms overflow: no inf or nan
-        # reaches a trajectory, and the error alone reports it (any
-        # RuntimeWarning is an error here)
+        # finite inputs whose states or norms overflow, the unit-x0
+        # control's gain started from x0: no inf or nan reaches a
+        # trajectory, and the error alone reports it (any RuntimeWarning
+        # is an error here)
         _, _, u = scalar_run
-        task = StabilizationTask(x0=np.array([x0]), t_f=1.0)
+        u = dataclasses.replace(u, task=StabilizationTask(x0=np.array([x0]), t_f=1.0))
         w = make_disturbance("constant_sign", w_bar, 1, sign_vector=np.ones(1))
         with pytest.raises(NumericalError, match="not finite"):
-            simulate_closed_loop(task, u, w, 100)
+            simulate_closed_loop(u, w, 100)
 
     def test_outputs_readonly(self, scalar_run):
         sys, task, u = scalar_run
-        traj = simulate_closed_loop(task, u, None, 100)
+        traj = simulate_closed_loop(u, None, 100)
         with pytest.raises(ValueError):
             traj.states[0, 0] = 7.0
 
@@ -249,7 +249,7 @@ class TestValidation:
 class TestCsv:
     def test_header_and_shape(self, scalar_run):
         sys, task, u = scalar_run
-        traj = simulate_closed_loop(task, u, None, 100)
+        traj = simulate_closed_loop(u, None, 100)
         text = trajectory_to_csv(traj)
         lines = text.strip().split("\n")
         assert lines[0] == "t,x1,u1,xnorm,energy"
@@ -257,7 +257,7 @@ class TestCsv:
 
     def test_values_roundtrip(self, scalar_run):
         sys, task, u = scalar_run
-        traj = simulate_closed_loop(task, u, None, 100)
+        traj = simulate_closed_loop(u, None, 100)
         lines = trajectory_to_csv(traj).strip().split("\n")
         j = 37
         t, x1, u1, xnorm, energy = (float(v) for v in lines[1 + j].split(","))

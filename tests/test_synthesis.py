@@ -93,6 +93,16 @@ class TestNominalControl:
         with pytest.raises(DimensionError):
             nominal_control(task, jet_bundle_5)
 
+    def test_task_of_another_dimension(self, jet_bundle_5):
+        task = StabilizationTask(x0=np.array([1.0, 0.0]), t_f=5.0)
+        with pytest.raises(DimensionError, match="x0 dimension 2"):
+            nominal_control(task, jet_bundle_5)
+
+    def test_carries_its_task_and_system(self, jet, jet_task_5, jet_bundle_5):
+        # the closed loop reads x0 and t_f from the control alone
+        u = disturbed_control(jet_task_5, jet_bundle_5, None)
+        assert u.task is jet_task_5 and u.system is jet
+
     def test_half_grid_matches_pointwise(self, jet, jet_task_5, jet_bundle_5):
         u = nominal_control(jet_task_5, jet_bundle_5)
         steps = 64
@@ -106,7 +116,7 @@ def reference_half_grid(u, steps):
     """The half grid as an inclusive prefix scan over all 2*steps + 1
     nodes, each pass one expression over every row, zero ones included."""
     passes = (2 * steps).bit_length()
-    delta = u.t_f / (2 * steps)
+    delta = u.task.t_f / (2 * steps)
     g = u.gain_vector
     D_pow = expm(u.system.A.T * (delta * 2.0 ** np.arange(passes))[:, None, None])
     D_pow = D_pow - np.eye(len(g))
@@ -133,7 +143,8 @@ class TestHalfGrid:
         sys = LtiSystem(A, B, name="osc")
         total = 3.0
         g = np.array([0.7, -1.1])
-        u = ControlSignal(t_f=total, gain_vector=g, system=sys)
+        task = StabilizationTask(x0=np.ones(2), t_f=total)
+        u = ControlSignal(task=task, gain_vector=g, system=sys)
         U = u.sample_half_grid(steps)
         last = 2 * steps
         delta = total / last
@@ -159,8 +170,8 @@ class TestHalfGrid:
         u = nominal_control(jet_task_5, jet_bundle_5)
         assert bitwise_equal(u.sample_half_grid(steps), reference_half_grid(u, steps))
 
-    def test_zero_gain_equals_scan(self, jet):
-        u = ControlSignal(t_f=5.0, gain_vector=np.array([0.0, -0.0, -0.0]), system=jet)
+    def test_zero_gain_equals_scan(self, jet, jet_task_5):
+        u = ControlSignal(task=jet_task_5, gain_vector=np.array([0.0, -0.0, -0.0]), system=jet)
         assert bitwise_equal(u.sample_half_grid(300), reference_half_grid(u, 300))
 
     # the passes multiply fewer rows than the scan's, and BLAS may take
@@ -172,7 +183,8 @@ class TestHalfGrid:
         rng = np.random.default_rng(seed)
         sys = LtiSystem(rng.standard_normal((n, n)) / np.sqrt(n),
                         rng.standard_normal((n, p)), name="random")
-        u = ControlSignal(t_f=t_f, gain_vector=rng.standard_normal(n), system=sys)
+        task = StabilizationTask(x0=np.ones(n), t_f=t_f)
+        u = ControlSignal(task=task, gain_vector=rng.standard_normal(n), system=sys)
         U, ref = u.sample_half_grid(steps), reference_half_grid(u, steps)
         assert U.shape == ref.shape
         assert np.max(np.abs(U - ref)) <= 1e-13 * np.max(np.abs(ref))
