@@ -8,9 +8,9 @@ class), ``bound-accuracy`` (energy-ratio table over horizons),
 Configuration comes from flags plus an optional JSON config file; flags
 win. A command takes only the keys it reads: ``_KEYS`` declares each
 key's resolver, flag help and per-command defaults.
-Exit codes: 0 success, 2 invalid configuration or an output file that
-cannot be written, 3 parse failure (model or config JSON), 4 numerical
-failure.
+Exit codes: 0 success, 2 invalid configuration, a run too large for
+memory or an output file that cannot be written, 3 parse failure (model
+or config JSON), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -414,6 +414,10 @@ def entry(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_PARSE if isinstance(exc, ModelParseError)
                 else EXIT_NUMERIC if isinstance(exc, NumericalError) else EXIT_CONFIG)
+    except MemoryError as exc:
+        # a configuration whose arrays this host cannot hold
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

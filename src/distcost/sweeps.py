@@ -10,7 +10,7 @@ their responses from ``synthesis``.
 The bound-accuracy table is one pass over its horizon grid: after
 ``build_bundles``, two stacked exponentials give every horizon's
 responses, the piecewise draws come from one vector of child seeds, and
-the sign search builds each block of patterns once for all horizons.
+the sign search builds its two half-pattern tables once for all horizons.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ DEFAULT_ACCURACY_TF_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 # disturbance-draw grid resolution used by the sampled-evidence columns
 EVIDENCE_CELLS = 100
-
-# sign patterns per block of the constant-class search: a few MB of
-# temporaries at n = 20, where all 2^20 patterns at once would take
-# 160 MiB per array
-_SIGN_BLOCK = 1 << 14
 
 # piecewise cell values per block of sphere samples in the multiplicative
 # evidence: 2 MiB per (samples, cells, n) temporary for any config, with
@@ -101,34 +96,39 @@ def _require_sign_search(n: int):
         raise DomainError("exhaustive sign search is limited to n <= 20")
 
 
+def _sign_table(k: int) -> np.ndarray:
+    # the 2^k patterns of k signs in itertools.product((1.0, -1.0)) order
+    return 1.0 - 2.0 * ((np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1)
+
+
 def _worst_signs(w_bar: float, bundles, bases, Js) -> np.ndarray:
-    # the worst pattern of every horizon h, from its bundle, its e^{A t_f} x0
-    # (bases[h]) and its J(t_f) (Js[h]): each block of patterns is built
-    # once, and each horizon takes one matmul and one weighted_energies
-    # call on it. A (horizons, patterns, n) block would hold every
-    # horizon's responses at once, for more memory and no less time. A
-    # worst energy that is not finite raises, as argmax would then pick
-    # the first pattern whatever the system.
-    n = len(bases[0])
-    shifts = np.arange(n - 1, -1, -1)
-    total = 1 << n
-    best, best_k = [-np.inf] * len(bundles), [0] * len(bundles)
-    for start in range(0, total, _SIGN_BLOCK):
-        k = np.arange(start, min(start + _SIGN_BLOCK, total))
-        W = w_bar * (1.0 - 2.0 * ((k[:, None] >> shifts) & 1))
-        for h, (bundle, base, J) in enumerate(zip(bundles, bases, Js)):
-            # the direct sum of squares: the expanded quadratic in s cancels
-            # when ||x0|| is large
-            with np.errstate(over="ignore", invalid="ignore"):
-                e = weighted_energies(bundle, base + W @ J.T)
-            i = int(np.argmax(e))
-            if e[i] > best[h]:
-                best[h], best_k[h] = e[i], start + i
-    for bundle, e in zip(bundles, best):
-        if not np.isfinite(e):
-            raise NumericalError(f"worst constant-sign disturbance energy at "
-                                 f"t_f = {bundle.t_f:g} is not finite")
-    return 1.0 - 2.0 * ((np.array(best_k)[:, None] >> shifts) & 1)
+    # the worst pattern of every horizon, from its bundle, its e^{A t_f} x0
+    # (bases[h]) and its J(t_f) (Js[h]), by split halves (Horowitz & Sahni,
+    # J. ACM 1974). Pattern s gives y = a + G s in weighted_energies'
+    # coordinates, a = sqrt(lam) U^T base and G = w_bar diag(sqrt(lam)) U^T J:
+    # a row of a table over the first n - m signs plus a row of one over the
+    # last m, so pattern i * 2^m + j sits at (i, j) of the energy table. Its
+    # squares are summed column by column, as the expanded quadratic in s
+    # cancels when ||x0|| is large. A worst energy that is not finite
+    # raises: argmax would pick it whatever the system.
+    n, m = len(bases[0]), len(bases[0]) // 2
+    hi, lo = _sign_table(n - m), _sign_table(m)
+    worst = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bundle, base, J in zip(bundles, bases, Js):
+            root, U = np.sqrt(bundle.spec.lambdas), bundle.spec.U
+            G = w_bar * (root[:, None] * (U.T @ J))
+            top = root * (base @ U) + hi @ G[:, :n - m].T
+            bottom = lo @ G[:, n - m:].T
+            e, col = np.zeros((len(hi), len(lo))), np.empty((len(hi), len(lo)))
+            for k in range(n):
+                e += np.square(np.add(top[:, k, None], bottom[:, k], out=col), out=col)
+            i, j = divmod(int(np.argmax(e)), len(lo))
+            if not np.isfinite(e[i, j]):
+                raise NumericalError(f"worst constant-sign disturbance energy at "
+                                     f"t_f = {bundle.t_f:g} is not finite")
+            worst.append(np.concatenate((hi[i], lo[j])))
+    return np.array(worst)
 
 
 def worst_constant_sign(task: StabilizationTask, bundle: GramianBundle) -> np.ndarray:
@@ -138,10 +138,10 @@ def worst_constant_sign(task: StabilizationTask, bundle: GramianBundle) -> np.nd
     convex quadratic in the constant value, so the maximum over the
     amplitude box is attained at a vertex. Patterns are enumerated in
     ``itertools.product((1.0, -1.0), repeat=n)`` order, pattern k having
-    s_j = 1 - 2 * bit (n-1-j) of k, in blocks of ``_SIGN_BLOCK`` rows:
-    each block's responses are one matmul with J(t_f) = int_0^tf e^{As} ds,
-    and its energies one ``weighted_energies`` call. Among equal energies
-    the first pattern in that order wins. This is the search of
+    s_j = 1 - 2 * bit (n-1-j) of k. Its response in ``weighted_energies``'
+    coordinates is a row of a table over the first n - n//2 signs plus one
+    over the last n//2: O(n 2^n) time and two 2^n-float arrays. Among equal
+    energies the first pattern in that order wins. This is the search of
     ``bound_accuracy_rows`` on a grid of one horizon.
 
     The task must match the bundle's dimension and horizon (else
@@ -149,9 +149,8 @@ def worst_constant_sign(task: StabilizationTask, bundle: GramianBundle) -> np.nd
     finite, as at a huge w_bar, where every pattern's energy overflows.
     """
     _check_bundle(bundle, task)
-    sys = bundle.system
-    _require_sign_search(sys.n)
-    J = cell_propagators(sys, task.t_f)[1]
+    _require_sign_search(bundle.system.n)
+    J = cell_propagators(bundle.system, task.t_f)[1]
     return _worst_signs(task.w_bar, [bundle], [bundle.state_transition @ task.x0], [J])[0]
 
 
@@ -168,7 +167,7 @@ def bound_accuracy_rows(sys: LtiSystem, x0: np.ndarray, w_bar: float,
     every horizon's t_f and t_f / cells gives J(t_f) for the sign search
     and the constant class and the cell propagators of the piecewise
     class, one more gives every sinusoid response, and the sign search
-    builds each block of patterns once for all horizons. Every ratio is
+    builds its two half-pattern tables once for all horizons. Every ratio is
     bit-for-bit what a horizon-by-horizon evaluation gives.
 
     Errors, first one wins: a failing bundle (``build_bundles``); an

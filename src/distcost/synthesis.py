@@ -72,6 +72,9 @@ class ControlSignal:
         delta = self.task.t_f / (2 * steps)
         At = self.system.A.T
         g = self.gain_vector
+        if 8 * (2 * steps + 1) * len(g) > np.iinfo(np.intp).max:
+            raise DomainError(f"steps = {steps} needs a {2 * steps + 1} x {len(g)} "
+                              f"half grid, past numpy's array size limit")
         # each power from a fresh exponential, all in one stacked call:
         # squaring the first one pass by pass would compound its rounding.
         # As in linalg.linear_scan, P_j - I keeps the small increments at

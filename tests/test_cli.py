@@ -711,6 +711,34 @@ class TestExitCodes:
         assert err.startswith("error: ") and f"{key} must be at most" in err
         assert not out.exists() or not os.listdir(out)
 
+    def test_steps_past_array_size_is_config(self, tmp_path, capsys):
+        # in numpy's index range, but the (2*steps + 1, n) control half
+        # grid would hold more bytes than any array can
+        rc, out = run(tmp_path, "stabilize", "--steps", str(10**18))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: steps = 1000000000000000000 needs a 2000000000000000001 x 3 "
+            "half grid, past numpy's array size limit\n")
+        assert not out.exists()
+
+    def test_out_of_memory_is_config(self, tmp_path):
+        # a 447 GiB half grid in a child limited to 2 GiB of address space:
+        # numpy's MemoryError is one error line, and nothing is written
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+        proc = subprocess.run([sys.executable, "-m", "distcost", "stabilize",
+                               "--steps", str(10**10), "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, preexec_fn=limit)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_infinite_steps_is_config(self, tmp_path):
         # steps comes from the config only when no --steps flag is given
         cfg = tmp_path / "cfg.json"

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distcost.energy import (disturbed_energy_bound, disturbed_signal_energy,
                              nominal_energy, weighted_energies)
-from distcost.errors import NumericalError
+from distcost.errors import IllConditionedError, NumericalError
 from distcost.gramian import build_bundle
 from distcost.signals import make_disturbance
 from distcost.sweeps import worst_constant_sign
@@ -211,7 +211,12 @@ class TestContainmentProperty:
         # stay under E_D_bound on a random multi-input system
         sys, task, rng = case
         n, w_bar, t_f = sys.n, task.w_bar, task.t_f
-        bundle = build_bundle(sys, t_f)
+        try:
+            bundle = build_bundle(sys, t_f)
+        except IllConditionedError:
+            # a draw with cond(W_B) above build_bundle's limit of 1e14 has
+            # no bound to contain anything: a documented refusal
+            assume(False)
         bound = disturbed_energy_bound(task, bundle).E_D_bound
         signals = [
             make_disturbance("constant_sign", w_bar, n,

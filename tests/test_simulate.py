@@ -218,6 +218,14 @@ class TestValidation:
         with pytest.raises(DomainError, match="steps must be at most"):
             u.sample_half_grid(10**30)
 
+    def test_steps_past_array_size(self, scalar_run):
+        # inside the index range, but 8 * (2*steps + 1) bytes are not
+        _, _, u = scalar_run
+        with pytest.raises(DomainError, match=r"^steps = 2\d+ needs a 4\d+ x 1 half grid"):
+            u.sample_half_grid(2**61)
+        with pytest.raises(DomainError, match="steps = 2"):
+            simulate_closed_loop(u, None, 2**61)
+
     @pytest.mark.parametrize("w_dim", [2], ids=["disturbance"])
     def test_state_of_another_dimension(self, scalar_run, w_dim):
         # the control's 1-state system sets n for the signal

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -44,10 +45,14 @@ def reference_worst_sign(task, bundle):
     return best_s, np.array(energies)
 
 
+# patterns per block of reference_block_sign
+REFERENCE_BLOCK = 1 << 14
+
+
 def reference_block_sign(task, bundle):
-    """The search of one horizon alone: each block of ``_SIGN_BLOCK``
-    patterns one ``piecewise_response`` of one-cell signals, with its own
-    J(t_f), and one ``weighted_energies`` call."""
+    """The search of one horizon alone, in product order: each block of
+    ``REFERENCE_BLOCK`` patterns one ``piecewise_response`` of one-cell
+    signals, with its own J(t_f), and one ``weighted_energies`` call."""
     n = bundle.system.n
     if n > 20:
         raise DomainError("exhaustive sign search is limited to n <= 20")
@@ -55,8 +60,8 @@ def reference_block_sign(task, bundle):
     shifts = np.arange(n - 1, -1, -1)
     total = 1 << n
     best, best_k = -np.inf, 0
-    for start in range(0, total, sweeps._SIGN_BLOCK):
-        k = np.arange(start, min(start + sweeps._SIGN_BLOCK, total))
+    for start in range(0, total, REFERENCE_BLOCK):
+        k = np.arange(start, min(start + REFERENCE_BLOCK, total))
         S = 1.0 - 2.0 * ((k[:, None] >> shifts) & 1)
         R = piecewise_response(bundle.system, task.w_bar * S[:, None, :], task.t_f)
         e = weighted_energies(bundle, base + R)
@@ -225,21 +230,49 @@ class TestWorstConstantSign:
         if top - np.sort(energies)[-2] > 1e-12 * top:
             assert np.array_equal(got, ref_s)
 
-    @pytest.mark.parametrize("block", [1, 3, 4])
-    def test_block_boundaries(self, monkeypatch, block):
-        sys, task, bundle = random_sign_problem(6, 7, x0_scale=0.1, w_bar=3.0)
-        full = worst_constant_sign(task, bundle)
-        monkeypatch.setattr(sweeps, "_SIGN_BLOCK", block)
-        assert np.array_equal(worst_constant_sign(task, bundle), full)
-        assert np.array_equal(full, reference_worst_sign(task, bundle)[0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_split_boundaries(self, n):
+        # n = 1 leaves an empty low half, and odd n a longer high one
+        sys, task, bundle = random_sign_problem(n, 7, x0_scale=0.1, w_bar=3.0)
+        assert np.array_equal(worst_constant_sign(task, bundle),
+                              reference_worst_sign(task, bundle)[0])
 
-    def test_ties_keep_first_pattern(self, monkeypatch):
+    @pytest.mark.parametrize("x0", [[-1, -1, -1, 1, -1, 1], -np.ones(5), [-2, 1]],
+                             ids=["mid-column", "last-pattern", "n2"])
+    def test_winner_in_last_high_row(self, x0):
+        # integrators: the energy is ||x0 + w_bar t_f s||^2 / t_f, largest
+        # at s = sign(x0), whose leading minus signs pick the last row of
+        # the high-half table
+        x0 = np.array(x0, dtype=float)
+        n = len(x0)
+        sys = LtiSystem(np.zeros((n, n)), np.eye(n), name="integrators")
+        task = StabilizationTask(x0=x0, t_f=1.0, w_bar=0.5)
+        bundle = build_bundle(sys, 1.0)
+        got = worst_constant_sign(task, bundle)
+        assert np.array_equal(got, np.sign(x0))
+        assert np.array_equal(got, reference_worst_sign(task, bundle)[0])
+
+    def test_ties_keep_first_pattern(self):
         # at w_bar = 0 every pattern has the same energy, so the first in
-        # product order wins, within a block and across blocks
+        # product order wins
         sys, task, bundle = random_sign_problem(5, 3, w_bar=0.0)
         assert np.array_equal(worst_constant_sign(task, bundle), np.ones(5))
-        monkeypatch.setattr(sweeps, "_SIGN_BLOCK", 4)
-        assert np.array_equal(worst_constant_sign(task, bundle), np.ones(5))
+
+    def test_memory_at_twenty_states(self):
+        # the two 2^20-float tables of energies and of one column's
+        # squares, with no 2^20 x n block
+        rng = np.random.default_rng(1)
+        sys = LtiSystem(-np.eye(20) + 0.1 * rng.standard_normal((20, 20)),
+                        np.eye(20), name="n20")
+        bundle = build_bundle(sys, 1.0)
+        task = StabilizationTask(x0=rng.standard_normal(20), t_f=1.0, w_bar=1.0)
+        tracemalloc.start()
+        try:
+            worst_constant_sign(task, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * 2**20
 
     def test_rejects_more_than_twenty_states(self):
         sys = LtiSystem(-np.eye(21), np.eye(21), name="n21")
@@ -342,24 +375,21 @@ class TestBoundAccuracyGrid:
         assert np.array_equal(signs[0], [reference_block_sign(task, b) for task, b
                                          in zip(tasks, build_bundles(sys, grid))])
 
-    @pytest.mark.parametrize("block", [1, 7])
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_sign_block_sizes(self, monkeypatch, block, n):
-        # 7 leaves a short last block of 8 and of 64 patterns
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_split_boundaries(self, monkeypatch, n):
         sys, task, _ = random_sign_problem(n, 11, x0_scale=0.1, w_bar=3.0)
         grid = (0.2, 0.7, 1.5)
-        full = bound_accuracy_rows(sys, task.x0, 3.0, grid, seed=2, cells=9)
-        monkeypatch.setattr(sweeps, "_SIGN_BLOCK", block)
+        signs = _spy_signs(monkeypatch)
         rows = bound_accuracy_rows(sys, task.x0, 3.0, grid, seed=2, cells=9)
-        assert rows == full
         assert rows == reference_bound_accuracy_rows(sys, task.x0, 3.0, grid,
                                                      seed=2, cells=9)
+        tasks = [StabilizationTask(x0=task.x0, t_f=t, w_bar=3.0) for t in grid]
+        assert np.array_equal(signs[0], [reference_block_sign(t, b) for t, b
+                                         in zip(tasks, build_bundles(sys, grid))])
 
-    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
-    def test_ties_keep_first_pattern_at_every_horizon(self, monkeypatch, block):
+    def test_ties_keep_first_pattern_at_every_horizon(self, monkeypatch):
         # at w_bar = 0 every pattern of every horizon has the same energy
         sys, task, _ = random_sign_problem(5, 3, w_bar=0.0)
-        monkeypatch.setattr(sweeps, "_SIGN_BLOCK", block)
         signs = _spy_signs(monkeypatch)
         grid = (0.3, 0.3, 1.0, 0.1)
         rows = bound_accuracy_rows(sys, task.x0, 0.0, grid, cells=4)
