@@ -101,17 +101,24 @@ def _sign_table(k: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1)
 
 
+def _low_signs(n: int) -> int:
+    # signs of the low-half table: n // 2 keeps both tables near 2^(n/2) rows
+    return n // 2
+
+
 def _worst_signs(w_bar: float, bundles, bases, Js) -> np.ndarray:
     # the worst pattern of every horizon, from its bundle, its e^{A t_f} x0
     # (bases[h]) and its J(t_f) (Js[h]), by split halves (Horowitz & Sahni,
     # J. ACM 1974). Pattern s gives y = a + G s in weighted_energies'
     # coordinates, a = sqrt(lam) U^T base and G = w_bar diag(sqrt(lam)) U^T J:
     # a row of a table over the first n - m signs plus a row of one over the
-    # last m, so pattern i * 2^m + j sits at (i, j) of the energy table. Its
+    # last m = _low_signs(n), so pattern i * 2^m + j sits at (i, j) of the
+    # energy table, whose row i is the block of 2^m patterns from i * 2^m. Its
     # squares are summed column by column, as the expanded quadratic in s
     # cancels when ||x0|| is large. A worst energy that is not finite
     # raises: argmax would pick it whatever the system.
-    n, m = len(bases[0]), len(bases[0]) // 2
+    n = len(bases[0])
+    m = _low_signs(n)
     hi, lo = _sign_table(n - m), _sign_table(m)
     worst = []
     with np.errstate(over="ignore", invalid="ignore"):

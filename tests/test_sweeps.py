@@ -25,6 +25,12 @@ from distcost.systems import LtiSystem, StabilizationTask
 from conftest import metzler_system
 
 
+def _patch_block(monkeypatch, block):
+    # rows of the energy table of at most ``block`` patterns: a low half of
+    # m signs, 2^m <= block, and at most every sign
+    monkeypatch.setattr(sweeps, "_low_signs", lambda n: min(n, block.bit_length() - 1))
+
+
 def reference_worst_sign(task, bundle):
     """The per-pattern search loop: (first maximizing pattern, energy of
     every pattern in itertools.product order)."""
@@ -237,6 +243,15 @@ class TestWorstConstantSign:
         assert np.array_equal(worst_constant_sign(task, bundle),
                               reference_worst_sign(task, bundle)[0])
 
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_block_boundaries(self, monkeypatch, block):
+        # blocks of 1, 2 and 4 patterns: low halves of 0, 1 and 2 signs
+        sys, task, bundle = random_sign_problem(6, 7, x0_scale=0.1, w_bar=3.0)
+        full = worst_constant_sign(task, bundle)
+        _patch_block(monkeypatch, block)
+        assert np.array_equal(worst_constant_sign(task, bundle), full)
+        assert np.array_equal(full, reference_worst_sign(task, bundle)[0])
+
     @pytest.mark.parametrize("x0", [[-1, -1, -1, 1, -1, 1], -np.ones(5), [-2, 1]],
                              ids=["mid-column", "last-pattern", "n2"])
     def test_winner_in_last_high_row(self, x0):
@@ -252,10 +267,12 @@ class TestWorstConstantSign:
         assert np.array_equal(got, np.sign(x0))
         assert np.array_equal(got, reference_worst_sign(task, bundle)[0])
 
-    def test_ties_keep_first_pattern(self):
+    def test_ties_keep_first_pattern(self, monkeypatch):
         # at w_bar = 0 every pattern has the same energy, so the first in
-        # product order wins
+        # product order wins, within a block and across blocks
         sys, task, bundle = random_sign_problem(5, 3, w_bar=0.0)
+        assert np.array_equal(worst_constant_sign(task, bundle), np.ones(5))
+        _patch_block(monkeypatch, 4)
         assert np.array_equal(worst_constant_sign(task, bundle), np.ones(5))
 
     def test_memory_at_twenty_states(self):
@@ -387,9 +404,25 @@ class TestBoundAccuracyGrid:
         assert np.array_equal(signs[0], [reference_block_sign(t, b) for t, b
                                          in zip(tasks, build_bundles(sys, grid))])
 
-    def test_ties_keep_first_pattern_at_every_horizon(self, monkeypatch):
-        # at w_bar = 0 every pattern of every horizon has the same energy
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_sign_block_sizes(self, monkeypatch, block, n):
+        # 1 puts every sign in the high half, 7 two in the low half
+        sys, task, _ = random_sign_problem(n, 11, x0_scale=0.1, w_bar=3.0)
+        grid = (0.2, 0.7, 1.5)
+        full = bound_accuracy_rows(sys, task.x0, 3.0, grid, seed=2, cells=9)
+        _patch_block(monkeypatch, block)
+        rows = bound_accuracy_rows(sys, task.x0, 3.0, grid, seed=2, cells=9)
+        assert rows == full
+        assert rows == reference_bound_accuracy_rows(sys, task.x0, 3.0, grid,
+                                                     seed=2, cells=9)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_ties_keep_first_pattern_at_every_horizon(self, monkeypatch, block):
+        # at w_bar = 0 every pattern of every horizon has the same energy;
+        # 1 << 14 puts every sign in the low half
         sys, task, _ = random_sign_problem(5, 3, w_bar=0.0)
+        _patch_block(monkeypatch, block)
         signs = _spy_signs(monkeypatch)
         grid = (0.3, 0.3, 1.0, 0.1)
         rows = bound_accuracy_rows(sys, task.x0, 0.0, grid, cells=4)
