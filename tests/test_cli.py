@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 from itertools import product
@@ -34,6 +35,44 @@ def fast_args():
     # small grids keep CLI tests quick; correctness-at-scale lives in
     # the acceptance module
     return ["--tf-grid", "0.5,1", "--R-grid", "10,100"]
+
+
+# a fresh interpreter's sitecustomize module: its atexit handler leaves a
+# marker file, so the marker shows that the interpreter tore itself down
+SITECUSTOMIZE = "import atexit\natexit.register(lambda: open({marker!r}, 'w').close())\n"
+
+# the process entries: python -m distcost, and script() itself
+WAYS = {"module": ["-m", "distcost"],
+        "script": ["-c", "from distcost.cli import script; script()"]}
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    """Runs a fresh interpreter on the given arguments, in a directory of
+    its own, with the default warning filters and a block-buffered stdout
+    unless asked otherwise: Python's default for a pipe or file, where
+    output not flushed before the process ends is lost. Returns (exit
+    code, stdout bytes, stderr text, whether an atexit handler ran)."""
+    tmp_path = tmp_path_factory.mktemp("fresh")
+    site, marker = tmp_path / "site", tmp_path / "atexit-ran"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(SITECUSTOMIZE.format(marker=str(marker)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(site), src]),
+           "PYTHONWARNINGS": "default"}
+    env.pop("PYTHONUNBUFFERED", None)
+
+    def run(args, stdout=subprocess.PIPE, unbuffered=False, preexec_fn=None):
+        marker.unlink(missing_ok=True)
+        proc = subprocess.run([sys.executable, *args],
+                              env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env,
+                              cwd=tmp_path, stdout=stdout, stderr=subprocess.PIPE,
+                              preexec_fn=preexec_fn)
+        return proc.returncode, proc.stdout, proc.stderr.decode(), marker.exists()
+
+    # an interpreter that exits normally leaves the marker
+    assert run(["-c", "pass"])[3]
+    return run
 
 
 class TestStabilize:
@@ -506,24 +545,21 @@ class TestExitCodes:
     ], ids=["energy", "bound-accuracy", "metrics-sweep-R-grid",
             "stabilize-run-wbar", "stabilize-run-wbar-searched", "energy-tf",
             "bound-accuracy-tf-grid"])
-    def test_overflow_prints_only_the_error(self, tmp_path, argv, config, message):
+    def test_overflow_prints_only_the_error(self, tmp_path, fresh, argv, config, message):
         # a fresh interpreter with the default warning filters: stderr is
         # the error line alone, with no RuntimeWarning before it
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             argv = [*argv, "--config", str(cfg)]
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
-        proc = subprocess.run([sys.executable, "-m", "distcost", *argv,
-                               "--out", str(tmp_path / "out")],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == EXIT_NUMERIC
-        assert proc.stderr.startswith(f"error: {message}")
-        assert proc.stderr.count("\n") == 1
+        code, _, stderr, torn_down = fresh(["-m", "distcost", *argv,
+                                            "--out", str(tmp_path / "out")])
+        assert (code, torn_down) == (EXIT_NUMERIC, False)
+        assert stderr.startswith(f"error: {message}")
+        assert stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_subnormal_gramian_prints_only_the_error(self, tmp_path):
+    def test_subnormal_gramian_prints_only_the_error(self, tmp_path, fresh):
         # W_B ~ 1e-310: its eigenvalue ratio is fine, but the reciprocal of
         # its smallest eigenvalue overflows, so the Gramian stage rejects it
         # (in a fresh interpreter with the default warning filters)
@@ -531,20 +567,17 @@ class TestExitCodes:
         model.write_text(json.dumps({"name": "subnormal", "n": 2, "p": 1,
                                      "A": [[-1.0, 1.0], [0.0, -2.0]],
                                      "B": [[0.0], [1e-155]]}))
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
-        proc = subprocess.run([sys.executable, "-m", "distcost", "energy", "--model",
-                               str(model), "--x0", "1,1", "--tf", "1",
-                               "--out", str(tmp_path / "out")],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == EXIT_NUMERIC
-        assert proc.stderr.startswith("error: Gramian is numerically singular at "
-                                      "horizon t_f = 1 (smallest eigenvalue ")
-        assert proc.stderr.endswith(" has no finite reciprocal)\n")
-        assert proc.stderr.count("\n") == 1
+        code, _, stderr, torn_down = fresh(["-m", "distcost", "energy", "--model", str(model),
+                                            "--x0", "1,1", "--tf", "1",
+                                            "--out", str(tmp_path / "out")])
+        assert (code, torn_down) == (EXIT_NUMERIC, False)
+        assert stderr.startswith("error: Gramian is numerically singular at "
+                                 "horizon t_f = 1 (smallest eigenvalue ")
+        assert stderr.endswith(" has no finite reciprocal)\n")
+        assert stderr.count("\n") == 1
         assert not (tmp_path / "out" / "energy.json").exists()
 
-    def test_lost_energy_form_prints_only_the_error(self, tmp_path):
+    def test_lost_energy_form_prints_only_the_error(self, tmp_path, fresh):
         # W_B is well conditioned, but e^{A t_f} ~ e^-500 makes the smallest
         # eigenvalue l of e^{A^T t_f} W_B^{-1} e^{A t_f} underflow to 0, so
         # r_M_bound has no positive l (in a fresh interpreter with the
@@ -553,15 +586,12 @@ class TestExitCodes:
         model.write_text(json.dumps({"name": "fast", "n": 2, "p": 2,
                                      "A": [[-100.0, 0.0], [0.0, -100.0]],
                                      "B": [[1.0, 0.0], [0.0, 1.0]]}))
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
-        proc = subprocess.run([sys.executable, "-m", "distcost", "metrics-sweep",
-                               "--model", str(model), "--x0", "1,1", "--tf-grid", "5",
-                               "--R-grid", "10", "--out", str(tmp_path / "out")],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == EXIT_NUMERIC
-        assert proc.stderr == ("error: energy quadratic form lost positive definiteness "
-                               "at t_f = 5 (min eigenvalue 0.000e+00)\n")
+        code, _, stderr, torn_down = fresh(["-m", "distcost", "metrics-sweep", "--model",
+                                            str(model), "--x0", "1,1", "--tf-grid", "5",
+                                            "--R-grid", "10", "--out", str(tmp_path / "out")])
+        assert (code, torn_down) == (EXIT_NUMERIC, False)
+        assert stderr == ("error: energy quadratic form lost positive definiteness "
+                          "at t_f = 5 (min eigenvalue 0.000e+00)\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,blocked", [
@@ -721,7 +751,7 @@ class TestExitCodes:
             "half grid, past numpy's array size limit\n")
         assert not out.exists()
 
-    def test_out_of_memory_is_config(self, tmp_path):
+    def test_out_of_memory_is_config(self, tmp_path, fresh):
         # a 447 GiB half grid in a child limited to 2 GiB of address space:
         # numpy's MemoryError is one error line, and nothing is written
         import resource
@@ -729,14 +759,12 @@ class TestExitCodes:
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
-        proc = subprocess.run([sys.executable, "-m", "distcost", "stabilize",
-                               "--steps", str(10**10), "--out", str(tmp_path / "out")],
-                              env=env, capture_output=True, text=True, preexec_fn=limit)
-        assert proc.returncode == EXIT_CONFIG
-        assert proc.stderr.startswith("error: out of memory: Unable to allocate ")
-        assert proc.stderr.count("\n") == 1
+        code, _, stderr, torn_down = fresh(["-m", "distcost", "stabilize", "--steps",
+                                            str(10**10), "--out", str(tmp_path / "out")],
+                                           preexec_fn=limit)
+        assert (code, torn_down) == (EXIT_CONFIG, False)
+        assert stderr.startswith("error: out of memory: Unable to allocate ")
+        assert stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_infinite_steps_is_config(self, tmp_path):
@@ -784,3 +812,71 @@ class TestExitCodes:
         rc, out = run(tmp_path, "stabilize", "--steps", "500", "--config", str(cfg))
         assert rc == EXIT_CONFIG
         assert not out.exists() or not os.listdir(out)
+
+
+class TestProcessExit:
+    @pytest.mark.parametrize("sink", ["pipe", "file"])
+    @pytest.mark.parametrize("way", list(WAYS))
+    def test_ends_without_teardown(self, tmp_path, capsys, fresh, way, sink):
+        # the process ends by os._exit after a flush: no atexit handler
+        # runs, and stdout holds the bytes an in-process run prints
+        assert cli.main(["model"]) == 0
+        printed = capsys.readouterr().out.encode()
+        if sink == "pipe":
+            code, stdout, stderr, torn_down = fresh([*WAYS[way], "model"])
+        else:
+            with open(tmp_path / "stdout", "wb") as fh:
+                code, _, stderr, torn_down = fresh([*WAYS[way], "model"], stdout=fh)
+            stdout = (tmp_path / "stdout").read_bytes()
+        assert (code, stderr, torn_down) == (0, "", False)
+        assert stdout == printed
+
+    @pytest.mark.parametrize("argv,sink,code,message", [
+        (["energy", "--tf", "-1"], "pipe", EXIT_CONFIG, "t_f must be positive"),
+        (["model", "--model", "no-such.json"], "pipe", EXIT_PARSE,
+         "cannot read model file no-such.json"),
+        (["model"], "full", EXIT_CONFIG, "cannot write standard output: No space left on device"),
+        (["model"], "full-unbuffered", EXIT_CONFIG,
+         "cannot write standard output: No space left on device"),
+        (["energy"], "full-unbuffered", EXIT_CONFIG,
+         "cannot write standard output: No space left on device"),
+        (["model"], "closed", 0, None),
+    ], ids=["config", "parse", "dev-full", "dev-full-unbuffered",
+            "dev-full-energy", "stdout-closed"])
+    def test_exit_code_and_one_line(self, tmp_path, fresh, argv, sink, code, message):
+        # a failure is its code and one stderr line, whether a command
+        # fails, its print fails (unbuffered stdout) or the final flush
+        # does (buffered); a closed stdout takes no output and is no failure
+        options = {}
+        if sink.startswith("full"):
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this host")
+            options = {"stdout": open("/dev/full", "wb"), "unbuffered": sink != "full"}
+        elif sink == "closed":
+            options = {"preexec_fn": lambda: os.close(1)}
+        try:
+            got, _, stderr, torn_down = fresh(["-m", "distcost", *argv], **options)
+        finally:
+            if "stdout" in options:
+                options["stdout"].close()
+        assert (got, torn_down) == (code, False)
+        if message is None:
+            assert stderr == ""
+        else:
+            assert stderr.startswith(f"error: {message}") and stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,code", [
+        (["model"], 0), (["energy", "--tf", "-1"], EXIT_CONFIG),
+        (["energy", "--tf", "800"], EXIT_NUMERIC),
+    ], ids=["success", "config", "numeric"])
+    def test_run_module_in_process_raises(self, monkeypatch, capsys, argv, code):
+        # run in process, as the benchmark runner does, __main__ is not
+        # the process's own: it raises SystemExit with the code and this
+        # process carries on. An os._exit would end the test run silently,
+        # so here it fails the test instead
+        monkeypatch.setattr(sys, "argv", ["distcost", *argv])
+        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail(f"os._exit({code})"))
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("distcost", run_name="__main__")
+        assert exc.value.code == code
+        assert capsys.readouterr().err.count("\n") == (code != 0)
