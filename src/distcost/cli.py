@@ -382,8 +382,17 @@ def cmd_model(cfg: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write of its own text; help and usage on
+        # stdout go through _print instead, whose failure exits 2
+        if message and file is not None and file is sys.stdout:
+            return _print(message)
+        super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distcost",
         description="Minimum-energy stabilization under bounded disturbances: "
                     "controls, energy bounds, cost-of-disturbance metrics.")
@@ -436,10 +445,13 @@ def script() -> None:
     stdout and stderr are flushed, then ``os._exit`` skips the
     interpreter's teardown (atexit handlers, module and garbage cleanup),
     about 20 ms of a process that imported numpy. A run that succeeded but
-    whose output cannot be flushed exits 2 with one error line; a failed
-    run keeps its code and its own error line.
+    whose output cannot be flushed exits 2 with one error line, --help
+    too; a failed run keeps its code and its own error line.
     """
-    code = entry()
+    try:
+        code = entry()
+    except SystemExit as exc:  # argparse's exit after --help or a usage error
+        code = exc.code
     if sys.stdout is not None:
         try:
             sys.stdout.flush()

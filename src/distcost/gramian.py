@@ -7,13 +7,13 @@ into n x n blocks E11, E12 (top row), W_B = E12 @ E11^T and E11 = e^{A tf}.
 
 A grid of horizons is built in three stacked stages (``build_bundles``):
 one expm over every horizon's augmented matrix, one Jacobi call over
-every W_B for W_B^{-1}'s factors, and one level-by-level adaptive Simpson
-refinement of every horizon's norm integral. The refinement's nodes are
-propagated (e^{A(a+h)} = e^{Aa} e^{Ah}): each new node is one product of
-a panel's carried exponential with its level's step, and each level
-takes one stacked expm of those steps. Each horizon gets the bits it
-gets alone, and fails alone as in the grid, which a failed grid replays
-one horizon at a time. ``build_bundle`` is a grid of one.
+every W_B for W_B^{-1}'s factors, and the norm integrals
+int_0^tf ||e^{As}||_inf ds in closed form: between breakpoints, found on a
+grid of nodes and bisected, each is the 1-norm of a row of a difference
+of J(t) = int_0^t e^{As} ds, the Van Loan block of [[A, I], [0, 0]] t.
+Each horizon's grid depends on its own t_f alone, so each horizon gets
+the bits it gets alone, and fails alone as in the grid, which a failed
+grid replays one horizon at a time. ``build_bundle`` is a grid of one.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ _JACOBI_MAX_SWEEPS = 100
 # lambda_max / lambda_min of W_B above this leaves W_B^{-1} with at most
 # two correct digits in double precision, so the horizon is rejected
 _CONDITION_LIMIT = 1e14
-# adaptive Simpson on the norm integral: absolute tolerance is this times
-# t_f, with at most _ADAPTIVE_DEPTH halvings of any subinterval
-_NORM_INTEGRAL_TOL = 1e-9
-_ADAPTIVE_DEPTH = 24
+# the norm integral bisects an interval of its grid's spacing h down to
+# width h 2^-_HALVINGS, half the bits of a double: a breakpoint's sliver
+# costs an error quadratic in its width, below rounding there
+_HALVINGS = (np.finfo(float).nmant + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ class GramianBundle:
 
     ``spec`` factors W_B^{-1} (eigenvalues descending), ``state_transition``
     is e^{A t_f}, and ``v_bar_unit`` is the unit-amplitude value of the
-    disturbance norm integral int_0^tf ||e^{A(tf-t)}||_inf dt. ``system``
+    disturbance norm integral int_0^tf ||e^{A(tf-t)}||_inf dt, in closed
+    form between the breakpoints of its integrand. ``system``
     is the pair the bundle was built from: every consumer reads (A, B)
     from it, so no second system can be passed beside the bundle.
     """
@@ -138,97 +139,117 @@ def _inverse_factors(Ws: list, hs: list) -> list:
     return out
 
 
-def _inf_norms(E: np.ndarray) -> np.ndarray:
-    return np.max(np.sum(np.abs(E), axis=-1), axis=-1)
+def _keys(E: np.ndarray):
+    # each matrix's key: the row attaining ||E||_inf and the signs of its
+    # entries. Rows and entries within n ulps of the norm count as tied and
+    # as 0: tied rows take the first, and a 0 sign (a structural zero, a
+    # tangency) matches either sign
+    r = np.sum(np.abs(E), axis=-1)
+    top = np.max(r, axis=-1)
+    tiny = E.shape[-1] * np.finfo(float).eps * top
+    row = np.argmax(r >= (top - tiny)[:, None], axis=-1)
+    Er = E[np.arange(len(E)), row]
+    return row, np.where(np.abs(Er) > tiny[:, None], np.sign(Er), 0.0)
+
+
+def _conflict(row_a, fil_a, row_b, sig_b):
+    # whether a breakpoint lies between a point a and the next, b; fil_a
+    # holds a's signs with each 0 carried from the last nonzero one
+    return (row_a != row_b) | np.any(fil_a * sig_b < 0.0, axis=-1)
+
+
+def _not_finite(hs: list, owner: np.ndarray, finite: np.ndarray) -> None:
+    if not finite.all():
+        raise NumericalError("norm integral is not finite at horizon "
+                             f"t_f = {hs[int(owner[~finite].min())]:g}")
+
+
+def _panels(A: np.ndarray, hs: list):
+    # every horizon's panels, on each of which the row attaining
+    # ||e^{As}||_inf and the signs of its entries stay fixed, as the arrays
+    # (owner, right edge, row) by horizon and then by edge. A grid has
+    # spacing h = t_f / 2^k, the largest with h ||A||_1 <= 1, and nodes
+    # s0 = h 2^-_HALVINGS, h, 2h, ..., t_f; node j in (m, 2m] is node j - m
+    # times node m. Each interval whose end keys conflict is bisected
+    # _HALVINGS times, one level of all at a time, and its midpoint is a
+    # breakpoint.
+    H, n = len(hs), A.shape[0]
+    t_f = np.array(hs)
+    with np.errstate(divide="ignore"):
+        k = np.maximum(np.ceil(np.log2(np.abs(A).sum(axis=0).max()) + np.log2(t_f)), 0.0)
+    if k.max() > _HALVINGS:
+        # the bisection would go below the spacing of doubles at t_f
+        raise NumericalError(f"norm integral needs more than 2^{_HALVINGS} grid steps at "
+                             f"horizon t_f = {hs[int(np.argmax(k > _HALVINGS))]:g}")
+    k = k.astype(np.int64)
+    h, N = np.ldexp(t_f, -k), 1 << k
+    pos = h[:, None] * np.arange(N.max() + 1)
+    pos[:, 0] = np.ldexp(h, -_HALVINGS)
+    # G[i, j] is node j of horizon i, and 0 past its t_f
+    G = np.zeros(pos.shape + A.shape)
+    G[:, :2] = expm((A * pos[:, :2, None, None]).reshape(-1, n, n)).reshape(H, 2, n, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(k.max()):
+            m, live = 1 << r, k > r
+            G[live, m + 1:2 * m + 1] = G[live, 1:m + 1] @ G[live, m:m + 1]
+    _not_finite(hs, np.arange(H), np.all(np.isfinite(G), axis=(1, 2, 3)))
+    row, sig = (x.reshape(pos.shape + x.shape[1:]) for x in _keys(G.reshape(-1, n, n)))
+    # each 0 sign carries the last nonzero one of its run of one row
+    idx = np.arange(pos.shape[1])
+    start = np.ones(row.shape, dtype=bool)
+    start[:, 1:] = row[:, 1:] != row[:, :-1]
+    last = np.where((sig != 0.0) | start[..., None], idx[:, None], 0)
+    fil = np.take_along_axis(sig, np.maximum.accumulate(last, axis=1), axis=1)
+
+    # the open intervals: owner, ends a and b, e^{Aa}, a's row and carried
+    # signs, b's row and signs
+    own, j = np.nonzero(_conflict(row[:, :-1], fil[:, :-1], row[:, 1:], sig[:, 1:])
+                        & (idx[:-1] < N[:, None]))
+    iv = (own, pos[own, j], pos[own, j + 1], G[own, j], row[own, j], fil[own, j],
+          row[own, j + 1], sig[own, j + 1])
+    for _ in range(_HALVINGS):
+        own, a, b, Ea, ra, fa, rb, sb = iv
+        if not len(own):
+            break
+        half = 0.5 * (b - a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Em = Ea @ expm(A * half[:, None, None])
+        _not_finite(hs, own, np.all(np.isfinite(Em), axis=(1, 2)))
+        rm, sm = _keys(Em)
+        fm = np.where((rm == ra)[:, None] & (sm == 0.0), fa, sm)
+        lt, rt = _conflict(ra, fa, rm, sm), _conflict(rm, fm, rb, sb)
+        mid = a + half
+        iv = tuple(np.concatenate([x[lt], y[rt]]) for x, y in
+                   zip((own, a, mid, Ea, ra, fa, rm, sm), (own, mid, b, Em, rm, fm, rb, sb)))
+
+    # a panel ends at a breakpoint, with the row of the point before it, or
+    # at t_f, with the row of the horizon's last node
+    own, a, b, _, ra = iv[:5]
+    owner, edge = np.concatenate([own, np.arange(H)]), np.concatenate([a + 0.5 * (b - a), t_f])
+    order = np.lexsort((edge, owner))
+    return owner[order], edge[order], np.concatenate([ra, row[np.arange(H), N]])[order]
 
 
 def _norm_integrals(A: np.ndarray, hs: list) -> list:
-    # v_bar_unit = int_0^tf ||e^{A(tf-t)}||_inf dt = int_0^tf ||e^{As}||_inf ds
-    # for every horizon of hs by adaptive composite Simpson, or the
-    # NumericalError, carrying estimate and error bound, of the first whose
-    # error estimate misses its tolerance. The absolute tolerance is
-    # _NORM_INTEGRAL_TOL * t_f, halved with each halving of a panel; a
-    # panel still short of its share after _ADAPTIVE_DEPTH halvings, as at
-    # a kink of the integrand, adds a pessimistic 15 |err| to the estimate
-    # instead of failing on its own. Whether a panel is split depends on
-    # that panel alone, so refining every tree one level at a time gives
-    # the panels of a depth-first refinement; summed in depth-first
-    # order, the result and the error estimate are bit-for-bit those of
-    # the depth-first loop with the same node rule.
-    #
-    # The node rule is propagation (e^{A(a + h)} = e^{Aa} e^{Ah}): every
-    # open panel [a, b] of width w carries e^{Aa} and e^{Am} at its
-    # midpoint m, and the level's new midpoints a + w/4 and m + w/4 are
-    # one stacked product with the horizon's step e^{A t_f / 2^(d+2)} at
-    # level d. The root nodes e^{A t_f/2} and e^{A t_f} are one stacked
-    # expm, and each level's steps one more, over the horizons that still
-    # have open panels. A node at level d is a product of at most d + 2
-    # factors, so its rounding stays bounded by the depth budget, and
-    # each horizon's steps depend on its own t_f alone.
-    t_f = np.array(hs)
-    tol = _NORM_INTEGRAL_TOL * t_f
-
-    # one level of every horizon's panel tree, one column per panel: the
-    # owning horizon, ends a and b, midpoint m, the integrand at all
-    # three and the panel's Simpson value; Ea and Em are e^{Aa} and e^{Am}
-    H = len(hs)
-    own = np.arange(H)
-    a, m, b = np.zeros(H), 0.5 * t_f, t_f
-    roots = expm(A * np.concatenate([m, b])[:, None, None])
-    Ea, Em = np.broadcast_to(np.eye(A.shape[0]), (H,) + A.shape), roots[:H]
-    fa, fm, fb = np.ones(H), _inf_norms(Em), _inf_norms(roots[H:])
-    S = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol_d = tol
-    accepted = []  # (owners, left ends, values, error shares) per level
-    for d in range(_ADAPTIVE_DEPTH + 1):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        live = np.zeros(H, dtype=bool)
-        live[own] = True
-        steps = np.empty((H,) + A.shape)
-        steps[live] = expm(A * np.ldexp(t_f[live], -(d + 2))[:, None, None])
-        # E holds e^{A lm} and e^{A rm}, the products of F = (e^{Aa},
-        # e^{Am}) with their steps
-        F = np.concatenate([Ea, Em])
-        E = F @ steps[np.concatenate([own, own])]
-        flm, frm = np.split(_inf_norms(E), 2)
-        Sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        Sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = (Sl + Sr - S) / 15.0
-        ok = np.abs(err) <= tol_d[own]
-        split = ~ok & (d < _ADAPTIVE_DEPTH)
-        keep = ~split
-        accepted.append((own[keep], a[keep], (Sl + Sr + err)[keep],
-                         np.where(ok, np.abs(err), np.abs(err) * 15.0)[keep]))
-        if not split.any():
-            break
-        # the two halves of each panel that is split: [a, m] carries
-        # (e^{Aa}, e^{A lm}) and [m, b] carries (e^{Am}, e^{A rm})
-        both = np.concatenate([split, split])
-        halves = np.concatenate([np.stack([a, lm, m, fa, flm, fm, Sl]),
-                                 np.stack([m, rm, b, fm, frm, fb, Sr])], axis=1)
-        a, m, b, fa, fm, fb, S = halves[:, both]
-        Ea, Em = F[both], E[both]
-        own = np.concatenate([own, own])[both]
-        tol_d = 0.5 * tol_d
-
-    owner, left, value, share = (np.concatenate(c) for c in zip(*accepted))
-    # by horizon, and within one in the depth-first order (descending left
-    # end); bincount adds its weights one at a time in that order, as the
-    # depth-first loop did
-    order = np.lexsort((-left, owner))
-    totals, err_totals = (np.bincount(owner[order], weights=x[order], minlength=H)
-                          for x in (value, share))
-    for h in range(H):
-        if err_totals[h] > tol[h]:
-            raise NumericalError(
-                f"norm integral error estimate {err_totals[h]:.3e} misses tolerance "
-                f"{tol[h]:.3e} within depth {_ADAPTIVE_DEPTH}",
-                estimate=float(totals[h]),
-                error_bound=float(err_totals[h]),
-                iterations=_ADAPTIVE_DEPTH,
-            )
-    return totals.tolist()
+    # v_bar_unit = int_0^tf ||e^{As}||_inf ds for every horizon of hs, or
+    # the NumericalError of the first whose grid is too fine or whose nodes
+    # or J are not finite. On a panel [c, e] with row i, whose entries keep
+    # their signs, the integral is sum_j |(J(e) - J(c))_ij|, with
+    # J(t) = int_0^t e^{As} ds from one stacked Van Loan exponential at
+    # every panel edge.
+    n = A.shape[0]
+    if not A.any():
+        # e^{As} = I: exactly t_f, where J's Pade solve may round it down
+        return list(hs)
+    owner, edge, row = _panels(A, hs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = block_expm(A, np.eye(n), np.zeros((n, n)), edge)[1]
+    _not_finite(hs, owner, np.all(np.isfinite(J), axis=(1, 2)))
+    panel = np.arange(len(edge))
+    first = np.r_[True, owner[1:] != owner[:-1]]
+    before = np.where(first[:, None], 0.0, J[panel - 1, row])
+    value = np.sum(np.abs(J[panel, row] - before), axis=-1)
+    return np.bincount(owner, weights=value, minlength=len(hs)).tolist()
 
 
 def build_bundles(sys: LtiSystem, tf_grid) -> list:
@@ -237,13 +258,14 @@ def build_bundles(sys: LtiSystem, tf_grid) -> list:
 
     The work is three stacked stages over the distinct horizons: one
     ``expm`` of all Van Loan blocks, one Jacobi call on all W_B for the
-    factors of W_B^{-1} and one level-by-level refinement of all norm
-    integrals. The error raised is the one ``build_bundle`` raises on the
-    first failing horizon in grid order: an invalid horizon, an
-    overflowing exponential, a failed eigensolve or a singular W_B, or a
-    norm integral that misses its tolerance. A grid that fails is built
-    again one horizon at a time until one fails. Repeated horizons share
-    a bundle.
+    factors of W_B^{-1}, and all norm integrals in closed form, whose grid
+    nodes, bisection levels and J blocks are each stacked over the grid.
+    The error raised is the one ``build_bundle`` raises on the first
+    failing horizon in grid order: an invalid horizon, an overflowing
+    exponential, a failed eigensolve or a singular W_B, or a norm integral
+    that is not finite or needs more than 2^26 grid steps. A grid that
+    fails is built again one horizon at a time until one fails. Repeated
+    horizons share a bundle.
     """
     grid = list(tf_grid)
     if not grid:

@@ -841,12 +841,19 @@ class TestProcessExit:
         (["energy"], "full-unbuffered", EXIT_CONFIG,
          "cannot write standard output: No space left on device"),
         (["model"], "closed", 0, None),
+        (["--help"], "full", EXIT_CONFIG, "cannot write standard output: No space left on device"),
+        (["--help"], "full-unbuffered", EXIT_CONFIG,
+         "cannot write standard output: No space left on device"),
+        (["model", "--help"], "full-unbuffered", EXIT_CONFIG,
+         "cannot write standard output: No space left on device"),
     ], ids=["config", "parse", "dev-full", "dev-full-unbuffered",
-            "dev-full-energy", "stdout-closed"])
+            "dev-full-energy", "stdout-closed", "help-dev-full", "help-dev-full-unbuffered",
+            "command-help-dev-full-unbuffered"])
     def test_exit_code_and_one_line(self, tmp_path, fresh, argv, sink, code, message):
         # a failure is its code and one stderr line, whether a command
-        # fails, its print fails (unbuffered stdout) or the final flush
-        # does (buffered); a closed stdout takes no output and is no failure
+        # fails, its print or argparse's help fails (unbuffered stdout) or
+        # the final flush does (buffered); a closed stdout takes no output
+        # and is no failure
         options = {}
         if sink.startswith("full"):
             if not os.path.exists("/dev/full"):

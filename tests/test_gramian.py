@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -9,9 +12,11 @@ from distcost import gramian
 from distcost import _kernels
 from distcost.errors import DistcostError, DomainError, IllConditionedError, NumericalError
 from distcost.gramian import build_bundle, build_bundles
-from distcost.linalg import expm
+from distcost.linalg import block_expm, expm
+from distcost.models import admire
 from distcost.systems import LtiSystem
 
+import mp_oracle
 from conftest import metzler_system
 
 
@@ -29,77 +34,77 @@ def simpson_gramian(sys, t_f, panels=2048):
 
 
 def norm_integral(A, t_f):
-    """v_bar_unit at one horizon as build_bundles computes it, or the
-    NumericalError of a norm integral that misses its tolerance."""
-    try:
-        (v,) = gramian._norm_integrals(A, [t_f])
-    except NumericalError as exc:
-        return exc
+    """v_bar_unit at one horizon as build_bundles computes it."""
+    (v,) = gramian._norm_integrals(A, [t_f])
     return v
 
 
 def depth_first_norm_integral(A, t_f, per_node=False):
-    """The depth-first adaptive Simpson loop the level-by-level refinement
-    replaced, kept as the reference: panels popped off a stack, every
-    exponential formed alone.
+    """The closed form one node at a time, kept as the reference for the
+    stacked, level-by-level one: the grid's nodes in order, each interval
+    whose end keys conflict bisected depth first, and each panel edge's J
+    from its own block_expm.
 
-    By default the nodes follow the propagated rule of the refinement: a
-    panel [a, b] of width w at depth d carries e^{Aa} and e^{Am} at its
-    midpoint m, and its new nodes a + w/4 and m + w/4 are those times the
-    step e^{A t_f / 2^(d+2)}. With ``per_node`` every node is its own expm
-    instead, an oracle independent of the propagation.
+    By default every node follows the rule of the stacked form: grid node
+    j in (m, 2m] is node j - m times node m, and a midpoint is its
+    interval's left node times e^{A w/2}. With ``per_node`` every node is
+    its own expm instead, an oracle independent of the propagation.
 
-    Returns (total, err_total, nodes, depth): the integral, its error
-    estimate, the number of integrand evaluations and the deepest panel
-    level visited. Reads the module's tolerance and depth limit at call
-    time, so a monkeypatched limit applies to both implementations.
+    Returns (total, breakpoints, levels): the integral, the breakpoints in
+    order and the number of intervals bisected at each level that has any.
     """
-    def f(E):
-        return float(np.max(np.sum(np.abs(E), axis=1)))
+    n, eps, depth = len(A), np.finfo(float).eps, gramian._HALVINGS
 
-    steps = {}
+    def key(E, before=None):
+        # (row, signs, signs with each 0 carried from the key before)
+        r = np.sum(np.abs(E), axis=-1)
+        tiny = n * eps * r.max()
+        row = int(np.flatnonzero(r >= r.max() - tiny)[0])
+        sig = np.where(np.abs(E[row]) > tiny, np.sign(E[row]), 0.0)
+        if before is None or before[0] != row:
+            return row, sig, sig
+        return row, sig, np.where(sig == 0.0, before[2], sig)
 
-    def step(d):
-        if d not in steps:
-            steps[d] = expm(A * (t_f * 2.0 ** -(d + 2)))
-        return steps[d]
+    def conflict(ka, kb):
+        return ka[0] != kb[0] or bool(np.any(ka[2] * kb[1] < 0.0))
 
-    tol = gramian._NORM_INTEGRAL_TOL * t_f
-    depth_limit = gramian._ADAPTIVE_DEPTH
-    a, b = 0.0, t_f
-    m = 0.5 * (a + b)
-    Ea, Em, Eb = np.eye(len(A)), expm(A * m), expm(A * b)
-    fa, fm, fb = f(Ea), f(Em), f(Eb)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    total = 0.0
-    err_total = 0.0
-    nodes, depth = 3, 0
-    stack = [(a, m, b, Ea, Em, fa, fm, fb, whole, tol, 0)]
-    while stack:
-        a0, m0, b0, E0, E1, f0, f1, f2, S0, tol0, d = stack.pop()
-        depth = max(depth, d)
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        if per_node:
-            Elm, Erm = expm(A * lm), expm(A * rm)
-        else:
-            Elm, Erm = E0 @ step(d), E1 @ step(d)
-        flm = f(Elm)
-        frm = f(Erm)
-        nodes += 2
-        Sl = (m0 - a0) / 6.0 * (f0 + 4.0 * flm + f1)
-        Sr = (b0 - m0) / 6.0 * (f1 + 4.0 * frm + f2)
-        err = (Sl + Sr - S0) / 15.0
-        if abs(err) <= tol0:
-            total += Sl + Sr + err
-            err_total += abs(err)
-        elif d >= depth_limit:
-            total += Sl + Sr + err
-            err_total += abs(err) * 15.0
-        else:
-            stack.append((a0, lm, m0, E0, Elm, f0, flm, f1, Sl, 0.5 * tol0, d + 1))
-            stack.append((m0, rm, b0, E1, Erm, f1, frm, f2, Sr, 0.5 * tol0, d + 1))
-    return total, err_total, nodes, depth
+    breaks, levels = [], [0] * depth
+
+    def bisect(a, b, Ea, ka, kb, level):
+        if level == depth:
+            breaks.append((a + 0.5 * (b - a), ka[0]))
+            return
+        levels[level] += 1
+        half = 0.5 * (b - a)
+        mid = a + half
+        Em = expm(A * mid) if per_node else Ea @ expm(A * half)
+        km = key(Em, ka)
+        if conflict(ka, km):
+            bisect(a, mid, Ea, ka, km, level + 1)
+        if conflict(km, kb):
+            bisect(mid, b, Em, km, kb, level + 1)
+
+    with np.errstate(divide="ignore"):
+        k = int(max(np.ceil(np.log2(np.abs(A).sum(axis=0).max()) + np.log2(t_f)), 0.0))
+    h = np.ldexp(t_f, -k)
+    pos = [np.ldexp(h, -depth)] + [h * float(j) for j in range(1, 2 ** k + 1)]
+    E = [expm(A * s) for s in pos[:2]]
+    for j in range(2, 2 ** k + 1):
+        m = 1 << ((j - 1).bit_length() - 1)
+        E.append(expm(A * pos[j]) if per_node else E[j - m] @ E[m])
+    keys = [key(E[0])]
+    for Ej in E[1:]:
+        keys.append(key(Ej, keys[-1]))
+    for j in range(2 ** k):
+        if conflict(keys[j], keys[j + 1]):
+            bisect(pos[j], pos[j + 1], E[j], keys[j], keys[j + 1], 0)
+
+    total, before = 0.0, None
+    for edge, row in breaks + [(t_f, keys[-1][0])]:
+        J = block_expm(A, np.eye(n), np.zeros((n, n)), edge)[1]
+        total += np.sum(np.abs(J[row] - (0.0 if before is None else before[row])))
+        before = J
+    return total, [c for c, _ in breaks], [count for count in levels if count]
 
 
 def _random_system(seed, n=12, p=4):
@@ -113,8 +118,8 @@ def _kink_system(seed):
     return LtiSystem(A, np.eye(2), name="kink")
 
 
-# ADMIRE at three horizons, seeded random n = 12, p = 4 systems, and the
-# two kinked integrands whose panels reach the depth limit
+# ADMIRE at three horizons, seeded random n = 12, p = 4 systems, and two
+# kinked integrands, whose maximising row switches
 REFERENCE_CASES = ([("admire", None, t_f) for t_f in (0.1, 0.5, 5.0)]
                    + [("random", seed, t_f) for seed in (0, 1, 2)
                       for t_f in (0.25, 5.0)]
@@ -220,7 +225,7 @@ class TestNormIntegral:
 
     def test_zero_matrix_closed_form(self):
         sys = LtiSystem(np.zeros((1, 1)), np.ones((1, 1)), name="z")
-        assert build_bundle(sys, 4.0).v_bar_unit == pytest.approx(4.0, rel=1e-12)
+        assert build_bundle(sys, 4.0).v_bar_unit == 4.0
 
     def test_matches_dense_quadrature(self, jet):
         taus = np.linspace(0.0, 5.0, 8193)
@@ -231,24 +236,126 @@ class TestNormIntegral:
     @pytest.mark.parametrize("seed", [13, 34])
     def test_kinked_integrand_meets_tolerance(self, seed):
         # the row attaining ||e^{As}||_inf changes at a kink, where the
-        # panels hit the halving depth; their pessimistic error share still
-        # fits the tolerance, so the integral returns instead of raising
+        # closed form places a breakpoint
         sys = _kink_system(seed)
         A = sys.A
         ref, _ = scipy.integrate.quad(
             lambda s: np.linalg.norm(scipy.linalg.expm(A * s), np.inf), 0.0, 5.0,
             epsabs=1e-12, epsrel=1e-13, limit=500)
-        assert abs(norm_integral(A, 5.0) - ref) <= gramian._NORM_INTEGRAL_TOL * 5.0
+        assert abs(norm_integral(A, 5.0) - ref) <= 1e-11 * 5.0
+        assert len(gramian._panels(A, [5.0])[0]) > 1
 
-    def test_budget_exhaustion_raises_with_estimate(self, jet, monkeypatch):
-        monkeypatch.setattr(gramian, "_ADAPTIVE_DEPTH", 2)
-        monkeypatch.setattr(gramian, "_NORM_INTEGRAL_TOL", 1e-14)
-        err = norm_integral(jet.A, 5.0)
-        assert isinstance(err, NumericalError)
-        total, err_total, _, _ = depth_first_norm_integral(jet.A, 5.0)
-        assert err.estimate == total
-        assert err.error_bound == err_total
-        assert err.iterations == 2
+    @pytest.mark.parametrize("t_f", [2.0 * np.pi, 8.0 * np.pi / 3.5])
+    def test_sign_change_within_rounding_of_a_point(self, t_f):
+        # e^{As} = [[cos s, sin s], [-sin s, cos s]], whose row sums tie. The
+        # grid of t_f = 2 pi has nodes at pi/2 and pi, and that of 8 pi / 3.5
+        # a bisection midpoint at pi: an entry is within rounding of 0
+        # there, and its sign change shows only against the points either
+        # side
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        q, r = divmod(t_f, 0.5 * np.pi)
+        _, edge, _ = gramian._panels(A, [t_f])
+        assert edge[:-1] == pytest.approx(0.5 * np.pi * np.arange(1.0, np.ceil(t_f / (0.5 * np.pi))),
+                                          rel=1e-8)
+        assert norm_integral(A, t_f) == pytest.approx(2.0 * q + np.sin(r) + 1.0 - np.cos(r),
+                                                      rel=1e-14)
+
+    def test_not_finite_integral_raises_naming_horizon(self):
+        # e^{t/1000} stays finite at t_f = 704000 but its integral, 1000
+        # times as large, does not
+        with pytest.raises(NumericalError, match="norm integral is not finite at horizon "
+                                                 "t_f = 704000"):
+            gramian._norm_integrals(np.array([[1e-3]]), [1.0, 704000.0])
+
+    def test_too_fine_grid_raises_naming_horizon(self):
+        with pytest.raises(NumericalError, match=r"more than 2\^26 grid steps at horizon "
+                                                 r"t_f = 1e\+08"):
+            gramian._norm_integrals(np.diag([0.0, -1.0]), [1.0, 1e8])
+
+
+# stable Gaussian n = 4 systems (A shifted left of the imaginary axis by
+# 0.3), each with a breakpoint in [0, 5]
+STABLE_SEEDS = (0, 2, 5)
+TANGENT_TF = 2.0 * float(np.log(2.0))
+
+
+def _oracle_system(kind):
+    if kind == "admire":
+        return admire().A
+    if kind == "metzler":
+        return metzler_system(0).A
+    if kind == "tangent":
+        # V diag(-2, -3, -4) V^-1 with V and V^-1 integer, scaled by
+        # diag(1, 1/16, 1/16): exact in binary, row 0 attains the norm
+        V = np.array([[1.0, 1.0, 1.0], [4.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        V_inv = np.array([[1.0, 0.0, -1.0], [-4.0, 1.0, 4.0], [4.0, -1.0, -3.0]])
+        D = np.diag([1.0, 0.0625, 0.0625])
+        return D @ V @ np.diag([-2.0, -3.0, -4.0]) @ V_inv @ np.diag([1.0, 16.0, 16.0])
+    rng = np.random.default_rng(int(kind[len("stable"):]))
+    A = rng.standard_normal((4, 4)) / 2.0
+    return A - (np.max(np.linalg.eigvals(A).real) + 0.3) * np.eye(4)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(kind, t_f):
+    # each 40-digit value once per (system, horizon)
+    return mp_oracle.norm_integral(_oracle_system(kind), t_f)
+
+
+class TestNormIntegralOracle:
+    """v_bar_unit against the 40-digit closed form of ``tests/mp_oracle.py``,
+    whose breakpoints are located in mpmath."""
+
+    @pytest.mark.parametrize("kind,t_f", [("admire", t_f) for t_f in (0.1, 0.5, 1.0, 5.0)]
+                             + [("metzler", t_f) for t_f in (0.25, 1.0, 5.0)]
+                             + [(f"stable{seed}", 5.0) for seed in STABLE_SEEDS]
+                             + [("tangent", TANGENT_TF)])
+    def test_within_1e14_of_oracle(self, kind, t_f):
+        A = _oracle_system(kind)
+        truth, breaks = _oracle(kind, t_f)
+        assert abs(norm_integral(A, t_f) - truth) <= 1e-14 * truth
+        # the same breakpoints, each within the bisection's final width
+        _, edge, _ = gramian._panels(A, [t_f])
+        h = t_f / 2.0 ** np.ceil(np.log2(np.abs(A).sum(axis=0).max() * t_f))
+        assert len(edge) - 1 == len(breaks)
+        assert np.all(np.abs(edge[:-1] - breaks) <= np.ldexp(h, -gramian._HALVINGS))
+
+    @pytest.mark.parametrize("seed", STABLE_SEEDS)
+    def test_random_stable_systems_have_breakpoints(self, seed):
+        assert len(_oracle(f"stable{seed}", 5.0)[1]) >= 1
+
+    def test_tangency_is_no_breakpoint(self):
+        # e^{As}_00 = (e^{-s} - 2 e^{-2s})^2 touches 0 at s = ln 2, a grid
+        # node, in the maximising row; the one breakpoint is the sign change
+        # of e^{As}_02 at ln 3
+        A = _oracle_system("tangent")
+        assert abs(expm(A * np.log(2.0))[0, 0]) < 1e-15
+        (c,) = _oracle("tangent", TANGENT_TF)[1]
+        assert c == pytest.approx(np.log(3.0), rel=1e-12)
+        _, edge, row = gramian._panels(A, [TANGENT_TF])
+        assert edge[:-1] == pytest.approx([np.log(3.0)], rel=1e-8) and list(row) == [0, 0]
+
+    @pytest.mark.parametrize("t_f", [0.1, 0.5, 1.0, 5.0])
+    def test_structural_zero_is_no_breakpoint(self, jet, t_f):
+        # e^{As}_21 is 0 for every s, in the row that attains the norm
+        assert expm(jet.A * t_f)[2, 1] == 0.0
+        assert _oracle("admire", t_f)[1] == []
+        _, edge, row = gramian._panels(jet.A, [t_f])
+        assert list(edge) == [t_f] and list(row) == [2]
+
+
+class TestNormIntegralMemory:
+    def test_shifted_n48_pair_stays_small(self):
+        # 12 horizons from 0.25 to 5 of the n = 48 Metzler pair shifted by
+        # +3.5 I: each grid holds 2^k + 1 nodes, 2^k >= ||A||_1 t_f
+        A = metzler_system(0, n=48, p=24).A + 3.5 * np.eye(48)
+        tracemalloc.start()
+        try:
+            values = gramian._norm_integrals(A, HORIZON_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(values)) and peak <= 64 * 2 ** 20
 
 
 def _reference_case(kind, seed, jet):
@@ -258,21 +365,22 @@ def _reference_case(kind, seed, jet):
 
 
 class TestLevelSynchronous:
-    """The norm integral refines level by level and propagates its nodes;
+    """The closed form bisects level by level and propagates its nodes;
     the depth-first loop with the same node rule must give the same bits,
-    and the per-node oracle the same value within the tolerance."""
+    and the per-node oracle the same value within rounding."""
 
     @pytest.mark.parametrize("kind,seed,t_f", REFERENCE_CASES)
     def test_bitwise_equal_to_depth_first(self, jet, kind, seed, t_f):
         sys = _reference_case(kind, seed, jet)
-        total, _, _, _ = depth_first_norm_integral(sys.A, t_f)
+        total, breaks, _ = depth_first_norm_integral(sys.A, t_f)
         assert norm_integral(sys.A, t_f) == total
+        assert list(gramian._panels(sys.A, [t_f])[1]) == breaks + [t_f]
 
     @pytest.mark.parametrize("kind,seed,t_f", REFERENCE_CASES)
     def test_within_tolerance_of_per_node_oracle(self, jet, kind, seed, t_f):
         sys = _reference_case(kind, seed, jet)
-        total, _, _, _ = depth_first_norm_integral(sys.A, t_f, per_node=True)
-        assert abs(norm_integral(sys.A, t_f) - total) <= gramian._NORM_INTEGRAL_TOL * t_f
+        total, _, _ = depth_first_norm_integral(sys.A, t_f, per_node=True)
+        assert abs(norm_integral(sys.A, t_f) - total) <= 1e-12 * t_f
 
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["gaussian", "oscillatory", "unstable"]),
@@ -280,9 +388,8 @@ class TestLevelSynchronous:
     @settings(max_examples=30, deadline=None)
     def test_random_matrices_within_tolerance_of_per_node_oracle(self, n, seed, kind, t_f):
         # oscillatory: a dominant skew part, eigenvalues near the imaginary
-        # axis; unstable: spectral abscissa up to about 1.5. A kink's panels
-        # reach the depth limit, and a missed tolerance is compared through
-        # its estimate
+        # axis, so many breakpoints; unstable: spectral abscissa up to about
+        # 1.5
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n)) / np.sqrt(n)
         if kind == "oscillatory":
@@ -290,31 +397,31 @@ class TestLevelSynchronous:
             A = 0.2 * A + 1.5 * (G - G.T) / np.sqrt(n)
         elif kind == "unstable":
             A = A + 0.5 * np.eye(n)
-        got = norm_integral(A, t_f)
-        got = got.estimate if isinstance(got, NumericalError) else got
-        total, _, _, _ = depth_first_norm_integral(A, t_f, per_node=True)
-        assert abs(got - total) <= gramian._NORM_INTEGRAL_TOL * t_f
+        total, _, _ = depth_first_norm_integral(A, t_f, per_node=True)
+        assert abs(norm_integral(A, t_f) - total) <= min(1e-9 * t_f, 1e-12 * max(t_f, total))
 
     @pytest.mark.parametrize("kind,seed,t_f", [("admire", None, 5.0), ("random", 0, 5.0)])
     def test_one_expm_call_per_level(self, jet, monkeypatch, kind, seed, t_f):
         sys = _reference_case(kind, seed, jet)
-        _, _, nodes, depth = depth_first_norm_integral(sys.A, t_f)
+        _, breaks, levels = depth_first_norm_integral(sys.A, t_f)
         calls = _counted_expm_calls(monkeypatch)
         norm_integral(sys.A, t_f)
-        # the middle and end nodes, then one step per panel level: 2 plus
-        # the number of levels exponentials, where there were one per node
-        assert calls == [2] + [1] * (depth + 1)
-        assert sum(calls) < nodes / 10
+        # the first two nodes, then one stacked step per bisection level,
+        # where the depth-first loop takes one per interval
+        assert calls == [2] + levels
+        assert len(levels) == (gramian._HALVINGS if breaks else 0)
 
     def test_grid_steps_only_for_open_horizons(self, monkeypatch):
-        sys = metzler_system(0)
-        depths = [depth_first_norm_integral(sys.A, t_f)[3] for t_f in HORIZON_GRID]
+        sys = _random_system(0)
+        levels = [depth_first_norm_integral(sys.A, t_f)[2] for t_f in HORIZON_GRID]
         calls = _counted_expm_calls(monkeypatch)
         gramian._norm_integrals(sys.A, HORIZON_GRID)
-        # each horizon: its two root nodes, then one step per level it reaches
+        # every horizon's first two nodes, then at each level one step per
+        # interval still open, over the horizons that have one
+        depth = max(len(lv) for lv in levels)
         assert calls == [2 * len(HORIZON_GRID)] + [
-            sum(d >= level for d in depths) for level in range(max(depths) + 1)]
-        assert min(depths) < max(depths)
+            sum(lv[d] for lv in levels if len(lv) > d) for d in range(depth)]
+        assert min(len(lv) for lv in levels) < depth
 
 
 def _counted_expm_calls(monkeypatch):
@@ -329,25 +436,33 @@ def _counted_expm_calls(monkeypatch):
     return calls
 
 
-def _unstable_double_integrator(b=1.0):
+def _unstable_double_integrator():
     # a double integrator shifted by I: cond(W_B) ~ 1 / t_f^2 makes tiny
     # horizons singular and e^{t_f} overflows past t_f ~ 709
-    return LtiSystem(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [b]]),
+    return LtiSystem(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [1.0]]),
                      name="dblint+")
 
 
 HORIZON_GRID = [float(t) for t in np.geomspace(0.25, 5.0, 12)]
 
-# horizons of _unstable_double_integrator(2.0), whose peak |BB^T|
-# of 4 makes M t_f non-finite at 1e308, and a norm integral depth of 6:
-# valid ones, then failing ones of each kind
-FAILING_GRID_DEPTH = 6
+
+
+def _undamped_oscillator():
+    # cond(W_B) ~ 1 / t_f^2 makes tiny horizons singular, the peak |BB^T|
+    # of 4 makes M t_f non-finite past t_f ~ 4.5e307, and past ||A||_1 t_f =
+    # 2^26 the norm integral's grid would be finer than doubles resolve
+    return LtiSystem(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [2.0]]),
+                     name="undamped")
+
+
+# horizons of _undamped_oscillator(): valid ones, then failing ones of
+# each kind
 VALID_HORIZONS = [0.5, 1.0, 2.0]
 FAILING_HORIZONS = {
     "invalid": [-1.0, 0.0, float("nan")],
-    "overflowing": [800.0, 1e308],  # W_B non-finite, M t_f non-finite
+    "overflowing": [5e307, 1e308],  # M t_f non-finite
     "singular": [1e-8],
-    "norm integral": [5.0],
+    "norm integral": [1e8],
 }
 
 
@@ -385,7 +500,7 @@ class TestBuildBundles:
         sys = _grid_case(kind, jet)
         grid = HORIZON_GRID[::3]
         for t_f, got in zip(grid, build_bundles(sys, grid)):
-            total, _, _, _ = depth_first_norm_integral(sys.A, t_f)
+            total, _, _ = depth_first_norm_integral(sys.A, t_f)
             assert got.v_bar_unit == total
 
     def test_repeated_unsorted_and_single_grids(self, jet):
@@ -413,13 +528,16 @@ class TestBuildBundles:
         assert calls == [(12, 12, 12)]
 
     def test_long_grid_is_one_call_per_stage(self, monkeypatch):
-        # 456 horizons at n = 12: every Van Loan exponential is one
-        # block_expm call and every W_B one Jacobi call, however long the
-        # grid
+        # 456 horizons at n = 12: every W_B's Van Loan exponential is one
+        # block_expm call, every W_B one Jacobi call and every norm
+        # integral's J one more block_expm call (this model has no
+        # breakpoints, so its panel edges are the horizons), its first grid
+        # nodes one expm call, however long the grid
         sys = metzler_system(0)
         grid = [float(t) for t in np.geomspace(0.25, 5.0, 456)]
         van_loan, jacobi_stacks = [], []
         block_expm, jacobi = gramian.block_expm, _kernels.jacobi_core
+        expm_calls = _counted_expm_calls(monkeypatch)
 
         def counting_block_expm(A, C, S, t):
             van_loan.append(len(t))
@@ -432,7 +550,8 @@ class TestBuildBundles:
         monkeypatch.setattr(gramian, "block_expm", counting_block_expm)
         monkeypatch.setattr(_kernels, "jacobi_core", counting_jacobi)
         bundles = build_bundles(sys, grid)
-        assert van_loan == jacobi_stacks == [456]
+        assert van_loan == [456, 456] and jacobi_stacks == [456]
+        assert expm_calls == [2 * 456]
         assert [b.t_f for b in bundles] == grid
 
     def test_first_failing_horizon_raises(self):
@@ -450,34 +569,30 @@ class TestBuildBundles:
     def test_first_failing_horizon_raises_its_own_error(self, grid):
         # the error of a grid is the one build_bundle raises on its first
         # failing horizon in grid order, whichever stage finds it
-        sys = _unstable_double_integrator(2.0)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gramian, "_ADAPTIVE_DEPTH", FAILING_GRID_DEPTH)
-            want = None
-            for t_f in grid:
-                try:
-                    build_bundle(sys, t_f)
-                except DistcostError as exc:
-                    want = exc
-                    break
-            if want is None:
-                assert [b.t_f for b in build_bundles(sys, grid)] == grid
-                return
-            with pytest.raises(DistcostError) as got:
-                build_bundles(sys, grid)
+        sys = _undamped_oscillator()
+        want = None
+        for t_f in grid:
+            try:
+                build_bundle(sys, t_f)
+            except DistcostError as exc:
+                want = exc
+                break
+        if want is None:
+            assert [b.t_f for b in build_bundles(sys, grid)] == grid
+            return
+        with pytest.raises(DistcostError) as got:
+            build_bundles(sys, grid)
         assert type(got.value) is type(want) and str(got.value) == str(want)
 
     def test_failing_horizons_fail_alone_as_their_kind(self):
-        sys = _unstable_double_integrator(2.0)
+        sys = _undamped_oscillator()
         kinds = {"invalid": "must be positive", "overflowing": "overflows",
                  "singular": "singular", "norm integral": "norm integral"}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gramian, "_ADAPTIVE_DEPTH", FAILING_GRID_DEPTH)
-            for kind, horizons in FAILING_HORIZONS.items():
-                for t_f in horizons:
-                    with pytest.raises(DistcostError, match=kinds[kind]):
-                        build_bundle(sys, t_f)
-            build_bundles(sys, VALID_HORIZONS)
+        for kind, horizons in FAILING_HORIZONS.items():
+            for t_f in horizons:
+                with pytest.raises(DistcostError, match=kinds[kind]):
+                    build_bundle(sys, t_f)
+        build_bundles(sys, VALID_HORIZONS)
 
     def test_invalid_horizon_raises_in_grid_order(self):
         sys = _unstable_double_integrator()

@@ -30,11 +30,13 @@ PUBLIC_API = [
 ]
 
 # single-stage twins of the bundle and the metric report, helpers no
-# caller needs, and the blocked, two-module eigen stage that
-# _inverse_factors replaced, by the module that held them
+# caller needs, the blocked, two-module eigen stage that _inverse_factors
+# replaced, and the adaptive Simpson norm integral's settings, by the
+# module that held them
 REMOVED = {
     "gramian": ["controllability_gramian", "norm_integral", "_NODE_BLOCK", "_expms",
-                "_checked_eigs", "_condition_checked", "_assemble"],
+                "_checked_eigs", "_condition_checked", "_assemble", "_NORM_INTEGRAL_TOL",
+                "_ADAPTIVE_DEPTH", "_inf_norms"],
     "linalg": ["_SYMMETRY_TOL", "norm", "sym_eig", "_sym_eigs", "_JACOBI_OFF_TOL",
                "_JACOBI_MAX_SWEEPS"],
     "metrics": ["additive_metric_bound", "multiplicative_metric_bound"],
