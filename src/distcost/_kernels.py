@@ -10,7 +10,8 @@ phi, beta and k' per exponent field, and a power of two's digits read
 from repr. RK4 and the control half-grid need no kernel: they are
 batched numpy in simulate.py and synthesis.py.
 
-Jacobi stops on the absolute test off(S) <= tol * ||S||_F, so on
+Jacobi stops on the absolute test off(S) <= tol * ||S||_F, read from a
+copy scaled by a power of two, so its outputs scale exactly with S. On
 ill-conditioned Gramians it is less accurate than numpy.linalg.eigh: at
 cond(W_B) 3.4e9 it left E_N 6.0e-5 off a 60-digit truth, where eigh was
 2.4e-7 off.
@@ -85,21 +86,19 @@ def expm_core(M):
     return E.reshape(M.shape)
 
 
-def _off_norm(S):
-    # Frobenius norm of the off-diagonal part of each matrix of a stack,
-    # from the masked entries: ||S||_F^2 - ||diag S||^2 would cancel
-    # catastrophically near convergence
-    O = S.copy()
-    n = S.shape[-1]
-    O.reshape(len(S), n * n)[:, ::n + 1] = 0.0
-    return _frobenius(O)
-
-
-def _frobenius(S):
-    # each matrix summed as one flat run of n*n squares, the summation
-    # order numpy gives a lone contiguous matrix
+def _norms(S):
+    # (||S||_F, off(S)) of each matrix of a stack, from a copy scaled by the
+    # power of two that puts its largest entry in [1/2, 1): no square
+    # overflows and both norms scale exactly with S. Each is one flat run
+    # of n*n squares, numpy's order for a lone matrix; off(S) masks the
+    # diagonal, as ||S||_F^2 - ||diag S||^2 cancels near convergence
     F = S.reshape(len(S), S.shape[-1] ** 2)
-    return np.sqrt(np.sum(F * F, axis=-1))
+    _, e = np.frexp(np.max(np.abs(F), axis=-1, initial=0.0))
+    F = np.ldexp(F, -e[:, None])
+    F *= F
+    whole = np.sqrt(np.sum(F, axis=-1))
+    F[:, ::S.shape[-1] + 1] = 0.0
+    return np.ldexp(whole, e), np.ldexp(np.sqrt(np.sum(F, axis=-1)), e)
 
 
 def _rotate(X, p, q, n):
@@ -133,14 +132,15 @@ def jacobi_core(S, off_tol, max_sweeps):
     # has its own threshold and sweep count and is swept only while its
     # own off > thresh, and a rotation whose apq is exactly 0 is skipped
     # for that matrix alone, so every matrix of a stack gets the bits it
-    # gets alone.
+    # gets alone. _norms is scale-free, so 2^j S gets the same V and
+    # sweeps and 2^j times the rest, while no entry turns subnormal.
     lead, n = S.shape[:-2], S.shape[-1]
     k = int(np.prod(lead))
     S = S.reshape(k, n, n)
     # S on top of V in one buffer, so one column update rotates both
     SV = np.concatenate([S, np.broadcast_to(np.eye(n), S.shape)], axis=1)
-    thresh = off_tol * _frobenius(S)
-    off = _off_norm(S)
+    fro, off = _norms(S)
+    thresh = off_tol * fro
     sweeps = np.zeros(k, dtype=np.int64)
 
     while True:
@@ -160,7 +160,7 @@ def jacobi_core(S, off_tol, max_sweeps):
                     X[nz] = Y
         SV[live] = X
         sweeps[live] += 1
-        off[live] = _off_norm(X[:, :n])
+        off[live] = _norms(X[:, :n])[1]
 
     diag = np.diagonal(SV[:, :n], axis1=1, axis2=2).copy()
     V = SV[:, n:]

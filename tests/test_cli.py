@@ -1,14 +1,17 @@
 import dataclasses
 import json
+import math
 import os
 import runpy
 import subprocess
 import sys
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 
+import mp_oracle
 from distcost import cli
 from distcost.cli import _COMMAND_OPTIONS, _KEYS, EXIT_CONFIG, EXIT_NUMERIC, EXIT_PARSE, entry
 from distcost.energy import EnergyReport, disturbed_signal_energy
@@ -23,6 +26,11 @@ from conftest import metzler_system
 
 # a finite initial state whose energies overflow a double
 HUGE_X0 = "1e200,1e200,1e200"
+
+# a slowly growing pair whose W_B reaches about 1e216 at t_f = 600000:
+# the squares of its entries overflow a double, its E_N does not
+SLOW_MODEL = {"name": "slow", "n": 2, "p": 2, "A": [[1e-3, 1e-4], [0.0, 1e-3]],
+              "B": [[math.sqrt(1e-307), 0.0], [0.0, math.sqrt(1e-307)]]}
 
 
 def run(tmp_path, *argv):
@@ -331,6 +339,22 @@ class TestEnergyAndModel:
         doc = json.loads((out / "energy.json").read_text())
         assert doc["E_D_bound"] >= doc["E_N"] > 0.0
 
+    def test_long_horizon_energy_matches_oracle(self, tmp_path, capfd):
+        # Jacobi's stop test is scale-free, so a W_B whose squares
+        # overflow still gets rotated: no warning, and E_N to the 50-digit
+        # value of (e^{A t_f} x0)^T W_B^{-1} e^{A t_f} x0
+        model = tmp_path / "slow.json"
+        model.write_text(json.dumps(SLOW_MODEL))
+        rc, out = run(tmp_path, "energy", "--model", str(model), "--x0", "1,1",
+                      "--tf", "600000", "--wbar", "0")
+        assert rc == 0 and capfd.readouterr().err == ""
+        W, Phi = mp_oracle.gramian(SLOW_MODEL["A"], SLOW_MODEL["B"], 600000.0)
+        with mpmath.workdps(50):
+            y = Phi * mpmath.matrix([1, 1])
+            truth = float((y.T * mpmath.inverse(W) * y)[0])
+        E_N = json.loads((out / "energy.json").read_text())["E_N"]
+        assert E_N == pytest.approx(truth, rel=1e-10, abs=0.0)
+
     def test_model_prints_normalized_json(self, capsys):
         rc = entry(["model", "--model", "admire"])
         assert rc == 0
@@ -542,13 +566,20 @@ class TestExitCodes:
         (["energy", "--tf", "800"], None, "Gramian exponential overflows at horizon t_f = 800"),
         (["bound-accuracy", "--tf-grid", "800"], None,
          "Gramian exponential overflows at horizon t_f = 800"),
+        (["energy", "--x0", "1,1", "--tf", "600000", "--wbar", "1"], {"model": SLOW_MODEL},
+         "disturbed energy bound E_D_bound = inf"),
     ], ids=["energy", "bound-accuracy", "metrics-sweep-R-grid",
             "stabilize-run-wbar", "stabilize-run-wbar-searched", "energy-tf",
-            "bound-accuracy-tf-grid"])
+            "bound-accuracy-tf-grid", "energy-long-horizon"])
     def test_overflow_prints_only_the_error(self, tmp_path, fresh, argv, config, message):
         # a fresh interpreter with the default warning filters: stderr is
-        # the error line alone, with no RuntimeWarning before it
+        # the error line alone, with no RuntimeWarning before it. A model
+        # given inline goes to a file of its own
         if config is not None:
+            if isinstance(config.get("model"), dict):
+                model = tmp_path / "model.json"
+                model.write_text(json.dumps(config["model"]))
+                config = {**config, "model": str(model)}
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             argv = [*argv, "--config", str(cfg)]

@@ -292,6 +292,26 @@ class TestJacobiStack:
         assert same_bits(alone.lambdas, 1.0 / np.sort(diag[0]))
 
 
+class TestJacobiScale:
+    """jacobi_core(2^k S) is 2^k jacobi_core(S) bit for bit, with the same
+    V and sweep count: the stop test reads a power-of-two-normalised copy,
+    so its squares neither overflow nor underflow at any scale of S."""
+
+    @pytest.mark.parametrize("n", [2, 6, 12])
+    def test_outputs_scale_exactly(self, n):
+        # symmetric entries of magnitude 1e-3 to 1e3, random signs
+        gen = np.random.default_rng(n)
+        X = gen.choice([-1.0, 1.0], (3, n, n)) * 10.0 ** gen.uniform(-3.0, 3.0, (3, n, n))
+        S = X + X.transpose(0, 2, 1)
+        diag, V, off, sweeps, thresh = _kernels.jacobi_core(S.copy(), 1e-12, 100)
+        assert np.all(off <= thresh) and np.all(sweeps >= 1)
+        for k in (-600, -300, 300, 600):
+            got = _kernels.jacobi_core(np.ldexp(S, k), 1e-12, 100)
+            for have, want in zip(got, (np.ldexp(diag, k), V, np.ldexp(off, k), sweeps,
+                                        np.ldexp(thresh, k))):
+                assert same_bits(have, want)
+
+
 class TestSplitmix:
     # reference: the first outputs of the widely published splitmix64
     # sequence for seed 0, mapped through (z >> 11) * 2**-53

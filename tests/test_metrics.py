@@ -8,7 +8,8 @@ from distcost.energy import disturbed_energy_bound, nominal_energy
 from distcost.errors import DomainError, NumericalError
 from distcost.gramian import build_bundle
 from distcost.metrics import hardness, metric_report
-from distcost.sweeps import DEFAULT_TF_GRID
+from distcost.sweeps import (DEFAULT_ACCURACY_TF_GRID, DEFAULT_TF_GRID, bound_accuracy_rows,
+                             metrics_sweep_rows)
 from distcost.systems import LtiSystem, StabilizationTask
 from test_benchmark_reference import workloads
 
@@ -139,6 +140,50 @@ class TestLMinOracle:
                   * np.finfo(float).eps * truth)
         target(abs(got - truth) / budget)
         assert abs(got - truth) <= KAPPA * budget
+
+
+def _scaled_pipeline(A, B, x0, t_f, k):
+    # (E_N, E_D_bound, r_A_bound) of (A, 2^k B), each times 4^k, and
+    # r_M_bound, which does not depend on the scale of B
+    bundle = build_bundle(LtiSystem(A, np.ldexp(B, k)), t_f)
+    rep = disturbed_energy_bound(StabilizationTask(x0=x0, t_f=t_f, w_bar=1.0), bundle)
+    m = metric_report(bundle, 1.0, 2.0)
+    return np.ldexp([rep.E_N, rep.E_D_bound, m.r_A_bound], 2 * k), m.r_M_bound
+
+
+class TestScaleOfB:
+    """B -> 2^k B scales W_B by 4^k, and every output with it: W_B^{-1}'s
+    factors stop depending on the scale of B once Jacobi's stop test reads
+    a power-of-two-normalised copy of W_B."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_systems_scale_exactly(self, seed):
+        # against B 2^-60, where BB^T is too small to move the Van Loan
+        # block's scaling exponent, as it is at the smaller scales. r_M
+        # comes from an SVD, which LAPACK rescales by a factor that is not
+        # a power of two once its matrix's norm passes about 7.5e137 (at
+        # k = -450 here): 1.9e-14 on seed 32, where cond(W_B) is 7.9e7
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        B = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+        x0, t_f = rng.standard_normal(n), float(rng.uniform(0.5, 3.0))
+        base, r_M = _scaled_pipeline(A, B, x0, t_f, -60)
+        for k in (-100, -300, -450):
+            scaled, r_M_k = _scaled_pipeline(A, B, x0, t_f, k)
+            assert np.array_equal(scaled, base)
+            assert r_M_k == pytest.approx(r_M, rel=1e-13, abs=0.0)
+
+    def test_admire_rows_at_b_times_2_to_minus_300(self, jet, jet_x0):
+        small = LtiSystem(jet.A, np.ldexp(jet.B, -300))
+        for got, want in zip(bound_accuracy_rows(small, jet_x0, 1.0, DEFAULT_ACCURACY_TF_GRID),
+                             bound_accuracy_rows(jet, jet_x0, 1.0, DEFAULT_ACCURACY_TF_GRID)):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        energies = ("E_N", "E_D_bound", "r_A_bound", "diff_min", "diff_max")
+        for got, want in zip(metrics_sweep_rows(small, jet_x0, 1.0, samples=20),
+                             metrics_sweep_rows(jet, jet_x0, 1.0, samples=20)):
+            got = {c: np.ldexp(v, -600) if c in energies else v for c, v in got.items()}
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestHardness:
