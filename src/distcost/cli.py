@@ -7,12 +7,13 @@ class), ``bound-accuracy`` (energy-ratio table over horizons),
 
 Configuration comes from flags plus an optional JSON config file; flags
 win. A command takes only the keys it reads: ``_KEYS`` declares each
-key's resolver, flag help and per-command defaults.
+key's resolver, flag help and per-command defaults. ``_commit`` writes
+a command's files, and creates its output directory, all or none.
 Exit codes: 0 success, 2 invalid configuration, a run too large for
-memory or an output file or standard output that cannot be written, 3
-parse failure (model or config JSON), 4 numerical failure. ``entry`` and
-``main`` return the code; ``script``, the process entry, ends the process
-with it.
+memory, an output directory or file or standard output that cannot be
+created or written, 3 parse failure (model or config JSON), 4 numerical
+failure. ``entry`` and ``main`` return the code; ``script``, the process
+entry, ends the process with it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ EXIT_NUMERIC = 4
 
 def _remove(paths) -> None:
     for path in paths:
-        with contextlib.suppress(FileNotFoundError):
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):
             os.remove(path)
 
 
@@ -187,13 +188,6 @@ class RunConfig:
             return builtins[self.model]()
         return load_model(self.model)
 
-    def outdir(self) -> str:
-        try:
-            os.makedirs(self.out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {self.out!r}: {exc}") from exc
-        return self.out
-
     def echo(self) -> dict:
         """Every value the command read, bar the output directory."""
         return {k: v for k, v in vars(self).items() if k != "out"}
@@ -260,23 +254,31 @@ def _print(text: str) -> None:
 
 def _commit(outdir: str, files) -> None:
     """Write a run's files into outdir, all or none: each (name, content)
-    is a ready text or a Trajectory, formatted here.
+    is a text, or a function of no arguments called just before its file's
+    temporary is written, so at most one file's text exists at a time.
 
-    Every file goes to a temporary, and only once every temporary exists
-    are they renamed into place. An earlier run's file of the same name is
-    first moved aside, and deleted only once every rename has succeeded.
-    On a failure every temporary and every file already renamed is
-    removed, the files moved aside are put back, and the error of the
-    first failing file is raised, a failed write or rename as ConfigError.
+    outdir and its missing parents are created first. Every file goes to a
+    temporary, and only once every temporary exists are they renamed into
+    place. An earlier run's file of the same name is first moved aside, and
+    deleted only once every rename has succeeded. On a failure every
+    temporary and every file already renamed is removed, the files moved
+    aside are put back, the directories made here are removed, and the
+    first error is raised, a failed mkdir, write or rename as ConfigError.
     """
     paths = [os.path.join(outdir, name) for name, _ in files]
     tmps = [f"{path}.tmp{os.getpid()}" for path in paths]
-    renamed, kept = [], []
+    renamed, kept, made, head = [], [], [], outdir
+    while head and not os.path.exists(head):  # the missing levels, deepest first
+        made, head = [*made, head], os.path.dirname(head)
     try:
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {outdir!r}: {exc}") from exc
         for (_, content), tmp, path in zip(files, tmps, paths):
-            # the loop drops each text before it formats the next
-            if not isinstance(content, str):
-                content = trajectory_to_csv(content)
+            # the loop drops each text before it makes the next
+            if callable(content):
+                content = content()
             try:
                 with open(tmp, "w") as fh:
                     fh.write(content)
@@ -306,21 +308,25 @@ def _commit(outdir: str, files) -> None:
         for aside, path in kept:
             with contextlib.suppress(OSError):
                 os.replace(aside, path)
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         raise
     _remove(aside for aside, _ in kept)
 
 
 def cmd_stabilize(cfg: RunConfig) -> int:
-    """synthesize controls and write closed-loop trajectories"""
+    """synthesize controls and write closed-loop trajectories
+
+    Each run is simulated just before _commit writes its file, after every
+    disturbance spec is resolved, so one trajectory is alive at a time."""
     task = StabilizationTask(x0=cfg.x0, t_f=cfg.tf, w_bar=cfg.wbar)
     bundle = build_bundle(cfg.load_system(), cfg.tf)
     bound = disturbed_energy_bound(task, bundle)
-    resolved = _resolve_runs(cfg, task, bundle)
+    summary = {"command": "stabilize", "config": cfg.echo(),
+               "E_N": bound.E_N, "E_D_bound": bound.E_D_bound, "runs": []}
 
-    # every run is computed before the first file is written, so a
-    # failing run leaves no output
-    trajs, runs = [], []
-    for name, w in [("nominal", None), *resolved]:
+    def simulate(name, w):
         control = disturbed_control(task, bundle, w)
         traj = simulate_closed_loop(control, w, cfg.steps)
         run = {"name": name, "kind": "zero" if w is None else w.kind,
@@ -329,13 +335,12 @@ def cmd_stabilize(cfg: RunConfig) -> int:
         if w is not None:
             e_d = disturbed_signal_energy(task, bundle, w)
             run.update(energy_closed_form=e_d, bound_ratio=e_d / bound.E_D_bound)
-        trajs.append((name, traj))
-        runs.append(run)
+        summary["runs"].append(run)
+        return trajectory_to_csv(traj)
 
-    summary = {"command": "stabilize", "config": cfg.echo(),
-               "E_N": bound.E_N, "E_D_bound": bound.E_D_bound, "runs": runs}
-    _commit(cfg.outdir(), [*((f"traj_{name}.csv", traj) for name, traj in trajs),
-                           ("summary.json", _json_text(summary))])
+    _commit(cfg.out, [*((f"traj_{name}.csv", lambda name=name, w=w: simulate(name, w))
+                        for name, w in [("nominal", None), *_resolve_runs(cfg, task, bundle)]),
+                      ("summary.json", lambda: _json_text(summary))])
     return 0
 
 
@@ -345,8 +350,8 @@ def cmd_bound_accuracy(cfg: RunConfig) -> int:
     rows = bound_accuracy_rows(sys_, cfg.x0, cfg.wbar, cfg.tf_grid,
                                seed=cfg.seed, cells=cfg.cells)
     summary = {"command": "bound-accuracy", "config": cfg.echo(), "rows": len(rows)}
-    _commit(cfg.outdir(), [("bound_accuracy.csv", _table_text(rows)),
-                           ("summary.json", _json_text(summary))])
+    _commit(cfg.out, [("bound_accuracy.csv", _table_text(rows)),
+                      ("summary.json", _json_text(summary))])
     return 0
 
 
@@ -359,8 +364,8 @@ def cmd_metrics_sweep(cfg: RunConfig) -> int:
     summary = {"command": "metrics-sweep", "config": cfg.echo(), "rows": len(rows),
                "containment": {"diff_le_r_A": all(r["diff_max"] <= r["r_A_bound"] for r in rows),
                                "ratio_ge_r_M": all(r["ratio_min"] >= r["r_M_bound"] for r in rows)}}
-    _commit(cfg.outdir(), [("metrics.csv", _table_text(rows)),
-                           ("summary.json", _json_text(summary))])
+    _commit(cfg.out, [("metrics.csv", _table_text(rows)),
+                      ("summary.json", _json_text(summary))])
     return 0
 
 
@@ -371,7 +376,7 @@ def cmd_energy(cfg: RunConfig) -> int:
     payload = {"command": "energy", "config": cfg.echo(),
                **vars(report), "witness_q": report.witness_q.tolist()}
     text = _json_text(payload)
-    _commit(cfg.outdir(), [("energy.json", text)])
+    _commit(cfg.out, [("energy.json", text)])
     _print(text)
     return 0
 
@@ -399,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, keys in _COMMAND_OPTIONS.items():
         # no prefix matching: bound-accuracy would read --tf as --tf-grid
-        cmd = sub.add_parser(command, help=_COMMANDS[command].__doc__,
+        cmd = sub.add_parser(command, help=_COMMANDS[command].__doc__.partition("\n")[0],
                              allow_abbrev=False)
         for key in keys:
             if _KEYS[key][1] is not None:

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import json
 import math
 import os
 import runpy
 import subprocess
 import sys
+import weakref
 from itertools import product
 
 import mpmath
@@ -268,6 +270,89 @@ class TestTrajectoryWriters:
         # one text that cannot be encoded fails the whole commit
         with pytest.raises(UnicodeEncodeError):
             cli._commit(str(tmp_path), [("a.txt", "a"), ("f.txt", "a\ud800")])
+        assert os.listdir(tmp_path) == []
+
+
+class TestOutputDirectory:
+    """_commit creates the output directory, and a failed run leaves
+    neither a directory it created nor a file of its own."""
+
+    @staticmethod
+    def fail_run(monkeypatch, failing):
+        # simulate_closed_loop counts its calls; run `failing` raises
+        calls, simulate = [], cli.simulate_closed_loop
+
+        def spy(*args):
+            calls.append(args)
+            if len(calls) == failing + 1:
+                raise NumericalError(f"forced failure of run {failing}")
+            return simulate(*args)
+
+        monkeypatch.setattr(cli, "simulate_closed_loop", spy)
+        return calls
+
+    def test_one_trajectory_alive_at_a_time(self, tmp_path, monkeypatch):
+        # each run is simulated just before its file is written, so no
+        # earlier run's trajectory is alive when the next one starts
+        refs, alive, simulate = [], [], cli.simulate_closed_loop
+
+        def spy(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            traj = simulate(*args)
+            refs.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(cli, "simulate_closed_loop", spy)
+        rc, out = run(tmp_path, "stabilize", "--steps", "200")
+        assert rc == 0
+        assert alive == [0, 0, 0, 0]
+        assert len(os.listdir(out)) == 5
+
+    def test_uncreatable_out_simulates_nothing(self, tmp_path, monkeypatch, capsys):
+        # a path under a regular file exits 2 before the first run
+        calls = self.fail_run(monkeypatch, failing=-1)
+        (tmp_path / "file").write_text("")
+        rc = entry(["stabilize", "--steps", "200", "--out", str(tmp_path / "file" / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
+        assert calls == []
+        assert os.listdir(tmp_path) == ["file"]
+
+    @pytest.mark.parametrize("failing", [0, 1, 3])
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, monkeypatch,
+                                                        capsys, failing):
+        # both missing levels are made before run 0 and removed again
+        calls = self.fail_run(monkeypatch, failing)
+        rc = entry(["stabilize", "--steps", "200", "--out", str(tmp_path / "a" / "b")])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"error: forced failure of run {failing}\n"
+        assert len(calls) == failing + 1
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_run_keeps_the_earlier_files(self, tmp_path, monkeypatch):
+        # run 3 fails after three trajectory files were written to
+        # temporaries: the earlier run's five files keep their bytes, and
+        # no temporary or file moved aside is left
+        rc, out = run(tmp_path, "stabilize", "--steps", "100")
+        assert rc == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(earlier) == 5
+        self.fail_run(monkeypatch, failing=3)
+        rc, _ = run(tmp_path, "stabilize", "--steps", "200")
+        assert rc == EXIT_NUMERIC
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    def test_failed_write_removes_the_directories_it_made(self, tmp_path):
+        # a text called for only once its turn comes, and a failing one
+        texts = []
+        with pytest.raises(UnicodeEncodeError):
+            cli._commit(str(tmp_path / "a" / "b"),
+                        [("a.txt", lambda: texts.append("a") or "a"),
+                         ("f.txt", lambda: texts.append("f") or "a\ud800"),
+                         ("z.txt", lambda: texts.append("z") or "z")])
+        assert texts == ["a", "f"]
         assert os.listdir(tmp_path) == []
 
 

@@ -4,7 +4,8 @@
 calls, so a refactor that renames or deletes a traced function unbinds
 its layer without any error. The six layers listed in ``STALE`` are
 already known to bind nothing and await their removal from the tracer;
-no other layer may join them. Reads ``e2ebench/`` only.
+no other layer may join them. Loads ``e2ebench/tracer.py`` without
+editing it, and traces one short in-process ``stabilize`` run.
 """
 
 import importlib.util
@@ -36,3 +37,15 @@ def test_only_known_stale_layers_are_unbound():
                if tracer._resolve(*where) is None}
     assert unbound <= STALE
     assert tracer.ROOT not in unbound
+
+
+def test_stabilize_calls_its_layers(tmp_path):
+    # a layer can still resolve while stabilize stops calling it through a
+    # patched binding, which leaves its per-layer split blind
+    from distcost import cli
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        assert cli.entry(["stabilize", "--steps", "200", "--out", str(tmp_path)]) == 0
+    layers = ("simulate.simulate_closed_loop", "synthesis.sample_half_grid",
+              "simulate.trajectory_to_csv")
+    assert all(tracer.calls[layer] >= 1 for layer in layers), tracer.calls
