@@ -7,8 +7,8 @@ the counter-based splitmix64 stream; shortest_decimal is Dragonbox's
 shortest round-trip decimal of each float of an array, the digits behind
 the CSV writer: one exact 64 x 128-bit product per value with a table of
 phi, beta and k' per exponent field, and a power of two's digits read
-from repr. RK4 and the control half-grid need no kernel: they are
-batched numpy in simulate.py and synthesis.py.
+from repr. The closed loop's exact steps and the control half-grid need
+no kernel: they are batched numpy in simulate.py and synthesis.py.
 
 Jacobi stops on the absolute test off(S) <= tol * ||S||_F, read from a
 copy scaled by a power of two, so its outputs scale exactly with S. On

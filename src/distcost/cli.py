@@ -147,8 +147,8 @@ _KEYS = {
              _on("stabilize bound-accuracy metrics-sweep", 0)),
     "out": (str, "output directory", _on("stabilize bound-accuracy metrics-sweep energy", ".")),
     "samples": (_whole("samples"), None, {"metrics-sweep": 500}),
-    # stabilize's piecewise cells default to an even divisor of the step
-    # count, so the integrator sees cell-constant stage values
+    # stabilize's piecewise cells default to a divisor of the step count:
+    # the cell and step grids must nest, so that each step is exact
     "cells": (_whole("cells"), None,
               {"stabilize": lambda r: 1000 if r["steps"] % 1000 == 0 else r["steps"],
                **_on("bound-accuracy metrics-sweep", EVIDENCE_CELLS)}),

@@ -1,21 +1,17 @@
-"""Closed-loop simulation by classical fixed-step Runge-Kutta.
+"""Closed-loop simulation by exact affine steps.
 
-Controls are evaluated on a half-step grid shared with the RK4 stages
-(no interpolation), and discontinuous disturbances contribute their own
-cell's value at every stage of a step, including the right endpoint, so
-a piecewise-constant signal aligned with the step grid is integrated at
-full fourth order.
-
-One RK4 step on xdot = A x + f(t) is exactly affine, x_{k+1} = T x_k + F_k:
-    M = hA,  T = I + M + M^2/2 + M^3/6 + M^4/24,
-    F_k = (h/6) [(I + M + M^2/2 + M^3/4) f_L + (4I + 2M + M^2/2) f_mid + f_R]
-with f = B u + w at the left, mid and right stages. T is RK4's degree-4
-polynomial, not e^{hA}, so this is still RK4 with its O(h^4) error and
-an independent check of the closed-form energies. The recurrence runs as
-one prefix scan (``linalg.linear_scan``) in log2(steps) batched passes,
-each adding in place. The controls come from
-``ControlSignal.sample_half_grid``, whose input-free recurrence doubles
-its states instead.
+The control is u = -B^T y with y(t) = e^{A^T(t_f - t)} g, and every
+disturbance class is the output of a linear exosystem, so a step of
+width h is exactly affine (Van Loan, IEEE TAC 1978; Moler & Van Loan,
+SIAM Review 2003): x_{k+1} = e^{Ah} x_k - W(h) y_{k+1} + F_k, with W(h)
+the Gramian of horizon h and F_k = int_0^h e^{A(h - s)} w(t_k + s) ds.
+The states are exact up to rounding at any step count, so ``steps`` sets
+the sampling, not the accuracy; a cell grid must nest with the step
+grid. The recurrence is one prefix scan (``linalg.linear_scan``), its
+powers e^{A h 2^j} - I from one stacked exponential. The costates y come
+from ``ControlSignal.costates``, and ``sample_half_grid`` gives the
+controls and, by composite Simpson over its midpoints, the running
+energy: a quadrature independent of the closed-form energies it checks.
 
 ``csv_text`` writes a trajectory as repr() text: Dragonbox's shortest
 digits, with the point inserted as a digit, in four-digit groups that a
@@ -26,15 +22,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError
 from ._kernels import shortest_decimal
-from .linalg import as_whole, linear_scan
+from .gramian import _gramians
+from .linalg import as_whole, block_expm, expm, linear_scan
 from .signals import DisturbanceSignal
-from .synthesis import ControlSignal
+from .synthesis import ControlSignal, _sinusoid_exosystem, piecewise_response
 
 __all__ = ["Trajectory", "simulate_closed_loop", "trajectory_to_csv", "csv_text"]
 
@@ -64,50 +60,27 @@ class Trajectory:
         return float(self.control_energy_running[-1])
 
 
-def _disturbance_stages(w: DisturbanceSignal, t_f: float, steps: int,
-                        n: int) -> np.ndarray:
+def _forcing(sys, w: DisturbanceSignal | None, times: np.ndarray):
+    # F_k = int_0^h e^{A(h - s)} w(t_k + s) ds of every step: the
+    # sinusoid's exosystem block applied to its state at t_k, or the
+    # response of the cells of each step, a step holding whole cells or
+    # lying inside one
     if w is None:
-        return np.zeros((steps, 3, n))
-    w.require_cover(t_f)
-    K = w.aligned_cells(t_f)
-    if K and steps % K == 0:
-        # step grid refines the cell grid: every stage of a step sees
-        # the step's own cell value, jumps land exactly on step edges
-        cell_of_step = np.repeat(np.arange(K), steps // K)
-        vals = w.cell_values[cell_of_step]
-        return np.repeat(vals[:, None, :], 3, axis=1)
-    # sinusoids and unaligned grids: pointwise sampling; integration
-    # order degrades at interior jumps
+        return 0.0
+    t_f, steps = times[-1], len(times) - 1
     h = t_f / steps
-    t_left = np.linspace(0.0, t_f, steps + 1)[:-1]
-    left = w._values(t_left)
-    mid = w._values(t_left + 0.5 * h)
-    right = w._values(t_left + h)
-    return np.stack([left, mid, right], axis=1)
-
-
-def _rk4(A, B, x0, h, U_half, w_stages):
-    # the affine RK4 recurrence of the module docstring; U_half is u on the
-    # half-step grid, w_stages the (left, mid, right) w of each step. T is
-    # kept as I + D, since rounding I + D would repeat one error per step.
-    steps = w_stages.shape[0]
-    I = np.eye(A.shape[0])
-    M = h * A
-    M2 = M @ M
-    M3 = M2 @ M
-    D = M + M2 / 2.0 + M3 / 6.0 + (M2 @ M2) / 24.0
-    P_left = I + M + M2 / 2.0 + M3 / 4.0
-    P_mid = 4.0 * I + 2.0 * M + M2 / 2.0
-    f = U_half @ B.T
-    F = (h / 6.0) * ((f[0:-1:2] + w_stages[:, 0]) @ P_left.T
-                     + (f[1::2] + w_stages[:, 1]) @ P_mid.T
-                     + f[2::2] + w_stages[:, 2])
-
-    # T is a polynomial, not an exponential, so its powers T^(2^j) - I
-    # come only by doubling: (I + D)^2 - I = 2D + D^2
-    D_pow = list(accumulate(range(steps.bit_length() - 1),
-                            lambda Dj, _: 2.0 * Dj + Dj @ Dj, initial=D))
-    return linear_scan(np.vstack([x0, F]), D_pow)
+    w.require_cover(t_f)
+    if w.cell_values is None:
+        C, S, z = _sinusoid_exosystem(w, times[:-1])
+        return z @ block_expm(sys.A, C, S, h)[1].T
+    K = w.aligned_cells(t_f)
+    fine = max(steps, K)
+    if not K or fine % steps or fine % K:
+        raise DomainError(f"piecewise disturbance of {w.cells} cells over [0, {w.horizon:g}] "
+                          f"and {steps} steps over [0, {t_f:g}] do not nest: the cells must "
+                          "end on step edges or the steps on cell edges")
+    values = np.repeat(w.cell_values[:K], fine // K, axis=0)
+    return piecewise_response(sys, values.reshape(steps, fine // steps, sys.n), h)
 
 
 def _square_sums(A):
@@ -128,14 +101,16 @@ def simulate_closed_loop(u: ControlSignal, w: DisturbanceSignal | None,
     Parameters
     ----------
     u : ControlSignal
-        Sampled on the half-step grid by its ``sample_half_grid``; a zero
-        gain vector gives zero control.
+        Its ``costates`` at the step nodes drive the steps, and its
+        ``sample_half_grid`` gives the controls and their running energy;
+        a zero gain vector gives zero control.
     w : DisturbanceSignal or None
         None means no disturbance; else of dimension n (else
-        DimensionError).
+        DimensionError). A cell grid and the step grid must nest, and
+        t_f must end a cell (else DomainError naming both counts).
     steps : int
-        Uniform RK4 step count, at least 100; a float must be a whole
-        number.
+        Number of uniform steps, each exact up to rounding, at least
+        100; a float must be a whole number.
 
     Returns
     -------
@@ -151,8 +126,13 @@ def simulate_closed_loop(u: ControlSignal, w: DisturbanceSignal | None,
     h = t_f / steps
 
     U_half = u.sample_half_grid(steps)
-    w_stages = _disturbance_stages(w, t_f, steps, sys.n)
-    X = _rk4(sys.A, sys.B, x0, h, U_half, w_stages)
+    times = np.linspace(0.0, t_f, steps + 1)
+    F = _forcing(sys, w, times)
+    W = _gramians(sys, [h])[0][0]
+    Y = u.costates(steps)[::-1]
+    scales = h * 2.0 ** np.arange(steps.bit_length())
+    D_pow = expm(sys.A * scales[:, None, None]) - np.eye(sys.n)
+    X = linear_scan(np.vstack([x0, F - Y[1:] @ W]), D_pow)
 
     # squares that overflow are caught by the finiteness check below
     with np.errstate(over="ignore"):
@@ -161,7 +141,6 @@ def simulate_closed_loop(u: ControlSignal, w: DisturbanceSignal | None,
         running = np.concatenate(([0.0], np.cumsum(seg)))
         norms = np.sqrt(_square_sums(X))
 
-    times = np.linspace(0.0, t_f, steps + 1)
     controls = np.ascontiguousarray(U_half[::2])
     # finite norms mean finite states, a finite energy finite controls
     if not (np.isfinite(norms).all() and np.isfinite(running[-1])):

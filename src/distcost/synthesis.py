@@ -56,32 +56,38 @@ class ControlSignal:
         return -(self.system.B.T @ (Phi @ self.gain_vector))
 
     def sample_half_grid(self, steps: int) -> np.ndarray:
-        """Control values on the half-step grid k * t_f / (2*steps).
-
-        Row 2k is the value at step boundary k, row 2k+1 the midpoint
-        value the RK4 stages need; shape (2*steps + 1, p). Values match
+        """Control values on the half-step grid k * t_f / (2*steps), -B^T
+        times the ``costates`` of 2*steps intervals: row 2k at step
+        boundary k, row 2k+1 at the step's midpoint, which the Simpson
+        running energy needs; shape (2*steps + 1, p). Values match
         pointwise evaluation to ~1e-13 relative.
-
-        Node 2*steps - k needs e^{A^T k delta} g, delta = t_f / (2*steps):
-        the k-th state of the input-free y_{k+1} = e^{A^T delta} y_k from
-        y_0 = g. The states double: pass j carries the first 2^j of them
-        2^j nodes on with P_j = e^{A^T 2^j delta}, in linear work overall.
         """
         steps = as_whole(steps, "steps", 1)
-        passes = (2 * steps).bit_length()
-        delta = self.task.t_f / (2 * steps)
+        if 8 * (2 * steps + 1) * self.system.n > np.iinfo(np.intp).max:
+            raise DomainError(f"steps = {steps} needs a {2 * steps + 1} x {self.system.n} "
+                              f"half grid, past numpy's array size limit")
+        return -(self.costates(2 * steps)[::-1] @ self.system.B)
+
+    def costates(self, intervals: int) -> np.ndarray:
+        """y(t) = e^{A^T(t_f - t)} g, the control being -B^T y, from t_f
+        back over ``intervals`` uniform intervals: row k is y(t_f - k delta),
+        delta = t_f / intervals, the k-th state of the input-free
+        y_{k+1} = e^{A^T delta} y_k from y_0 = g. The states double: pass j
+        carries the first 2^j of them 2^j nodes on with
+        P_j = e^{A^T 2^j delta}, in linear work overall.
+        """
+        intervals = as_whole(intervals, "intervals", 1)
+        passes = intervals.bit_length()
+        delta = self.task.t_f / intervals
         At = self.system.A.T
         g = self.gain_vector
-        if 8 * (2 * steps + 1) * len(g) > np.iinfo(np.intp).max:
-            raise DomainError(f"steps = {steps} needs a {2 * steps + 1} x {len(g)} "
-                              f"half grid, past numpy's array size limit")
         # each power from a fresh exponential, all in one stacked call:
         # squaring the first one pass by pass would compound its rounding.
         # As in linalg.linear_scan, P_j - I keeps the small increments at
         # full precision.
         scales = delta * 2.0 ** np.arange(passes)
         D_pow = expm(At * scales[:, None, None]) - np.eye(len(g))
-        Y = np.empty((2 * steps + 1, len(g)))
+        Y = np.empty((intervals + 1, len(g)))
         Y[0] = g
         for j, D in enumerate(D_pow):
             s = 1 << j
@@ -89,7 +95,7 @@ class ControlSignal:
             # 0.0 + turns a -0.0 state into the +0.0 that a prefix scan's
             # zero-initialised rows would give
             Y[s:s + m] = (0.0 + Y[:m]) + Y[:m] @ D.T
-        return -(Y[::-1] @ self.system.B)
+        return Y
 
 
 def _check_bundle(bundle: GramianBundle, task: StabilizationTask):
@@ -197,8 +203,9 @@ def fold_cells(values: np.ndarray, Phi: np.ndarray, J: np.ndarray) -> np.ndarray
     return Y[..., 0, :]
 
 
-def _sinusoid_exosystem(w: DisturbanceSignal):
-    # channel i owns exosystem states (2i, 2i+1) = (sin, cos) of its phase
+def _sinusoid_exosystem(w: DisturbanceSignal, t=None):
+    # channel i owns exosystem states (2i, 2i+1) = (sin, cos) of its phase;
+    # z is the state at time 0, or one row per time of the array t
     n = w.dim
     i = np.arange(n)
     C = np.zeros((n, 2 * n))
@@ -206,7 +213,6 @@ def _sinusoid_exosystem(w: DisturbanceSignal):
     S = np.zeros((2 * n, 2 * n))
     S[2 * i, 2 * i + 1] = w.frequencies
     S[2 * i + 1, 2 * i] = -w.frequencies
-    z0 = np.empty(2 * n)
-    z0[0::2] = np.sin(w.phases)
-    z0[1::2] = np.cos(w.phases)
-    return C, S, z0
+    phase = w.phases if t is None else np.outer(t, w.frequencies) + w.phases
+    z = np.stack([np.sin(phase), np.cos(phase)], axis=-1)
+    return C, S, z.reshape(phase.shape[:-1] + (2 * n,))

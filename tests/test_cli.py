@@ -191,7 +191,8 @@ class TestStabilize:
         assert os.listdir(out) == []
 
     def test_failing_later_run_writes_nothing(self, tmp_path, monkeypatch):
-        # every run is computed before the first file is written
+        # each run is simulated as its file is written, and _commit removes
+        # what the runs before a failing one wrote
         calls = []
 
         def third_fails(*args):
@@ -207,6 +208,20 @@ class TestStabilize:
         assert rc == EXIT_NUMERIC
         assert len(calls) == 3
         assert os.listdir(out) == []
+
+    def test_cells_that_do_not_nest_with_steps(self, tmp_path, capsys):
+        # 7 cells and 1000 steps: no step grid holds whole cells, and no
+        # cell whole steps. One error line, and no file or directory
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"disturbances": [{"kind": "piecewise_uniform",
+                                                     "cells": 7}]}))
+        rc, out = run(tmp_path, "stabilize", "--steps", "1000", "--config", str(cfg))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: piecewise disturbance of 7 cells over [0, 5] and "
+                              "1000 steps over [0, 5] do not nest")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestTrajectoryWriters:

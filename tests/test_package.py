@@ -40,6 +40,7 @@ REMOVED = {
     "linalg": ["_SYMMETRY_TOL", "norm", "sym_eig", "_sym_eigs", "_JACOBI_OFF_TOL",
                "_JACOBI_MAX_SWEEPS"],
     "metrics": ["additive_metric_bound", "multiplicative_metric_bound"],
+    "simulate": ["_rk4", "_disturbance_stages"],
 }
 
 

@@ -1,4 +1,8 @@
 import dataclasses
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +13,15 @@ from hypothesis import strategies as st
 
 from distcost import simulate
 from distcost.errors import DimensionError, DomainError, NumericalError
-from distcost.gramian import build_bundle
-from distcost.signals import make_disturbance
-from distcost.simulate import (_POW10, Trajectory, _disturbance_stages, _rk4, _square_sums,
-                               simulate_closed_loop, trajectory_to_csv)
+from distcost.gramian import build_bundle, build_bundles
+from distcost.models import load_model
+from distcost.signals import derive_seed, make_disturbance
+from distcost.simulate import (_POW10, Trajectory, _square_sums, simulate_closed_loop,
+                               trajectory_to_csv)
+from distcost.sweeps import worst_constant_sign
 from distcost.synthesis import ControlSignal, disturbed_control, nominal_control
 from distcost.systems import LtiSystem, StabilizationTask
+from rk4_oracle import _disturbance_stages, _rk4, rk4_states
 
 
 def rk4_reference(A, B, x0, h, U_half, w_stages):
@@ -156,22 +163,115 @@ class TestDisturbanceStages:
         assert np.any(stages[:, 0] != stages[:, 2])
 
 
-class TestConvergenceOrder:
-    def test_fourth_order_in_step_count(self, jet, jet_x0):
-        # halving h should shrink the error by ~16; accept [8, 32] to
-        # leave room for error-constant wobble
+class TestStepCount:
+    def test_states_agree_across_step_counts(self, jet, jet_x0):
+        # every step is exact, so the step count sets only the sampling:
+        # 400 and 1600 steps give the same states at their common nodes
         task = StabilizationTask(x0=jet_x0, t_f=5.0, w_bar=1.0)
         bundle = build_bundle(jet, 5.0)
         w = make_disturbance("sinusoid", 1.0, jet.n)
         u = disturbed_control(task, bundle, w)
+        coarse = simulate_closed_loop(u, w, 400).states
+        fine = simulate_closed_loop(u, w, 1600).states[::4]
+        assert np.max(np.abs(coarse - fine)) <= 1e-13 * np.max(np.abs(fine))
 
-        def endpoint_error(steps):
-            traj = simulate_closed_loop(u, w, steps)
-            fine = simulate_closed_loop(u, w, 4 * steps)
-            return np.linalg.norm(traj.states[-1] - fine.states[-1])
 
-        e400, e800 = endpoint_error(400), endpoint_error(800)
-        assert 8.0 < e400 / e800 < 32.0
+def stabilize_runs(task, bundle, steps):
+    """(name, control, signal) of stabilize's four default runs at this
+    step count, with its cells rule for the piecewise run."""
+    n = bundle.system.n
+    cells = 1000 if steps % 1000 == 0 else steps
+    signals = {"nominal": None,
+               "constant": make_disturbance("constant_sign", task.w_bar, n,
+                                            sign_vector=worst_constant_sign(task, bundle)),
+               "sinusoid": make_disturbance("sinusoid", task.w_bar, n),
+               "piecewise": make_disturbance("piecewise_uniform", task.w_bar, n, cells=cells,
+                                             seed=derive_seed(0, 5, 2), horizon=task.t_f)}
+    return [(name, disturbed_control(task, bundle, w), w) for name, w in signals.items()]
+
+
+def assert_matches_oracle(u, w, steps, refine, tol, axis=0):
+    """The exact states at ``steps`` against oracle RK4 at ``refine``
+    times the steps, at the common nodes, within tol of each state
+    column's largest magnitude (axis 0) or of the largest of all (None)."""
+    got = simulate_closed_loop(u, w, steps).states
+    ref = rk4_states(u, w, refine * steps)[::refine]
+    err = np.max(np.abs(got - ref), axis=axis) / np.max(np.abs(ref), axis=axis)
+    assert np.all(err <= tol), err
+
+
+def _load_workloads():
+    # the benchmark's workload module, imported from its file without
+    # writing bytecode beside it
+    path = Path(__file__).resolve().parent.parent / "e2ebench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("e2ebench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+class TestExactSteps:
+    @pytest.mark.parametrize("run", range(4), ids=["nominal", "constant", "sinusoid",
+                                                    "piecewise"])
+    def test_hundred_steps_match_fine_rk4(self, jet_task_5, jet_bundle_5, run):
+        # RK4 at 512 times the steps is within rounding of the truth; the
+        # exact steps reach it at 100
+        _, u, w = stabilize_runs(jet_task_5, jet_bundle_5, 100)[run]
+        assert_matches_oracle(u, w, 100, 512, 1e-13)
+
+    @pytest.mark.parametrize("steps", [100, 5000])
+    def test_terminal_residual_at_rounding_level(self, jet_task_5, jet_bundle_5, steps):
+        for name, u, w in stabilize_runs(jet_task_5, jet_bundle_5, steps):
+            assert simulate_closed_loop(u, w, steps).terminal_residual <= 1e-12, name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_horizons_models_match_rk4(self, tmp_path, seed):
+        # the n = 12 models of the benchmark's horizons workload, from its
+        # own input files. At t_f = 0.25, cond(W_B) up to 1e10 makes the
+        # control large against the states it steers: the exact states at
+        # 100 and at 1000 steps differ by up to 5e-10 of a column's
+        # largest value, so the states are compared against the largest
+        # of all
+        inputs = _load_workloads().WORKLOADS["horizons"].make_inputs(seed, tmp_path)
+        sys_ = load_model(inputs["model"])
+        x0 = np.array(json.loads(Path(inputs["config"]).read_text())["x0"])
+        for t_f, bundle in zip((0.25, 1.0, 5.0), build_bundles(sys_, [0.25, 1.0, 5.0])):
+            task = StabilizationTask(x0=x0, t_f=t_f, w_bar=1.0)
+            for steps, refine in ((100, 64), (1000, 8)):
+                for name, u, w in stabilize_runs(task, bundle, steps):
+                    assert_matches_oracle(u, w, steps, refine, 1e-9, axis=None)
+
+
+class TestNesting:
+    def test_cells_that_do_not_nest_raise(self, jet, jet_task_5, jet_bundle_5):
+        w = make_disturbance("piecewise_uniform", 1.0, jet.n, cells=7, horizon=5.0)
+        u = disturbed_control(jet_task_5, jet_bundle_5, w)
+        with pytest.raises(DomainError, match=r"of 7 cells over \[0, 5\] and 1000 steps "
+                                              r"over \[0, 5\] do not nest"):
+            simulate_closed_loop(u, w, 1000)
+
+    def test_final_time_inside_a_cell_raises(self, jet, jet_task_5, jet_bundle_5):
+        # 7 cells over [0, 10]: t_f = 5 ends halfway through the fourth
+        w = make_disturbance("piecewise_uniform", 1.0, jet.n, cells=7, horizon=10.0)
+        u = nominal_control(jet_task_5, jet_bundle_5)
+        with pytest.raises(DomainError, match=r"of 7 cells over \[0, 10\] and 1000 steps "
+                                              r"over \[0, 5\] do not nest"):
+            simulate_closed_loop(u, w, 1000)
+
+    @pytest.mark.parametrize("cells,steps,refine", [(7, 700, 64), (3000, 1000, 48)],
+                             ids=["steps-refine-cells", "cells-refine-steps"])
+    def test_nesting_grids_match_rk4(self, jet, jet_task_5, jet_bundle_5, cells, steps,
+                                     refine):
+        # the oracle's step count is a multiple of the cells, so RK4 sees
+        # each cell's value at all its stages
+        w = make_disturbance("piecewise_uniform", 1.0, jet.n, cells=cells, seed=3,
+                             horizon=5.0)
+        u = disturbed_control(jet_task_5, jet_bundle_5, w)
+        assert_matches_oracle(u, w, steps, refine, 1e-13)
 
 
 class TestResiduals:
